@@ -24,7 +24,6 @@ from .coefficients import (
     NotUnitary,
     VerblunskySequence,
     _as_square,
-    _defects_raw,
     is_unitary,
     theta_block,
 )
@@ -156,7 +155,8 @@ def _factor_matrices(seq: VerblunskySequence,
         elif j == seq.k_max:
             target[row(j - 1), row(j - 1)] = -seq.alpha(j)
         else:
-            block = theta_block(seq.alpha(j))
+            c = seq.alphas[j]
+            block = theta_block(c.value, c.defects)
             sl = slice((j - 1 - seq.k_min) * m, (j + 1 - seq.k_min) * m)
             target[sl, sl] = block
     return V, W
@@ -217,8 +217,7 @@ def five_term_coefficients(seq: VerblunskySequence, k: int):
     zero = np.zeros((m, m), dtype=complex)
     a_m1, a_0 = seq.alpha(k - 1), seq.alpha(k)
     a_p1, a_p2 = seq.alpha(k + 1), seq.alpha(k + 2)
-    d_m1, d_0 = _defects_raw(a_m1), _defects_raw(a_0)
-    d_p1, d_p2 = _defects_raw(a_p1), _defects_raw(a_p2)
+    d_m1, d_0, d_p1, d_p2 = (seq.alphas[j].defects for j in range(k - 1, k + 3))
     if k % 2 == 0:
         c_mm = d_0.rho @ d_m1.rho
         c_m = d_0.rho @ a_m1.conj().T
@@ -274,12 +273,14 @@ def operator_difference_block(seq: VerblunskySequence, spec: SplitSpec) -> np.nd
     """The 2m x 2m block by which U and its split differ, in V/W form.
 
     U - U_split equals V D (odd k0) or D W (even k0) where D is zero away
-    from sites (k0 - 1, k0); this returns that nonzero 2m x 2m block of D.
+    from sites (k0 - 1, k0); this returns that nonzero 2m x 2m block of D,
+    [[-alpha_k0 + gamma_left, rho~], [rho, alpha_k0* - gamma_right*]].
     """
     if not (seq.k_min < spec.k0 < seq.k_max):
-        raise SplitOutOfWindow("difference block needs an interior split site")
+        raise SplitOutOfWindow(f"site {spec.k0} is not interior to the window")
     m = seq.m
-    block = theta_block(seq.alpha(spec.k0)).copy()
+    c = seq.alphas[spec.k0]
+    block = theta_block(c.value, c.defects)
     block[:m, :m] += spec.gamma_left
     block[m:, m:] -= spec.gamma_right.conj().T
     return block

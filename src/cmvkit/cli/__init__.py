@@ -354,7 +354,7 @@ def cmd_verify(args) -> int:
         else [n.strip() for n in args.suite.split(",") if n.strip()]
     spec = _spec_from_args(args)
     tols = Tolerances(rank=args.tol_rank, identity=args.tol_identity)
-    report = run_suite(names, spec, tols, jobs=args.jobs)
+    report = run_suite(names, spec, tols)
     for res in report.results:
         status = "PASS" if res.passed else "FAIL"
         print(f"{status} {res.suite}/{res.check}: residual {res.residual:.3e}"
@@ -455,7 +455,6 @@ def build_parser() -> argparse.ArgumentParser:
                    help="comma-separated suite names (default: all)")
     p.add_argument("--tol-rank", type=float, default=1e-8)
     p.add_argument("--tol-identity", type=float, default=None)
-    p.add_argument("--jobs", type=int, default=1)
     p.add_argument("--format", choices=["json", "csv"], default="json")
     p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_verify)

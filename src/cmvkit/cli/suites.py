@@ -10,7 +10,6 @@ wall-clock timing lives in the report's meta block, never in results.
 from __future__ import annotations
 
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
@@ -601,12 +600,12 @@ class VerificationReport:
         }
 
 
-def run_suite(names, spec: EnsembleSpec, tolerances: Tolerances | None = None,
-              jobs: int = 1) -> VerificationReport:
+def run_suite(names, spec: EnsembleSpec,
+              tolerances: Tolerances | None = None) -> VerificationReport:
     """Run the named suites and collect a report.
 
     Results are sorted by (suite, check) so the output does not depend
-    on completion order; timing goes into meta only.
+    on the order of names; timing goes into meta only.
     """
     tolerances = tolerances or Tolerances()
     for name in names:
@@ -615,11 +614,7 @@ def run_suite(names, spec: EnsembleSpec, tolerances: Tolerances | None = None,
                 f"unknown suite {name!r}; available: {', '.join(sorted(SUITES))}"
             )
     start = time.perf_counter()
-    if jobs > 1 and len(names) > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            chunks = list(pool.map(lambda n: SUITES[n](spec, tolerances), names))
-    else:
-        chunks = [SUITES[n](spec, tolerances) for n in names]
+    chunks = [SUITES[n](spec, tolerances) for n in names]
     results = sorted((r for chunk in chunks for r in chunk),
                      key=lambda r: (r.suite, r.check))
     meta = {

@@ -17,6 +17,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 import scipy.linalg
@@ -71,15 +72,19 @@ def is_unitary(g, tol: float = UNITARY_TOL) -> bool:
 class VerblunskyCoefficient:
     """One coefficient together with its declared kind.
 
-    value : complex m x m array
+    value : complex m x m array, stored as a read-only copy
     kind  : CONTRACTIVE for interior sites, UNITARY for window endpoints
+
+    The defect pair and its inverses do not depend on z; each is computed
+    on first use and kept, so every sequence sharing this object shares it.
     """
 
     value: np.ndarray
     kind: CoefficientKind
 
     def __post_init__(self):
-        v = _as_square(self.value)
+        v = _as_square(self.value).copy()
+        v.setflags(write=False)
         object.__setattr__(self, "value", v)
         if self.kind is CoefficientKind.CONTRACTIVE:
             if not is_contraction(v):
@@ -94,6 +99,16 @@ class VerblunskyCoefficient:
     @property
     def m(self) -> int:
         return self.value.shape[0]
+
+    @cached_property
+    def defects(self) -> "DefectPair":
+        return _defects_raw(self.value)
+
+    @cached_property
+    def inverse_defects(self) -> "DefectPair":
+        """(rho^-1, rho_tilde^-1); defined for contractive coefficients only."""
+        d = self.defects
+        return DefectPair(rho=np.linalg.inv(d.rho), rho_tilde=np.linalg.inv(d.rho_tilde))
 
 
 def contractive(value) -> VerblunskyCoefficient:
@@ -200,10 +215,14 @@ def sequence_from_values(values: dict, m: int | None = None) -> VerblunskySequen
 
 @dataclass(frozen=True)
 class DefectPair:
-    """Positive roots rho = (I - a* a)^(1/2) and rho_tilde = (I - a a*)^(1/2)."""
+    """Read-only positive roots rho = (I - a* a)^(1/2), rho_tilde = (I - a a*)^(1/2)."""
 
     rho: np.ndarray
     rho_tilde: np.ndarray
+
+    def __post_init__(self):
+        self.rho.setflags(write=False)
+        self.rho_tilde.setflags(write=False)
 
 
 @dataclass(frozen=True)

@@ -17,12 +17,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .assembly import SplitOutOfWindow, SplitSpec, assemble, assemble_split
+from .assembly import SplitSpec, assemble, assemble_split, operator_difference_block
 from .coefficients import (
     NotContractive,
     VerblunskySequence,
     _as_square,
-    defect_matrices,
     factorize_svd,
     is_contraction,
 )
@@ -68,21 +67,10 @@ def local_block(seq: VerblunskySequence, k0: int,
 
     Returns [[-alpha_k0 + gamma1, rho_tilde], [rho, alpha_k0* - gamma2*]].
     Up to unitary factors this is the only nonzero block of V - V_split
-    (even k0) or W - W_split (odd k0).
+    (even k0) or W - W_split (odd k0); see operator_difference_block.
     """
-    if not (seq.k_min < k0 < seq.k_max):
-        raise SplitOutOfWindow(f"site {k0} is not interior to the window")
-    alpha = seq.alpha(k0)
-    g1 = _as_square(gamma1)
-    g2 = _as_square(gamma2)
-    d = defect_matrices(alpha)
-    m = seq.m
-    block = np.zeros((2 * m, 2 * m), dtype=complex)
-    block[:m, :m] = -alpha + g1
-    block[:m, m:] = d.rho_tilde
-    block[m:, :m] = d.rho
-    block[m:, m:] = alpha.conj().T - g2.conj().T
-    return block
+    return operator_difference_block(
+        seq, SplitSpec(k0=k0, gamma_left=gamma1, gamma_right=gamma2))
 
 
 def numerical_rank(M: np.ndarray, rtol: float = RANK_RTOL) -> int:

@@ -99,10 +99,11 @@ def _check_half_sites(lo: int, hi: int, k: int, kp: int):
             raise ValueError(f"site {site} outside the half-window [{lo}, {hi}]")
 
 
-def _half_family(seq, k0, gamma, z, sign, gamma_sqrt, lo, hi):
+def _half_family(seq, k0, gamma, z, sign, gamma_sqrt, *sites):
+    """Family seeded at k0 and propagated outward just far enough to cover sites."""
     fam = seed_family(gamma, z, k0, sign, gamma_sqrt=gamma_sqrt)
-    fam = propagate(seq, fam, lo)
-    return propagate(seq, fam, hi)
+    fam = propagate(seq, fam, min(sites))
+    return propagate(seq, fam, max(sites))
 
 
 def half_lattice_green(seq: VerblunskySequence, k0: int, gamma, z,
@@ -116,15 +117,16 @@ def half_lattice_green(seq: VerblunskySequence, k0: int, gamma, z,
 
     Sign - swaps which side carries the hatted combination and flips
     the branch signs. The m-function is solved independently at z and
-    at 1/conj(z); no reflection shortcut is taken.
+    at 1/conj(z); no reflection shortcut is taken. Families are only
+    propagated over the sites between k0 and the farther of k, kp.
     """
     sign = _norm_sign(sign)
     z = require_off_circle(z)
     zc = 1.0 / np.conj(z)
     lo, hi = _half_range(seq, k0, sign)
     _check_half_sites(lo, hi, k, kp)
-    fam_z = _half_family(seq, k0, gamma, z, sign, gamma_sqrt, lo, hi)
-    fam_c = _half_family(seq, k0, gamma, zc, sign, gamma_sqrt, lo, hi)
+    fam_z = _half_family(seq, k0, gamma, z, sign, gamma_sqrt, k, kp)
+    fam_c = _half_family(seq, k0, gamma, zc, sign, gamma_sqrt, k, kp)
     m_z = m_function(seq, k0, gamma, z, sign, gamma_sqrt=gamma_sqrt)
     m_c = m_function(seq, k0, gamma, zc, sign, gamma_sqrt=gamma_sqrt)
     a = fam_z.at(k)
@@ -228,7 +230,7 @@ def half_green_scalar_prefactor(seq: VerblunskySequence, k0: int, gamma, z,
     lo, hi = _half_range(seq, k0, sign)
     _check_half_sites(lo, hi, k, kp)
     m_val = m_function(seq, k0, gamma, z, sign)[0, 0]
-    fam_main = _half_family(seq, k0, gamma, z, sign, None, lo, hi)
+    fam_main = _half_family(seq, k0, gamma, z, sign, None, k, kp)
     exponent = k0 % 2 if sign == PLUS else (k0 + 1) % 2
     pref = z ** (-exponent) / (2.0 * z)
     upper = _branch(k, kp) is GreensBranch.UPPER_ODD
@@ -250,7 +252,7 @@ def half_green_scalar_prefactor(seq: VerblunskySequence, k0: int, gamma, z,
 
     if sign == MINUS or hat == "sign-matched":
         return complex(evaluate(fam_main))
-    fam_printed = _half_family(seq, k0, gamma, z, MINUS, None, lo, hi)
+    fam_printed = _half_family(seq, k0, gamma, z, MINUS, None, k, kp)
     if hat == "printed":
         return complex(evaluate(fam_printed))
     if hat != "auto":

@@ -22,8 +22,8 @@ from typing import NamedTuple
 import numpy as np
 
 from .coefficients import (
-    NotContractive,
     NotUnitary,
+    VerblunskyCoefficient,
     VerblunskySequence,
     _as_square,
     defect_matrices,
@@ -63,13 +63,13 @@ def _norm_sign(sign) -> int:
     raise ValueError(f"sign must be +1/-1 or '+'/'-', got {sign!r}")
 
 
-def _interior_alpha(seq: VerblunskySequence, k: int) -> np.ndarray:
+def _interior_coefficient(seq: VerblunskySequence, k: int) -> VerblunskyCoefficient:
     if not seq.k_min < k < seq.k_max:
         raise PathLeavesWindow(
             f"transfer at site {k} needs a contractive coefficient, "
             f"window is [{seq.k_min}, {seq.k_max}]"
         )
-    return seq.alpha(k)
+    return seq.alphas[k]
 
 
 def transfer(seq: VerblunskySequence, z, k: int) -> TransferMatrix:
@@ -81,10 +81,8 @@ def transfer(seq: VerblunskySequence, z, k: int) -> TransferMatrix:
     with a = alpha_k, r = rho_k, rt = rho_tilde_k.
     """
     z = require_nonzero(z)
-    alpha = _interior_alpha(seq, k)
-    d = defect_matrices(alpha)
-    ri = np.linalg.inv(d.rho)
-    rti = np.linalg.inv(d.rho_tilde)
+    c = _interior_coefficient(seq, k)
+    alpha, ri, rti = c.value, c.inverse_defects.rho, c.inverse_defects.rho_tilde
     m = alpha.shape[0]
     T = np.zeros((2 * m, 2 * m), dtype=complex)
     if k % 2 == 1:
@@ -107,10 +105,8 @@ def transfer_inverse(seq: VerblunskySequence, z, k: int) -> TransferMatrix:
     Even k: [[-rt^-1 a, rt^-1], [r^-1, -r^-1 a*]]
     """
     z = require_nonzero(z)
-    alpha = _interior_alpha(seq, k)
-    d = defect_matrices(alpha)
-    ri = np.linalg.inv(d.rho)
-    rti = np.linalg.inv(d.rho_tilde)
+    c = _interior_coefficient(seq, k)
+    alpha, ri, rti = c.value, c.inverse_defects.rho, c.inverse_defects.rho_tilde
     m = alpha.shape[0]
     T = np.zeros((2 * m, 2 * m), dtype=complex)
     if k % 2 == 1:

@@ -26,6 +26,8 @@ from cmvkit.coefficients import (
     unitary,
 )
 from cmvkit.cli.ensembles import EnsembleSpec, generate, random_unitary
+from cmvkit.laurent import MINUS, PLUS
+from cmvkit.weyl import half_window_sequence
 
 
 def random_contraction(rng, m, norm):
@@ -172,6 +174,44 @@ def test_sequence_restrict_and_replace():
         seq.restrict(-2, 5)
     with pytest.raises(NotUnitary):
         seq.restrict(3, 8, left=g_left)
+
+
+def test_coefficient_value_is_a_frozen_copy():
+    """Stored values cannot change, so their cached defects cannot go stale."""
+    src = np.array([[0.3, 0.1j], [0.0, 0.2]])
+    c = contractive(src)
+    assert c.value is not src
+    src[0, 0] = 5.0
+    np.testing.assert_array_equal(c.value, [[0.3, 0.1j], [0.0, 0.2]])
+    seq = generate(EnsembleSpec(m=2, k_min=0, k_max=8, seed=3))
+    with pytest.raises(ValueError, match="read-only"):
+        seq.alpha(3)[0, 0] = 0.0
+    with pytest.raises(ValueError, match="read-only"):
+        seq.alpha(0)[:] = 0.0
+    c = seq.alphas[3]
+    for cached in (c.defects.rho, c.inverse_defects.rho_tilde):
+        with pytest.raises(ValueError, match="read-only"):
+            cached[0, 0] = 0.0
+
+
+def test_sub_windows_share_coefficient_objects():
+    """restrict, replace and half windows reuse the parent's coefficients."""
+    seq = generate(EnsembleSpec(m=2, k_min=0, k_max=12, seed=21))
+    g = random_unitary(np.random.default_rng(22), 2)
+    k0 = 6
+    views = (
+        (seq.restrict(2, 9, left=g, right=g), range(3, 9)),
+        (seq.replace(5, contractive(np.zeros((2, 2)))),
+         [k for k in range(1, 12) if k != 5]),
+        (half_window_sequence(seq, k0, g, PLUS), range(k0 + 1, 12)),
+        (half_window_sequence(seq, k0, g, MINUS), range(1, k0 + 1)),
+    )
+    for view, interior in views:
+        for k in interior:
+            assert view.alphas[k] is seq.alphas[k]
+    # so the cached defect algebra is shared as well
+    half = views[2][0]
+    assert half.alphas[k0 + 2].defects is seq.alphas[k0 + 2].defects
 
 
 def test_sequence_json_round_trip(tmp_path):

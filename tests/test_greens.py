@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from cmvkit import greens
 from cmvkit.greens import (
     GreensBranch,
     dense_resolvent_entry,
@@ -113,6 +114,37 @@ def test_half_kernel_matches_dense():
                     scale = max(1.0, np.linalg.norm(want))
                     assert np.linalg.norm(got.value - want) / scale < 1e-8
                     assert got.k == k and got.kp == kp
+
+
+def test_half_kernel_short_propagation_is_exact(monkeypatch):
+    """Far from k0, propagating to the needed sites only changes no bit."""
+    seq, g, k0 = make_case(2, 44, n=40)
+    z = 0.6 * np.exp(0.7j)
+    limited = greens._half_family
+    spans = []
+
+    def recording(*args):
+        fam = limited(*args)
+        spans.append((fam.k_lo, fam.k_hi))
+        return fam
+
+    def whole(seq, k0, gamma, z, sign, gamma_sqrt, *sites):
+        lo, hi = greens._half_range(seq, k0, sign)
+        return limited(seq, k0, gamma, z, sign, gamma_sqrt, lo, hi)
+
+    branches = set()
+    for sign, k, kp in ((PLUS, k0 + 9, k0 + 11), (PLUS, k0 + 11, k0 + 9),
+                        (MINUS, k0 - 11, k0 - 9), (MINUS, k0 - 9, k0 - 11)):
+        spans.clear()
+        monkeypatch.setattr(greens, "_half_family", recording)
+        short = half_lattice_green(seq, k0, g, z, k, kp, sign)
+        assert spans and all(s == (min(k, kp, k0), max(k, kp, k0)) for s in spans)
+        monkeypatch.setattr(greens, "_half_family", whole)
+        full = half_lattice_green(seq, k0, g, z, k, kp, sign)
+        assert short.branch is full.branch
+        assert np.array_equal(short.value, full.value)
+        branches.add(short.branch)
+    assert branches == set(GreensBranch)
 
 
 def test_half_kernel_branch_tags():

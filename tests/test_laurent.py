@@ -15,10 +15,12 @@ from cmvkit.laurent import (
     transfer_inverse,
     window_family,
 )
+from cmvkit import coefficients
 from cmvkit.coefficients import (
     defect_matrices,
     principal_unitary_sqrt,
     sequence_from_values,
+    theta_block,
 )
 from cmvkit.errors import ZeroZ
 from cmvkit.cli.ensembles import EnsembleSpec, generate, random_unitary
@@ -50,6 +52,55 @@ def test_transfer_inverse_two_routes():
             Ti = transfer_inverse(seq, z, k).value
             np.testing.assert_allclose(Ti, np.linalg.inv(T), atol=1e-12)
             np.testing.assert_allclose(T @ Ti, np.eye(4), atol=1e-12)
+
+
+def _fresh_transfer_pair(alpha, z, k):
+    """T(z, k) and its inverse from a defect recompute, no cache involved."""
+    d = defect_matrices(alpha.copy())
+    ri, rti = np.linalg.inv(d.rho), np.linalg.inv(d.rho_tilde)
+    a, ah = alpha, alpha.conj().T
+    if k % 2 == 1:
+        T = [[rti @ a, z * rti], [ri / z, ri @ ah]]
+        Ti = [[-ri @ ah, z * ri], [rti / z, -rti @ a]]
+    else:
+        T = [[ri @ ah, ri], [rti, rti @ a]]
+        Ti = [[-rti @ a, rti], [ri, -ri @ ah]]
+    return np.block(T), np.block(Ti)
+
+
+@pytest.mark.parametrize("m", (1, 2))
+def test_cached_defects_match_fresh_recompute(m):
+    """Blocks built from the cached defect algebra equal a recompute exactly."""
+    seq = generate(EnsembleSpec(m=m, k_min=0, k_max=12, seed=50 + m))
+    g = random_unitary(np.random.default_rng(60 + m), m)
+    z = complex(0.6 * np.exp(0.9j))
+    window_family(seq, g, z, 6, PLUS)   # fill the cache on every site
+    for k in (3, 4, 7, 8):
+        want_T, want_Ti = _fresh_transfer_pair(seq.alpha(k), z, k)
+        assert np.array_equal(transfer(seq, z, k).value, want_T)
+        assert np.array_equal(transfer_inverse(seq, z, k).value, want_Ti)
+        c = seq.alphas[k]
+        assert np.array_equal(theta_block(c.value, c.defects),
+                              theta_block(seq.alpha(k).copy()))
+
+
+def test_window_families_compute_each_defect_pair_once(monkeypatch):
+    """Families at two z on one sequence factor each interior site once."""
+    seq = generate(EnsembleSpec(m=2, k_min=0, k_max=24, seed=55))
+    g = random_unitary(np.random.default_rng(56), 2)
+    calls = []
+    raw = coefficients._defects_raw
+
+    def counted(alpha):
+        calls.append(1)
+        return raw(alpha)
+
+    monkeypatch.setattr(coefficients, "_defects_raw", counted)
+    for z in (0.5 * np.exp(0.3j), 1.7 * np.exp(-1.2j)):
+        for sign in (PLUS, MINUS):
+            window_family(seq, g, z, 12, sign)
+    n_interior = seq.k_max - seq.k_min - 1
+    assert 0 < len(calls) <= n_interior
 
 
 def test_transfer_needs_interior_site():
