@@ -77,6 +77,7 @@ from .weyl import (
     schur_parity_formula,
     spectral_sample,
     weyl_solution,
+    weyl_solutions,
 )
 from .greens import (
     GreensEntry,

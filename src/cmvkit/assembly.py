@@ -8,8 +8,9 @@ matrix, which keeps the finite V and W exactly unitary.
 
 Also provided: the decoupled variant in which one block is replaced by
 diag(-gamma_left, gamma_right*), severing the window into two independent
-halves, and a matrix-free application of the five-term difference
-expression for cross-checking rows of U.
+halves, a matrix-free application of the five-term difference
+expression for cross-checking rows of U, and a banded solve for one
+diagonal block of (U + z)(U - z)^{-1} that never forms U.
 """
 
 from __future__ import annotations
@@ -17,6 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
+import scipy.linalg
 
 from .coefficients import (
     CoefficientKind,
@@ -27,6 +29,7 @@ from .coefficients import (
     is_unitary,
     theta_block,
 )
+from .errors import SingularSolve
 
 
 class WindowTooSmall(ValueError):
@@ -129,37 +132,50 @@ class SplitSpec:
             raise NotUnitary("split matrices must be unitary")
 
 
-def _factor_matrices(seq: VerblunskySequence,
-                     replace_k0: int | None = None,
-                     replacement: tuple | None = None):
-    """Build V (even blocks) and W (odd blocks), optionally replacing one block."""
-    window = LatticeWindow.of(seq)
-    m, n = seq.m, window.n_sites
-    V = np.zeros((m * n, m * n), dtype=complex)
-    W = np.zeros((m * n, m * n), dtype=complex)
+def _placed_blocks(seq: VerblunskySequence, spec: SplitSpec | None = None):
+    """Every coefficient's 2m x 2m block of V or W and the entries it fills.
 
-    def row(k):
-        return slice((k - seq.k_min) * m, (k - seq.k_min + 1) * m)
+    Block j = k_min .. k_max is Theta_j = [[-alpha_j, rho~_j], [rho_j,
+    alpha_j*]] on sites (j - 1, j), in V for even j and in W for odd j; a
+    block replaced by spec is diag(-gamma_left, gamma_right*). The two
+    endpoint blocks reach past the window, which keeps only alpha*_{k_min}
+    at site k_min and -alpha_{k_max} at site k_max - 1.
 
-    for j in range(seq.k_min, seq.k_max + 1):
-        target = V if j % 2 == 0 else W
-        if replace_k0 is not None and j == replace_k0:
-            gl, gr = replacement
-            if j > seq.k_min:
-                target[row(j - 1), row(j - 1)] = -gl
-            if j < seq.k_max:
-                target[row(j), row(j)] = gr.conj().T
-            continue
-        if j == seq.k_min:
-            target[row(j), row(j)] = seq.alpha(j).conj().T
-        elif j == seq.k_max:
-            target[row(j - 1), row(j - 1)] = -seq.alpha(j)
-        else:
-            c = seq.alphas[j]
-            block = theta_block(c.value, c.defects)
-            sl = slice((j - 1 - seq.k_min) * m, (j + 1 - seq.k_min) * m)
-            target[sl, sl] = block
-    return V, W
+    Returns (blocks, rows, cols, in_V, in_W): blocks has shape
+    (n + 1, 2m, 2m); rows and cols give each block entry's index in the
+    m n x m n window, and in_V, in_W mark the entries inside the window
+    that belong to V and to W.
+    """
+    for k in (seq.k_min, seq.k_max):
+        if seq.kind(k) is not CoefficientKind.UNITARY:
+            raise InvalidBoundary(f"site {k}: endpoint coefficient must be unitary")
+    n, m = LatticeWindow.of(seq).n_sites, seq.m
+    coeffs = [seq.alphas[j] for j in range(seq.k_min, seq.k_max + 1)]
+    a = np.stack([c.value for c in coeffs])
+    blocks = np.zeros((n + 1, 2 * m, 2 * m), dtype=complex)
+    blocks[:, :m, :m] = -a
+    blocks[:, m:, m:] = a.conj().transpose(0, 2, 1)
+    blocks[1:-1, :m, m:] = np.stack([c.defects.rho_tilde for c in coeffs[1:-1]])
+    blocks[1:-1, m:, :m] = np.stack([c.defects.rho for c in coeffs[1:-1]])
+    if spec is not None:
+        blocks[spec.k0 - seq.k_min] = scipy.linalg.block_diag(
+            -spec.gamma_left, spec.gamma_right.conj().T)
+    start = m * np.arange(-1, n)[:, None, None]
+    local = np.arange(2 * m)
+    rows, cols = np.broadcast_arrays(start + local[:, None], start + local)
+    inside = (rows >= 0) & (rows < m * n) & (cols >= 0) & (cols < m * n)
+    even = (np.arange(seq.k_min, seq.k_max + 1) % 2 == 0)[:, None, None]
+    return blocks, rows, cols, inside & even, inside & ~even
+
+
+def _dense_operators(seq: VerblunskySequence, spec: SplitSpec | None = None):
+    """Scatter V (even blocks) and W (odd blocks) densely; U = V W."""
+    blocks, rows, cols, in_V, in_W = _placed_blocks(seq, spec)
+    V = np.zeros((seq.m * seq.n_sites,) * 2, dtype=complex)
+    W = np.zeros_like(V)
+    V[rows[in_V], cols[in_V]] = blocks[in_V]
+    W[rows[in_W], cols[in_W]] = blocks[in_W]
+    return CmvOperatorSet(V=V, W=W, U=V @ W, offset=seq.k_min, m=seq.m)
 
 
 def assemble(seq: VerblunskySequence) -> CmvOperatorSet:
@@ -176,11 +192,41 @@ def assemble(seq: VerblunskySequence) -> CmvOperatorSet:
         V and W are exactly unitary by construction; U is five-block
         diagonal with U(k, k') = 0 for |k - k'| > 2.
     """
-    for k in (seq.k_min, seq.k_max):
-        if seq.kind(k) is not CoefficientKind.UNITARY:
-            raise InvalidBoundary(f"site {k}: endpoint coefficient must be unitary")
-    V, W = _factor_matrices(seq)
-    return CmvOperatorSet(V=V, W=W, U=V @ W, offset=seq.k_min, m=seq.m)
+    return _dense_operators(seq)
+
+
+def cayley_block(seq: VerblunskySequence, z: complex, k: int) -> np.ndarray:
+    """The m x m block E_k* (U + z)(U - z)^{-1} E_k at site k, never forming U.
+
+    W is unitary, so U -/+ z = (V -/+ z W*) W and
+
+        (U + z)(U - z)^{-1} = I + 2z W* (V - z W*)^{-1}.
+
+    The pencil V - z W* is block tridiagonal: one banded LU solve with
+    2m - 1 sub- and superdiagonals gives X = (V - z W*)^{-1} E_k, and the
+    block is I + 2z (W E_k)* X, where W E_k is the column block of W at k.
+    Raises SingularSolve when the solve fails or overflows.
+    """
+    blocks, rows, cols, in_V, in_W = _placed_blocks(seq)
+    m, size, band = seq.m, seq.m * seq.n_sites, 2 * seq.m - 1
+    pencil = np.zeros((2 * band + 1, size), dtype=complex)
+    pencil[band + rows[in_V] - cols[in_V], cols[in_V]] = blocks[in_V]
+    # W* holds each W block's conjugate transpose in the same place
+    w_star = blocks.conj().transpose(0, 2, 1)[in_W]
+    pencil[band + rows[in_W] - cols[in_W], cols[in_W]] -= z * w_star
+    i = (k - seq.k_min) * m
+    E = np.eye(size, m, -i, dtype=complex)
+    try:
+        X = scipy.linalg.solve_banded((band, band), pencil, E, overwrite_ab=True,
+                                      check_finite=False)
+    except np.linalg.LinAlgError as exc:
+        raise SingularSolve(f"resolvent solve failed at z = {z}") from exc
+    if not np.all(np.isfinite(X)):
+        raise SingularSolve(f"resolvent solve overflowed at z = {z}")
+    column = in_W & (cols >= i) & (cols < i + m)
+    W_k = np.zeros((size, m), dtype=complex)
+    W_k[rows[column], cols[column] - i] = blocks[column]
+    return np.eye(m) + 2.0 * z * (W_k.conj().T @ X)
 
 
 def assemble_split(seq: VerblunskySequence, spec: SplitSpec) -> CmvOperatorSet:
@@ -195,9 +241,7 @@ def assemble_split(seq: VerblunskySequence, spec: SplitSpec) -> CmvOperatorSet:
         )
     if spec.gamma_left.shape != (seq.m, seq.m):
         raise DimensionMismatch("split unitaries must match the sequence block size")
-    V, W = _factor_matrices(seq, replace_k0=spec.k0,
-                            replacement=(spec.gamma_left, spec.gamma_right))
-    return CmvOperatorSet(V=V, W=W, U=V @ W, offset=seq.k_min, m=seq.m)
+    return _dense_operators(seq, spec)
 
 
 def five_term_coefficients(seq: VerblunskySequence, k: int):

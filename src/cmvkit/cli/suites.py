@@ -57,7 +57,7 @@ from ..weyl import (
     schur_from_M,
     schur_gamma_conjugation,
     spectral_sample,
-    weyl_solution,
+    weyl_solutions,
 )
 from .ensembles import EnsembleSpec, generate, random_unitary
 
@@ -425,10 +425,8 @@ def suite_wronskian(spec: EnsembleSpec, tol: Tolerances):
     g = random_unitary(rng, spec.m)
     z = 0.5 * np.exp(1.7j)
     zc = 1.0 / np.conj(z)
-    sol_p = weyl_solution(seq, k0, g, z, PLUS)
-    sol_m = weyl_solution(seq, k0, g, z, MINUS)
-    sol_pc = weyl_solution(seq, k0, g, zc, PLUS)
-    sol_mc = weyl_solution(seq, k0, g, zc, MINUS)
+    sol_p, sol_m = weyl_solutions(seq, k0, g, z)
+    sol_pc, sol_mc = weyl_solutions(seq, k0, g, zc)
     W = sol_p.M - sol_m.M
 
     fam = window_family(seq, g, z, k0, PLUS)

@@ -8,15 +8,11 @@ compared against a dense LU solve of the same finite operator.
 
 Scalar-only variants of the kernels, written with same-z values and a
 power-of-z prefactor instead of conjugated values, are provided as a
-separate code path. The hatted combination entering the plus-sign
-scalar kernel has two candidate readings; both are computed and the
-one matching a dense-solve probe is used, with a log record when they
-differ (see half_green_scalar_prefactor).
+separate code path.
 """
 
 from __future__ import annotations
 
-import logging
 from dataclasses import dataclass
 from enum import Enum
 
@@ -26,16 +22,13 @@ from .assembly import assemble
 from .coefficients import VerblunskySequence
 from .errors import SingularSolve, SingularWronskian, require_off_circle
 from .laurent import (
-    MINUS,
     PLUS,
     MatrixCaseUnsupported,
     _norm_sign,
     propagate,
     seed_family,
 )
-from .weyl import _lsolve, half_window_sequence, m_function, weyl_solution
-
-log = logging.getLogger(__name__)
+from .weyl import _lsolve, half_window_sequence, m_function, weyl_solutions
 
 
 class GreensBranch(Enum):
@@ -157,14 +150,12 @@ def full_green_entries(seq: VerblunskySequence, k0: int, gamma, z,
         lower: (2z)^{-1} U_+(z, k) W^{-1} U_-(1/conj(z), kp)*
 
     with W = M_plus(z) - M_minus(z). Weyl solutions are built once and
-    reused across the pairs.
+    reused across the pairs; each sign pair shares one propagated family.
     """
     z = require_off_circle(z)
     zc = 1.0 / np.conj(z)
-    sol_p = weyl_solution(seq, k0, gamma, z, PLUS, gamma_sqrt=gamma_sqrt)
-    sol_m = weyl_solution(seq, k0, gamma, z, MINUS, gamma_sqrt=gamma_sqrt)
-    sol_pc = weyl_solution(seq, k0, gamma, zc, PLUS, gamma_sqrt=gamma_sqrt)
-    sol_mc = weyl_solution(seq, k0, gamma, zc, MINUS, gamma_sqrt=gamma_sqrt)
+    sol_p, sol_m = weyl_solutions(seq, k0, gamma, z, gamma_sqrt=gamma_sqrt)
+    sol_pc, sol_mc = weyl_solutions(seq, k0, gamma, zc, gamma_sqrt=gamma_sqrt)
     W = sol_p.M - sol_m.M
     entries = []
     for k, kp in pairs:
@@ -207,8 +198,7 @@ def dense_resolvent_entry(seq: VerblunskySequence, z, k: int, kp: int,
 
 
 def half_green_scalar_prefactor(seq: VerblunskySequence, k0: int, gamma, z,
-                                k: int, kp: int, sign,
-                                hat: str = "auto") -> complex:
+                                k: int, kp: int, sign) -> complex:
     """Scalar half-window kernel in its same-z, power-prefactor form.
 
     Sign +, with w = z^(-(k0 mod 2)) / (2z):
@@ -216,12 +206,9 @@ def half_green_scalar_prefactor(seq: VerblunskySequence, k0: int, gamma, z,
         upper: w p(z, k) vhat(z, kp)
         lower: w uhat(z, k) r(z, kp)
 
-    where p, r come from the plus family. Sign - uses the minus family,
-    exponent (k0 + 1) mod 2, and the mirrored branch assignment. The
-    hatted pair uhat = q + p m, vhat = s + r m can be formed from the
-    sign-matched family or, for sign +, from the minus family as one
-    printed source suggests; hat selects "sign-matched", "printed", or
-    "auto" (probe against a dense solve, log when the readings differ).
+    where p, r and the hatted pair uhat = q + p m, vhat = s + r m all come
+    from the plus family. Sign - uses the minus family, exponent
+    (k0 + 1) mod 2, and the mirrored branch assignment.
     """
     if seq.m != 1:
         raise MatrixCaseUnsupported("prefactor kernels are scalar-only")
@@ -230,48 +217,13 @@ def half_green_scalar_prefactor(seq: VerblunskySequence, k0: int, gamma, z,
     lo, hi = _half_range(seq, k0, sign)
     _check_half_sites(lo, hi, k, kp)
     m_val = m_function(seq, k0, gamma, z, sign)[0, 0]
-    fam_main = _half_family(seq, k0, gamma, z, sign, None, k, kp)
+    fam = _half_family(seq, k0, gamma, z, sign, None, k, kp)
     exponent = k0 % 2 if sign == PLUS else (k0 + 1) % 2
     pref = z ** (-exponent) / (2.0 * z)
-    upper = _branch(k, kp) is GreensBranch.UPPER_ODD
-
-    def evaluate(hat_family):
-        hk = hat_family.at(k)
-        hkp = hat_family.at(kp)
-        uhat_k = hk.Q[0, 0] + hk.P[0, 0] * m_val
-        vhat_kp = hkp.S[0, 0] + hkp.R[0, 0] * m_val
-        main_k = fam_main.at(k)
-        main_kp = fam_main.at(kp)
-        if sign == PLUS:
-            if upper:
-                return pref * main_k.P[0, 0] * vhat_kp
-            return pref * uhat_k * main_kp.R[0, 0]
-        if upper:
-            return pref * uhat_k * main_kp.R[0, 0]
-        return pref * main_k.P[0, 0] * vhat_kp
-
-    if sign == MINUS or hat == "sign-matched":
-        return complex(evaluate(fam_main))
-    fam_printed = _half_family(seq, k0, gamma, z, MINUS, None, k, kp)
-    if hat == "printed":
-        return complex(evaluate(fam_printed))
-    if hat != "auto":
-        raise ValueError(f"hat must be 'auto', 'sign-matched' or 'printed', got {hat!r}")
-    matched = complex(evaluate(fam_main))
-    printed = complex(evaluate(fam_printed))
-    oracle = dense_resolvent_entry(seq, z, k, kp, half=sign, k0=k0,
-                                   gamma=gamma)[0, 0]
-    scale = max(1.0, abs(oracle))
-    if abs(matched - printed) > 1e-10 * scale:
-        pick = "sign-matched" if abs(matched - oracle) <= abs(printed - oracle) \
-            else "printed"
-        log.info(
-            "hat readings differ at (k0=%d, z=%s, k=%d, kp=%d): "
-            "sign-matched err %.3e, printed err %.3e; using %s",
-            k0, z, k, kp, abs(matched - oracle), abs(printed - oracle), pick,
-        )
-        return printed if pick == "printed" else matched
-    return matched
+    a, b = fam.at(k), fam.at(kp)
+    if (sign == PLUS) == (_branch(k, kp) is GreensBranch.UPPER_ODD):
+        return complex(pref * a.P[0, 0] * (b.S[0, 0] + b.R[0, 0] * m_val))
+    return complex(pref * (a.Q[0, 0] + a.P[0, 0] * m_val) * b.R[0, 0])
 
 
 def full_green_scalar_prefactor(seq: VerblunskySequence, k0: int, gamma, z,
@@ -286,8 +238,7 @@ def full_green_scalar_prefactor(seq: VerblunskySequence, k0: int, gamma, z,
     if seq.m != 1:
         raise MatrixCaseUnsupported("prefactor kernels are scalar-only")
     z = require_off_circle(z)
-    sol_p = weyl_solution(seq, k0, gamma, z, PLUS)
-    sol_m = weyl_solution(seq, k0, gamma, z, MINUS)
+    sol_p, sol_m = weyl_solutions(seq, k0, gamma, z)
     Wv = (sol_p.M - sol_m.M)[0, 0]
     if abs(Wv) < 1e-14:
         raise SingularWronskian(f"M_plus - M_minus vanished at z = {z}")

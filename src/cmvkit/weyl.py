@@ -7,6 +7,9 @@ The m-function of a half-window operator at its reference site k0 is
 with E the coordinate injection at k0. The plus operator lives on sites
 [k0, k_max - 1] with the boundary unitary gamma installed at k0; the
 minus operator lives on [k_min, k0] with gamma installed at k0 + 1.
+U_h = V W is never formed: since (U_h + z)(U_h - z)^{-1} = I + 2z W*(V -
+z W*)^{-1}, one banded solve of the block-tridiagonal pencil V - z W*
+gives m (assembly.cayley_block).
 
 M_plus coincides with m_plus. M_minus is a Cayley-type transform of
 m_minus; both directions of that transform, its z = 0 closed form, the
@@ -21,12 +24,11 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import assemble
+from .assembly import cayley_block
 from .coefficients import VerblunskySequence, _as_square, principal_unitary_sqrt
 from .errors import (
     SingularFactor,
     SingularSolutionValue,
-    SingularSolve,
     require_nonzero,
     require_off_circle,
 )
@@ -71,9 +73,10 @@ def half_window_sequence(seq: VerblunskySequence, k0: int, gamma,
 
 def m_function(seq: VerblunskySequence, k0: int, gamma, z, sign,
                gamma_sqrt=None) -> np.ndarray:
-    """Half-lattice m-function at the reference site, by dense solves.
+    """Half-lattice m-function at the reference site, by a banded pencil solve.
 
-    The raw resolvent sandwich +/- E*(U_h + z)(U_h - z)^{-1} E carries the
+    The raw sandwich +/- E*(U_h + z)(U_h - z)^{-1} E (assembly.cayley_block,
+    which solves V - z W* in band storage and never forms U_h) carries the
     boundary unitary in a frame that differs from the Laurent families by
     a one-sided square root of gamma.  To keep every downstream identity
     (boundary matching, Green kernels, Wronskians) in a single convention,
@@ -104,12 +107,7 @@ def m_function(seq: VerblunskySequence, k0: int, gamma, z, sign,
     sign = _norm_sign(sign)
     z = require_off_circle(z, allow_zero=True)
     half = half_window_sequence(seq, k0, gamma, sign)
-    ops = assemble(half)
-    n = ops.U.shape[0]
-    E = np.zeros((n, seq.m), dtype=complex)
-    E[ops.site_slice(k0)] = np.eye(seq.m)
-    X = _lsolve(ops.U - z * np.eye(n), E, err=SingularSolve)
-    raw = float(sign) * (E.conj().T @ (ops.U @ X + z * X))
+    raw = float(sign) * cayley_block(half, z, k0)
     gh = principal_unitary_sqrt(gamma) if gamma_sqrt is None else np.asarray(
         gamma_sqrt, dtype=complex)
     ghi = gh.conj().T
@@ -299,14 +297,19 @@ def weyl_solution(seq: VerblunskySequence, k0: int, gamma, z, sign,
     the minus solution the left-edge relation at k_min; both emerge
     from the plus-seeded polynomial families combined with M.
     """
-    sign = _norm_sign(sign)
+    return weyl_solutions(seq, k0, gamma, z, (sign,), gamma_sqrt=gamma_sqrt)[0]
+
+
+def weyl_solutions(seq: VerblunskySequence, k0: int, gamma, z,
+                   signs=(PLUS, MINUS), gamma_sqrt=None) -> tuple:
+    """Weyl solutions of the given signs at z, sharing one propagated family."""
+    signs = [_norm_sign(sign) for sign in signs]
     z = require_off_circle(z)
-    M = M_function(seq, k0, gamma, z, sign, gamma_sqrt=gamma_sqrt)
+    Ms = [M_function(seq, k0, gamma, z, sign, gamma_sqrt=gamma_sqrt) for sign in signs]
     fam = window_family(seq, gamma, z, k0, PLUS, gamma_sqrt=gamma_sqrt)
-    U = fam.Q + fam.P @ M
-    V = fam.S + fam.R @ M
-    return WeylSolution(sign=sign, z=z, gamma=fam.gamma, k0=k0, M=M,
-                        k_lo=fam.k_lo, U=U, V=V)
+    return tuple(WeylSolution(sign=sign, z=z, gamma=fam.gamma, k0=k0, M=M,
+                              k_lo=fam.k_lo, U=fam.Q + fam.P @ M, V=fam.S + fam.R @ M)
+                 for sign, M in zip(signs, Ms))
 
 
 def schur_parity_formula(seq: VerblunskySequence, k0: int, gamma, z, k: int,

@@ -12,7 +12,7 @@ from cmvkit.assembly import (
     assemble_split,
     operator_difference_block,
 )
-from cmvkit.coefficients import sequence_from_values
+from cmvkit.coefficients import sequence_from_values, theta_block
 from cmvkit.cli.ensembles import EnsembleSpec, generate, random_unitary
 
 
@@ -112,6 +112,52 @@ def test_split_difference_factors_locally():
         D[lo:hi, lo:hi] = blk
         want = ops.V @ D if k0 % 2 == 1 else D @ ops.W
         np.testing.assert_allclose(diff, want, atol=1e-14)
+
+
+def blockwise_factors(seq, spec=None):
+    """V and W placed one theta_block at a time: the reference layout."""
+    m, n = seq.m, seq.n_sites
+    V = np.zeros((m * n, m * n), dtype=complex)
+    W = np.zeros_like(V)
+
+    def row(k):
+        return slice((k - seq.k_min) * m, (k - seq.k_min + 1) * m)
+
+    for j in range(seq.k_min, seq.k_max + 1):
+        target = V if j % 2 == 0 else W
+        if spec is not None and j == spec.k0:
+            if j > seq.k_min:
+                target[row(j - 1), row(j - 1)] = -spec.gamma_left
+            if j < seq.k_max:
+                target[row(j), row(j)] = spec.gamma_right.conj().T
+        elif j == seq.k_min:
+            target[row(j), row(j)] = seq.alpha(j).conj().T
+        elif j == seq.k_max:
+            target[row(j - 1), row(j - 1)] = -seq.alpha(j)
+        else:
+            sl = slice((j - 1 - seq.k_min) * m, (j + 1 - seq.k_min) * m)
+            target[sl, sl] = theta_block(seq.alpha(j))
+    return V, W
+
+
+def test_vectorized_placement_equals_blockwise():
+    """assemble and assemble_split reproduce the blockwise layout bit for bit."""
+    rng = np.random.default_rng(13)
+    for m in (1, 2, 3):
+        for k_min in (0, 1):
+            seq = generate(EnsembleSpec(m=m, k_min=k_min, k_max=k_min + 13,
+                                        seed=20 + m))
+            ops = assemble(seq)
+            V, W = blockwise_factors(seq)
+            assert np.array_equal(ops.V, V) and np.array_equal(ops.W, W)
+            assert np.array_equal(ops.U, V @ W)
+            for k0 in (k_min + 3, k_min + 4, seq.k_max):
+                sp = SplitSpec(k0=k0, gamma_left=random_unitary(rng, m),
+                               gamma_right=random_unitary(rng, m))
+                ops = assemble_split(seq, sp)
+                V, W = blockwise_factors(seq, sp)
+                assert np.array_equal(ops.V, V) and np.array_equal(ops.W, W)
+                assert np.array_equal(ops.U, V @ W)
 
 
 def test_split_outside_window_raises():

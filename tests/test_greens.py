@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from cmvkit import greens
+from cmvkit import greens, weyl
 from cmvkit.greens import (
     GreensBranch,
     dense_resolvent_entry,
@@ -66,6 +66,35 @@ def test_same_sign_pairings_vanish():
                                    0, atol=1e-10)
         np.testing.assert_allclose(wronskian(sol_mc.at(k), sol_m.at(k), k),
                                    0, atol=1e-10)
+
+
+def test_full_kernel_propagates_one_family_per_z(monkeypatch):
+    """Both Weyl signs share the plus family: one propagation at z, one at 1/conj(z)."""
+    seq, g, k0 = make_case(2, 35)
+    z = 0.5 * np.exp(0.9j)
+    zc = 1.0 / np.conj(z)
+    pairs = [(k0 - 3, k0 + 2), (k0 + 4, k0 - 1), (k0, k0), (k0 + 1, k0 + 1)]
+    real = weyl.window_family
+    seen = []
+
+    def counting(seq, gamma, z, *args, **kwargs):
+        seen.append(z)
+        return real(seq, gamma, z, *args, **kwargs)
+
+    monkeypatch.setattr(weyl, "window_family", counting)
+    got = full_green_entries(seq, k0, g, z, pairs)
+    assert seen == [z, zc]
+    monkeypatch.undo()
+    sol = {(s, w): weyl_solution(seq, k0, g, w, s)
+           for s in (PLUS, MINUS) for w in (z, zc)}
+    W = sol[PLUS, z].M - sol[MINUS, z].M
+    for entry, (k, kp) in zip(got, pairs):
+        if entry.branch is GreensBranch.UPPER_ODD:
+            left, right = sol[MINUS, z].at(k)[0], sol[PLUS, zc].at(kp)[0]
+        else:
+            left, right = sol[PLUS, z].at(k)[0], sol[MINUS, zc].at(kp)[0]
+        want = left @ np.linalg.solve(W, right.conj().T) / (2.0 * z)
+        assert np.array_equal(entry.value, want)
 
 
 def test_symmetry_residual():
@@ -202,27 +231,6 @@ def test_scalar_prefactor_half_forms():
                                              k0=k0, gamma=g)[0, 0]
                 got = half_green_scalar_prefactor(seq, k0, g, z, k, kp, sign)
                 assert abs(got - want) / max(1.0, abs(want)) < 1e-8
-
-
-def test_scalar_prefactor_hat_adjudication():
-    """auto sides with the sign-matched reading when the two differ."""
-    seq, g, k0 = make_case(1, 48)
-    z = 0.45 * np.exp(1.2j)
-    k, kp = k0 + 1, k0 + 3
-    want = dense_resolvent_entry(seq, z, k, kp, half=PLUS, k0=k0,
-                                 gamma=g)[0, 0]
-    matched = half_green_scalar_prefactor(seq, k0, g, z, k, kp, PLUS,
-                                          hat="sign-matched")
-    auto = half_green_scalar_prefactor(seq, k0, g, z, k, kp, PLUS, hat="auto")
-    printed = half_green_scalar_prefactor(seq, k0, g, z, k, kp, PLUS,
-                                          hat="printed")
-    assert abs(matched - want) / max(1.0, abs(want)) < 1e-8
-    assert abs(auto - want) / max(1.0, abs(want)) < 1e-8
-    # the alternative reading draws the hatted pair from the minus family
-    # and lands far from the dense value here, which is what auto resolves
-    assert abs(printed - matched) > 1e-3
-    with pytest.raises(ValueError, match="hat must be"):
-        half_green_scalar_prefactor(seq, k0, g, z, k, kp, PLUS, hat="other")
 
 
 def test_scalar_prefactor_full_form():

@@ -1,8 +1,13 @@
 """m-functions by two routes, the minus-side transforms, and Weyl solutions."""
 
+import sys
+
 import numpy as np
 import pytest
 
+from cmvkit import assembly, weyl
+from cmvkit.assembly import InvalidBoundary, assemble, cayley_block
+from cmvkit.greens import dense_resolvent_entry, half_lattice_green
 from cmvkit.weyl import (
     M_from_schur,
     M_function,
@@ -10,6 +15,7 @@ from cmvkit.weyl import (
     M_minus_at_zero,
     M_minus_from_m_minus,
     M_minus_via_connection,
+    half_window_sequence,
     m_from_edge_condition,
     m_function,
     m_minus_from_M_minus,
@@ -21,7 +27,11 @@ from cmvkit.weyl import (
     weyl_solution,
 )
 from cmvkit.laurent import MINUS, PLUS
-from cmvkit.coefficients import principal_unitary_sqrt, sequence_from_values
+from cmvkit.coefficients import (
+    contractive,
+    principal_unitary_sqrt,
+    sequence_from_values,
+)
 from cmvkit.errors import ZOnUnitCircle
 from cmvkit.cli.ensembles import EnsembleSpec, generate, random_unitary
 
@@ -223,3 +233,75 @@ def test_circle_points_rejected():
     seq = scalar_sequence(0.3)
     with pytest.raises(ZOnUnitCircle):
         m_function(seq, 6, np.eye(1), np.exp(0.4j), PLUS)
+
+
+SANDWICH_Z = (0.0, 0.4 * np.exp(0.9j), 0.99 * np.exp(2j), 1.01 * np.exp(-1j),
+              2.2j)
+
+
+def dense_m(seq, k0, g, z, sign):
+    """+/- E*(U + z)(U - z)^{-1} E from the dense half-window U, family frame."""
+    ops = assemble(half_window_sequence(seq, k0, g, sign))
+    n = ops.U.shape[0]
+    E = np.zeros((n, seq.m), dtype=complex)
+    E[ops.site_slice(k0)] = np.eye(seq.m)
+    X = np.linalg.solve(ops.U - z * np.eye(n), E)
+    raw = sign * (E.conj().T @ (ops.U @ X + z * X))
+    gh = principal_unitary_sqrt(g)
+    if k0 % 2 == 0:
+        return gh @ raw @ gh.conj().T
+    return gh.conj().T @ raw @ gh
+
+
+def test_banded_m_matches_dense_sandwich():
+    for m in (1, 2, 3):
+        spec = EnsembleSpec(m=m, k_min=0, k_max=30, seed=40 + m,
+                            radius_max=0.85)
+        seq = generate(spec)
+        g = random_unitary(np.random.default_rng(50 + m), m)
+        for k0 in (14, 15):
+            for sign in (PLUS, MINUS):
+                for z in SANDWICH_Z:
+                    got = m_function(seq, k0, g, z, sign)
+                    want = dense_m(seq, k0, g, z, sign)
+                    assert np.linalg.norm(got - want) \
+                        <= 1e-12 * np.linalg.norm(want)
+                half = half_window_sequence(seq, k0, g, sign)
+                assert np.array_equal(cayley_block(half, 0.0, k0), np.eye(m))
+
+
+def test_m_routes_never_assemble(monkeypatch):
+    real = assembly.assemble
+    calls = []
+
+    def counting(seq):
+        calls.append(seq)
+        return real(seq)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("cmvkit") and getattr(module, "assemble", None) is real:
+            monkeypatch.setattr(module, "assemble", counting)
+    spec = EnsembleSpec(m=2, k_min=0, k_max=24, seed=60, radius_max=0.85)
+    seq = generate(spec)
+    g = random_unitary(np.random.default_rng(61), 2)
+    z = 0.5 * np.exp(0.8j)
+    m_function(seq, 12, g, z, PLUS)
+    spectral_sample(seq, 12, g, z)
+    half_lattice_green(seq, 12, g, z, 13, 15, PLUS)
+    half_lattice_green(seq, 12, g, z, 9, 11, MINUS)
+    assert calls == []
+    dense_resolvent_entry(seq, z, 12, 13)
+    assert len(calls) == 1
+
+
+def test_non_unitary_half_window_edge_rejected(monkeypatch):
+    real = weyl.half_window_sequence
+
+    def broken(seq, k0, gamma, sign):
+        half = real(seq, k0, gamma, sign)
+        half.alphas[half.k_max] = contractive(np.array([[0.5]]))
+        return half
+
+    monkeypatch.setattr(weyl, "half_window_sequence", broken)
+    with pytest.raises(InvalidBoundary):
+        m_function(scalar_sequence(0.3), 6, np.eye(1), 0.4, PLUS)
