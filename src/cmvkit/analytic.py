@@ -14,7 +14,8 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coefficients import _as_square
-from .errors import SingularFactor
+# The Cayley pair Phi = (F - I)(F + I)^{-1} and back has one implementation.
+from .weyl import M_from_schur as inverse_cayley, schur_from_M as cayley  # noqa: F401
 
 PSD_TOL = 1e-10
 CIRCLE_TOL = 1e-8
@@ -116,28 +117,6 @@ def is_caratheodory(samples, tol: float = PSD_TOL) -> ValidityReport:
         floors.append(float(np.linalg.eigvalsh(herm).min()))
     valid = all(f >= -tol for f in floors)
     return ValidityReport(valid=valid, min_eigenvalues=tuple(floors), tol=tol)
-
-
-def cayley(F: np.ndarray) -> np.ndarray:
-    """Phi = (F - I)(F + I)^{-1}, mapping Caratheodory to Schur."""
-    F = _as_square(F)
-    eye = np.eye(F.shape[0])
-    try:
-        out = np.linalg.solve((F + eye).T, (F - eye).T).T
-    except np.linalg.LinAlgError as exc:
-        raise SingularFactor("F + I is singular") from exc
-    return out
-
-
-def inverse_cayley(phi: np.ndarray) -> np.ndarray:
-    """F = (I - Phi)^{-1}(I + Phi), mapping Schur back to Caratheodory."""
-    phi = _as_square(phi)
-    eye = np.eye(phi.shape[0])
-    try:
-        out = np.linalg.solve(eye - phi, eye + phi)
-    except np.linalg.LinAlgError as exc:
-        raise SingularFactor("I - Phi is singular") from exc
-    return out
 
 
 def reflect(z, F: np.ndarray):

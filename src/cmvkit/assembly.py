@@ -15,6 +15,7 @@ diagonal block of (U + z)(U - z)^{-1} that never forms U.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
@@ -150,22 +151,32 @@ def _placed_blocks(seq: VerblunskySequence, spec: SplitSpec | None = None):
         if seq.kind(k) is not CoefficientKind.UNITARY:
             raise InvalidBoundary(f"site {k}: endpoint coefficient must be unitary")
     n, m = LatticeWindow.of(seq).n_sites, seq.m
-    coeffs = [seq.alphas[j] for j in range(seq.k_min, seq.k_max + 1)]
-    a = np.stack([c.value for c in coeffs])
+    A = seq.arrays
     blocks = np.zeros((n + 1, 2 * m, 2 * m), dtype=complex)
-    blocks[:, :m, :m] = -a
-    blocks[:, m:, m:] = a.conj().transpose(0, 2, 1)
-    blocks[1:-1, :m, m:] = np.stack([c.defects.rho_tilde for c in coeffs[1:-1]])
-    blocks[1:-1, m:, :m] = np.stack([c.defects.rho for c in coeffs[1:-1]])
+    blocks[1:-1, :m, :m] = -A.alpha
+    blocks[1:-1, :m, m:] = A.rho_tilde
+    blocks[1:-1, m:, :m] = A.rho
+    blocks[1:-1, m:, m:] = A.alpha.conj().transpose(0, 2, 1)
+    for row, k in ((0, seq.k_min), (-1, seq.k_max)):   # unitary ends: no defects
+        blocks[row, :m, :m], blocks[row, m:, m:] = -seq.alpha(k), seq.alpha(k).conj().T
     if spec is not None:
         blocks[spec.k0 - seq.k_min] = scipy.linalg.block_diag(
             -spec.gamma_left, spec.gamma_right.conj().T)
+    return (blocks, *_placement(n, m, seq.k_min % 2))
+
+
+@functools.lru_cache(maxsize=16)
+def _placement(n: int, m: int, parity: int) -> tuple:
+    """Read-only rows, cols, in_V, in_W of _placed_blocks; set by n, m, k_min % 2."""
     start = m * np.arange(-1, n)[:, None, None]
     local = np.arange(2 * m)
     rows, cols = np.broadcast_arrays(start + local[:, None], start + local)
     inside = (rows >= 0) & (rows < m * n) & (cols >= 0) & (cols < m * n)
-    even = (np.arange(seq.k_min, seq.k_max + 1) % 2 == 0)[:, None, None]
-    return blocks, rows, cols, inside & even, inside & ~even
+    even = (np.arange(parity, parity + n + 1) % 2 == 0)[:, None, None]
+    out = (rows.copy(), cols.copy(), inside & even, inside & ~even)
+    for a in out:
+        a.setflags(write=False)
+    return out
 
 
 def _dense_operators(seq: VerblunskySequence, spec: SplitSpec | None = None):

@@ -429,8 +429,7 @@ def suite_wronskian(spec: EnsembleSpec, tol: Tolerances):
     sol_pc, sol_mc = weyl_solutions(seq, k0, g, zc)
     W = sol_p.M - sol_m.M
 
-    fam = window_family(seq, g, z, k0, PLUS)
-    fam_c = window_family(seq, g, zc, k0, PLUS, gamma_sqrt=fam.gamma_sqrt)
+    fam, fam_c = sol_p.family, sol_pc.family
     eye = np.eye(spec.m)
     # Site-independent in exact arithmetic; sampled near k0 because the
     # paired solutions grow geometrically away from the reference site

@@ -9,13 +9,15 @@ The helpers here compute the positive defect matrices
 rho = (I - alpha* alpha)^(1/2) and rho~ = (I - alpha alpha*)^(1/2),
 the 2m x 2m orthogonal building block built from a single coefficient,
 singular value factorizations, unitary square roots, and two-sided
-unitary gauge transforms of whole sequences.
+unitary gauge transforms of whole sequences. Each sequence stacks its
+interior algebra by site once (SequenceArrays) for transfers and assembly;
+sub-windows view the rows of the window they are cut from.
 """
 
 from __future__ import annotations
 
 import json
-from dataclasses import dataclass
+from dataclasses import dataclass, fields
 from enum import Enum
 from functools import cached_property
 
@@ -189,7 +191,23 @@ class VerblunskySequence:
             alphas[k_lo] = unitary(left)
         if right is not None:
             alphas[k_hi] = unitary(right)
-        return VerblunskySequence(self.m, k_lo, k_hi, alphas)
+        child = VerblunskySequence(self.m, k_lo, k_hi, alphas)
+        # The child's interior is a run of this window's: view its rows rather
+        # than stack them anew on every half-window m-function.
+        child.__dict__["arrays"] = self.arrays.rows(k_lo - self.k_min, k_hi - self.k_min - 1)
+        return child
+
+    @cached_property
+    def arrays(self) -> "SequenceArrays":
+        """Interior algebra stacked by site, from each coefficient's cached defects."""
+        inner = [self.alphas[k] for k in range(self.k_min + 1, self.k_max)]
+        alpha = np.stack([c.value for c in inner])
+        rho_inv = np.stack([c.inverse_defects.rho for c in inner])
+        rho_tilde_inv = np.stack([c.inverse_defects.rho_tilde for c in inner])
+        return SequenceArrays(alpha, np.stack([c.defects.rho for c in inner]),
+                              np.stack([c.defects.rho_tilde for c in inner]),
+                              rho_inv, rho_tilde_inv,
+                              rho_inv @ alpha.conj().transpose(0, 2, 1), rho_tilde_inv @ alpha)
 
 
 def sequence_from_values(values: dict, m: int | None = None) -> VerblunskySequence:
@@ -223,6 +241,32 @@ class DefectPair:
     def __post_init__(self):
         self.rho.setflags(write=False)
         self.rho_tilde.setflags(write=False)
+
+
+@dataclass(frozen=True)
+class SequenceArrays:
+    """Read-only algebra of a window's interior sites, stacked by site.
+
+    Each field has shape (n - 1, m, m), interior site k in row
+    k - k_min - 1: alpha, rho, rho_tilde, their inverses and the two
+    products rho^-1 alpha* and rho~^-1 alpha of the transfer matrices.
+    """
+
+    alpha: np.ndarray
+    rho: np.ndarray
+    rho_tilde: np.ndarray
+    rho_inv: np.ndarray
+    rho_tilde_inv: np.ndarray
+    rho_inv_alpha_star: np.ndarray
+    rho_tilde_inv_alpha: np.ndarray
+
+    def __post_init__(self):
+        for f in fields(self):
+            getattr(self, f.name).setflags(write=False)
+
+    def rows(self, lo: int, hi: int) -> "SequenceArrays":
+        """Views of rows lo .. hi - 1."""
+        return SequenceArrays(*(getattr(self, f.name)[lo:hi] for f in fields(self)))
 
 
 @dataclass(frozen=True)

@@ -8,10 +8,12 @@ from a unitary gamma produces two families per sign, conventionally
 written P, R (first kind) and Q, S (second kind). Their values are
 Laurent polynomials in z.
 
-This module provides the transfer matrices and their explicit inverses,
-seed construction, propagation across a window, the connection
-coefficients relating families with different gamma or different sign,
-and residual checks for the quadratic and conjugation identities.
+This module provides the transfer matrices and their explicit inverses
+(stacked by site from the sequence's arrays), seed construction,
+propagation of the family's (n_sites, 2m, 2m) state [[P, Q], [R, S]] by
+one 2m x 2m product per site, the connection coefficients relating
+families with different gamma or different sign, and residual checks
+for the quadratic and conjugation identities.
 """
 
 from __future__ import annotations
@@ -23,7 +25,6 @@ import numpy as np
 
 from .coefficients import (
     NotUnitary,
-    VerblunskyCoefficient,
     VerblunskySequence,
     _as_square,
     defect_matrices,
@@ -44,15 +45,6 @@ class MatrixCaseUnsupported(ValueError):
     """This check is defined for scalar (m = 1) data only."""
 
 
-@dataclass(frozen=True)
-class TransferMatrix:
-    """One-step propagator of solution pairs at site k."""
-
-    value: np.ndarray
-    k: int
-    z: complex
-
-
 def _norm_sign(sign) -> int:
     if sign in (PLUS, MINUS):
         return sign
@@ -63,16 +55,29 @@ def _norm_sign(sign) -> int:
     raise ValueError(f"sign must be +1/-1 or '+'/'-', got {sign!r}")
 
 
-def _interior_coefficient(seq: VerblunskySequence, k: int) -> VerblunskyCoefficient:
-    if not seq.k_min < k < seq.k_max:
-        raise PathLeavesWindow(
-            f"transfer at site {k} needs a contractive coefficient, "
-            f"window is [{seq.k_min}, {seq.k_max}]"
-        )
-    return seq.alphas[k]
+def _transfers(seq: VerblunskySequence, z, k_lo: int, k_hi: int,
+               inverse: bool = False) -> np.ndarray:
+    """T(z, k) for k = k_lo .. k_hi stacked by site (their inverses if inverse),
+    placed from the sequence's stacked blocks; only the odd sites depend on z."""
+    z = require_nonzero(z)
+    if not seq.k_min < k_lo <= k_hi < seq.k_max:
+        raise PathLeavesWindow(f"transfer at sites {k_lo}..{k_hi} needs contractive "
+                               f"coefficients, window is [{seq.k_min}, {seq.k_max}]")
+    A, m, rows = seq.arrays, seq.m, slice(k_lo - seq.k_min - 1, k_hi - seq.k_min)
+    ri, rti = A.rho_inv[rows], A.rho_tilde_inv[rows]
+    ri_ah, rti_a = A.rho_inv_alpha_star[rows], A.rho_tilde_inv_alpha[rows]
+    # odd k: [[d1, z o1], [o2 / z, d2]]; even k: [[d2, o2], [o1, d1]]
+    d1, d2, o1, o2 = (-ri_ah, -rti_a, ri, rti) if inverse else (rti_a, ri_ah, rti, ri)
+    T = np.empty((len(ri), 2 * m, 2 * m), dtype=complex)
+    odd, even = slice((k_lo + 1) % 2, None, 2), slice(k_lo % 2, None, 2)
+    T[odd, :m, :m], T[odd, :m, m:] = d1[odd], z * o1[odd]
+    T[odd, m:, :m], T[odd, m:, m:] = o2[odd] / z, d2[odd]
+    T[even, :m, :m], T[even, :m, m:] = d2[even], o2[even]
+    T[even, m:, :m], T[even, m:, m:] = o1[even], d1[even]
+    return T
 
 
-def transfer(seq: VerblunskySequence, z, k: int) -> TransferMatrix:
+def transfer(seq: VerblunskySequence, z, k: int) -> np.ndarray:
     """Transfer matrix T(z, k) moving a solution pair from k-1 to k.
 
     Odd k:  [[rt^-1 a, z rt^-1], [z^-1 r^-1, r^-1 a*]]
@@ -80,46 +85,16 @@ def transfer(seq: VerblunskySequence, z, k: int) -> TransferMatrix:
 
     with a = alpha_k, r = rho_k, rt = rho_tilde_k.
     """
-    z = require_nonzero(z)
-    c = _interior_coefficient(seq, k)
-    alpha, ri, rti = c.value, c.inverse_defects.rho, c.inverse_defects.rho_tilde
-    m = alpha.shape[0]
-    T = np.zeros((2 * m, 2 * m), dtype=complex)
-    if k % 2 == 1:
-        T[:m, :m] = rti @ alpha
-        T[:m, m:] = z * rti
-        T[m:, :m] = ri / z
-        T[m:, m:] = ri @ alpha.conj().T
-    else:
-        T[:m, :m] = ri @ alpha.conj().T
-        T[:m, m:] = ri
-        T[m:, :m] = rti
-        T[m:, m:] = rti @ alpha
-    return TransferMatrix(value=T, k=k, z=z)
+    return _transfers(seq, z, k, k)[0]
 
 
-def transfer_inverse(seq: VerblunskySequence, z, k: int) -> TransferMatrix:
+def transfer_inverse(seq: VerblunskySequence, z, k: int) -> np.ndarray:
     """Explicit inverse of transfer(seq, z, k), no solve involved.
 
     Odd k:  [[-r^-1 a*, z r^-1], [z^-1 rt^-1, -rt^-1 a]]
     Even k: [[-rt^-1 a, rt^-1], [r^-1, -r^-1 a*]]
     """
-    z = require_nonzero(z)
-    c = _interior_coefficient(seq, k)
-    alpha, ri, rti = c.value, c.inverse_defects.rho, c.inverse_defects.rho_tilde
-    m = alpha.shape[0]
-    T = np.zeros((2 * m, 2 * m), dtype=complex)
-    if k % 2 == 1:
-        T[:m, :m] = -ri @ alpha.conj().T
-        T[:m, m:] = z * ri
-        T[m:, :m] = rti / z
-        T[m:, m:] = -rti @ alpha
-    else:
-        T[:m, :m] = -rti @ alpha
-        T[:m, m:] = rti
-        T[m:, :m] = ri
-        T[m:, m:] = -ri @ alpha.conj().T
-    return TransferMatrix(value=T, k=k, z=z)
+    return _transfers(seq, z, k, k, inverse=True)[0]
 
 
 class FamilySite(NamedTuple):
@@ -210,8 +185,11 @@ def propagate(seq: VerblunskySequence, family: SolutionFamily,
               k_target: int) -> SolutionFamily:
     """Extend a family so that it covers k_target.
 
-    Moves forward with transfer matrices and backward with their
-    explicit inverses; already-covered sites are kept as stored.
+    The family is held as one state [[P, Q], [R, S]] per site, whose
+    columns (P; R) and (Q; S) obey the same recursion. It moves forward
+    with transfer matrices and backward with their explicit inverses, one
+    2m x 2m product per site, the path's matrices built as one stack.
+    Already-covered sites are kept as stored.
     """
     if not seq.k_min <= k_target <= seq.k_max - 1:
         raise PathLeavesWindow(
@@ -222,34 +200,21 @@ def propagate(seq: VerblunskySequence, family: SolutionFamily,
     m = family.m
     new_lo = min(family.k_lo, k_target)
     new_hi = max(family.k_hi, k_target)
-    n = new_hi - new_lo + 1
-    P = np.zeros((n, m, m), dtype=complex)
-    R = np.zeros_like(P)
-    Q = np.zeros_like(P)
-    S = np.zeros_like(P)
-    off = family.k_lo - new_lo
-    span = family.P.shape[0]
-    P[off:off + span] = family.P
-    R[off:off + span] = family.R
-    Q[off:off + span] = family.Q
-    S[off:off + span] = family.S
-
-    def step(T, X, Y):
-        top = T[:m, :m] @ X + T[:m, m:] @ Y
-        bot = T[m:, :m] @ X + T[m:, m:] @ Y
-        return top, bot
-
-    for k in range(family.k_hi + 1, new_hi + 1):
-        T = transfer(seq, family.z, k).value
-        i = k - new_lo
-        P[i], R[i] = step(T, P[i - 1], R[i - 1])
-        Q[i], S[i] = step(T, Q[i - 1], S[i - 1])
-    for k in range(family.k_lo, new_lo, -1):
-        Ti = transfer_inverse(seq, family.z, k).value
-        i = k - 1 - new_lo
-        P[i], R[i] = step(Ti, P[i + 1], R[i + 1])
-        Q[i], S[i] = step(Ti, Q[i + 1], S[i + 1])
-    return replace(family, k_lo=new_lo, P=P, R=R, Q=Q, S=S)
+    X = np.empty((new_hi - new_lo + 1, 2 * m, 2 * m), dtype=complex)
+    kept = X[family.k_lo - new_lo:family.k_hi - new_lo + 1]
+    kept[:, :m, :m], kept[:, :m, m:] = family.P, family.Q
+    kept[:, m:, :m], kept[:, m:, m:] = family.R, family.S
+    sites = list(X)
+    if new_hi > family.k_hi:
+        steps = _transfers(seq, family.z, family.k_hi + 1, new_hi)
+        for T, i in zip(steps, range(family.k_hi + 1 - new_lo, len(sites))):
+            np.matmul(T, sites[i - 1], out=sites[i])
+    if new_lo < family.k_lo:
+        steps = _transfers(seq, family.z, new_lo + 1, family.k_lo, inverse=True)
+        for Ti, i in zip(steps[::-1], range(family.k_lo - new_lo, 0, -1)):
+            np.matmul(Ti, sites[i], out=sites[i - 1])
+    return replace(family, k_lo=new_lo, P=X[:, :m, :m], R=X[:, m:, :m],
+                   Q=X[:, :m, m:], S=X[:, m:, m:])
 
 
 def window_family(seq: VerblunskySequence, gamma, z, k0: int, sign,

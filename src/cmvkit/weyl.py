@@ -35,6 +35,7 @@ from .errors import (
 from .laurent import (
     MINUS,
     PLUS,
+    SolutionFamily,
     _norm_sign,
     connection,
     propagate,
@@ -211,14 +212,14 @@ def M_function(seq: VerblunskySequence, k0: int, gamma, z, sign,
 
 
 def schur_from_M(M: np.ndarray) -> np.ndarray:
-    """Cayley transform Phi = (M - I)(M + I)^{-1}."""
+    """Cayley transform Phi = (M - I)(M + I)^{-1}; also analytic.cayley."""
     M = _as_square(M)
     eye = np.eye(M.shape[0])
     return _rsolve(M - eye, M + eye)
 
 
 def M_from_schur(phi: np.ndarray) -> np.ndarray:
-    """Inverse Cayley transform M = (I - Phi)^{-1}(I + Phi)."""
+    """Inverse Cayley transform M = (I - Phi)^{-1}(I + Phi); also analytic.inverse_cayley."""
     phi = _as_square(phi)
     eye = np.eye(phi.shape[0])
     return _lsolve(eye - phi, eye + phi)
@@ -261,8 +262,8 @@ def M_gamma_transform(M1: np.ndarray, g1_sqrt: np.ndarray,
 class WeylSolution:
     """Per-site values of one Weyl solution over the window.
 
-    U(k) = Q_plus(k) + P_plus(k) M and V(k) = S_plus(k) + R_plus(k) M,
-    both seeded at k0; M is M_plus or M_minus according to sign.
+    U(k) = Q_plus(k) + P_plus(k) M and V(k) = S_plus(k) + R_plus(k) M from
+    the plus family seeded at k0 (kept as family); M is M_plus or M_minus by sign.
     """
 
     sign: int
@@ -273,6 +274,7 @@ class WeylSolution:
     k_lo: int
     U: np.ndarray
     V: np.ndarray
+    family: SolutionFamily
 
     @property
     def m(self) -> int:
@@ -308,7 +310,8 @@ def weyl_solutions(seq: VerblunskySequence, k0: int, gamma, z,
     Ms = [M_function(seq, k0, gamma, z, sign, gamma_sqrt=gamma_sqrt) for sign in signs]
     fam = window_family(seq, gamma, z, k0, PLUS, gamma_sqrt=gamma_sqrt)
     return tuple(WeylSolution(sign=sign, z=z, gamma=fam.gamma, k0=k0, M=M,
-                              k_lo=fam.k_lo, U=fam.Q + fam.P @ M, V=fam.S + fam.R @ M)
+                              k_lo=fam.k_lo, U=fam.Q + fam.P @ M, V=fam.S + fam.R @ M,
+                              family=fam)
                  for sign, M in zip(signs, Ms))
 
 
@@ -323,8 +326,7 @@ def schur_parity_formula(seq: VerblunskySequence, k0: int, gamma, z, k: int,
     """
     sol = weyl_solution(seq, k0, gamma, z, sign, gamma_sqrt=gamma_sqrt)
     Uk, Vk = sol.at(k)
-    fam_seed = seed_family(gamma, sol.z, k0, PLUS, gamma_sqrt=gamma_sqrt)
-    gh = fam_seed.gamma_sqrt
+    gh = sol.family.gamma_sqrt
     if k % 2 == 1:
         core = _rsolve(Vk, Uk, err=SingularSolutionValue)
         return sol.z * (gh @ core @ gh)

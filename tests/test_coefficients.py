@@ -5,11 +5,13 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from cmvkit import coefficients
 from cmvkit.coefficients import (
     CoefficientKind,
     DimensionMismatch,
     NotContractive,
     NotUnitary,
+    VerblunskySequence,
     contractive,
     defect_matrices,
     factorize_svd,
@@ -27,7 +29,7 @@ from cmvkit.coefficients import (
 )
 from cmvkit.cli.ensembles import EnsembleSpec, generate, random_unitary
 from cmvkit.laurent import MINUS, PLUS
-from cmvkit.weyl import half_window_sequence
+from cmvkit.weyl import half_window_sequence, m_function
 
 
 def random_contraction(rng, m, norm):
@@ -212,6 +214,52 @@ def test_sub_windows_share_coefficient_objects():
     # so the cached defect algebra is shared as well
     half = views[2][0]
     assert half.alphas[k0 + 2].defects is seq.alphas[k0 + 2].defects
+
+
+FIELDS = ("alpha", "rho", "rho_tilde", "rho_inv", "rho_tilde_inv",
+          "rho_inv_alpha_star", "rho_tilde_inv_alpha")
+
+
+def test_restricted_arrays_equal_a_fresh_stack():
+    """Sub-window arrays are views of the parent's interior rows."""
+    seq = generate(EnsembleSpec(m=2, k_min=-1, k_max=15, seed=23))
+    g = random_unitary(np.random.default_rng(24), 2)
+    views = (seq.restrict(2, 9, left=g, right=g), seq.restrict(0, 15, left=g),
+             half_window_sequence(seq, 7, g, PLUS),
+             half_window_sequence(seq, 7, g, MINUS))
+    for view in views:
+        fresh = VerblunskySequence(view.m, view.k_min, view.k_max, dict(view.alphas))
+        for name in FIELDS:
+            got, want = getattr(view.arrays, name), getattr(fresh.arrays, name)
+            assert got.shape == (view.n_sites - 1, 2, 2)
+            assert np.array_equal(got, want)
+            assert np.shares_memory(got, getattr(seq.arrays, name))
+            assert not got.flags.writeable
+
+
+def test_m_function_on_sub_windows_stacks_nothing(monkeypatch):
+    """After the first call, m-functions factor no site, and half windows
+    read slices of the parent's arrays."""
+    seq = generate(EnsembleSpec(m=2, k_min=0, k_max=30, seed=25))
+    g = random_unitary(np.random.default_rng(26), 2)
+    m_function(seq, 15, g, 0.5j, PLUS)
+    defects = []
+    raw = coefficients._defects_raw
+
+    def counted_raw(alpha):
+        defects.append(1)
+        return raw(alpha)
+
+    monkeypatch.setattr(coefficients, "_defects_raw", counted_raw)
+    for k0 in (9, 15, 20):
+        for z in (0.5j, 1.7 - 0.4j):
+            for sign in (PLUS, MINUS):
+                m_function(seq, k0, g, z, sign)
+                half = half_window_sequence(seq, k0, g, sign)
+                for name in FIELDS:
+                    assert np.shares_memory(getattr(half.arrays, name),
+                                            getattr(seq.arrays, name))
+    assert defects == []
 
 
 def test_sequence_json_round_trip(tmp_path):

@@ -3,7 +3,8 @@
 import numpy as np
 import pytest
 
-from cmvkit import greens, weyl
+from cmvkit import greens, laurent, weyl
+from cmvkit.cli import suites
 from cmvkit.greens import (
     GreensBranch,
     dense_resolvent_entry,
@@ -95,6 +96,31 @@ def test_full_kernel_propagates_one_family_per_z(monkeypatch):
             left, right = sol[PLUS, z].at(k)[0], sol[MINUS, zc].at(kp)[0]
         want = left @ np.linalg.solve(W, right.conj().T) / (2.0 * z)
         assert np.array_equal(entry.value, want)
+
+
+def test_wronskian_suite_reuses_the_weyl_families(monkeypatch):
+    """The suite pairs first and second kind on the families inside its
+    Weyl solutions: one propagation at z and one at 1/conj(z)."""
+    spec = EnsembleSpec(m=2, k_min=0, k_max=24, seed=41)
+    real = laurent.window_family
+    seen = []
+
+    def counting(*args, **kwargs):
+        seen.append(args[2])
+        return real(*args, **kwargs)
+
+    for module in (laurent, weyl, suites):
+        monkeypatch.setattr(module, "window_family", counting)
+    results = suites.suite_wronskian(spec, suites.Tolerances())
+    assert len(seen) == 2
+    assert all(r.passed for r in results)
+    monkeypatch.undo()
+    seq, g, k0 = make_case(2, 42)
+    z = 0.5 * np.exp(1.7j)
+    for sol in weyl.weyl_solutions(seq, k0, g, z):
+        fam = window_family(seq, g, z, k0, PLUS)
+        for letter in "PRQS":
+            assert np.array_equal(getattr(sol.family, letter), getattr(fam, letter))
 
 
 def test_symmetry_residual():

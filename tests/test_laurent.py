@@ -3,19 +3,22 @@
 import numpy as np
 import pytest
 
+from dataclasses import replace
+
+from cmvkit import coefficients, laurent
 from cmvkit.laurent import (
     MINUS,
     PLUS,
     PathLeavesWindow,
     connection,
     conjugation_symmetry,
+    propagate,
     quadratic_identities,
     seed_family,
     transfer,
     transfer_inverse,
     window_family,
 )
-from cmvkit import coefficients
 from cmvkit.coefficients import (
     defect_matrices,
     principal_unitary_sqrt,
@@ -36,9 +39,9 @@ def free_sequence(n=16):
 def test_free_transfer_matrices():
     seq = free_sequence()
     z = 0.7 * np.exp(0.4j)
-    odd = transfer(seq, z, 5).value
+    odd = transfer(seq, z, 5)
     np.testing.assert_allclose(odd, [[0, z], [1 / z, 0]], atol=1e-15)
-    even = transfer(seq, z, 6).value
+    even = transfer(seq, z, 6)
     np.testing.assert_allclose(even, [[0, 1], [1, 0]], atol=1e-15)
 
 
@@ -48,8 +51,8 @@ def test_transfer_inverse_two_routes():
     seq = generate(spec)
     for z in (0.45 * np.exp(1.1j), 1.7 * np.exp(-0.6j)):
         for k in (5, 6, 9):
-            T = transfer(seq, z, k).value
-            Ti = transfer_inverse(seq, z, k).value
+            T = transfer(seq, z, k)
+            Ti = transfer_inverse(seq, z, k)
             np.testing.assert_allclose(Ti, np.linalg.inv(T), atol=1e-12)
             np.testing.assert_allclose(T @ Ti, np.eye(4), atol=1e-12)
 
@@ -77,8 +80,8 @@ def test_cached_defects_match_fresh_recompute(m):
     window_family(seq, g, z, 6, PLUS)   # fill the cache on every site
     for k in (3, 4, 7, 8):
         want_T, want_Ti = _fresh_transfer_pair(seq.alpha(k), z, k)
-        assert np.array_equal(transfer(seq, z, k).value, want_T)
-        assert np.array_equal(transfer_inverse(seq, z, k).value, want_Ti)
+        assert np.array_equal(transfer(seq, z, k), want_T)
+        assert np.array_equal(transfer_inverse(seq, z, k), want_Ti)
         c = seq.alphas[k]
         assert np.array_equal(theta_block(c.value, c.defects),
                               theta_block(seq.alpha(k).copy()))
@@ -109,6 +112,77 @@ def test_transfer_needs_interior_site():
         transfer(seq, 0.5, 0)
     with pytest.raises(ZeroZ):
         transfer(seq, 0.0, 5)
+
+
+def _per_site_family(seq, fam, k_lo, k_hi):
+    """Reference propagation: one transfer()/transfer_inverse() call per site,
+    each pair (P; R) and (Q; S) stepped on its own."""
+    m = fam.m
+    vals = {fam.k0: (fam.P[0], fam.R[0], fam.Q[0], fam.S[0])}
+
+    def step(T, X, Y):
+        return T[:m, :m] @ X + T[:m, m:] @ Y, T[m:, :m] @ X + T[m:, m:] @ Y
+
+    for k in range(fam.k0 + 1, k_hi + 1):
+        T = transfer(seq, fam.z, k)
+        P, R, Q, S = vals[k - 1]
+        vals[k] = (*step(T, P, R), *step(T, Q, S))
+    for k in range(fam.k0, k_lo, -1):
+        Ti = transfer_inverse(seq, fam.z, k)
+        P, R, Q, S = vals[k]
+        vals[k - 1] = (*step(Ti, P, R), *step(Ti, Q, S))
+    return {k: (P, R, Q, S) for k, (P, R, Q, S) in vals.items()}
+
+
+@pytest.mark.parametrize("m", (1, 2, 3))
+def test_propagate_matches_per_site_transfers(m):
+    """Stacked one-product propagation agrees with per-site transfers."""
+    seq = generate(EnsembleSpec(m=m, k_min=-3, k_max=27, seed=70 + m))
+    g = random_unitary(np.random.default_rng(80 + m), m)
+    for k0 in (11, 12):
+        for z in (0.55 * np.exp(0.8j), 1.9 * np.exp(-2.3j)):
+            for sign in (PLUS, MINUS):
+                fam = window_family(seq, g, z, k0, sign)
+                want = _per_site_family(seq, seed_family(g, z, k0, sign),
+                                        seq.k_min, seq.k_max - 1)
+                assert (fam.k_lo, fam.k_hi) == (seq.k_min, seq.k_max - 1)
+                for k, letters in want.items():
+                    site = fam.at(k)
+                    for got, ref in zip((site.P, site.R, site.Q, site.S), letters):
+                        err = np.linalg.norm(got - ref)
+                        assert err <= 1e-12 * np.linalg.norm(ref)
+
+
+def test_propagation_makes_no_transfer_calls(monkeypatch):
+    """Families are built from whole transfer stacks, not per-site calls."""
+    seq = generate(EnsembleSpec(m=2, k_min=0, k_max=20, seed=75))
+    g = random_unitary(np.random.default_rng(76), 2)
+    calls = []
+
+    def counted(real):
+        def wrapper(*args):
+            calls.append(args[-1])
+            return real(*args)
+        return wrapper
+
+    for name in ("transfer", "transfer_inverse"):
+        monkeypatch.setattr(laurent, name, counted(getattr(laurent, name)))
+    fam = window_family(seq, g, 0.6 + 0.2j, 9, PLUS)
+    propagate(seq, seed_family(g, 1.5j, 10, MINUS), 2)
+    propagate(seq, fam, 4)
+    assert calls == []
+
+
+def test_propagate_rejects_leaving_window_and_zero_z():
+    seq = generate(EnsembleSpec(m=2, k_min=0, k_max=14, seed=77))
+    g = random_unitary(np.random.default_rng(78), 2)
+    fam = seed_family(g, 0.7j, 6, PLUS)
+    for target in (seq.k_min - 1, seq.k_max):
+        with pytest.raises(PathLeavesWindow):
+            propagate(seq, fam, target)
+    for target in (2, 9):
+        with pytest.raises(ZeroZ):
+            propagate(seq, replace(fam, z=0.0), target)
 
 
 def test_seed_values_free_case():
