@@ -9,8 +9,9 @@ matrix, which keeps the finite V and W exactly unitary.
 Also provided: the decoupled variant in which one block is replaced by
 diag(-gamma_left, gamma_right*), severing the window into two independent
 halves, a matrix-free application of the five-term difference
-expression for cross-checking rows of U, and a banded solve for one
-diagonal block of (U + z)(U - z)^{-1} that never forms U.
+expression for cross-checking rows of U, the window's V and W* in LAPACK
+band storage, and from them a banded solve for the diagonal block of
+(U_h + z)(U_h - z)^{-1} at the cut of a half window, which never forms U_h.
 """
 
 from __future__ import annotations
@@ -142,15 +143,14 @@ def _placed_blocks(seq: VerblunskySequence, spec: SplitSpec | None = None):
     endpoint blocks reach past the window, which keeps only alpha*_{k_min}
     at site k_min and -alpha_{k_max} at site k_max - 1.
 
-    Returns (blocks, rows, cols, in_V, in_W): blocks has shape
-    (n + 1, 2m, 2m); rows and cols give each block entry's index in the
-    m n x m n window, and in_V, in_W mark the entries inside the window
-    that belong to V and to W.
+    Returns (entries, V, W): entries holds the (n + 1, 2m, 2m) blocks
+    flattened, and V, W are _placement's (src, rows, cols) for the block
+    entries inside the window that belong to V and to W.
     """
     for k in (seq.k_min, seq.k_max):
         if seq.kind(k) is not CoefficientKind.UNITARY:
             raise InvalidBoundary(f"site {k}: endpoint coefficient must be unitary")
-    n, m = LatticeWindow.of(seq).n_sites, seq.m
+    n, m = seq.n_sites, seq.m
     A = seq.arrays
     blocks = np.zeros((n + 1, 2 * m, 2 * m), dtype=complex)
     blocks[1:-1, :m, :m] = -A.alpha
@@ -162,30 +162,36 @@ def _placed_blocks(seq: VerblunskySequence, spec: SplitSpec | None = None):
     if spec is not None:
         blocks[spec.k0 - seq.k_min] = scipy.linalg.block_diag(
             -spec.gamma_left, spec.gamma_right.conj().T)
-    return (blocks, *_placement(n, m, seq.k_min % 2))
+    return (blocks.reshape(-1), *_placement(n, m, seq.k_min % 2))
 
 
 @functools.lru_cache(maxsize=16)
 def _placement(n: int, m: int, parity: int) -> tuple:
-    """Read-only rows, cols, in_V, in_W of _placed_blocks; set by n, m, k_min % 2."""
+    """Read-only (src, rows, cols) of the V entries, then of the W entries.
+
+    src indexes the flattened blocks of _placed_blocks, rows and cols the
+    m n x m n window; set by n, m and k_min % 2.
+    """
     start = m * np.arange(-1, n)[:, None, None]
     local = np.arange(2 * m)
     rows, cols = np.broadcast_arrays(start + local[:, None], start + local)
     inside = (rows >= 0) & (rows < m * n) & (cols >= 0) & (cols < m * n)
     even = (np.arange(parity, parity + n + 1) % 2 == 0)[:, None, None]
-    out = (rows.copy(), cols.copy(), inside & even, inside & ~even)
-    for a in out:
-        a.setflags(write=False)
+    out = tuple((np.flatnonzero(mask), rows[mask], cols[mask])
+                for mask in (inside & even, inside & ~even))
+    for triple in out:
+        for a in triple:
+            a.setflags(write=False)
     return out
 
 
 def _dense_operators(seq: VerblunskySequence, spec: SplitSpec | None = None):
     """Scatter V (even blocks) and W (odd blocks) densely; U = V W."""
-    blocks, rows, cols, in_V, in_W = _placed_blocks(seq, spec)
-    V = np.zeros((seq.m * seq.n_sites,) * 2, dtype=complex)
-    W = np.zeros_like(V)
-    V[rows[in_V], cols[in_V]] = blocks[in_V]
-    W[rows[in_W], cols[in_W]] = blocks[in_W]
+    entries, *placed = _placed_blocks(seq, spec)
+    size = seq.m * LatticeWindow.of(seq).n_sites      # the dense row cap applies here
+    V, W = (np.zeros((size, size), dtype=complex) for _ in placed)
+    for dense, (src, rows, cols) in zip((V, W), placed):
+        dense[rows, cols] = entries[src]
     return CmvOperatorSet(V=V, W=W, U=V @ W, offset=seq.k_min, m=seq.m)
 
 
@@ -206,37 +212,66 @@ def assemble(seq: VerblunskySequence) -> CmvOperatorSet:
     return _dense_operators(seq)
 
 
-def cayley_block(seq: VerblunskySequence, z: complex, k: int) -> np.ndarray:
-    """The m x m block E_k* (U + z)(U - z)^{-1} E_k at site k, never forming U.
+def band_storage(seq: VerblunskySequence) -> tuple:
+    """Read-only V and W* of the window in LAPACK gbsv layout (seq.bands), no row cap.
 
-    W is unitary, so U -/+ z = (V -/+ z W*) W and
+    With b = 2m - 1, entry (r, c) sits at [2b + r - c, c] of a column-major
+    (3b + 1, m n) array; the top b rows are the LU's fill-in space.
+    """
+    entries, (vs, vr, vc), (ws, wr, wc) = _placed_blocks(seq)
+    b, size = 2 * seq.m - 1, seq.m * seq.n_sites
+    V, W_star = (np.zeros((size, 3 * b + 1), dtype=complex) for _ in range(2))
+    V[vc, 2 * b + vr - vc] = entries[vs]
+    W_star[wr, 2 * b + wc - wr] = entries[ws].conj()     # W*(c, r) = conj W(r, c)
+    for a in (V, W_star):
+        a.setflags(write=False)
+    return V.T, W_star.T
 
-        (U + z)(U - z)^{-1} = I + 2z W* (V - z W*)^{-1}.
 
-    The pencil V - z W* is block tridiagonal: one banded LU solve with
-    2m - 1 sub- and superdiagonals gives X = (V - z W*)^{-1} E_k, and the
-    block is I + 2z (W E_k)* X, where W E_k is the column block of W at k.
+_gbsv = scipy.linalg.get_lapack_funcs("gbsv", dtype=complex)
+
+
+def cayley_block(seq: VerblunskySequence, k0: int, gamma: np.ndarray, sign: int,
+                 z: complex) -> np.ndarray:
+    """E* (U_h + z)(U_h - z)^{-1} E at the cut site k0 of a half window, never forming U_h.
+
+    The half window holds sites k0 .. k_max - 1 with alpha_k0 := gamma
+    (sign > 0) or k_min .. k0 with alpha_{k0+1} := gamma (sign < 0); the
+    caller has checked k0, gamma and its size (weyl.m_function). W is
+    unitary, so (U_h + z)(U_h - z)^{-1} = I + 2z W* (V - z W*)^{-1}.
+
+    The half window's V and W* are a column slice of seq.bands in which
+    only the cut block's corner at k0 differs: gamma* (plus) or -gamma
+    (minus). Its entries coupling to the sites cut off fall in the corner of
+    the band layout outside the matrix, which gbsv never reads. One gbsv
+    call gives X = (V - z W*)^{-1} E, and the block is I + 2z (W E)* X.
     Raises SingularSolve when the solve fails or overflows.
     """
-    blocks, rows, cols, in_V, in_W = _placed_blocks(seq)
-    m, size, band = seq.m, seq.m * seq.n_sites, 2 * seq.m - 1
-    pencil = np.zeros((2 * band + 1, size), dtype=complex)
-    pencil[band + rows[in_V] - cols[in_V], cols[in_V]] = blocks[in_V]
-    # W* holds each W block's conjugate transpose in the same place
-    w_star = blocks.conj().transpose(0, 2, 1)[in_W]
-    pencil[band + rows[in_W] - cols[in_W], cols[in_W]] -= z * w_star
-    i = (k - seq.k_min) * m
-    E = np.eye(size, m, -i, dtype=complex)
-    try:
-        X = scipy.linalg.solve_banded((band, band), pencil, E, overwrite_ab=True,
-                                      check_finite=False)
-    except np.linalg.LinAlgError as exc:
-        raise SingularSolve(f"resolvent solve failed at z = {z}") from exc
+    m, b = seq.m, 2 * seq.m - 1
+    i = (k0 - seq.k_min) * m                  # first column of site k0 in seq
+    if sign > 0:
+        lo, hi, cut, corner = i, m * seq.n_sites, k0, gamma.conj().T
+    else:
+        lo, hi, cut, corner = 0, i + m, k0 + 1, -gamma
+    V, W_star = (band[:, lo:hi] for band in seq.bands)
+    q = np.arange(m)
+    rows, cols = 2 * b + q[:, None] - q, i - lo + q    # the diagonal block at k0
+    if cut % 2 == 0:                          # the cut block lives in V
+        V = V.copy(order="F")
+        V[rows, cols] = corner
+    else:                                     # in W, so W* holds its adjoint
+        W_star = W_star.copy(order="F")
+        W_star[rows, cols] = corner.conj().T
+    E = np.eye(hi - lo, m, lo - i, dtype=complex)
+    _, _, X, info = _gbsv(b, b, V - z * W_star, E, overwrite_ab=True)
+    if info != 0:
+        raise SingularSolve(f"resolvent solve failed at z = {z}")
     if not np.all(np.isfinite(X)):
         raise SingularSolve(f"resolvent solve overflowed at z = {z}")
-    column = in_W & (cols >= i) & (cols < i + m)
-    W_k = np.zeros((size, m), dtype=complex)
-    W_k[rows[column], cols[column] - i] = blocks[column]
+    # W E at column c is conj W*(k0, c), which sits within one site of k0
+    c = np.arange(max(i - lo - m, 0), min(i - lo + 2 * m, hi - lo))[:, None]
+    W_k = np.zeros((hi - lo, m), dtype=complex)
+    W_k[c, q] = W_star[2 * b + i - lo + q - c, c].conj()
     return np.eye(m) + 2.0 * z * (W_k.conj().T @ X)
 
 

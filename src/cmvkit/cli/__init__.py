@@ -23,9 +23,9 @@ from ..assembly import SplitSpec, assemble, assemble_split
 from ..coefficients import (
     _matrix_from_json,
     _matrix_to_json,
-    dump_sequence,
     factorize_svd,
     load_sequence,
+    sequence_document,
 )
 from ..decoupling import decoupling_report, det_criterion, minimal_phases
 from ..greens import dense_resolvent_entry, full_green_entries, half_lattice_green
@@ -96,15 +96,7 @@ def _spec_from_args(args) -> EnsembleSpec:
 
 
 def cmd_gen(args) -> int:
-    seq = generate(_spec_from_args(args))
-    doc = {
-        "m": seq.m,
-        "k_min": seq.k_min,
-        "k_max": seq.k_max,
-        "alphas": {str(k): _matrix_to_json(seq.alpha(k))
-                   for k in range(seq.k_min, seq.k_max + 1)},
-    }
-    _emit_json(doc, args.out)
+    _emit_json(sequence_document(generate(_spec_from_args(args))), args.out)
     return 0
 
 
@@ -118,14 +110,8 @@ def cmd_assemble(args) -> int:
                                             gamma_right=g_right))
     else:
         ops = assemble(seq)
-    payload = {
-        "offset": ops.offset,
-        "m": ops.m,
-        "U": _matrix_to_json(ops.U),
-        "V": _matrix_to_json(ops.V),
-        "W": _matrix_to_json(ops.W),
-    }
-    _emit_json(payload, args.out)
+    _emit_json({"offset": ops.offset, "m": ops.m,
+                **{name: _matrix_to_json(getattr(ops, name)) for name in "UVW"}}, args.out)
     return 0
 
 
@@ -180,16 +166,8 @@ def cmd_laurent(args) -> int:
     fam = window_family(seq, gamma, z, args.k0, sign)
     lo, hi = _parse_window(args.range) if args.range \
         else (fam.k_lo, fam.k_hi)
-    sites = []
-    for k in range(lo, hi + 1):
-        site = fam.at(k)
-        sites.append({
-            "k": k,
-            "P": _matrix_to_json(site.P),
-            "R": _matrix_to_json(site.R),
-            "Q": _matrix_to_json(site.Q),
-            "S": _matrix_to_json(site.S),
-        })
+    sites = [{"k": k, **{name: _matrix_to_json(v) for name, v in fam.at(k)._asdict().items()}}
+             for k in range(lo, hi + 1)]
     payload = {
         "k0": args.k0,
         "sign": args.sign,
@@ -201,56 +179,31 @@ def cmd_laurent(args) -> int:
     return 0
 
 
+_MATRICES = ("m_plus", "m_minus", "M_plus", "M_minus", "Phi_plus", "Phi_minus")
+_FLAGS = ("caratheodory_plus", "anti_caratheodory_minus", "schur_plus", "anti_schur_minus")
+
+
 def _sample_payload(sample, sign: str | None) -> dict:
-    full = {
-        "z": [sample.z.real, sample.z.imag],
-        "m_plus": _matrix_to_json(sample.m_plus),
-        "m_minus": _matrix_to_json(sample.m_minus),
-        "M_plus": _matrix_to_json(sample.M_plus),
-        "M_minus": _matrix_to_json(sample.M_minus),
-        "Phi_plus": _matrix_to_json(sample.Phi_plus),
-        "Phi_minus": _matrix_to_json(sample.Phi_minus),
-        "caratheodory_plus": sample.caratheodory_plus,
-        "anti_caratheodory_minus": sample.anti_caratheodory_minus,
-        "schur_plus": sample.schur_plus,
-        "anti_schur_minus": sample.anti_schur_minus,
-    }
-    if sign == "+":
-        drop = ("m_minus", "M_minus", "Phi_minus", "anti_caratheodory_minus",
-                "anti_schur_minus")
-    elif sign == "-":
-        drop = ("m_plus", "M_plus", "Phi_plus", "caratheodory_plus",
-                "schur_plus")
-    else:
-        drop = ()
-    return {key: val for key, val in full.items() if key not in drop}
+    full = {"z": [sample.z.real, sample.z.imag],
+            **{name: _matrix_to_json(getattr(sample, name)) for name in _MATRICES},
+            **{name: getattr(sample, name) for name in _FLAGS}}
+    drop = {"+": "_minus", "-": "_plus"}.get(sign)    # keep one sign's half
+    return {key: val for key, val in full.items() if not (drop and key.endswith(drop))}
 
 
 def _grid_rows(seq, k0, gamma, radii, n_theta):
-    m = seq.m
-    names = ["z_re", "z_im"]
-    mats = ("m_plus", "m_minus", "M_plus", "M_minus", "Phi_plus", "Phi_minus")
-    for name in mats:
-        for i in range(m):
-            for j in range(m):
-                names.extend([f"{name}_{i}{j}_re", f"{name}_{i}{j}_im"])
-    names.extend(["caratheodory_plus", "anti_caratheodory_minus",
-                  "schur_plus", "anti_schur_minus"])
-    rows = [names]
+    cells = [(i, j) for i in range(seq.m) for j in range(seq.m)]
+    rows = [["z_re", "z_im"] + [f"{name}_{i}{j}_{part}" for name in _MATRICES
+                                for i, j in cells for part in ("re", "im")] + list(_FLAGS)]
     for r in radii:
         for jt in range(n_theta):
             z = r * np.exp(2j * np.pi * jt / n_theta)
             samp = spectral_sample(seq, k0, gamma, z)
             row = [z.real, z.imag]
-            for name in mats:
-                mat = getattr(samp, name)
-                for i in range(m):
-                    for j in range(m):
-                        row.extend([mat[i, j].real, mat[i, j].imag])
-            row.extend([int(samp.caratheodory_plus),
-                        int(samp.anti_caratheodory_minus),
-                        int(samp.schur_plus), int(samp.anti_schur_minus)])
-            rows.append(row)
+            for name in _MATRICES:
+                for i, j in cells:
+                    row.extend([getattr(samp, name)[i, j].real, getattr(samp, name)[i, j].imag])
+            rows.append(row + [int(getattr(samp, name)) for name in _FLAGS])
     return rows
 
 

@@ -10,8 +10,9 @@ rho = (I - alpha* alpha)^(1/2) and rho~ = (I - alpha alpha*)^(1/2),
 the 2m x 2m orthogonal building block built from a single coefficient,
 singular value factorizations, unitary square roots, and two-sided
 unitary gauge transforms of whole sequences. Each sequence stacks its
-interior algebra by site once (SequenceArrays) for transfers and assembly;
-sub-windows view the rows of the window they are cut from.
+interior algebra by site once (SequenceArrays) for transfers and assembly,
+and keeps its V and W* in band storage once (bands) for the half-window
+m-functions, which slice it rather than build sub-windows.
 """
 
 from __future__ import annotations
@@ -191,11 +192,7 @@ class VerblunskySequence:
             alphas[k_lo] = unitary(left)
         if right is not None:
             alphas[k_hi] = unitary(right)
-        child = VerblunskySequence(self.m, k_lo, k_hi, alphas)
-        # The child's interior is a run of this window's: view its rows rather
-        # than stack them anew on every half-window m-function.
-        child.__dict__["arrays"] = self.arrays.rows(k_lo - self.k_min, k_hi - self.k_min - 1)
-        return child
+        return VerblunskySequence(self.m, k_lo, k_hi, alphas)
 
     @cached_property
     def arrays(self) -> "SequenceArrays":
@@ -208,6 +205,12 @@ class VerblunskySequence:
                               np.stack([c.defects.rho_tilde for c in inner]),
                               rho_inv, rho_tilde_inv,
                               rho_inv @ alpha.conj().transpose(0, 2, 1), rho_tilde_inv @ alpha)
+
+    @cached_property
+    def bands(self) -> tuple:
+        """Read-only V and W* of the window in LAPACK band storage (assembly.band_storage)."""
+        from .assembly import band_storage    # assembly builds on this module
+        return band_storage(self)
 
 
 def sequence_from_values(values: dict, m: int | None = None) -> VerblunskySequence:
@@ -264,18 +267,6 @@ class SequenceArrays:
         for f in fields(self):
             getattr(self, f.name).setflags(write=False)
 
-    def rows(self, lo: int, hi: int) -> "SequenceArrays":
-        """Views of rows lo .. hi - 1."""
-        return SequenceArrays(*(getattr(self, f.name)[lo:hi] for f in fields(self)))
-
-
-@dataclass(frozen=True)
-class SumDiffPair:
-    """The pair a = I + alpha and b = I - alpha."""
-
-    a: np.ndarray
-    b: np.ndarray
-
 
 @dataclass(frozen=True)
 class UnitaryFactorization:
@@ -321,12 +312,6 @@ def defect_matrices(alpha, tol: float = CONTRACTION_TOL) -> DefectPair:
             f"norm {operator_norm(a):.6f} is not below {1.0 - tol}"
         )
     return _defects_raw(a)
-
-
-def sum_diff_pair(alpha) -> SumDiffPair:
-    a = _as_square(alpha)
-    eye = np.eye(a.shape[0])
-    return SumDiffPair(a=eye + a, b=eye - a)
 
 
 def theta_block(alpha, defects: DefectPair | None = None) -> np.ndarray:
@@ -430,16 +415,20 @@ def _matrix_from_json(rows, where: str) -> np.ndarray:
     return a
 
 
-def dump_sequence(seq: VerblunskySequence, fp) -> None:
-    """Write a sequence as JSON to an open text file."""
-    doc = {
+def sequence_document(seq: VerblunskySequence) -> dict:
+    """The JSON document of a sequence, as parse_sequence reads it."""
+    return {
         "m": seq.m,
         "k_min": seq.k_min,
         "k_max": seq.k_max,
         "alphas": {str(k): _matrix_to_json(seq.alpha(k))
                    for k in range(seq.k_min, seq.k_max + 1)},
     }
-    json.dump(doc, fp, indent=1)
+
+
+def dump_sequence(seq: VerblunskySequence, fp) -> None:
+    """Write a sequence as JSON to an open text file."""
+    json.dump(sequence_document(seq), fp, indent=1)
 
 
 def save_sequence(seq: VerblunskySequence, path) -> None:

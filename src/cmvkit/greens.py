@@ -19,7 +19,7 @@ from enum import Enum
 import numpy as np
 
 from .assembly import assemble
-from .coefficients import VerblunskySequence
+from .coefficients import VerblunskySequence, principal_unitary_sqrt
 from .errors import SingularSolve, SingularWronskian, require_off_circle
 from .laurent import (
     PLUS,
@@ -111,13 +111,15 @@ def half_lattice_green(seq: VerblunskySequence, k0: int, gamma, z,
     Sign - swaps which side carries the hatted combination and flips
     the branch signs. The m-function is solved independently at z and
     at 1/conj(z); no reflection shortcut is taken. Families are only
-    propagated over the sites between k0 and the farther of k, kp.
+    propagated over the sites between k0 and the farther of k, kp; all
+    four share one square root of gamma.
     """
     sign = _norm_sign(sign)
     z = require_off_circle(z)
     zc = 1.0 / np.conj(z)
     lo, hi = _half_range(seq, k0, sign)
     _check_half_sites(lo, hi, k, kp)
+    gamma_sqrt = principal_unitary_sqrt(gamma) if gamma_sqrt is None else gamma_sqrt
     fam_z = _half_family(seq, k0, gamma, z, sign, gamma_sqrt, k, kp)
     fam_c = _half_family(seq, k0, gamma, zc, sign, gamma_sqrt, k, kp)
     m_z = m_function(seq, k0, gamma, z, sign, gamma_sqrt=gamma_sqrt)
@@ -150,10 +152,12 @@ def full_green_entries(seq: VerblunskySequence, k0: int, gamma, z,
         lower: (2z)^{-1} U_+(z, k) W^{-1} U_-(1/conj(z), kp)*
 
     with W = M_plus(z) - M_minus(z). Weyl solutions are built once and
-    reused across the pairs; each sign pair shares one propagated family.
+    reused across the pairs and share one root of gamma; each sign pair
+    shares one propagated family.
     """
     z = require_off_circle(z)
     zc = 1.0 / np.conj(z)
+    gamma_sqrt = principal_unitary_sqrt(gamma) if gamma_sqrt is None else gamma_sqrt
     sol_p, sol_m = weyl_solutions(seq, k0, gamma, z, gamma_sqrt=gamma_sqrt)
     sol_pc, sol_mc = weyl_solutions(seq, k0, gamma, zc, gamma_sqrt=gamma_sqrt)
     W = sol_p.M - sol_m.M

@@ -7,9 +7,9 @@ The m-function of a half-window operator at its reference site k0 is
 with E the coordinate injection at k0. The plus operator lives on sites
 [k0, k_max - 1] with the boundary unitary gamma installed at k0; the
 minus operator lives on [k_min, k0] with gamma installed at k0 + 1.
-U_h = V W is never formed: since (U_h + z)(U_h - z)^{-1} = I + 2z W*(V -
-z W*)^{-1}, one banded solve of the block-tridiagonal pencil V - z W*
-gives m (assembly.cayley_block).
+Neither U_h = V W nor the half window's sequence is formed: since
+(U_h + z)(U_h - z)^{-1} = I + 2z W*(V - z W*)^{-1}, one banded solve of
+the pencil V - z W*, sliced from seq.bands, gives m (assembly.cayley_block).
 
 M_plus coincides with m_plus. M_minus is a Cayley-type transform of
 m_minus; both directions of that transform, its z = 0 closed form, the
@@ -25,7 +25,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from .assembly import cayley_block
-from .coefficients import VerblunskySequence, _as_square, principal_unitary_sqrt
+from .coefficients import (
+    DimensionMismatch,
+    NotUnitary,
+    VerblunskySequence,
+    _as_square,
+    is_unitary,
+    principal_unitary_sqrt,
+)
 from .errors import (
     SingularFactor,
     SingularSolutionValue,
@@ -77,7 +84,7 @@ def m_function(seq: VerblunskySequence, k0: int, gamma, z, sign,
     """Half-lattice m-function at the reference site, by a banded pencil solve.
 
     The raw sandwich +/- E*(U_h + z)(U_h - z)^{-1} E (assembly.cayley_block,
-    which solves V - z W* in band storage and never forms U_h) carries the
+    which slices V - z W* from seq.bands and never forms U_h) carries the
     boundary unitary in a frame that differs from the Laurent families by
     a one-sided square root of gamma.  To keep every downstream identity
     (boundary matching, Green kernels, Wronskians) in a single convention,
@@ -107,9 +114,17 @@ def m_function(seq: VerblunskySequence, k0: int, gamma, z, sign,
     """
     sign = _norm_sign(sign)
     z = require_off_circle(z, allow_zero=True)
-    half = half_window_sequence(seq, k0, gamma, sign)
-    raw = float(sign) * cayley_block(half, z, k0)
-    gh = principal_unitary_sqrt(gamma) if gamma_sqrt is None else np.asarray(
+    lo, hi = (k0, seq.k_max) if sign == PLUS else (seq.k_min, k0 + 1)
+    if not seq.k_min <= lo < hi - 3 <= seq.k_max - 3:
+        raise ValueError(f"half window [{lo}, {hi}] of [{seq.k_min}, {seq.k_max}] "
+                         "must hold 4 sites or more")
+    g = _as_square(gamma)
+    if not is_unitary(g):
+        raise NotUnitary("boundary unitary gamma is not unitary")
+    if g.shape != (seq.m, seq.m):
+        raise DimensionMismatch(f"gamma must be {seq.m}x{seq.m}, got {g.shape}")
+    raw = float(sign) * cayley_block(seq, k0, g, sign, z)
+    gh = principal_unitary_sqrt(g) if gamma_sqrt is None else np.asarray(
         gamma_sqrt, dtype=complex)
     ghi = gh.conj().T
     if k0 % 2 == 0:
@@ -176,7 +191,8 @@ def M_minus_via_connection(seq: VerblunskySequence, k0: int, gamma, z,
     the Cayley-type route, so the two can be compared.
     """
     z = require_off_circle(z, allow_zero=True)
-    mm = m_function(seq, k0 - 1, gamma, z, MINUS)
+    gamma_sqrt = principal_unitary_sqrt(gamma) if gamma_sqrt is None else gamma_sqrt
+    mm = m_function(seq, k0 - 1, gamma, z, MINUS, gamma_sqrt=gamma_sqrt)
     cc = connection(gamma, gamma, seq.alpha(k0), k0,
                     gamma1_sqrt=gamma_sqrt, gamma2_sqrt=gamma_sqrt)
     return _rsolve(cc.D3 + cc.D4 @ mm, cc.C3 + cc.C4 @ mm)
@@ -304,9 +320,11 @@ def weyl_solution(seq: VerblunskySequence, k0: int, gamma, z, sign,
 
 def weyl_solutions(seq: VerblunskySequence, k0: int, gamma, z,
                    signs=(PLUS, MINUS), gamma_sqrt=None) -> tuple:
-    """Weyl solutions of the given signs at z, sharing one propagated family."""
+    """Weyl solutions of the given signs at z, sharing one propagated family
+    and one square root of gamma."""
     signs = [_norm_sign(sign) for sign in signs]
     z = require_off_circle(z)
+    gamma_sqrt = principal_unitary_sqrt(gamma) if gamma_sqrt is None else gamma_sqrt
     Ms = [M_function(seq, k0, gamma, z, sign, gamma_sqrt=gamma_sqrt) for sign in signs]
     fam = window_family(seq, gamma, z, k0, PLUS, gamma_sqrt=gamma_sqrt)
     return tuple(WeylSolution(sign=sign, z=z, gamma=fam.gamma, k0=k0, M=M,
@@ -362,8 +380,9 @@ def _herm_eigs(F: np.ndarray) -> np.ndarray:
 
 def spectral_sample(seq: VerblunskySequence, k0: int, gamma, z,
                     tol: float = 1e-10, gamma_sqrt=None) -> SpectralSample:
-    """Evaluate m, M, and Phi for both signs at one point."""
+    """Evaluate m, M, and Phi for both signs at one point, from one root of gamma."""
     z = require_off_circle(z, allow_zero=True)
+    gamma_sqrt = principal_unitary_sqrt(gamma) if gamma_sqrt is None else gamma_sqrt
     mp = m_function(seq, k0, gamma, z, PLUS, gamma_sqrt=gamma_sqrt)
     mm = m_function(seq, k0, gamma, z, MINUS, gamma_sqrt=gamma_sqrt)
     Mp = mp

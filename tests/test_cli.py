@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 
 from cmvkit.cli import main
+from cmvkit.cli.ensembles import EnsembleSpec, generate
 from cmvkit.coefficients import load_sequence
 from cmvkit.laurent import PLUS, window_family
 
@@ -57,6 +58,20 @@ def test_gen_then_assemble_round_trip(tmp_path, capsys):
     assert np.linalg.norm(U.conj().T @ U - np.eye(n)) < 1e-12
     V, W = from_json(doc["V"]), from_json(doc["W"])
     np.testing.assert_allclose(V @ W, U, atol=1e-14)
+
+
+def test_gen_writes_the_sequence_document(tmp_path, capsys):
+    """cmv gen prints (and writes) the sequence document at indent 2."""
+    seq = generate(EnsembleSpec(m=2, k_min=-2, k_max=6, seed=4))
+    doc = {"m": 2, "k_min": -2, "k_max": 6,
+           "alphas": {str(k): [[[float(z.real), float(z.imag)] for z in row]
+                               for row in seq.alpha(k)] for k in range(-2, 7)}}
+    want = json.dumps(doc, indent=2)
+    code, out, _ = run(capsys, "gen", "--seed", "4", "--m", "2", "--window=-2,6")
+    assert code == 0 and out == want + "\n"
+    path = tmp_path / "seq.json"
+    run(capsys, "gen", "--seed", "4", "--m", "2", "--window=-2,6", "--out", str(path))
+    assert path.read_text(encoding="utf-8") == want
 
 
 def test_assemble_split_decouples(tmp_path, capsys):

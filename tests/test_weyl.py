@@ -5,9 +5,9 @@ import sys
 import numpy as np
 import pytest
 
-from cmvkit import assembly, weyl
+from cmvkit import assembly, coefficients
 from cmvkit.assembly import InvalidBoundary, assemble, cayley_block
-from cmvkit.greens import dense_resolvent_entry, half_lattice_green
+from cmvkit.greens import dense_resolvent_entry, full_green_entries, half_lattice_green
 from cmvkit.weyl import (
     M_from_schur,
     M_function,
@@ -28,6 +28,10 @@ from cmvkit.weyl import (
 )
 from cmvkit.laurent import MINUS, PLUS
 from cmvkit.coefficients import (
+    DimensionMismatch,
+    NotUnitary,
+    VerblunskyCoefficient,
+    VerblunskySequence,
     contractive,
     principal_unitary_sqrt,
     sequence_from_values,
@@ -109,6 +113,22 @@ def test_minus_three_routes():
                 m_from_edge_condition(seq, k0, g, z, MINUS), z)
             np.testing.assert_allclose(M1, M2, atol=1e-11)
             np.testing.assert_allclose(M1, M3, atol=1e-11)
+
+
+def test_minus_routes_agree_with_a_mixed_root():
+    """A root of gamma that is neither +/- the principal one reaches both
+    factors of the connection route."""
+    spec = EnsembleSpec(m=2, k_min=0, k_max=24, seed=7, radius_max=0.85)
+    seq = generate(spec)
+    g = random_unitary(np.random.default_rng(8), 2)
+    w, q = np.linalg.eig(g)
+    root = (q * (np.sqrt(w) * [1, -1])) @ np.linalg.inv(q)
+    np.testing.assert_allclose(root @ root, g, atol=1e-13)
+    for k0 in (11, 12):
+        z = 0.45 * np.exp(1.2j)
+        M1 = M_function(seq, k0, g, z, MINUS, gamma_sqrt=root)
+        M2 = M_minus_via_connection(seq, k0, g, z, gamma_sqrt=root)
+        np.testing.assert_allclose(M1, M2, atol=1e-11)
 
 
 def test_minus_at_zero_frozen_value():
@@ -254,20 +274,97 @@ def dense_m(seq, k0, g, z, sign):
 
 
 def test_banded_m_matches_dense_sandwich():
+    """Interior cuts of both parities, the narrowest legal half windows (4
+    sites) and the widest ones, on windows starting at 0, 1 and -3."""
     for m in (1, 2, 3):
-        spec = EnsembleSpec(m=m, k_min=0, k_max=30, seed=40 + m,
-                            radius_max=0.85)
-        seq = generate(spec)
-        g = random_unitary(np.random.default_rng(50 + m), m)
-        for k0 in (14, 15):
-            for sign in (PLUS, MINUS):
-                for z in SANDWICH_Z:
-                    got = m_function(seq, k0, g, z, sign)
-                    want = dense_m(seq, k0, g, z, sign)
-                    assert np.linalg.norm(got - want) \
-                        <= 1e-12 * np.linalg.norm(want)
-                half = half_window_sequence(seq, k0, g, sign)
-                assert np.array_equal(cayley_block(half, 0.0, k0), np.eye(m))
+        for k_min in (0, 1, -3):
+            spec = EnsembleSpec(m=m, k_min=k_min, k_max=k_min + 30,
+                                seed=40 + m - k_min, radius_max=0.85)
+            seq = generate(spec)
+            g = random_unitary(np.random.default_rng(50 + m - k_min), m)
+            mid = (k_min + 14, k_min + 15)
+            cuts = {PLUS: mid + (seq.k_max - 4, seq.k_max - 5, k_min),
+                    MINUS: mid + (k_min + 3, k_min + 4, seq.k_max - 1)}
+            for sign, k0s in cuts.items():
+                for k0 in k0s:
+                    for z in SANDWICH_Z:
+                        got = m_function(seq, k0, g, z, sign)
+                        want = dense_m(seq, k0, g, z, sign)
+                        assert np.linalg.norm(got - want) \
+                            <= 1e-12 * np.linalg.norm(want), (m, k_min, sign, k0, z)
+                    assert np.array_equal(cayley_block(seq, k0, g, sign, 0.0), np.eye(m))
+
+
+def test_banded_m_has_no_dense_row_cap():
+    """On parents of 400 and 1200 sites at m = 2, past the 512-row dense cap,
+    each half window's m equals m on the half window built as its own
+    sequence, with the Caratheodory signs of the two halves."""
+    for k_max, k0 in ((400, 201), (1200, 600)):
+        seq = generate(EnsembleSpec(m=2, k_min=0, k_max=k_max, seed=k_max))
+        g = random_unitary(np.random.default_rng(k_max + 1), 2)
+        halves = {PLUS: seq.restrict(k0, k_max, left=g),
+                  MINUS: seq.restrict(0, k0 + 1, right=g)}
+        for sign, half in halves.items():
+            for z in (0.6 * np.exp(0.7j), 1.6 * np.exp(-2j)):
+                got = m_function(seq, k0, g, z, sign)
+                assert np.array_equal(got, m_function(half, k0, g, z, sign))
+                herm = np.linalg.eigvalsh((got + got.conj().T) / 2)
+                outward = sign * (1 if abs(z) < 1 else -1)
+                assert np.all(outward * herm >= -1e-10), (k_max, sign, z, herm)
+
+
+def test_m_routes_build_no_sequence_after_the_first_call(monkeypatch):
+    """m_function, spectral_sample and both half kernels neither restrict nor
+    construct a sequence or coefficient, nor place blocks, once seq.bands exists."""
+    seq = generate(EnsembleSpec(m=2, k_min=0, k_max=24, seed=62, radius_max=0.85))
+    g = random_unitary(np.random.default_rng(63), 2)
+    z = 0.5 * np.exp(0.8j)
+    m_function(seq, 12, g, z, PLUS)
+    calls = []
+
+    def counted(name, real):
+        def wrapper(*args, **kwargs):
+            calls.append(name)
+            return real(*args, **kwargs)
+        return wrapper
+
+    for cls, name in ((VerblunskySequence, "restrict"), (VerblunskySequence, "__post_init__"),
+                      (VerblunskyCoefficient, "__post_init__")):
+        monkeypatch.setattr(cls, name, counted(name, getattr(cls, name)))
+    monkeypatch.setattr(assembly, "_placed_blocks",
+                        counted("_placed_blocks", assembly._placed_blocks))
+    for k0 in (11, 12):
+        for sign in (PLUS, MINUS):
+            m_function(seq, k0, g, 1.7 - 0.4j, sign)
+        spectral_sample(seq, k0, g, z)
+        half_lattice_green(seq, k0, g, z, k0 + 1, k0 + 3, PLUS)
+        half_lattice_green(seq, k0, g, z, k0 - 3, k0 - 1, MINUS)
+    assert calls == []
+
+
+def test_one_gamma_root_per_public_call(monkeypatch):
+    real = coefficients.principal_unitary_sqrt
+    roots = []
+
+    def counting(gamma, *args, **kwargs):
+        roots.append(1)
+        return real(gamma, *args, **kwargs)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("cmvkit") and \
+                getattr(module, "principal_unitary_sqrt", None) is real:
+            monkeypatch.setattr(module, "principal_unitary_sqrt", counting)
+    seq = generate(EnsembleSpec(m=2, k_min=0, k_max=24, seed=64, radius_max=0.85))
+    g = random_unitary(np.random.default_rng(65), 2)
+    z = 0.5 * np.exp(0.8j)
+    for call in (lambda: spectral_sample(seq, 12, g, z),
+                 lambda: spectral_sample(seq, 12, g, 0.0),
+                 lambda: half_lattice_green(seq, 12, g, z, 13, 15, PLUS),
+                 lambda: half_lattice_green(seq, 12, g, z, 9, 11, MINUS),
+                 lambda: full_green_entries(seq, 12, g, z, [(9, 14), (14, 9)])):
+        roots.clear()
+        call()
+        assert len(roots) == 1
 
 
 def test_m_routes_never_assemble(monkeypatch):
@@ -294,14 +391,32 @@ def test_m_routes_never_assemble(monkeypatch):
     assert len(calls) == 1
 
 
-def test_non_unitary_half_window_edge_rejected(monkeypatch):
-    real = weyl.half_window_sequence
-
-    def broken(seq, k0, gamma, sign):
-        half = real(seq, k0, gamma, sign)
-        half.alphas[half.k_max] = contractive(np.array([[0.5]]))
-        return half
-
-    monkeypatch.setattr(weyl, "half_window_sequence", broken)
+def test_non_unitary_half_window_edge_rejected():
+    seq = scalar_sequence(0.3)
+    seq.alphas[seq.k_max] = contractive(np.array([[0.5]]))
     with pytest.raises(InvalidBoundary):
-        m_function(scalar_sequence(0.3), 6, np.eye(1), 0.4, PLUS)
+        m_function(seq, 6, np.eye(1), 0.4, PLUS)
+
+
+def test_m_function_errors_are_pinned():
+    """Bad sites, short half windows and bad gammas raise one exact type each."""
+    seq = generate(EnsembleSpec(m=2, k_min=0, k_max=20, seed=70))
+    rng = np.random.default_rng(71)
+    g = random_unitary(rng, 2)
+    nan_gamma = np.array([[np.nan, 0.0], [0.0, 1.0]])
+    gammas = ((random_unitary(rng, 3), DimensionMismatch),
+              (np.ones(2), DimensionMismatch),
+              (0.5 * g, NotUnitary),
+              (nan_gamma, ValueError))
+    cases = []
+    for sign, short in ((PLUS, (17, 19)), (MINUS, (2, 0))):
+        cases += [(sign, k0, g, ValueError) for k0 in (-1, 20, 21, -5) + short]
+        cases += [(sign, 10, gam, err) for gam, err in gammas]
+    for sign, k0, gam, err in cases:
+        with pytest.raises(err) as info:
+            m_function(seq, k0, gam, 0.5j, sign)
+        assert type(info.value) is err, (sign, k0, type(info.value))
+        if gam is not g:    # a given root does not excuse a bad gamma
+            with pytest.raises(err) as info:
+                m_function(seq, k0, gam, 0.5j, sign, gamma_sqrt=np.eye(2))
+            assert type(info.value) is err
