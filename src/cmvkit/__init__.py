@@ -8,12 +8,10 @@ utilities, all cross-checked against dense linear-algebra oracles.
 
 __version__ = "0.1.0"
 
+from .errors import CmvError, DimensionMismatch, NotContractive, NotUnitary
 from .coefficients import (
     CoefficientKind,
     DefectPair,
-    DimensionMismatch,
-    NotContractive,
-    NotUnitary,
     VerblunskyCoefficient,
     VerblunskySequence,
     defect_matrices,
@@ -29,7 +27,6 @@ from .coefficients import (
 )
 from .assembly import (
     CmvOperatorSet,
-    LatticeWindow,
     SplitSpec,
     apply_difference,
     assemble,

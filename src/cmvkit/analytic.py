@@ -14,15 +14,12 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coefficients import _as_square
+from .errors import DimensionMismatch, InvalidMeasure, OutOfRange, ZAtAtom, ZeroZ
 # The Cayley pair Phi = (F - I)(F + I)^{-1} and back has one implementation.
 from .weyl import M_from_schur as inverse_cayley, schur_from_M as cayley  # noqa: F401
 
 PSD_TOL = 1e-10
 CIRCLE_TOL = 1e-8
-
-
-class ZAtAtom(ValueError):
-    """Evaluation point coincides with an atom of the measure."""
 
 
 @dataclass(frozen=True)
@@ -40,21 +37,21 @@ class AtomicMeasure:
     def __post_init__(self):
         C = _as_square(self.C)
         if np.linalg.norm(C - C.conj().T) > PSD_TOL * max(1.0, np.linalg.norm(C)):
-            raise ValueError("C must be Hermitian")
+            raise InvalidMeasure("C must be Hermitian")
         m = C.shape[0]
         checked = []
         for zeta, weight in self.atoms:
             zeta = complex(zeta)
             if abs(abs(zeta) - 1.0) > CIRCLE_TOL:
-                raise ValueError(f"atom at {zeta} is not on the unit circle")
+                raise InvalidMeasure(f"atom at {zeta} is not on the unit circle")
             w = _as_square(weight)
             if w.shape != (m, m):
-                raise ValueError("atom weight size differs from C")
+                raise DimensionMismatch("atom weight size differs from C")
             herm = (w + w.conj().T) / 2.0
             if np.linalg.norm(w - herm) > PSD_TOL * max(1.0, np.linalg.norm(w)):
-                raise ValueError(f"weight at {zeta} is not Hermitian")
+                raise InvalidMeasure(f"weight at {zeta} is not Hermitian")
             if np.linalg.eigvalsh(herm).min() < -PSD_TOL:
-                raise ValueError(f"weight at {zeta} is not positive semidefinite")
+                raise InvalidMeasure(f"weight at {zeta} is not positive semidefinite")
             checked.append((zeta, w))
         object.__setattr__(self, "atoms", tuple(checked))
         object.__setattr__(self, "C", C)
@@ -64,16 +61,13 @@ class AtomicMeasure:
         return self.C.shape[0]
 
     def total_mass(self) -> np.ndarray:
-        out = np.zeros((self.m, self.m), dtype=complex)
-        for _, w in self.atoms:
-            out += w
-        return out
+        return sum((w for _, w in self.atoms), np.zeros((self.m, self.m), dtype=complex))
 
 
 def uniform_grid_measure(n: int, m: int = 1) -> AtomicMeasure:
     """Quadrature stand-in for normalized arc-length: n equal atoms."""
     if n < 1:
-        raise ValueError("need at least one atom")
+        raise OutOfRange("need at least one atom")
     eye = np.eye(m, dtype=complex)
     atoms = tuple(
         (np.exp(2j * np.pi * j / n), eye / n) for j in range(n)
@@ -111,7 +105,7 @@ def is_caratheodory(samples, tol: float = PSD_TOL) -> ValidityReport:
     floors = []
     for z, F in samples:
         if abs(complex(z)) >= 1.0:
-            raise ValueError(f"sample point {z} is not inside the unit disk")
+            raise OutOfRange(f"sample point {z} is not inside the unit disk")
         F = _as_square(F)
         herm = (F + F.conj().T) / 2.0
         floors.append(float(np.linalg.eigvalsh(herm).min()))
@@ -123,5 +117,5 @@ def reflect(z, F: np.ndarray):
     """Continue a disk sample across the circle: (z, F) -> (1/conj(z), -F*)."""
     z = complex(z)
     if z == 0:
-        raise ValueError("z = 0 has no finite reflection point")
+        raise ZeroZ("z = 0 has no finite reflection point")
     return 1.0 / np.conj(z), -_as_square(F).conj().T

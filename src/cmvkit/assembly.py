@@ -24,61 +24,23 @@ import scipy.linalg
 
 from .coefficients import (
     CoefficientKind,
-    DimensionMismatch,
-    NotUnitary,
     VerblunskySequence,
     _as_square,
     is_unitary,
     theta_block,
 )
-from .errors import SingularSolve
-
-
-class WindowTooSmall(ValueError):
-    """Raised when a lattice window has fewer than four sites."""
-
-
-class InvalidBoundary(ValueError):
-    """Raised when a window endpoint coefficient is not unitary."""
-
-
-class SplitOutOfWindow(ValueError):
-    """Raised when a decoupling site does not sit inside the window."""
-
-
-class InsufficientPadding(ValueError):
-    """Raised when the input sequence does not cover the padded range."""
-
+from .errors import (
+    CmvError,
+    DimensionMismatch,
+    InsufficientPadding,
+    InvalidBoundary,
+    NotUnitary,
+    SingularSolve,
+    SiteOutOfWindow,
+    SplitOutOfWindow,
+)
 
 MAX_DENSE_ROWS = 512
-
-
-@dataclass(frozen=True)
-class LatticeWindow:
-    """Finite slab of sites [k_min, k_max - 1] with block size m."""
-
-    k_min: int
-    k_max: int
-    m: int
-
-    def __post_init__(self):
-        if self.k_max - self.k_min < 4:
-            raise WindowTooSmall(
-                f"window [{self.k_min}, {self.k_max}] has fewer than 4 sites"
-            )
-        if self.m * (self.k_max - self.k_min) > MAX_DENSE_ROWS:
-            raise ValueError(
-                f"dense storage limited to {MAX_DENSE_ROWS} rows, "
-                f"requested {self.m * (self.k_max - self.k_min)}"
-            )
-
-    @classmethod
-    def of(cls, seq: VerblunskySequence) -> "LatticeWindow":
-        return cls(k_min=seq.k_min, k_max=seq.k_max, m=seq.m)
-
-    @property
-    def n_sites(self) -> int:
-        return self.k_max - self.k_min
 
 
 @dataclass(frozen=True)
@@ -102,7 +64,7 @@ class CmvOperatorSet:
     def site_slice(self, k: int) -> slice:
         i = k - self.offset
         if not 0 <= i < self.n_sites:
-            raise IndexError(f"site {k} outside window starting at {self.offset}")
+            raise SiteOutOfWindow(f"site {k} outside window starting at {self.offset}")
         return slice(i * self.m, (i + 1) * self.m)
 
     def block(self, k: int, kp: int) -> np.ndarray:
@@ -187,8 +149,10 @@ def _placement(n: int, m: int, parity: int) -> tuple:
 
 def _dense_operators(seq: VerblunskySequence, spec: SplitSpec | None = None):
     """Scatter V (even blocks) and W (odd blocks) densely; U = V W."""
+    size = seq.m * seq.n_sites
+    if size > MAX_DENSE_ROWS:
+        raise CmvError(f"dense storage limited to {MAX_DENSE_ROWS} rows, requested {size}")
     entries, *placed = _placed_blocks(seq, spec)
-    size = seq.m * LatticeWindow.of(seq).n_sites      # the dense row cap applies here
     V, W = (np.zeros((size, size), dtype=complex) for _ in placed)
     for dense, (src, rows, cols) in zip((V, W), placed):
         dense[rows, cols] = entries[src]

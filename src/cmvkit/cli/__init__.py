@@ -5,7 +5,8 @@ split-rank analysis (decouple), polynomial solution families (laurent),
 spectral functions (mfun), Green's kernel evaluation (green), sample
 validity checks (analytic), and the invariant suites (verify).
 
-Exit codes: 0 success, 1 failed checks, 2 usage or input errors.
+Exit codes: 0 success, 1 failed checks, 2 usage or input errors, which
+are exactly a CmvError (errors.py) or an OSError; anything else is a bug.
 """
 
 from __future__ import annotations
@@ -21,56 +22,53 @@ import numpy as np
 from ..analytic import is_caratheodory
 from ..assembly import SplitSpec, assemble, assemble_split
 from ..coefficients import (
+    _as_square,
     _matrix_from_json,
     _matrix_to_json,
+    _read_json,
     factorize_svd,
     load_sequence,
     sequence_document,
 )
 from ..decoupling import decoupling_report, det_criterion, minimal_phases
+from ..errors import CmvError, DimensionMismatch, MalformedInput
 from ..greens import dense_resolvent_entry, full_green_entries, half_lattice_green
-from ..laurent import MINUS, PLUS, window_family
+from ..laurent import window_family
 from ..weyl import spectral_sample
 from .ensembles import Distribution, EnsembleSpec, generate
 from .suites import SUITES, Tolerances, run_suite
 
 
-def _parse_window(text: str) -> tuple[int, int]:
+def _parse(text: str, form: str, *kinds) -> list:
+    """The comma-separated fields of text, one converter each (any count of floats if none)."""
     parts = text.split(",")
-    if len(parts) != 2:
-        raise ValueError(f"window must be 'A,B', got {text!r}")
-    return int(parts[0]), int(parts[1])
+    kinds = kinds or (float,) * len(parts)
+    if len(parts) == len(kinds):
+        try:
+            return [kind(part) for kind, part in zip(kinds, parts)]
+        except ValueError:
+            pass
+    raise MalformedInput(f"expected {form}, got {text!r}")
+
+
+def _parse_window(text: str) -> tuple[int, int]:
+    return tuple(_parse(text, "a window 'A,B' of integers", int, int))
 
 
 def _parse_complex(text: str) -> complex:
-    parts = text.split(",")
-    if len(parts) != 2:
-        raise ValueError(f"expected 'RE,IM', got {text!r}")
-    return complex(float(parts[0]), float(parts[1]))
-
-
-def _parse_floats(text: str) -> list[float]:
-    return [float(p) for p in text.split(",")]
+    return complex(*_parse(text, "'RE,IM'", float, float))
 
 
 def _resolve_seed(value: int | None) -> int:
-    if value is not None:
-        return value
-    env = os.environ.get("CMV_SEED")
-    if env is not None:
-        return int(env)
-    return 0
-
-
-def _load_matrix(path: str) -> np.ndarray:
-    with open(path, encoding="utf-8") as fh:
-        return _matrix_from_json(json.load(fh), where=str(path))
+    if value is None:
+        value, = _parse(os.environ.get("CMV_SEED", "0"), "an integer CMV_SEED", int)
+    return value
 
 
 def _load_gamma(path: str | None, m: int) -> np.ndarray:
     if path is None:
         return np.eye(m, dtype=complex)
-    return _load_matrix(path)
+    return _matrix_from_json(_read_json(path), where=str(path))
 
 
 def _emit_text(text: str, out: str | None) -> None:
@@ -103,9 +101,8 @@ def cmd_gen(args) -> int:
 def cmd_assemble(args) -> int:
     seq = load_sequence(args.infile)
     if args.split is not None:
-        m = seq.m
-        g_left = _load_gamma(args.gamma_left, m)
-        g_right = _load_gamma(args.gamma_right, m)
+        g_left = _load_gamma(args.gamma_left, seq.m)
+        g_right = _load_gamma(args.gamma_right, seq.m)
         ops = assemble_split(seq, SplitSpec(k0=args.split, gamma_left=g_left,
                                             gamma_right=g_right))
     else:
@@ -119,14 +116,14 @@ def cmd_decouple(args) -> int:
     seq = load_sequence(args.infile)
     m = seq.m
     alpha = seq.alpha(args.k0)
-    s = np.asarray(_parse_floats(args.s), dtype=float) if args.s \
+    s = np.asarray(_parse(args.s, "phases in --s"), dtype=float) if args.s \
         else np.zeros(m)
     if s.size != m:
-        raise ValueError(f"need {m} phases in --s, got {s.size}")
+        raise DimensionMismatch(f"need {m} phases in --s, got {s.size}")
     if args.t:
-        t = np.asarray(_parse_floats(args.t), dtype=float)
+        t = np.asarray(_parse(args.t, "phases in --t"), dtype=float)
         if t.size != m:
-            raise ValueError(f"need {m} phases in --t, got {t.size}")
+            raise DimensionMismatch(f"need {m} phases in --t, got {t.size}")
         fac = factorize_svd(alpha)
         gamma1 = fac.sigma @ np.diag(np.exp(1j * t)) @ fac.tau.conj().T
         gamma2 = fac.sigma @ np.diag(np.exp(1j * s)) @ fac.tau.conj().T
@@ -155,15 +152,11 @@ def cmd_decouple(args) -> int:
     return 0
 
 
-_SIGNS = {"+": PLUS, "-": MINUS}
-
-
 def cmd_laurent(args) -> int:
     seq = load_sequence(args.infile)
     gamma = _load_gamma(args.gamma, seq.m)
     z = _parse_complex(args.z)
-    sign = _SIGNS[args.sign]
-    fam = window_family(seq, gamma, z, args.k0, sign)
+    fam = window_family(seq, gamma, z, args.k0, args.sign)
     lo, hi = _parse_window(args.range) if args.range \
         else (fam.k_lo, fam.k_hi)
     sites = [{"k": k, **{name: _matrix_to_json(v) for name, v in fam.at(k)._asdict().items()}}
@@ -208,29 +201,22 @@ def _grid_rows(seq, k0, gamma, radii, n_theta):
 
 
 def _emit_csv(rows, out: str | None) -> None:
-    def write(fh):
-        csv.writer(fh).writerows(rows)
-
     if out is None:
-        write(sys.stdout)
+        csv.writer(sys.stdout).writerows(rows)
     else:
         with open(out, "w", newline="", encoding="utf-8") as fh:
-            write(fh)
+            csv.writer(fh).writerows(rows)
 
 
 def cmd_mfun(args) -> int:
     seq = load_sequence(args.infile)
     gamma = _load_gamma(args.gamma, seq.m)
     if args.grid:
-        parts = args.grid.split(",")
-        if len(parts) != 3:
-            raise ValueError(f"--grid wants 'r1,r2,ntheta', got {args.grid!r}")
-        radii = (float(parts[0]), float(parts[1]))
-        _emit_csv(_grid_rows(seq, args.k0, gamma, radii, int(parts[2])),
-                  args.out)
+        r1, r2, n_theta = _parse(args.grid, "--grid 'R1,R2,NTHETA'", float, float, int)
+        _emit_csv(_grid_rows(seq, args.k0, gamma, (r1, r2), n_theta), args.out)
         return 0
     if args.z is None:
-        raise ValueError("need --z RE,IM (or --grid) for mfun")
+        raise MalformedInput("need --z RE,IM (or --grid) for mfun")
     samp = spectral_sample(seq, args.k0, gamma, _parse_complex(args.z))
     _emit_json(_sample_payload(samp, args.sign), args.out)
     return 0
@@ -239,12 +225,15 @@ def cmd_mfun(args) -> int:
 def _read_pairs(path: str) -> list[tuple[int, int]]:
     pairs = []
     with open(path, newline="", encoding="utf-8") as fh:
-        for row in csv.reader(fh):
-            if not row or not row[0].strip().lstrip("+-").isdigit():
-                continue
-            pairs.append((int(row[0]), int(row[1])))
+        try:
+            for row in csv.reader(fh):
+                if not row or not row[0].strip().lstrip("+-").isdigit():
+                    continue
+                pairs.append((int(row[0]), int(row[1])))
+        except (IndexError, ValueError, csv.Error) as exc:   # ValueError: also not UTF-8
+            raise MalformedInput(f"{path}: rows must be integer pairs 'k,kp': {exc}") from exc
     if not pairs:
-        raise ValueError(f"no index pairs found in {path}")
+        raise MalformedInput(f"no index pairs found in {path}")
     return pairs
 
 
@@ -257,15 +246,12 @@ def cmd_green(args) -> int:
     rows = [["k", "kp", "i", "j", "value_re", "value_im",
              "oracle_re", "oracle_im", "residual"]]
     if args.half:
-        sign = _SIGNS[args.half]
-        entries = [half_lattice_green(seq, args.k0, gamma, z, k, kp, sign)
-                   for k, kp in pairs]
-        oracles = [dense_resolvent_entry(seq, z, k, kp, half=sign,
-                                         k0=args.k0, gamma=gamma)
+        entries = [half_lattice_green(seq, args.k0, gamma, z, k, kp, args.half)
                    for k, kp in pairs]
     else:
         entries = full_green_entries(seq, args.k0, gamma, z, pairs)
-        oracles = [dense_resolvent_entry(seq, z, k, kp) for k, kp in pairs]
+    oracles = [dense_resolvent_entry(seq, z, k, kp, half=args.half, k0=args.k0, gamma=gamma)
+               for k, kp in pairs]
     for entry, oracle, (k, kp) in zip(entries, oracles, pairs):
         for i in range(m):
             for j in range(m):
@@ -278,13 +264,15 @@ def cmd_green(args) -> int:
 
 
 def cmd_analytic(args) -> int:
-    with open(args.infile, encoding="utf-8") as fh:
-        raw = json.load(fh)
-    samples = [(complex(item["z"][0], item["z"][1]),
-                _matrix_from_json(item["F"], where="sample")) for item in raw]
-    tol = args.tol_identity if args.tol_identity is not None else 1e-10
+    try:
+        samples = [(complex(item["z"][0], item["z"][1]),
+                    _as_square(_matrix_from_json(item["F"], where="sample")))
+                   for item in _read_json(args.infile)]
+    except (KeyError, IndexError, TypeError) as exc:
+        raise MalformedInput(f"{args.infile}: each sample needs 'z': [RE, IM] and "
+                             f"a matrix 'F' ({type(exc).__name__}: {exc})") from exc
     if args.check == "caratheodory":
-        report = is_caratheodory(samples, tol=tol)
+        report = is_caratheodory(samples, tol=args.tol_identity)
         payload = {
             "check": "caratheodory",
             "valid": report.valid,
@@ -295,9 +283,9 @@ def cmd_analytic(args) -> int:
     else:
         excess = [max(0.0, float(np.linalg.norm(F, 2)) - 1.0)
                   for _, F in samples]
-        ok = all(e <= tol for e in excess)
+        ok = all(e <= args.tol_identity for e in excess)
         payload = {"check": "schur", "valid": ok, "norm_excess": excess,
-                   "tol": tol}
+                   "tol": args.tol_identity}
     _emit_json(payload, args.out)
     return 0 if ok else 1
 
@@ -343,7 +331,6 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gen", help="generate a random coefficient sequence")
     _add_ensemble_flags(p)
-    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_gen)
 
     p = sub.add_parser("assemble", help="build the operator matrices")
@@ -351,7 +338,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--split", type=int, default=None, metavar="K0")
     p.add_argument("--gamma-left", default=None)
     p.add_argument("--gamma-right", default=None)
-    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_assemble)
 
     p = sub.add_parser("decouple", help="rank analysis of a lattice split")
@@ -361,7 +347,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--t", default=None,
                    help="comma-separated phases (default: minimal choice)")
     p.add_argument("--tol-rank", type=float, default=1e-8)
-    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_decouple)
 
     p = sub.add_parser("laurent", help="polynomial solution family")
@@ -371,7 +356,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--z", required=True, metavar="RE,IM")
     p.add_argument("--sign", choices=["+", "-"], default="+")
     p.add_argument("--range", default=None, metavar="A,B")
-    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_laurent)
 
     p = sub.add_parser("mfun", help="spectral function sample or grid")
@@ -381,7 +365,6 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--z", default=None, metavar="RE,IM")
     p.add_argument("--sign", choices=["+", "-"], default=None)
     p.add_argument("--grid", default=None, metavar="R1,R2,NTHETA")
-    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_mfun)
 
     p = sub.add_parser("green", help="Green's kernel entries vs dense oracle")
@@ -391,15 +374,13 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--z", required=True, metavar="RE,IM")
     p.add_argument("--half", choices=["+", "-"], default=None)
     p.add_argument("--pairs", required=True, help="CSV of k,k' rows")
-    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_green)
 
     p = sub.add_parser("analytic", help="validity checks on sampled functions")
     p.add_argument("--check", choices=["caratheodory", "schur"],
                    required=True)
     p.add_argument("--in", dest="infile", required=True)
-    p.add_argument("--tol-identity", type=float, default=None)
-    p.add_argument("--out", default=None)
+    p.add_argument("--tol-identity", type=float, default=1e-10)
     p.set_defaults(func=cmd_analytic)
 
     p = sub.add_parser("verify", help="run invariant suites")
@@ -409,9 +390,10 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--tol-rank", type=float, default=1e-8)
     p.add_argument("--tol-identity", type=float, default=None)
     p.add_argument("--format", choices=["json", "csv"], default="json")
-    p.add_argument("--out", default=None)
     p.set_defaults(func=cmd_verify)
 
+    for p in sub.choices.values():
+        p.add_argument("--out", default=None)
     return parser
 
 
@@ -420,7 +402,7 @@ def main(argv=None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.func(args)
-    except (ValueError, OSError, KeyError) as exc:
+    except (CmvError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
 

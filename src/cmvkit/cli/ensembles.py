@@ -12,6 +12,7 @@ from ..coefficients import (
     contractive,
     unitary,
 )
+from ..errors import OutOfRange
 
 MAX_RADIUS = 1.0 - 1e-8
 
@@ -39,11 +40,9 @@ class EnsembleSpec:
 
     def __post_init__(self):
         if self.m < 1:
-            raise ValueError("block size m must be at least 1")
-        if self.k_max - self.k_min < 4:
-            raise ValueError("window must span at least 4 sites")
+            raise OutOfRange("block size m must be at least 1")
         if not 0.0 < self.radius_max <= MAX_RADIUS:
-            raise ValueError(f"radius_max must lie in (0, {MAX_RADIUS}]")
+            raise OutOfRange(f"radius_max must lie in (0, {MAX_RADIUS}]")
 
 
 def _random_contraction(rng: np.random.Generator, m: int,
@@ -73,6 +72,5 @@ def random_unitary(rng: np.random.Generator, m: int) -> np.ndarray:
     """Haar-ish unitary from the QR of a complex Gaussian matrix."""
     g = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
     q, r = np.linalg.qr(g)
-    phases = np.diag(r).copy()
-    phases = phases / np.abs(phases)
-    return q * phases
+    phases = np.diag(r)
+    return q * (phases / np.abs(phases))

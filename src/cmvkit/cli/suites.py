@@ -13,6 +13,7 @@ import time
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
+import scipy.linalg
 
 from .. import __version__
 from ..analytic import (
@@ -30,6 +31,7 @@ from ..decoupling import (
     det_criterion,
     minimal_phases,
 )
+from ..errors import SingularWronskian, UnknownSuite, solve
 from ..greens import (
     dense_resolvent_entry,
     full_green_entries,
@@ -60,10 +62,6 @@ from ..weyl import (
     weyl_solutions,
 )
 from .ensembles import EnsembleSpec, generate, random_unitary
-
-
-class UnknownSuite(ValueError):
-    """Requested suite name is not registered."""
 
 
 @dataclass(frozen=True)
@@ -460,11 +458,11 @@ def suite_wronskian(spec: EnsembleSpec, tol: Tolerances):
         Um, Vm = sol_m.at(k)
         Upc, Vpc = sol_pc.at(k)
         Umc, Vmc = sol_mc.at(k)
-        lhs = Up @ np.linalg.solve(W, Umc.conj().T) \
-            - Um @ np.linalg.solve(W, Upc.conj().T)
+        right_m = solve(W, Umc.conj().T, SingularWronskian)
+        right_p = solve(W, Upc.conj().T, SingularWronskian)
+        lhs = Up @ right_m - Um @ right_p
         worst_cross = max(worst_cross, _rel(lhs - 2.0 * sgn * eye, eye))
-        lhs0 = Vp @ np.linalg.solve(W, Umc.conj().T) \
-            - Vm @ np.linalg.solve(W, Upc.conj().T)
+        lhs0 = Vp @ right_m - Vm @ right_p
         worst_null = max(worst_null, _rel(lhs0, eye))
     out.append(_result("wronskian", "resolvent-jump", worst_cross,
                        tol.pick(1e-9)))
@@ -535,10 +533,7 @@ def suite_gauge(spec: EnsembleSpec, tol: Tolerances):
     sigma = random_unitary(rng, spec.m)
     tau = random_unitary(rng, spec.m)
     gauged = gauge_transform(seq, sigma, tau)
-    blocks = [sigma if k % 2 == 1 else tau for k in seq.sites]
-    Am = np.zeros((spec.m * seq.n_sites, spec.m * seq.n_sites), dtype=complex)
-    for i, b in enumerate(blocks):
-        Am[i * spec.m:(i + 1) * spec.m, i * spec.m:(i + 1) * spec.m] = b
+    Am = scipy.linalg.block_diag(*(sigma if k % 2 == 1 else tau for k in seq.sites))
     lhs = Am @ assemble(seq).U @ Am.conj().T
     rhs = assemble(gauged).U
     out.append(_result("gauge", "matrix-conjugation", _rel(lhs - rhs, rhs),
@@ -554,10 +549,7 @@ def suite_gauge(spec: EnsembleSpec, tol: Tolerances):
     eye = np.eye(spec.m)
     split_gauged = assemble_split(gauged_g, SplitSpec(k0=k0, gamma_left=eye,
                                                       gamma_right=eye))
-    blocks = [ghi if k % 2 == 1 else gh for k in seq.sites]
-    Ag = np.zeros_like(split_orig.U)
-    for i, b in enumerate(blocks):
-        Ag[i * spec.m:(i + 1) * spec.m, i * spec.m:(i + 1) * spec.m] = b
+    Ag = scipy.linalg.block_diag(*(ghi if k % 2 == 1 else gh for k in seq.sites))
     lhs = Ag @ split_orig.U @ Ag.conj().T
     out.append(_result("gauge", "split-consistency",
                        _rel(lhs - split_gauged.U, split_gauged.U),

@@ -25,20 +25,18 @@ from functools import cached_property
 import numpy as np
 import scipy.linalg
 
+from .errors import (
+    DimensionMismatch,
+    MalformedInput,
+    NotContractive,
+    NotFinite,
+    NotUnitary,
+    OutOfRange,
+    SiteOutOfWindow,
+)
+
 CONTRACTION_TOL = 1e-8
 UNITARY_TOL = 1e-10
-
-
-class NotContractive(ValueError):
-    """Raised when a coefficient expected to be a strict contraction is not."""
-
-
-class NotUnitary(ValueError):
-    """Raised when a matrix expected to be unitary is not."""
-
-
-class DimensionMismatch(ValueError):
-    """Raised when matrix dimensions are inconsistent."""
 
 
 class CoefficientKind(Enum):
@@ -51,7 +49,7 @@ def _as_square(value) -> np.ndarray:
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
-        raise ValueError("matrix entries must be finite")
+        raise NotFinite("matrix entries must be finite")
     return a
 
 
@@ -95,9 +93,8 @@ class VerblunskyCoefficient:
                     f"coefficient norm {operator_norm(v):.3e} exceeds "
                     f"{1.0 - CONTRACTION_TOL}"
                 )
-        else:
-            if not is_unitary(v):
-                raise NotUnitary("endpoint coefficient is not unitary")
+        elif not is_unitary(v):
+            raise NotUnitary("endpoint coefficient is not unitary")
 
     @property
     def m(self) -> int:
@@ -137,13 +134,13 @@ class VerblunskySequence:
 
     def __post_init__(self):
         if self.k_max - self.k_min < 4:
-            raise ValueError(
+            raise OutOfRange(
                 f"coefficient window [{self.k_min}, {self.k_max}] is too short; "
                 "need k_max - k_min >= 4"
             )
         for k in range(self.k_min, self.k_max + 1):
             if k not in self.alphas:
-                raise ValueError(f"missing coefficient at site {k}")
+                raise MalformedInput(f"missing coefficient at site {k}")
             c = self.alphas[k]
             if not isinstance(c, VerblunskyCoefficient):
                 raise TypeError(f"site {k}: expected VerblunskyCoefficient")
@@ -158,10 +155,17 @@ class VerblunskySequence:
                 raise NotContractive(f"site {k}: interior coefficient must be contractive")
 
     def alpha(self, k: int) -> np.ndarray:
-        return self.alphas[k].value
+        return self._at(k).value
 
     def kind(self, k: int) -> CoefficientKind:
-        return self.alphas[k].kind
+        return self._at(k).kind
+
+    def _at(self, k: int) -> VerblunskyCoefficient:
+        try:
+            return self.alphas[k]
+        except KeyError:
+            raise SiteOutOfWindow(
+                f"site {k} outside the window [{self.k_min}, {self.k_max}]") from None
 
     @property
     def n_sites(self) -> int:
@@ -186,7 +190,8 @@ class VerblunskySequence:
         otherwise the existing coefficient must already be unitary.
         """
         if not (self.k_min <= k_lo < k_hi <= self.k_max):
-            raise ValueError(f"sub-window [{k_lo}, {k_hi}] leaves [{self.k_min}, {self.k_max}]")
+            raise SiteOutOfWindow(
+                f"sub-window [{k_lo}, {k_hi}] leaves [{self.k_min}, {self.k_max}]")
         alphas = {k: self.alphas[k] for k in range(k_lo, k_hi + 1)}
         if left is not None:
             alphas[k_lo] = unitary(left)
@@ -225,12 +230,7 @@ def sequence_from_values(values: dict, m: int | None = None) -> VerblunskySequen
                for k, v in values.items()}
     if m is None:
         m = coerced[k_min].shape[0]
-    alphas = {}
-    for k in ks:
-        if k in (k_min, k_max):
-            alphas[k] = unitary(coerced[k])
-        else:
-            alphas[k] = contractive(coerced[k])
+    alphas = {k: (unitary if k in (k_min, k_max) else contractive)(coerced[k]) for k in ks}
     return VerblunskySequence(m, k_min, k_max, alphas)
 
 
@@ -409,10 +409,9 @@ def _matrix_to_json(a: np.ndarray) -> list:
 
 def _matrix_from_json(rows, where: str) -> np.ndarray:
     try:
-        a = np.array([[complex(re, im) for re, im in row] for row in rows])
+        return np.array([[complex(re, im) for re, im in row] for row in rows])
     except (TypeError, ValueError) as exc:
-        raise ValueError(f"{where}: malformed matrix entries") from exc
-    return a
+        raise MalformedInput(f"{where}: malformed matrix entries") from exc
 
 
 def sequence_document(seq: VerblunskySequence) -> dict:
@@ -442,17 +441,17 @@ def parse_sequence(doc: dict) -> VerblunskySequence:
     Every violated invariant is reported with the offending site index.
     """
     try:
-        m = int(doc["m"])
-        k_min = int(doc["k_min"])
-        k_max = int(doc["k_max"])
+        m, k_min, k_max = (int(doc[key]) for key in ("m", "k_min", "k_max"))
         alphas_doc = doc["alphas"]
     except (KeyError, TypeError, ValueError) as exc:
-        raise ValueError(f"coefficient document missing or malformed field: {exc}") from exc
+        raise MalformedInput(f"coefficient document missing or malformed field: {exc}") from exc
+    if not isinstance(alphas_doc, dict):
+        raise MalformedInput("coefficient document field 'alphas' must map sites to matrices")
     alphas = {}
     for k in range(k_min, k_max + 1):
         key = str(k)
         if key not in alphas_doc:
-            raise ValueError(f"site {k}: coefficient missing")
+            raise MalformedInput(f"site {k}: coefficient missing")
         a = _matrix_from_json(alphas_doc[key], where=f"site {k}")
         if a.shape != (m, m):
             raise DimensionMismatch(f"site {k}: expected {m}x{m}, got {a.shape}")
@@ -464,7 +463,14 @@ def parse_sequence(doc: dict) -> VerblunskySequence:
     return VerblunskySequence(m, k_min, k_max, alphas)
 
 
-def load_sequence(path) -> VerblunskySequence:
+def _read_json(path):
+    """The decoded contents of a UTF-8 JSON file."""
     with open(path, "r", encoding="utf-8") as fp:
-        doc = json.load(fp)
-    return parse_sequence(doc)
+        try:
+            return json.load(fp)
+        except ValueError as exc:       # not JSON, or not UTF-8
+            raise MalformedInput(f"{path}: not a UTF-8 JSON document: {exc}") from exc
+
+
+def load_sequence(path) -> VerblunskySequence:
+    return parse_sequence(_read_json(path))

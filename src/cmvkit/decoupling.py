@@ -19,13 +19,19 @@ import numpy as np
 
 from .assembly import SplitSpec, assemble, assemble_split, operator_difference_block
 from .coefficients import (
-    NotContractive,
     VerblunskySequence,
     _as_square,
     factorize_svd,
     is_contraction,
 )
-from .errors import SingularSolve, require_off_circle
+from .errors import (
+    DimensionMismatch,
+    NotContractive,
+    OutOfRange,
+    SingularSolve,
+    require_off_circle,
+    solve,
+)
 
 RANK_RTOL = 1e-8
 
@@ -84,7 +90,7 @@ def numerical_rank(M: np.ndarray, rtol: float = RANK_RTOL) -> int:
         The numerical rank; zero for the zero matrix.
     """
     if not 0 < rtol < 1:
-        raise ValueError(f"rtol must lie in (0, 1), got {rtol}")
+        raise OutOfRange(f"rtol must lie in (0, 1), got {rtol}")
     s = np.linalg.svd(np.asarray(M, dtype=complex), compute_uv=False)
     if s.size == 0 or s[0] == 0:
         return 0
@@ -115,7 +121,7 @@ def minimal_phases(alpha_k0: np.ndarray, s) -> PhaseSolution:
     m = alpha.shape[0]
     s = np.atleast_1d(np.asarray(s, dtype=float))
     if s.shape != (m,):
-        raise ValueError(f"need {m} phases s, got shape {s.shape}")
+        raise DimensionMismatch(f"need {m} phases s, got shape {s.shape}")
     fac = factorize_svd(alpha)
     beta = np.asarray(fac.beta, dtype=float)
     half = s / 2.0
@@ -145,17 +151,6 @@ def default_z_samples() -> tuple:
     return tuple(r * np.exp(1j * th) for r in (0.5, 2.0) for th in angles)
 
 
-def _resolvent(U: np.ndarray, z: complex) -> np.ndarray:
-    n = U.shape[0]
-    try:
-        out = np.linalg.solve(U - z * np.eye(n), np.eye(n))
-    except np.linalg.LinAlgError as exc:
-        raise SingularSolve(f"resolvent solve failed at z = {z}") from exc
-    if not np.all(np.isfinite(out)):
-        raise SingularSolve(f"resolvent solve overflowed at z = {z}")
-    return out
-
-
 def decoupling_report(seq: VerblunskySequence, k0: int,
                       gamma1: np.ndarray, gamma2: np.ndarray,
                       z_samples=None, rtol: float = RANK_RTOL) -> DecouplingReport:
@@ -182,10 +177,12 @@ def decoupling_report(seq: VerblunskySequence, k0: int,
     op_rank = numerical_rank(full.U - split.U, rtol)
     if z_samples is None:
         z_samples = default_z_samples()
+    eye = np.eye(full.U.shape[0])
     resolvent_ranks = {}
     for z in z_samples:
         z = require_off_circle(z)
-        diff = _resolvent(full.U, z) - _resolvent(split.U, z)
+        diff = (solve(full.U - z * eye, eye, SingularSolve)
+                - solve(split.U - z * eye, eye, SingularSolve))
         resolvent_ranks[z] = numerical_rank(diff, rtol)
     return DecouplingReport(
         local_block=block,

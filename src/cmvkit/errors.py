@@ -1,51 +1,136 @@
-"""Exceptions for evaluation points and linear solves, plus small guards.
+"""The error family of cmvkit, the guards on z, and the one typed dense solve.
 
-Validation errors tied to coefficient data (contractivity, unitarity,
-shape) live next to the data model in coefficients.py; this module owns
-the failures that arise while evaluating formulas at a spectral point z.
+Every failure the library reports is a CmvError (a ValueError) of one of
+the classes below: a broken domain condition (contractive interior,
+unitary ends, z finite, nonzero and off the unit circle), a site outside
+its window, malformed input, or a singular solve. The command line exits
+with code 2 on exactly these and OSError; anything else is a bug.
 """
 
 from __future__ import annotations
 
+import cmath
 
-class ZeroZ(ValueError):
+import numpy as np
+
+
+class CmvError(ValueError):
+    """Base of every failure cmvkit reports for bad input or a singular evaluation."""
+
+
+class NotContractive(CmvError):
+    """A coefficient expected to be a strict contraction is not."""
+
+
+class NotUnitary(CmvError):
+    """A matrix expected to be unitary is not."""
+
+
+class DimensionMismatch(CmvError):
+    """Matrix dimensions, or the number of per-channel values, are inconsistent."""
+
+
+class NotFinite(CmvError):
+    """A matrix entry or an evaluation point z is NaN or infinite."""
+
+
+class OutOfRange(CmvError):
+    """A size, count, radius, tolerance or sign lies outside its allowed range."""
+
+
+class MalformedInput(CmvError):
+    """A document, a file or command-line text cannot be read as what it must hold."""
+
+
+class InvalidMeasure(CmvError):
+    """An atomic measure breaks its definition (Hermitian, PSD, atoms on the circle)."""
+
+
+class MatrixCaseUnsupported(CmvError):
+    """This check is defined for scalar (m = 1) data only."""
+
+
+class UnknownSuite(CmvError):
+    """Requested suite name is not registered."""
+
+
+class SiteOutOfWindow(CmvError, KeyError):
+    """A site or sub-window lies outside its window (a lookup, so also a KeyError)."""
+
+    __str__ = ValueError.__str__    # the plain message, not KeyError's repr of it
+
+
+class InvalidBoundary(CmvError):
+    """A window endpoint coefficient is not unitary."""
+
+
+class SplitOutOfWindow(CmvError):
+    """A decoupling site does not sit inside the window."""
+
+
+class InsufficientPadding(CmvError):
+    """The input sequence does not cover the padded range."""
+
+
+class PathLeavesWindow(CmvError):
+    """Propagation would need a coefficient outside the window interior."""
+
+
+class ZeroZ(CmvError):
     """The formula is not defined at z = 0."""
 
 
-class ZOnUnitCircle(ValueError):
+class ZOnUnitCircle(CmvError):
     """Resolvent evaluation requested too close to the unit circle."""
 
 
-class SingularSolve(ValueError):
-    """A dense linear solve failed; z is too close to the spectrum."""
+class ZAtAtom(CmvError):
+    """Evaluation point coincides with an atom of the measure."""
 
 
-class SingularFactor(ValueError):
+class SingularSolve(CmvError):
+    """A resolvent solve failed; z is too close to the spectrum."""
+
+
+class SingularFactor(CmvError):
     """A matrix factor that must be inverted is singular."""
 
 
-class SingularSolutionValue(ValueError):
+class SingularSolutionValue(CmvError):
     """A solution value that must be inverted is singular."""
 
 
-class SingularWronskian(ValueError):
+class SingularWronskian(CmvError):
     """M_plus - M_minus is numerically singular at this z."""
 
 
 UNIT_CIRCLE_TOL = 1e-6
 
 
+def solve(A: np.ndarray, B: np.ndarray, err: type = SingularFactor,
+          right: bool = False) -> np.ndarray:
+    """A^{-1} B, or A B^{-1} when right, raising err when the solve fails or overflows."""
+    if right:
+        return solve(B.T, A.T, err).T
+    try:
+        out = np.linalg.solve(A, B)
+    except np.linalg.LinAlgError as exc:
+        raise err("matrix factor is singular") from exc
+    if not np.all(np.isfinite(out)):
+        raise err("matrix factor is numerically singular")
+    return out
+
+
 def require_nonzero(z) -> complex:
-    """Coerce z to complex and reject exact zero."""
-    z = complex(z)
-    if z == 0:
-        raise ZeroZ("z = 0 is not a valid evaluation point here")
-    return z
+    """Coerce z to complex; reject a non-finite value and exact zero."""
+    return require_off_circle(z, tol=0.0)     # no z lies within 0 of the circle
 
 
 def require_off_circle(z, allow_zero: bool = False, tol: float = UNIT_CIRCLE_TOL) -> complex:
-    """Coerce z to complex; reject the unit circle and (optionally) zero."""
+    """Coerce z to complex; reject a non-finite value, the unit circle and (optionally) zero."""
     z = complex(z)
+    if not cmath.isfinite(z):
+        raise NotFinite(f"z = {z} is not finite")
     if z == 0 and not allow_zero:
         raise ZeroZ("z = 0 is not a valid evaluation point here")
     if abs(abs(z) - 1.0) < tol:

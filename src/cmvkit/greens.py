@@ -20,15 +20,21 @@ import numpy as np
 
 from .assembly import assemble
 from .coefficients import VerblunskySequence, principal_unitary_sqrt
-from .errors import SingularSolve, SingularWronskian, require_off_circle
+from .errors import (
+    MatrixCaseUnsupported,
+    SingularSolve,
+    SingularWronskian,
+    SiteOutOfWindow,
+    require_off_circle,
+    solve,
+)
 from .laurent import (
     PLUS,
-    MatrixCaseUnsupported,
     _norm_sign,
     propagate,
     seed_family,
 )
-from .weyl import _lsolve, half_window_sequence, m_function, weyl_solutions
+from .weyl import half_window_sequence, m_function, weyl_solutions
 
 
 class GreensBranch(Enum):
@@ -74,8 +80,8 @@ def wronskian_symmetry_check(M_plus: np.ndarray, M_minus: np.ndarray,
     """Residual of M+ W^{-1} M- = M- W^{-1} M+ with W = M+ - M-."""
     if W is None:
         W = M_plus - M_minus
-    left = M_plus @ _lsolve(W, M_minus, err=SingularWronskian)
-    right = M_minus @ _lsolve(W, M_plus, err=SingularWronskian)
+    left = M_plus @ solve(W, M_minus, SingularWronskian)
+    right = M_minus @ solve(W, M_plus, SingularWronskian)
     scale = max(1.0, np.linalg.norm(left), np.linalg.norm(right))
     return float(np.linalg.norm(left - right) / scale)
 
@@ -86,10 +92,11 @@ def _half_range(seq: VerblunskySequence, k0: int, sign: int):
     return seq.k_min, k0
 
 
-def _check_half_sites(lo: int, hi: int, k: int, kp: int):
-    for site in (k, kp):
+def _check_half_sites(seq: VerblunskySequence, k0: int, sign: int, *sites):
+    lo, hi = _half_range(seq, k0, sign)
+    for site in sites:
         if not lo <= site <= hi:
-            raise ValueError(f"site {site} outside the half-window [{lo}, {hi}]")
+            raise SiteOutOfWindow(f"site {site} outside the half-window [{lo}, {hi}]")
 
 
 def _half_family(seq, k0, gamma, z, sign, gamma_sqrt, *sites):
@@ -117,8 +124,7 @@ def half_lattice_green(seq: VerblunskySequence, k0: int, gamma, z,
     sign = _norm_sign(sign)
     z = require_off_circle(z)
     zc = 1.0 / np.conj(z)
-    lo, hi = _half_range(seq, k0, sign)
-    _check_half_sites(lo, hi, k, kp)
+    _check_half_sites(seq, k0, sign, k, kp)
     gamma_sqrt = principal_unitary_sqrt(gamma) if gamma_sqrt is None else gamma_sqrt
     fam_z = _half_family(seq, k0, gamma, z, sign, gamma_sqrt, k, kp)
     fam_c = _half_family(seq, k0, gamma, zc, sign, gamma_sqrt, k, kp)
@@ -170,7 +176,7 @@ def full_green_entries(seq: VerblunskySequence, k0: int, gamma, z,
         else:
             left = sol_p.at(k)[0]
             right = sol_mc.at(kp)[0]
-        core = _lsolve(W, right.conj().T, err=SingularWronskian)
+        core = solve(W, right.conj().T, SingularWronskian)
         entries.append(GreensEntry(k=k, kp=kp, value=left @ core / (2.0 * z),
                                    branch=branch))
     return entries
@@ -197,7 +203,7 @@ def dense_resolvent_entry(seq: VerblunskySequence, z, k: int, kp: int,
     else:
         ops = assemble(half_window_sequence(seq, k0, gamma, half))
     n = ops.U.shape[0]
-    X = _lsolve(ops.U - z * np.eye(n), np.eye(n), err=SingularSolve)
+    X = solve(ops.U - z * np.eye(n), np.eye(n), SingularSolve)
     return X[ops.site_slice(k), ops.site_slice(kp)]
 
 
@@ -218,8 +224,7 @@ def half_green_scalar_prefactor(seq: VerblunskySequence, k0: int, gamma, z,
         raise MatrixCaseUnsupported("prefactor kernels are scalar-only")
     sign = _norm_sign(sign)
     z = require_off_circle(z)
-    lo, hi = _half_range(seq, k0, sign)
-    _check_half_sites(lo, hi, k, kp)
+    _check_half_sites(seq, k0, sign, k, kp)
     m_val = m_function(seq, k0, gamma, z, sign)[0, 0]
     fam = _half_family(seq, k0, gamma, z, sign, None, k, kp)
     exponent = k0 % 2 if sign == PLUS else (k0 + 1) % 2

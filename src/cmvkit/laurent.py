@@ -24,25 +24,24 @@ from typing import NamedTuple
 import numpy as np
 
 from .coefficients import (
-    NotUnitary,
     VerblunskySequence,
     _as_square,
     defect_matrices,
     is_unitary,
     principal_unitary_sqrt,
 )
-from .errors import require_nonzero
+from .errors import (
+    CmvError,
+    MatrixCaseUnsupported,
+    NotUnitary,
+    OutOfRange,
+    PathLeavesWindow,
+    SiteOutOfWindow,
+    require_nonzero,
+)
 
 PLUS = 1
 MINUS = -1
-
-
-class PathLeavesWindow(ValueError):
-    """Propagation would need a coefficient outside the window interior."""
-
-
-class MatrixCaseUnsupported(ValueError):
-    """This check is defined for scalar (m = 1) data only."""
 
 
 def _norm_sign(sign) -> int:
@@ -52,7 +51,7 @@ def _norm_sign(sign) -> int:
         return PLUS
     if sign in ("-", "minus"):
         return MINUS
-    raise ValueError(f"sign must be +1/-1 or '+'/'-', got {sign!r}")
+    raise OutOfRange(f"sign must be +1/-1 or '+'/'-', got {sign!r}")
 
 
 def _transfers(seq: VerblunskySequence, z, k_lo: int, k_hi: int,
@@ -137,8 +136,8 @@ class SolutionFamily:
 
     def at(self, k: int) -> FamilySite:
         if not self.covers(k):
-            raise KeyError(f"site {k} not covered, family spans "
-                           f"[{self.k_lo}, {self.k_hi}]")
+            raise SiteOutOfWindow(f"site {k} not covered, family spans "
+                                  f"[{self.k_lo}, {self.k_hi}]")
         i = k - self.k_lo
         return FamilySite(P=self.P[i], R=self.R[i], Q=self.Q[i], S=self.S[i])
 
@@ -306,14 +305,14 @@ def connection(gamma1, gamma2, alpha_k0, k0: int,
 def _check_pair(fam: SolutionFamily, fam_conj: SolutionFamily):
     want = 1.0 / np.conj(fam.z)
     if abs(fam_conj.z - want) > 1e-12 * max(1.0, abs(want)):
-        raise ValueError(
+        raise CmvError(
             f"second family must be evaluated at 1/conj(z) = {want}, "
             f"got {fam_conj.z}"
         )
     if fam.sign != fam_conj.sign or fam.k0 != fam_conj.k0:
-        raise ValueError("paired families must share sign and reference site")
+        raise CmvError("paired families must share sign and reference site")
     if not np.allclose(fam.gamma_sqrt, fam_conj.gamma_sqrt, atol=1e-12):
-        raise ValueError("paired families must use the same gamma square root")
+        raise CmvError("paired families must use the same gamma square root")
 
 
 def _rel(residual: float, *scales: float) -> float:
@@ -341,20 +340,15 @@ def quadratic_identities(pair_plus, pair_minus, k: int) -> dict:
         b = fam_conj.at(k)
         eye = np.eye(fam.m)
         sgn = -1.0 if k % 2 == 0 else 1.0
-        t1, t2 = a.P @ b.Q.conj().T, a.Q @ b.P.conj().T
-        out["PQ" + label] = _rel(
-            np.linalg.norm(t1 + t2 - 2.0 * sgn * eye),
-            np.linalg.norm(t1), np.linalg.norm(t2))
-        t1, t2 = a.R @ b.S.conj().T, a.S @ b.R.conj().T
-        out["RS" + label] = _rel(
-            np.linalg.norm(t1 + t2 + 2.0 * sgn * eye),
-            np.linalg.norm(t1), np.linalg.norm(t2))
-        t1, t2 = a.P @ b.S.conj().T, a.Q @ b.R.conj().T
-        out["PS" + label] = _rel(np.linalg.norm(t1 + t2),
-                                 np.linalg.norm(t1), np.linalg.norm(t2))
-        t1, t2 = a.R @ b.Q.conj().T, a.S @ b.P.conj().T
-        out["RQ" + label] = _rel(np.linalg.norm(t1 + t2),
-                                 np.linalg.norm(t1), np.linalg.norm(t2))
+        # key: (X, Y, X', Y', c) for X A(Y)* + X' A(Y')* = c I
+        identities = {"PQ": (a.P, b.Q, a.Q, b.P, 2.0 * sgn),
+                      "RS": (a.R, b.S, a.S, b.R, -2.0 * sgn),
+                      "PS": (a.P, b.S, a.Q, b.R, 0.0),
+                      "RQ": (a.R, b.Q, a.S, b.P, 0.0)}
+        for key, (x1, y1, x2, y2, c) in identities.items():
+            t1, t2 = x1 @ y1.conj().T, x2 @ y2.conj().T
+            out[key + label] = _rel(np.linalg.norm(t1 + t2 - c * eye),
+                                    np.linalg.norm(t1), np.linalg.norm(t2))
     return out
 
 

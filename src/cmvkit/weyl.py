@@ -26,18 +26,19 @@ import numpy as np
 
 from .assembly import cayley_block
 from .coefficients import (
-    DimensionMismatch,
-    NotUnitary,
     VerblunskySequence,
     _as_square,
     is_unitary,
     principal_unitary_sqrt,
 )
 from .errors import (
-    SingularFactor,
+    DimensionMismatch,
+    NotUnitary,
     SingularSolutionValue,
+    SiteOutOfWindow,
     require_nonzero,
     require_off_circle,
+    solve,
 )
 from .laurent import (
     MINUS,
@@ -49,22 +50,6 @@ from .laurent import (
     seed_family,
     window_family,
 )
-
-
-def _lsolve(A: np.ndarray, B: np.ndarray, err=SingularFactor) -> np.ndarray:
-    """A^{-1} B with a typed failure."""
-    try:
-        out = np.linalg.solve(A, B)
-    except np.linalg.LinAlgError as exc:
-        raise err("matrix factor is singular") from exc
-    if not np.all(np.isfinite(out)):
-        raise err("matrix factor is numerically singular")
-    return out
-
-
-def _rsolve(A: np.ndarray, B: np.ndarray, err=SingularFactor) -> np.ndarray:
-    """A B^{-1} with a typed failure."""
-    return _lsolve(B.T, A.T, err=err).T
 
 
 def half_window_sequence(seq: VerblunskySequence, k0: int, gamma,
@@ -116,8 +101,8 @@ def m_function(seq: VerblunskySequence, k0: int, gamma, z, sign,
     z = require_off_circle(z, allow_zero=True)
     lo, hi = (k0, seq.k_max) if sign == PLUS else (seq.k_min, k0 + 1)
     if not seq.k_min <= lo < hi - 3 <= seq.k_max - 3:
-        raise ValueError(f"half window [{lo}, {hi}] of [{seq.k_min}, {seq.k_max}] "
-                         "must hold 4 sites or more")
+        raise SiteOutOfWindow(f"half window [{lo}, {hi}] of [{seq.k_min}, {seq.k_max}] "
+                              "must hold 4 sites or more")
     g = _as_square(gamma)
     if not is_unitary(g):
         raise NotUnitary("boundary unitary gamma is not unitary")
@@ -155,7 +140,7 @@ def m_from_edge_condition(seq: VerblunskySequence, k0: int, gamma, z, sign,
     site = fam.at(k_edge)
     A = site.P - C @ site.R
     B = C @ site.S - site.Q
-    return _lsolve(A, B)
+    return solve(A, B)
 
 
 def M_minus_from_m_minus(m_minus: np.ndarray, z) -> np.ndarray:
@@ -169,7 +154,7 @@ def M_minus_from_m_minus(m_minus: np.ndarray, z) -> np.ndarray:
     eye = np.eye(m.shape[0])
     num = (m + eye) - z * (m - eye)
     den = (m + eye) + z * (m - eye)
-    return _rsolve(num, den)
+    return solve(num, den, right=True)
 
 
 def m_minus_from_M_minus(M_minus: np.ndarray, z) -> np.ndarray:
@@ -179,7 +164,7 @@ def m_minus_from_M_minus(M_minus: np.ndarray, z) -> np.ndarray:
     eye = np.eye(M.shape[0])
     num = z * (M + eye) - (M - eye)
     den = z * (M + eye) + (M - eye)
-    return _rsolve(num, den)
+    return solve(num, den, right=True)
 
 
 def M_minus_via_connection(seq: VerblunskySequence, k0: int, gamma, z,
@@ -195,7 +180,7 @@ def M_minus_via_connection(seq: VerblunskySequence, k0: int, gamma, z,
     mm = m_function(seq, k0 - 1, gamma, z, MINUS, gamma_sqrt=gamma_sqrt)
     cc = connection(gamma, gamma, seq.alpha(k0), k0,
                     gamma1_sqrt=gamma_sqrt, gamma2_sqrt=gamma_sqrt)
-    return _rsolve(cc.D3 + cc.D4 @ mm, cc.C3 + cc.C4 @ mm)
+    return solve(cc.D3 + cc.D4 @ mm, cc.C3 + cc.C4 @ mm, right=True)
 
 
 def M_minus_at_zero(alpha_k0, gamma, gamma_sqrt=None) -> np.ndarray:
@@ -206,7 +191,7 @@ def M_minus_at_zero(alpha_k0, gamma, gamma_sqrt=None) -> np.ndarray:
     """
     cc = connection(gamma, gamma, alpha_k0, 0,
                     gamma1_sqrt=gamma_sqrt, gamma2_sqrt=gamma_sqrt)
-    return _rsolve(cc.D3 - cc.D4, cc.C3 - cc.C4)
+    return solve(cc.D3 - cc.D4, cc.C3 - cc.C4, right=True)
 
 
 def M_function(seq: VerblunskySequence, k0: int, gamma, z, sign,
@@ -231,14 +216,14 @@ def schur_from_M(M: np.ndarray) -> np.ndarray:
     """Cayley transform Phi = (M - I)(M + I)^{-1}; also analytic.cayley."""
     M = _as_square(M)
     eye = np.eye(M.shape[0])
-    return _rsolve(M - eye, M + eye)
+    return solve(M - eye, M + eye, right=True)
 
 
 def M_from_schur(phi: np.ndarray) -> np.ndarray:
     """Inverse Cayley transform M = (I - Phi)^{-1}(I + Phi); also analytic.inverse_cayley."""
     phi = _as_square(phi)
     eye = np.eye(phi.shape[0])
-    return _lsolve(eye - phi, eye + phi)
+    return solve(eye - phi, eye + phi)
 
 
 def m_minus_from_schur_minus(phi_minus: np.ndarray, z) -> np.ndarray:
@@ -246,7 +231,7 @@ def m_minus_from_schur_minus(phi_minus: np.ndarray, z) -> np.ndarray:
     z = complex(z)
     phi = _as_square(phi_minus)
     eye = np.eye(phi.shape[0])
-    return _lsolve(z * eye + phi, z * eye - phi)
+    return solve(z * eye + phi, z * eye - phi)
 
 
 def schur_gamma_conjugation(phi1: np.ndarray, g1_sqrt: np.ndarray,
@@ -271,7 +256,7 @@ def M_gamma_transform(M1: np.ndarray, g1_sqrt: np.ndarray,
     """
     A = g2_sqrt.conj().T @ g1_sqrt + g2_sqrt @ g1_sqrt.conj().T
     B = g2_sqrt.conj().T @ g1_sqrt - g2_sqrt @ g1_sqrt.conj().T
-    return _rsolve(A @ M1 + B, B @ M1 + A)
+    return solve(A @ M1 + B, B @ M1 + A, right=True)
 
 
 @dataclass(frozen=True)
@@ -302,7 +287,7 @@ class WeylSolution:
 
     def at(self, k: int):
         if not self.k_lo <= k <= self.k_hi:
-            raise KeyError(f"site {k} outside [{self.k_lo}, {self.k_hi}]")
+            raise SiteOutOfWindow(f"site {k} outside [{self.k_lo}, {self.k_hi}]")
         i = k - self.k_lo
         return self.U[i], self.V[i]
 
@@ -346,9 +331,9 @@ def schur_parity_formula(seq: VerblunskySequence, k0: int, gamma, z, k: int,
     Uk, Vk = sol.at(k)
     gh = sol.family.gamma_sqrt
     if k % 2 == 1:
-        core = _rsolve(Vk, Uk, err=SingularSolutionValue)
+        core = solve(Vk, Uk, SingularSolutionValue, right=True)
         return sol.z * (gh @ core @ gh)
-    core = _rsolve(Uk, Vk, err=SingularSolutionValue)
+    core = solve(Uk, Vk, SingularSolutionValue, right=True)
     return gh @ core @ gh
 
 

@@ -7,9 +7,11 @@ import json
 import numpy as np
 import pytest
 
+from cmvkit import cli
 from cmvkit.cli import main
 from cmvkit.cli.ensembles import EnsembleSpec, generate
 from cmvkit.coefficients import load_sequence
+from cmvkit.errors import CmvError
 from cmvkit.laurent import PLUS, window_family
 
 
@@ -259,3 +261,94 @@ def test_missing_input_file_is_error(capsys):
                        "--k0", "3", "--z", "0.1,0.1")
     assert code == 2
     assert "error:" in err
+
+
+@pytest.fixture(scope="module")
+def bad_input_files(tmp_path_factory):
+    """Files for the exit-code cases; {name} in an argument is replaced by its path."""
+    tmp_path = tmp_path_factory.mktemp("bad-input")
+    files = {"seq": str(tmp_path / "seq.json"), "big": str(tmp_path / "big.json")}
+    main(["gen", "--seed", "5", "--window", "0,12", "--out", files["seq"]])
+    main(["gen", "--seed", "5", "--m", "2", "--window", "0,300", "--out", files["big"]])
+    texts = {"out_pairs": "k,kp\n3,40\n", "x_pairs": "3,x\n", "one_col": "3\n",
+             "trunc": '{"m": 1, "k_min": 0, "k_max"',
+             "obj_gamma": json.dumps({"m": 1}),
+             "no_f": json.dumps([{"z": [0.2, 0.1]}]),
+             "not_obj": json.dumps([5]),
+             "short_z": json.dumps([{"z": [0.2], "F": mat_json([[1.0]])}])}
+    for name, text in texts.items():
+        files[name] = str(tmp_path / name)
+        (tmp_path / name).write_text(text, encoding="utf-8")
+    files["binary"] = str(tmp_path / "binary")
+    (tmp_path / "binary").write_bytes(b"\xff\xfe\x80 not utf-8 \xc3")
+    return files
+
+
+_SEQ = ("--in", "{seq}")
+_Z = ("--k0", "6", "--z", "0.4,0.2")
+BAD_INPUTS = {
+    "decouple-k0-outside": ("decouple", *_SEQ, "--k0", "99"),
+    "laurent-range-outside": ("laurent", *_SEQ, *_Z, "--range", "0,99"),
+    "green-full-pair-outside": ("green", *_SEQ, *_Z, "--pairs", "{out_pairs}"),
+    "green-half-pair-outside": ("green", *_SEQ, *_Z, "--pairs", "{out_pairs}", "--half", "+"),
+    "analytic-sample-without-F": ("analytic", "--check", "schur", "--in", "{no_f}"),
+    "gen-window-not-numbers": ("gen", "--window", "a,b"),
+    "gen-m-zero": ("gen", "--m", "0"),
+    "gen-window-too-short": ("gen", "--window", "0,3"),
+    "seed-env-not-integer": ("gen",),
+    "mfun-grid-count-not-integer": ("mfun", *_SEQ, "--k0", "6", "--grid", "0.5,2,x"),
+    "mfun-z-on-circle": ("mfun", *_SEQ, "--k0", "6", "--z", "1,0"),
+    "mfun-k0-outside": ("mfun", *_SEQ, "--k0", "99", "--z", "0.4,0.2"),
+    "mfun-z-nan": ("mfun", *_SEQ, "--k0", "6", "--z", "nan,0"),
+    "mfun-z-inf": ("mfun", *_SEQ, "--k0", "6", "--z", "inf,0"),
+    "laurent-z-zero": ("laurent", *_SEQ, "--k0", "6", "--z", "0,0"),
+    "laurent-z-nan": ("laurent", *_SEQ, "--k0", "6", "--z", "nan,0"),
+    "assemble-split-outside": ("assemble", *_SEQ, "--split", "99"),
+    "decouple-s-count": ("decouple", *_SEQ, "--k0", "6", "--s", "1,2"),
+    "decouple-s-not-number": ("decouple", *_SEQ, "--k0", "6", "--s", "1,x"),
+    "assemble-dense-row-cap": ("assemble", "--in", "{big}"),
+    "verify-radius-too-large": ("verify", "--radius", "2"),
+    "in-truncated-json": ("assemble", "--in", "{trunc}"),
+    "in-not-utf8": ("assemble", "--in", "{binary}"),
+    "pairs-not-utf8": ("green", *_SEQ, *_Z, "--pairs", "{binary}"),
+    "gamma-not-utf8": ("laurent", *_SEQ, *_Z, "--gamma", "{binary}"),
+    "gamma-not-a-matrix": ("laurent", *_SEQ, *_Z, "--gamma", "{obj_gamma}"),
+    "pairs-row-not-integer": ("green", *_SEQ, *_Z, "--pairs", "{x_pairs}"),
+    "pairs-row-one-column": ("green", *_SEQ, *_Z, "--pairs", "{one_col}"),
+    "analytic-sample-not-object": ("analytic", "--check", "schur", "--in", "{not_obj}"),
+    "analytic-z-one-element": ("analytic", "--check", "schur", "--in", "{short_z}"),
+}
+
+
+@pytest.mark.parametrize("case", sorted(BAD_INPUTS))
+def test_bad_input_exits_2(case, bad_input_files, capsys, monkeypatch):
+    """Every malformed input is reported in one 'error:' line with exit code 2."""
+    monkeypatch.delenv("CMV_SEED", raising=False)
+    if case == "seed-env-not-integer":
+        monkeypatch.setenv("CMV_SEED", "abc")
+    argv = (arg.format(**bad_input_files) for arg in BAD_INPUTS[case])
+    code, _, err = run(capsys, *argv)
+    assert code == 2
+    assert err.startswith("error: ") and "Traceback" not in err
+
+
+def test_out_of_window_error_names_the_site_and_window(bad_input_files, capsys):
+    code, _, err = run(capsys, "decouple", "--in", bad_input_files["seq"], "--k0", "99")
+    assert code == 2
+    assert err == "error: site 99 outside the window [0, 12]\n"
+
+
+@pytest.mark.parametrize("exc", [CmvError("bad input"), OSError("no such file"),
+                                 ValueError("a bug"), KeyError("a bug"),
+                                 IndexError("a bug"), TypeError("a bug")])
+def test_main_catches_exactly_the_error_family_and_os_errors(exc, capsys, monkeypatch):
+    def fail(args):
+        raise exc
+
+    monkeypatch.setattr(cli, "cmd_gen", fail)
+    if isinstance(exc, (CmvError, OSError)):
+        code, _, err = run(capsys, "gen")
+        assert code == 2 and err == f"error: {exc}\n"
+    else:
+        with pytest.raises(type(exc)):
+            main(["gen"])

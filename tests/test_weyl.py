@@ -36,7 +36,7 @@ from cmvkit.coefficients import (
     principal_unitary_sqrt,
     sequence_from_values,
 )
-from cmvkit.errors import ZOnUnitCircle
+from cmvkit.errors import NotFinite, SiteOutOfWindow, ZOnUnitCircle
 from cmvkit.cli.ensembles import EnsembleSpec, generate, random_unitary
 
 
@@ -407,10 +407,10 @@ def test_m_function_errors_are_pinned():
     gammas = ((random_unitary(rng, 3), DimensionMismatch),
               (np.ones(2), DimensionMismatch),
               (0.5 * g, NotUnitary),
-              (nan_gamma, ValueError))
+              (nan_gamma, NotFinite))
     cases = []
     for sign, short in ((PLUS, (17, 19)), (MINUS, (2, 0))):
-        cases += [(sign, k0, g, ValueError) for k0 in (-1, 20, 21, -5) + short]
+        cases += [(sign, k0, g, SiteOutOfWindow) for k0 in (-1, 20, 21, -5) + short]
         cases += [(sign, 10, gam, err) for gam, err in gammas]
     for sign, k0, gam, err in cases:
         with pytest.raises(err) as info:
