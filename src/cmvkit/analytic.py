@@ -15,6 +15,7 @@ import numpy as np
 
 from .coefficients import _as_square
 from .errors import DimensionMismatch, InvalidMeasure, OutOfRange, ZAtAtom, ZeroZ
+from .errors import require_finite
 # The Cayley pair Phi = (F - I)(F + I)^{-1} and back has one implementation.
 from .weyl import M_from_schur as inverse_cayley, schur_from_M as cayley  # noqa: F401
 
@@ -76,8 +77,8 @@ def uniform_grid_measure(n: int, m: int = 1) -> AtomicMeasure:
 
 
 def herglotz_eval(measure: AtomicMeasure, z) -> np.ndarray:
-    """Evaluate i C + sum_j weight_j (zeta_j + z)/(zeta_j - z)."""
-    z = complex(z)
+    """Evaluate i C + sum_j weight_j (zeta_j + z)/(zeta_j - z) at a finite z."""
+    z = require_finite(z)
     out = 1j * measure.C.astype(complex)
     for zeta, weight in measure.atoms:
         denom = zeta - z
@@ -104,7 +105,7 @@ def is_caratheodory(samples, tol: float = PSD_TOL) -> ValidityReport:
     """
     floors = []
     for z, F in samples:
-        if abs(complex(z)) >= 1.0:
+        if abs(require_finite(z)) >= 1.0:
             raise OutOfRange(f"sample point {z} is not inside the unit disk")
         F = _as_square(F)
         herm = (F + F.conj().T) / 2.0
@@ -115,7 +116,7 @@ def is_caratheodory(samples, tol: float = PSD_TOL) -> ValidityReport:
 
 def reflect(z, F: np.ndarray):
     """Continue a disk sample across the circle: (z, F) -> (1/conj(z), -F*)."""
-    z = complex(z)
+    z = require_finite(z)
     if z == 0:
         raise ZeroZ("z = 0 has no finite reflection point")
     return 1.0 / np.conj(z), -_as_square(F).conj().T

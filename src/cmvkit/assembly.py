@@ -10,8 +10,10 @@ Also provided: the decoupled variant in which one block is replaced by
 diag(-gamma_left, gamma_right*), severing the window into two independent
 halves, a matrix-free application of the five-term difference
 expression for cross-checking rows of U, the window's V and W* in LAPACK
-band storage, and from them a banded solve for the diagonal block of
-(U_h + z)(U_h - z)^{-1} at the cut of a half window, which never forms U_h.
+band storage, and from them one banded solve for any m x m block of the
+resolvent (U_s - z)^{-1} of the window or of a half window cut at k0,
+which never forms U_s. The half-window m-functions and the Green oracle
+both read their blocks from it.
 """
 
 from __future__ import annotations
@@ -24,6 +26,7 @@ import scipy.linalg
 
 from .coefficients import (
     CoefficientKind,
+    DefectPair,
     VerblunskySequence,
     _as_square,
     is_unitary,
@@ -195,48 +198,64 @@ def band_storage(seq: VerblunskySequence) -> tuple:
 _gbsv = scipy.linalg.get_lapack_funcs("gbsv", dtype=complex)
 
 
-def cayley_block(seq: VerblunskySequence, k0: int, gamma: np.ndarray, sign: int,
-                 z: complex) -> np.ndarray:
-    """E* (U_h + z)(U_h - z)^{-1} E at the cut site k0 of a half window, never forming U_h.
+def resolvent_block(seq: VerblunskySequence, z: complex, k: int, kp: int,
+                    half: int | None = None, k0: int | None = None,
+                    gamma=None) -> np.ndarray:
+    """The m x m block E_k* (U_s - z)^{-1} E_kp by one banded solve, never forming U_s.
 
-    The half window holds sites k0 .. k_max - 1 with alpha_k0 := gamma
-    (sign > 0) or k_min .. k0 with alpha_{k0+1} := gamma (sign < 0); the
-    caller has checked k0, gamma and its size (weyl.m_function). W is
-    unitary, so (U_h + z)(U_h - z)^{-1} = I + 2z W* (V - z W*)^{-1}.
+    U_s is the window's U (half None) or a half window cut at k0: sites
+    k0 .. k_max - 1 with alpha_k0 := gamma (half > 0), or k_min .. k0 with
+    alpha_{k0+1} := gamma (half < 0). A half window must hold 4 sites or
+    more and gamma must be an m x m unitary; the caller checks that z is
+    finite and that k and kp are sites of U_s. W is unitary, so
+    (U_s - z)^{-1} = W* (V - z W*)^{-1}.
 
-    The half window's V and W* are a column slice of seq.bands in which
-    only the cut block's corner at k0 differs: gamma* (plus) or -gamma
-    (minus). Its entries coupling to the sites cut off fall in the corner of
-    the band layout outside the matrix, which gbsv never reads. One gbsv
-    call gives X = (V - z W*)^{-1} E, and the block is I + 2z (W E)* X.
+    A half window's V and W* are a column slice of seq.bands in which only
+    the cut block's corner at k0 differs: gamma* (plus) or -gamma (minus).
+    Its entries coupling to the sites cut off fall in the corner of the
+    band layout outside the matrix, which gbsv never reads. One gbsv call
+    gives X = (V - z W*)^{-1} E_kp, and the block is (W E_k)* X.
     Raises SingularSolve when the solve fails or overflows.
     """
     m, b = seq.m, 2 * seq.m - 1
-    i = (k0 - seq.k_min) * m                  # first column of site k0 in seq
-    if sign > 0:
-        lo, hi, cut, corner = i, m * seq.n_sites, k0, gamma.conj().T
-    else:
-        lo, hi, cut, corner = 0, i + m, k0 + 1, -gamma
-    V, W_star = (band[:, lo:hi] for band in seq.bands)
+    V, W_star = seq.bands
+    lo, hi = 0, m * seq.n_sites               # the columns of U_s in seq
     q = np.arange(m)
-    rows, cols = 2 * b + q[:, None] - q, i - lo + q    # the diagonal block at k0
-    if cut % 2 == 0:                          # the cut block lives in V
-        V = V.copy(order="F")
-        V[rows, cols] = corner
-    else:                                     # in W, so W* holds its adjoint
-        W_star = W_star.copy(order="F")
-        W_star[rows, cols] = corner.conj().T
-    E = np.eye(hi - lo, m, lo - i, dtype=complex)
+    if half is not None:
+        lo_k, hi_k = (k0, seq.k_max) if half > 0 else (seq.k_min, k0 + 1)
+        if not seq.k_min <= lo_k < hi_k - 3 <= seq.k_max - 3:
+            raise SiteOutOfWindow(f"half window [{lo_k}, {hi_k}] of [{seq.k_min}, "
+                                  f"{seq.k_max}] must hold 4 sites or more")
+        gamma = _as_square(gamma)
+        if not is_unitary(gamma):
+            raise NotUnitary("boundary unitary gamma is not unitary")
+        if gamma.shape != (m, m):
+            raise DimensionMismatch(f"gamma must be {m}x{m}, got {gamma.shape}")
+        i = (k0 - seq.k_min) * m              # first column of site k0 in seq
+        if half > 0:
+            lo, cut, corner = i, k0, gamma.conj().T
+        else:
+            hi, cut, corner = i + m, k0 + 1, -gamma
+        V, W_star = V[:, lo:hi], W_star[:, lo:hi]
+        rows, cols = 2 * b + q[:, None] - q, i - lo + q    # the diagonal block at k0
+        if cut % 2 == 0:                      # the cut block lives in V
+            V = V.copy(order="F")
+            V[rows, cols] = corner
+        else:                                 # in W, so W* holds its adjoint
+            W_star = W_star.copy(order="F")
+            W_star[rows, cols] = corner.conj().T
+    j, jp = ((site - seq.k_min) * m - lo for site in (k, kp))   # first columns in U_s
+    E = np.eye(hi - lo, m, -jp, dtype=complex)
     _, _, X, info = _gbsv(b, b, V - z * W_star, E, overwrite_ab=True)
     if info != 0:
         raise SingularSolve(f"resolvent solve failed at z = {z}")
     if not np.all(np.isfinite(X)):
         raise SingularSolve(f"resolvent solve overflowed at z = {z}")
-    # W E at column c is conj W*(k0, c), which sits within one site of k0
-    c = np.arange(max(i - lo - m, 0), min(i - lo + 2 * m, hi - lo))[:, None]
+    # W E_k at column c is conj W*(k, c), which sits within one site of k
+    c = np.arange(max(j - m, 0), min(j + 2 * m, hi - lo))[:, None]
     W_k = np.zeros((hi - lo, m), dtype=complex)
-    W_k[c, q] = W_star[2 * b + i - lo + q - c, c].conj()
-    return np.eye(m) + 2.0 * z * (W_k.conj().T @ X)
+    W_k[c, q] = W_star[2 * b + j + q - c, c].conj()
+    return W_k.conj().T @ X
 
 
 def assemble_split(seq: VerblunskySequence, spec: SplitSpec) -> CmvOperatorSet:
@@ -267,23 +286,26 @@ def five_term_coefficients(seq: VerblunskySequence, k: int):
             f"site {k} needs coefficients {k - 1}..{k + 2} inside "
             f"[{seq.k_min}, {seq.k_max}]"
         )
-    m = seq.m
-    zero = np.zeros((m, m), dtype=complex)
+    A, i = seq.arrays, k - seq.k_min - 1       # interior site j in row j - k_min - 1
+    zero = np.zeros((seq.m, seq.m), dtype=complex)
     a_m1, a_0 = seq.alpha(k - 1), seq.alpha(k)
     a_p1, a_p2 = seq.alpha(k + 1), seq.alpha(k + 2)
-    d_m1, d_0, d_p1, d_p2 = (seq.alphas[j].defects for j in range(k - 1, k + 3))
+    rho_0, rho_tilde_p1 = A.rho[i], A.rho_tilde[i + 1]
+    # the unitary endpoints have zero defects, as in the assembled U
+    rho_m1 = A.rho[i - 1] if k - 1 > seq.k_min else zero
+    rho_tilde_p2 = A.rho_tilde[i + 2] if k + 2 < seq.k_max else zero
     if k % 2 == 0:
-        c_mm = d_0.rho @ d_m1.rho
-        c_m = d_0.rho @ a_m1.conj().T
+        c_mm = rho_0 @ rho_m1
+        c_m = rho_0 @ a_m1.conj().T
         c_0 = -a_0.conj().T @ a_p1
-        c_p = a_0.conj().T @ d_p1.rho_tilde
+        c_p = a_0.conj().T @ rho_tilde_p1
         c_pp = zero
     else:
         c_mm = zero
-        c_m = -a_p1 @ d_0.rho
+        c_m = -a_p1 @ rho_0
         c_0 = -a_p1 @ a_0.conj().T
-        c_p = -d_p1.rho_tilde @ a_p2
-        c_pp = d_p1.rho_tilde @ d_p2.rho_tilde
+        c_p = -rho_tilde_p1 @ a_p2
+        c_pp = rho_tilde_p1 @ rho_tilde_p2
     return c_mm, c_m, c_0, c_p, c_pp
 
 
@@ -332,9 +354,8 @@ def operator_difference_block(seq: VerblunskySequence, spec: SplitSpec) -> np.nd
     """
     if not (seq.k_min < spec.k0 < seq.k_max):
         raise SplitOutOfWindow(f"site {spec.k0} is not interior to the window")
-    m = seq.m
-    c = seq.alphas[spec.k0]
-    block = theta_block(c.value, c.defects)
+    m, A, i = seq.m, seq.arrays, spec.k0 - seq.k_min - 1
+    block = theta_block(A.alpha[i], DefectPair(rho=A.rho[i], rho_tilde=A.rho_tilde[i]))
     block[:m, :m] += spec.gamma_left
     block[m:, m:] -= spec.gamma_right.conj().T
     return block

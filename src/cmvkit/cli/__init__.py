@@ -367,7 +367,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--grid", default=None, metavar="R1,R2,NTHETA")
     p.set_defaults(func=cmd_mfun)
 
-    p = sub.add_parser("green", help="Green's kernel entries vs dense oracle")
+    p = sub.add_parser("green", help="Green's kernel entries vs the banded oracle")
     p.add_argument("--in", dest="infile", required=True)
     p.add_argument("--k0", type=int, required=True)
     p.add_argument("--gamma", default=None)

@@ -10,9 +10,11 @@ rho = (I - alpha* alpha)^(1/2) and rho~ = (I - alpha alpha*)^(1/2),
 the 2m x 2m orthogonal building block built from a single coefficient,
 singular value factorizations, unitary square roots, and two-sided
 unitary gauge transforms of whole sequences. Each sequence stacks its
-interior algebra by site once (SequenceArrays) for transfers and assembly,
-and keeps its V and W* in band storage once (bands) for the half-window
-m-functions, which slice it rather than build sub-windows.
+interior algebra by site once (SequenceArrays, one batched pass over the
+stacked coefficients) for transfers and assembly, and keeps its V and W*
+in band storage once (bands) for the resolvent blocks behind the
+m-functions and the Green oracle, which slice it rather than build
+sub-windows.
 """
 
 from __future__ import annotations
@@ -75,9 +77,6 @@ class VerblunskyCoefficient:
 
     value : complex m x m array, stored as a read-only copy
     kind  : CONTRACTIVE for interior sites, UNITARY for window endpoints
-
-    The defect pair and its inverses do not depend on z; each is computed
-    on first use and kept, so every sequence sharing this object shares it.
     """
 
     value: np.ndarray
@@ -99,16 +98,6 @@ class VerblunskyCoefficient:
     @property
     def m(self) -> int:
         return self.value.shape[0]
-
-    @cached_property
-    def defects(self) -> "DefectPair":
-        return _defects_raw(self.value)
-
-    @cached_property
-    def inverse_defects(self) -> "DefectPair":
-        """(rho^-1, rho_tilde^-1); defined for contractive coefficients only."""
-        d = self.defects
-        return DefectPair(rho=np.linalg.inv(d.rho), rho_tilde=np.linalg.inv(d.rho_tilde))
 
 
 def contractive(value) -> VerblunskyCoefficient:
@@ -201,14 +190,11 @@ class VerblunskySequence:
 
     @cached_property
     def arrays(self) -> "SequenceArrays":
-        """Interior algebra stacked by site, from each coefficient's cached defects."""
-        inner = [self.alphas[k] for k in range(self.k_min + 1, self.k_max)]
-        alpha = np.stack([c.value for c in inner])
-        rho_inv = np.stack([c.inverse_defects.rho for c in inner])
-        rho_tilde_inv = np.stack([c.inverse_defects.rho_tilde for c in inner])
-        return SequenceArrays(alpha, np.stack([c.defects.rho for c in inner]),
-                              np.stack([c.defects.rho_tilde for c in inner]),
-                              rho_inv, rho_tilde_inv,
+        """Interior algebra stacked by site, factored in one batched pass."""
+        alpha = np.stack([self.alphas[k].value for k in range(self.k_min + 1, self.k_max)])
+        d = _defects_raw(alpha)
+        rho_inv, rho_tilde_inv = np.linalg.inv(d.rho), np.linalg.inv(d.rho_tilde)
+        return SequenceArrays(alpha, d.rho, d.rho_tilde, rho_inv, rho_tilde_inv,
                               rho_inv @ alpha.conj().transpose(0, 2, 1), rho_tilde_inv @ alpha)
 
     @cached_property
@@ -236,14 +222,10 @@ def sequence_from_values(values: dict, m: int | None = None) -> VerblunskySequen
 
 @dataclass(frozen=True)
 class DefectPair:
-    """Read-only positive roots rho = (I - a* a)^(1/2), rho_tilde = (I - a a*)^(1/2)."""
+    """Positive roots rho = (I - a* a)^(1/2), rho_tilde = (I - a a*)^(1/2); a may be a stack."""
 
     rho: np.ndarray
     rho_tilde: np.ndarray
-
-    def __post_init__(self):
-        self.rho.setflags(write=False)
-        self.rho_tilde.setflags(write=False)
 
 
 @dataclass(frozen=True)
@@ -281,16 +263,18 @@ class UnitaryFactorization:
 
 
 def _positive_root(h: np.ndarray) -> np.ndarray:
-    """Positive square root of a Hermitian PSD matrix, clipping roundoff."""
+    """Positive square roots of Hermitian PSD matrices (..., m, m), clipping roundoff."""
     w, q = np.linalg.eigh(h)
     w = np.sqrt(np.clip(w, 0.0, None))
-    return (q * w) @ q.conj().T
+    return (q * w[..., None, :]) @ q.conj().swapaxes(-1, -2)
 
 
 def _defects_raw(alpha: np.ndarray) -> DefectPair:
-    eye = np.eye(alpha.shape[0])
-    rho = _positive_root(eye - alpha.conj().T @ alpha)
-    rho_tilde = _positive_root(eye - alpha @ alpha.conj().T)
+    """rho and rho_tilde of one coefficient (m, m) or of a stack (..., m, m)."""
+    eye = np.eye(alpha.shape[-1])
+    alpha_star = alpha.conj().swapaxes(-1, -2)
+    rho = _positive_root(eye - alpha_star @ alpha)
+    rho_tilde = _positive_root(eye - alpha @ alpha_star)
     return DefectPair(rho=rho, rho_tilde=rho_tilde)
 
 

@@ -121,6 +121,11 @@ def solve(A: np.ndarray, B: np.ndarray, err: type = SingularFactor,
     return out
 
 
+def require_finite(z) -> complex:
+    """Coerce z to complex; reject a non-finite value."""
+    return require_off_circle(z, allow_zero=True, tol=0.0)
+
+
 def require_nonzero(z) -> complex:
     """Coerce z to complex; reject a non-finite value and exact zero."""
     return require_off_circle(z, tol=0.0)     # no z lies within 0 of the circle

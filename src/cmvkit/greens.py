@@ -4,7 +4,9 @@ Half-window resolvents factor into a polynomial family value at one
 site and a boundary-matched combination at the other; the full-window
 resolvent factors through both Weyl solutions and the inverse of their
 Wronskian. Each kernel here is an independent formula meant to be
-compared against a dense LU solve of the same finite operator.
+compared against the oracle dense_resolvent_entry, one banded solve of
+the same finite operator (assembly.resolvent_block) that propagates no
+solution; the tests check that solve against a dense LU.
 
 Scalar-only variants of the kernels, written with same-z values and a
 power-of-z prefactor instead of conjugated values, are provided as a
@@ -18,11 +20,10 @@ from enum import Enum
 
 import numpy as np
 
-from .assembly import assemble
+from .assembly import resolvent_block
 from .coefficients import VerblunskySequence, principal_unitary_sqrt
 from .errors import (
     MatrixCaseUnsupported,
-    SingularSolve,
     SingularWronskian,
     SiteOutOfWindow,
     require_off_circle,
@@ -34,7 +35,7 @@ from .laurent import (
     propagate,
     seed_family,
 )
-from .weyl import half_window_sequence, m_function, weyl_solutions
+from .weyl import m_function, weyl_solutions
 
 
 class GreensBranch(Enum):
@@ -92,18 +93,20 @@ def _half_range(seq: VerblunskySequence, k0: int, sign: int):
     return seq.k_min, k0
 
 
-def _check_half_sites(seq: VerblunskySequence, k0: int, sign: int, *sites):
-    lo, hi = _half_range(seq, k0, sign)
+def _check_sites(seq: VerblunskySequence, k0: int, sign: int | None, *sites):
+    """Every site lies in the half window of sign at k0, or in the window when sign is None."""
+    lo, hi = (seq.k_min, seq.k_max - 1) if sign is None else _half_range(seq, k0, sign)
+    where = "window" if sign is None else "half-window"
     for site in sites:
         if not lo <= site <= hi:
-            raise SiteOutOfWindow(f"site {site} outside the half-window [{lo}, {hi}]")
+            raise SiteOutOfWindow(f"site {site} outside the {where} [{lo}, {hi}]")
 
 
 def _half_family(seq, k0, gamma, z, sign, gamma_sqrt, *sites):
     """Family seeded at k0 and propagated outward just far enough to cover sites."""
     fam = seed_family(gamma, z, k0, sign, gamma_sqrt=gamma_sqrt)
-    fam = propagate(seq, fam, min(sites))
-    return propagate(seq, fam, max(sites))
+    # a half window's sites lie on one side of k0: reaching the farthest covers all
+    return propagate(seq, fam, max(sites, key=lambda site: abs(site - k0)))
 
 
 def half_lattice_green(seq: VerblunskySequence, k0: int, gamma, z,
@@ -124,7 +127,7 @@ def half_lattice_green(seq: VerblunskySequence, k0: int, gamma, z,
     sign = _norm_sign(sign)
     z = require_off_circle(z)
     zc = 1.0 / np.conj(z)
-    _check_half_sites(seq, k0, sign, k, kp)
+    _check_sites(seq, k0, sign, k, kp)
     gamma_sqrt = principal_unitary_sqrt(gamma) if gamma_sqrt is None else gamma_sqrt
     fam_z = _half_family(seq, k0, gamma, z, sign, gamma_sqrt, k, kp)
     fam_c = _half_family(seq, k0, gamma, zc, sign, gamma_sqrt, k, kp)
@@ -192,19 +195,17 @@ def full_lattice_green(seq: VerblunskySequence, k0: int, gamma, z,
 def dense_resolvent_entry(seq: VerblunskySequence, z, k: int, kp: int,
                           half=None, k0: int | None = None,
                           gamma=None) -> np.ndarray:
-    """Oracle block of (U - z)^{-1} by a dense LU solve.
+    """Oracle block of (U - z)^{-1} by one banded solve (assembly.resolvent_block).
 
-    With half set to +1/-1 (and k0, gamma given) the half-window
-    operator is assembled instead of the full one.
+    With half set to +1/-1 (and k0, gamma given) the block is that of the
+    half-window operator instead of the full one. It propagates no solution
+    family, so it checks the factorized kernels; m_function reads
+    G(k0, k0) from the same solve. No dense matrix is formed.
     """
     z = require_off_circle(z, allow_zero=True)
-    if half is None:
-        ops = assemble(seq)
-    else:
-        ops = assemble(half_window_sequence(seq, k0, gamma, half))
-    n = ops.U.shape[0]
-    X = solve(ops.U - z * np.eye(n), np.eye(n), SingularSolve)
-    return X[ops.site_slice(k), ops.site_slice(kp)]
+    sign = None if half is None else _norm_sign(half)
+    _check_sites(seq, k0, sign, k, kp)
+    return resolvent_block(seq, z, k, kp, sign, k0, gamma)
 
 
 def half_green_scalar_prefactor(seq: VerblunskySequence, k0: int, gamma, z,
@@ -224,7 +225,7 @@ def half_green_scalar_prefactor(seq: VerblunskySequence, k0: int, gamma, z,
         raise MatrixCaseUnsupported("prefactor kernels are scalar-only")
     sign = _norm_sign(sign)
     z = require_off_circle(z)
-    _check_half_sites(seq, k0, sign, k, kp)
+    _check_sites(seq, k0, sign, k, kp)
     m_val = m_function(seq, k0, gamma, z, sign)[0, 0]
     fam = _half_family(seq, k0, gamma, z, sign, None, k, kp)
     exponent = k0 % 2 if sign == PLUS else (k0 + 1) % 2

@@ -33,6 +33,7 @@ from .coefficients import (
 from .errors import (
     CmvError,
     MatrixCaseUnsupported,
+    NotFinite,
     NotUnitary,
     OutOfRange,
     PathLeavesWindow,
@@ -188,7 +189,8 @@ def propagate(seq: VerblunskySequence, family: SolutionFamily,
     columns (P; R) and (Q; S) obey the same recursion. It moves forward
     with transfer matrices and backward with their explicit inverses, one
     2m x 2m product per site, the path's matrices built as one stack.
-    Already-covered sites are kept as stored.
+    Already-covered sites are kept as stored. Raises NotFinite when a
+    propagated value overflows.
     """
     if not seq.k_min <= k_target <= seq.k_max - 1:
         raise PathLeavesWindow(
@@ -204,14 +206,18 @@ def propagate(seq: VerblunskySequence, family: SolutionFamily,
     kept[:, :m, :m], kept[:, :m, m:] = family.P, family.Q
     kept[:, m:, :m], kept[:, m:, m:] = family.R, family.S
     sites = list(X)
-    if new_hi > family.k_hi:
-        steps = _transfers(seq, family.z, family.k_hi + 1, new_hi)
-        for T, i in zip(steps, range(family.k_hi + 1 - new_lo, len(sites))):
-            np.matmul(T, sites[i - 1], out=sites[i])
-    if new_lo < family.k_lo:
-        steps = _transfers(seq, family.z, new_lo + 1, family.k_lo, inverse=True)
-        for Ti, i in zip(steps[::-1], range(family.k_lo - new_lo, 0, -1)):
-            np.matmul(Ti, sites[i], out=sites[i - 1])
+    with np.errstate(over="ignore", invalid="ignore"):    # reported below as NotFinite
+        if new_hi > family.k_hi:
+            steps = _transfers(seq, family.z, family.k_hi + 1, new_hi)
+            for T, i in zip(steps, range(family.k_hi + 1 - new_lo, len(sites))):
+                np.matmul(T, sites[i - 1], out=sites[i])
+        if new_lo < family.k_lo:
+            steps = _transfers(seq, family.z, new_lo + 1, family.k_lo, inverse=True)
+            for Ti, i in zip(steps[::-1], range(family.k_lo - new_lo, 0, -1)):
+                np.matmul(Ti, sites[i], out=sites[i - 1])
+    if not np.all(np.isfinite(X)):
+        raise NotFinite(f"solution family overflows on sites {new_lo}..{new_hi} "
+                        f"at z = {family.z}")
     return replace(family, k_lo=new_lo, P=X[:, :m, :m], R=X[:, m:, :m],
                    Q=X[:, :m, m:], S=X[:, m:, m:])
 

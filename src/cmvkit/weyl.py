@@ -7,9 +7,11 @@ The m-function of a half-window operator at its reference site k0 is
 with E the coordinate injection at k0. The plus operator lives on sites
 [k0, k_max - 1] with the boundary unitary gamma installed at k0; the
 minus operator lives on [k_min, k0] with gamma installed at k0 + 1.
-Neither U_h = V W nor the half window's sequence is formed: since
-(U_h + z)(U_h - z)^{-1} = I + 2z W*(V - z W*)^{-1}, one banded solve of
-the pencil V - z W*, sliced from seq.bands, gives m (assembly.cayley_block).
+Since (U_h + z)(U_h - z)^{-1} = I + 2z (U_h - z)^{-1}, m is the resolvent
+block G(k0, k0) of the half window, m = +/- (I + 2z G(k0, k0)). It comes
+from assembly.resolvent_block, the one banded solve of the pencil
+V - z W* sliced from seq.bands that also serves the Green oracle; neither
+U_h = V W nor the half window's sequence is formed.
 
 M_plus coincides with m_plus. M_minus is a Cayley-type transform of
 m_minus; both directions of that transform, its z = 0 closed form, the
@@ -24,16 +26,13 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import cayley_block
+from .assembly import resolvent_block
 from .coefficients import (
     VerblunskySequence,
     _as_square,
-    is_unitary,
     principal_unitary_sqrt,
 )
 from .errors import (
-    DimensionMismatch,
-    NotUnitary,
     SingularSolutionValue,
     SiteOutOfWindow,
     require_nonzero,
@@ -52,24 +51,13 @@ from .laurent import (
 )
 
 
-def half_window_sequence(seq: VerblunskySequence, k0: int, gamma,
-                         sign) -> VerblunskySequence:
-    """Coefficient window realizing the half-lattice operator.
-
-    Sign +: [k0, k_max] with alpha_k0 := gamma (sites k0 .. k_max - 1).
-    Sign -: [k_min, k0 + 1] with alpha_{k0+1} := gamma (sites up to k0).
-    """
-    if _norm_sign(sign) == PLUS:
-        return seq.restrict(k0, seq.k_max, left=gamma)
-    return seq.restrict(seq.k_min, k0 + 1, right=gamma)
-
-
 def m_function(seq: VerblunskySequence, k0: int, gamma, z, sign,
                gamma_sqrt=None) -> np.ndarray:
     """Half-lattice m-function at the reference site, by a banded pencil solve.
 
-    The raw sandwich +/- E*(U_h + z)(U_h - z)^{-1} E (assembly.cayley_block,
-    which slices V - z W* from seq.bands and never forms U_h) carries the
+    The raw sandwich +/- E*(U_h + z)(U_h - z)^{-1} E = +/- (I + 2z G(k0, k0)),
+    with G(k0, k0) from assembly.resolvent_block (which slices V - z W* from
+    seq.bands and never forms U_h), carries the
     boundary unitary in a frame that differs from the Laurent families by
     a one-sided square root of gamma.  To keep every downstream identity
     (boundary matching, Green kernels, Wronskians) in a single convention,
@@ -99,17 +87,9 @@ def m_function(seq: VerblunskySequence, k0: int, gamma, z, sign,
     """
     sign = _norm_sign(sign)
     z = require_off_circle(z, allow_zero=True)
-    lo, hi = (k0, seq.k_max) if sign == PLUS else (seq.k_min, k0 + 1)
-    if not seq.k_min <= lo < hi - 3 <= seq.k_max - 3:
-        raise SiteOutOfWindow(f"half window [{lo}, {hi}] of [{seq.k_min}, {seq.k_max}] "
-                              "must hold 4 sites or more")
-    g = _as_square(gamma)
-    if not is_unitary(g):
-        raise NotUnitary("boundary unitary gamma is not unitary")
-    if g.shape != (seq.m, seq.m):
-        raise DimensionMismatch(f"gamma must be {seq.m}x{seq.m}, got {g.shape}")
-    raw = float(sign) * cayley_block(seq, k0, g, sign, z)
-    gh = principal_unitary_sqrt(g) if gamma_sqrt is None else np.asarray(
+    G = resolvent_block(seq, z, k0, k0, sign, k0, gamma)
+    raw = float(sign) * (np.eye(seq.m) + 2.0 * z * G)
+    gh = principal_unitary_sqrt(gamma) if gamma_sqrt is None else np.asarray(
         gamma_sqrt, dtype=complex)
     ghi = gh.conj().T
     if k0 % 2 == 0:

@@ -15,7 +15,7 @@ from cmvkit.analytic import (
     reflect,
     uniform_grid_measure,
 )
-from cmvkit.errors import SingularFactor
+from cmvkit.errors import NotFinite, SingularFactor
 
 
 def random_measure(seed, m=2, n=5):
@@ -124,6 +124,20 @@ def test_reflect_pairs_point_and_value():
     np.testing.assert_allclose(Fb, F, atol=0)
     with pytest.raises(ValueError, match="no finite reflection"):
         reflect(0.0, F)
+
+
+@pytest.mark.parametrize("z", [complex("nan"), complex("inf"), float("nan")])
+def test_non_finite_z_is_rejected(z):
+    """Any finite z is a point of the toolbox, on the circle and 0 included."""
+    mu = uniform_grid_measure(4)
+    for finite in (0.0, np.exp(0.25j * np.pi)):
+        assert np.all(np.isfinite(herglotz_eval(mu, finite)))
+    with pytest.raises(NotFinite):
+        herglotz_eval(mu, z)
+    with pytest.raises(NotFinite):
+        is_caratheodory([(0.5, [[1.0]]), (z, [[1.0]])])
+    with pytest.raises(NotFinite):
+        reflect(z, np.eye(1))
 
 
 @settings(max_examples=30, deadline=None)

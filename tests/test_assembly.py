@@ -10,6 +10,7 @@ from cmvkit.assembly import (
     apply_difference,
     assemble,
     assemble_split,
+    five_term_coefficients,
     operator_difference_block,
 )
 from cmvkit.coefficients import sequence_from_values, theta_block
@@ -185,6 +186,17 @@ def test_apply_difference_matches_dense():
         for i, k in enumerate(k_range):
             np.testing.assert_allclose(got[i], want[ops.site_slice(k)],
                                        atol=1e-13)
+
+
+def test_stencil_has_zero_defects_at_unitary_endpoints():
+    """Next to a unitary endpoint the stencil term reaching past the window is
+    exactly zero, as in U: c_mm at k_min + 1 = 2 (k_min odd) and c_pp at
+    k_max - 2 = 13 (k_min even)."""
+    seq = generate(EnsembleSpec(m=2, k_min=0, k_max=16, seed=3))
+    g = random_unitary(np.random.default_rng(5), 2)
+    for window, k, term in ((seq.restrict(1, 16, left=g), 2, 0),
+                            (seq.restrict(0, 15, right=g), 13, 4)):
+        assert np.array_equal(five_term_coefficients(window, k)[term], np.zeros((2, 2)))
 
 
 def test_apply_difference_free_stencil():

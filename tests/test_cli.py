@@ -193,6 +193,21 @@ def test_green_csv_residuals(tmp_path, capsys):
         assert all(float(r[-1]) < 1e-9 for r in rows[1:])
 
 
+def test_green_runs_past_the_dense_row_cap(tmp_path, capsys):
+    """m = 2 on 300 sites: 600 rows, past the 512 that dense assembly allows."""
+    seq_file = str(tmp_path / "seq.json")
+    run(capsys, "gen", "--seed", "5", "--m", "2", "--window", "0,300", "--out", seq_file)
+    pairs_file = tmp_path / "pairs.csv"
+    pairs_file.write_text("k,kp\n150,150\n151,154\n156,152\n")
+    for extra in ([], ["--half", "+"]):
+        code, out, _ = run(capsys, "green", "--in", seq_file, "--k0", "150",
+                           "--z", "0.4,0.2", "--pairs", str(pairs_file), *extra)
+        assert code == 0
+        rows = list(csv.reader(io.StringIO(out)))
+        assert len(rows) == 1 + 3 * 4
+        assert all(float(r[-1]) < 1e-9 for r in rows[1:])
+
+
 def test_analytic_exit_codes(tmp_path, capsys):
     rng = np.random.default_rng(0)
     G = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
@@ -303,6 +318,7 @@ BAD_INPUTS = {
     "mfun-z-inf": ("mfun", *_SEQ, "--k0", "6", "--z", "inf,0"),
     "laurent-z-zero": ("laurent", *_SEQ, "--k0", "6", "--z", "0,0"),
     "laurent-z-nan": ("laurent", *_SEQ, "--k0", "6", "--z", "nan,0"),
+    "laurent-z-overflows": ("laurent", *_SEQ, "--k0", "6", "--z", "1e200,0"),
     "assemble-split-outside": ("assemble", *_SEQ, "--split", "99"),
     "decouple-s-count": ("decouple", *_SEQ, "--k0", "6", "--s", "1,2"),
     "decouple-s-not-number": ("decouple", *_SEQ, "--k0", "6", "--s", "1,x"),

@@ -28,7 +28,7 @@ from cmvkit.coefficients import (
 )
 from cmvkit.cli.ensembles import EnsembleSpec, generate, random_unitary
 from cmvkit.laurent import MINUS, PLUS
-from cmvkit.weyl import half_window_sequence, m_function
+from cmvkit.weyl import m_function
 
 
 def random_contraction(rng, m, norm):
@@ -166,7 +166,7 @@ def test_sequence_restrict_and_replace():
 
 
 def test_coefficient_value_is_a_frozen_copy():
-    """Stored values cannot change, so their cached defects cannot go stale."""
+    """Stored values cannot change, so the algebra stacked from them cannot go stale."""
     src = np.array([[0.3, 0.1j], [0.0, 0.2]])
     c = contractive(src)
     assert c.value is not src
@@ -177,14 +177,10 @@ def test_coefficient_value_is_a_frozen_copy():
         seq.alpha(3)[0, 0] = 0.0
     with pytest.raises(ValueError, match="read-only"):
         seq.alpha(0)[:] = 0.0
-    c = seq.alphas[3]
-    for cached in (c.defects.rho, c.inverse_defects.rho_tilde):
-        with pytest.raises(ValueError, match="read-only"):
-            cached[0, 0] = 0.0
 
 
 def test_sub_windows_share_coefficient_objects():
-    """restrict, replace and half windows reuse the parent's coefficients."""
+    """restrict (also to half windows) and replace reuse the parent's coefficients."""
     seq = generate(EnsembleSpec(m=2, k_min=0, k_max=12, seed=21))
     g = random_unitary(np.random.default_rng(22), 2)
     k0 = 6
@@ -192,15 +188,12 @@ def test_sub_windows_share_coefficient_objects():
         (seq.restrict(2, 9, left=g, right=g), range(3, 9)),
         (seq.replace(5, contractive(np.zeros((2, 2)))),
          [k for k in range(1, 12) if k != 5]),
-        (half_window_sequence(seq, k0, g, PLUS), range(k0 + 1, 12)),
-        (half_window_sequence(seq, k0, g, MINUS), range(1, k0 + 1)),
+        (seq.restrict(k0, 12, left=g), range(k0 + 1, 12)),
+        (seq.restrict(0, k0 + 1, right=g), range(1, k0 + 1)),
     )
     for view, interior in views:
         for k in interior:
             assert view.alphas[k] is seq.alphas[k]
-    # so the cached defect algebra is shared as well
-    half = views[2][0]
-    assert half.alphas[k0 + 2].defects is seq.alphas[k0 + 2].defects
 
 
 FIELDS = ("alpha", "rho", "rho_tilde", "rho_inv", "rho_tilde_inv",
@@ -212,8 +205,7 @@ def test_restricted_arrays_equal_a_fresh_stack():
     seq = generate(EnsembleSpec(m=2, k_min=-1, k_max=15, seed=23))
     g = random_unitary(np.random.default_rng(24), 2)
     views = (seq.restrict(2, 9, left=g, right=g), seq.restrict(0, 15, left=g),
-             half_window_sequence(seq, 7, g, PLUS),
-             half_window_sequence(seq, 7, g, MINUS))
+             seq.restrict(7, 15, left=g), seq.restrict(-1, 8, right=g))
     for view in views:
         fresh = VerblunskySequence(view.m, view.k_min, view.k_max, dict(view.alphas))
         for name in FIELDS:

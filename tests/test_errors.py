@@ -16,6 +16,7 @@ from cmvkit.errors import (
     SingularFactor,
     SingularWronskian,
     SiteOutOfWindow,
+    require_finite,
     require_nonzero,
     require_off_circle,
     solve,
@@ -79,6 +80,8 @@ def test_solve_is_typed_on_both_sides():
 def test_non_finite_z_is_rejected(z):
     with pytest.raises(NotFinite):
         require_nonzero(z)
+    with pytest.raises(NotFinite):
+        require_finite(z)
     for allow_zero in (False, True):
         with pytest.raises(NotFinite):
             require_off_circle(z, allow_zero=allow_zero)

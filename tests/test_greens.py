@@ -16,6 +16,7 @@ from cmvkit.greens import (
     wronskian,
     wronskian_symmetry_check,
 )
+from cmvkit.errors import SiteOutOfWindow
 from cmvkit.laurent import MINUS, PLUS, MatrixCaseUnsupported, window_family
 from cmvkit.weyl import weyl_solution
 from cmvkit.cli.ensembles import EnsembleSpec, generate, random_unitary
@@ -217,11 +218,18 @@ def test_half_kernel_branch_tags():
 
 
 def test_half_kernel_rejects_sites_outside_window():
+    """So does the oracle, for its half windows and for the whole window."""
     seq, g, k0 = make_case(1, 43)
     with pytest.raises(ValueError, match="outside the half-window"):
         half_lattice_green(seq, k0, g, 0.5, k0 - 1, k0, PLUS)
     with pytest.raises(ValueError, match="outside the half-window"):
         half_lattice_green(seq, k0, g, 0.5, k0, k0 + 1, MINUS)
+    for half, k, kp, where in ((PLUS, k0, k0 - 1, "half-window"),
+                               (MINUS, k0 + 1, k0, "half-window"),
+                               (None, seq.k_max, k0, "window"),
+                               (None, k0, seq.k_min - 1, "window")):
+        with pytest.raises(SiteOutOfWindow, match=f"outside the {where}"):
+            dense_resolvent_entry(seq, 0.5, k, kp, half=half, k0=k0, gamma=g)
 
 
 def test_full_kernel_matches_dense():

@@ -1,5 +1,7 @@
 """Transfer matrices, seeded solution families, and connection coefficients."""
 
+import warnings
+
 import numpy as np
 import pytest
 
@@ -20,12 +22,13 @@ from cmvkit.laurent import (
     window_family,
 )
 from cmvkit.coefficients import (
+    DefectPair,
     defect_matrices,
     principal_unitary_sqrt,
     sequence_from_values,
     theta_block,
 )
-from cmvkit.errors import ZeroZ
+from cmvkit.errors import NotFinite, ZeroZ
 from cmvkit.cli.ensembles import EnsembleSpec, generate, random_unitary
 
 
@@ -73,7 +76,8 @@ def _fresh_transfer_pair(alpha, z, k):
 
 @pytest.mark.parametrize("m", (1, 2))
 def test_cached_defects_match_fresh_recompute(m):
-    """Blocks built from the cached defect algebra equal a recompute exactly."""
+    """Blocks built from the sequence's cached, stacked defect algebra equal a
+    recompute exactly."""
     seq = generate(EnsembleSpec(m=m, k_min=0, k_max=12, seed=50 + m))
     g = random_unitary(np.random.default_rng(60 + m), m)
     z = complex(0.6 * np.exp(0.9j))
@@ -82,8 +86,8 @@ def test_cached_defects_match_fresh_recompute(m):
         want_T, want_Ti = _fresh_transfer_pair(seq.alpha(k), z, k)
         assert np.array_equal(transfer(seq, z, k), want_T)
         assert np.array_equal(transfer_inverse(seq, z, k), want_Ti)
-        c = seq.alphas[k]
-        assert np.array_equal(theta_block(c.value, c.defects),
+        A, i = seq.arrays, k - seq.k_min - 1
+        assert np.array_equal(theta_block(A.alpha[i], DefectPair(A.rho[i], A.rho_tilde[i])),
                               theta_block(seq.alpha(k).copy()))
 
 
@@ -104,6 +108,17 @@ def test_window_families_compute_each_defect_pair_once(monkeypatch):
             window_family(seq, g, z, 12, sign)
     n_interior = seq.k_max - seq.k_min - 1
     assert 0 < len(calls) <= n_interior
+
+
+def test_overflowing_family_raises_not_finite():
+    """z = 1e200 overflows the free family in both directions from k0 = 6; the
+    overflow is reported as NotFinite, not warned about and returned."""
+    seq = free_sequence()
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        for target in (0, 15):
+            with pytest.raises(NotFinite):
+                propagate(seq, seed_family(np.eye(1), 1e200, 6, PLUS), target)
 
 
 def test_transfer_needs_interior_site():

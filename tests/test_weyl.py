@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from cmvkit import assembly, coefficients
-from cmvkit.assembly import InvalidBoundary, assemble, cayley_block
+from cmvkit.assembly import InvalidBoundary, assemble, resolvent_block
 from cmvkit.greens import dense_resolvent_entry, full_green_entries, half_lattice_green
 from cmvkit.weyl import (
     M_from_schur,
@@ -15,7 +15,6 @@ from cmvkit.weyl import (
     M_minus_at_zero,
     M_minus_from_m_minus,
     M_minus_via_connection,
-    half_window_sequence,
     m_from_edge_condition,
     m_function,
     m_minus_from_M_minus,
@@ -259,9 +258,16 @@ SANDWICH_Z = (0.0, 0.4 * np.exp(0.9j), 0.99 * np.exp(2j), 1.01 * np.exp(-1j),
               2.2j)
 
 
+def half_window(seq, k0, g, sign):
+    """The half window at k0 built as its own sequence, gamma installed at the cut."""
+    if sign == PLUS:
+        return seq.restrict(k0, seq.k_max, left=g)
+    return seq.restrict(seq.k_min, k0 + 1, right=g)
+
+
 def dense_m(seq, k0, g, z, sign):
     """+/- E*(U + z)(U - z)^{-1} E from the dense half-window U, family frame."""
-    ops = assemble(half_window_sequence(seq, k0, g, sign))
+    ops = assemble(half_window(seq, k0, g, sign))
     n = ops.U.shape[0]
     E = np.zeros((n, seq.m), dtype=complex)
     E[ops.site_slice(k0)] = np.eye(seq.m)
@@ -292,13 +298,40 @@ def test_banded_m_matches_dense_sandwich():
                         want = dense_m(seq, k0, g, z, sign)
                         assert np.linalg.norm(got - want) \
                             <= 1e-12 * np.linalg.norm(want), (m, k_min, sign, k0, z)
-                    assert np.array_equal(cayley_block(seq, k0, g, sign, 0.0), np.eye(m))
+                    G = resolvent_block(seq, 0.0, k0, k0, sign, k0, g)
+                    assert np.array_equal(np.eye(m) + 2.0 * 0.0 * G, np.eye(m))
+
+
+def test_banded_oracle_matches_dense_lu():
+    """Every block of 30-site windows and of both their half windows, m = 1..3,
+    both k_min parities: the banded oracle equals a dense LU solve."""
+    for m in (1, 2, 3):
+        for k_min in (0, 1):
+            seq = generate(EnsembleSpec(m=m, k_min=k_min, k_max=k_min + 30,
+                                        seed=80 + 2 * m + k_min, radius_max=0.85))
+            g = random_unitary(np.random.default_rng(90 + 2 * m + k_min), m)
+            k0 = k_min + 15
+            windows = {None: seq, PLUS: half_window(seq, k0, g, PLUS),
+                       MINUS: half_window(seq, k0, g, MINUS)}
+            for half, win in windows.items():
+                ops = assemble(win)
+                n = ops.U.shape[0]
+                for z in SANDWICH_Z:
+                    dense = np.linalg.solve(ops.U - z * np.eye(n), np.eye(n))
+                    for k in win.sites:
+                        for kp in win.sites:
+                            got = dense_resolvent_entry(seq, z, k, kp, half=half,
+                                                        k0=k0, gamma=g)
+                            want = dense[ops.site_slice(k), ops.site_slice(kp)]
+                            assert np.linalg.norm(got - want) <= \
+                                1e-12 * max(np.linalg.norm(want), 1.0), (m, k_min, half, z, k, kp)
 
 
 def test_banded_m_has_no_dense_row_cap():
     """On parents of 400 and 1200 sites at m = 2, past the 512-row dense cap,
     each half window's m equals m on the half window built as its own
-    sequence, with the Caratheodory signs of the two halves."""
+    sequence, with the Caratheodory signs of the two halves; at 1200 sites
+    the oracle agrees with both kernels within 6 sites of k0."""
     for k_max, k0 in ((400, 201), (1200, 600)):
         seq = generate(EnsembleSpec(m=2, k_min=0, k_max=k_max, seed=k_max))
         g = random_unitary(np.random.default_rng(k_max + 1), 2)
@@ -311,6 +344,18 @@ def test_banded_m_has_no_dense_row_cap():
                 herm = np.linalg.eigvalsh((got + got.conj().T) / 2)
                 outward = sign * (1 if abs(z) < 1 else -1)
                 assert np.all(outward * herm >= -1e-10), (k_max, sign, z, herm)
+    z = 0.6 * np.exp(0.7j)
+    near = {PLUS: [(k0, k0), (k0 + 1, k0 + 4), (k0 + 6, k0 + 2), (k0 + 5, k0 + 5)],
+            MINUS: [(k0, k0), (k0 - 1, k0 - 4), (k0 - 6, k0 - 2), (k0 - 5, k0 - 5)]}
+    for sign, pairs in near.items():
+        for k, kp in pairs:
+            got = half_lattice_green(seq, k0, g, z, k, kp, sign).value
+            want = dense_resolvent_entry(seq, z, k, kp, half=sign, k0=k0, gamma=g)
+            assert np.linalg.norm(got - want) <= 1e-8 * np.linalg.norm(want), (sign, k, kp)
+    pairs = [(k0, k0), (k0 - 6, k0 + 6), (k0 + 6, k0 - 6), (k0 + 3, k0 - 1)]
+    for entry in full_green_entries(seq, k0, g, z, pairs):
+        want = dense_resolvent_entry(seq, z, entry.k, entry.kp)
+        assert np.linalg.norm(entry.value - want) <= 1e-8 * np.linalg.norm(want), entry
 
 
 def test_m_routes_build_no_sequence_after_the_first_call(monkeypatch):
@@ -388,7 +433,8 @@ def test_m_routes_never_assemble(monkeypatch):
     half_lattice_green(seq, 12, g, z, 9, 11, MINUS)
     assert calls == []
     dense_resolvent_entry(seq, z, 12, 13)
-    assert len(calls) == 1
+    dense_resolvent_entry(seq, z, 12, 15, half=PLUS, k0=12, gamma=g)
+    assert calls == []
 
 
 def test_non_unitary_half_window_edge_rejected():
