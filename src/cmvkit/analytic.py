@@ -14,7 +14,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .coefficients import _as_square
-from .errors import DimensionMismatch, InvalidMeasure, OutOfRange, ZAtAtom, ZeroZ
+from .errors import DimensionMismatch, InvalidMeasure, NotFinite, OutOfRange, ZAtAtom, ZeroZ
 from .errors import require_finite
 # The Cayley pair Phi = (F - I)(F + I)^{-1} and back has one implementation.
 from .weyl import M_from_schur as inverse_cayley, schur_from_M as cayley  # noqa: F401
@@ -27,65 +27,65 @@ CIRCLE_TOL = 1e-8
 class AtomicMeasure:
     """Finitely many PSD matrix weights on the unit circle.
 
-    atoms is a tuple of (zeta, weight) pairs with |zeta| = 1 and weight
-    an m x m positive semidefinite matrix; C is the Hermitian constant
-    entering through i C.
+    zetas is the (N,) array of atoms, all with |zeta| = 1, weights the
+    (N, m, m) stack of their positive semidefinite weights, and C the
+    Hermitian constant entering through i C. All three are read-only
+    copies, validated in one batched pass.
     """
 
-    atoms: tuple
+    zetas: np.ndarray
+    weights: np.ndarray
     C: np.ndarray
 
     def __post_init__(self):
-        C = _as_square(self.C)
+        C = _as_square(self.C).copy()
         if np.linalg.norm(C - C.conj().T) > PSD_TOL * max(1.0, np.linalg.norm(C)):
             raise InvalidMeasure("C must be Hermitian")
-        m = C.shape[0]
-        checked = []
-        for zeta, weight in self.atoms:
-            zeta = complex(zeta)
-            if abs(abs(zeta) - 1.0) > CIRCLE_TOL:
-                raise InvalidMeasure(f"atom at {zeta} is not on the unit circle")
-            w = _as_square(weight)
-            if w.shape != (m, m):
-                raise DimensionMismatch("atom weight size differs from C")
-            herm = (w + w.conj().T) / 2.0
-            if np.linalg.norm(w - herm) > PSD_TOL * max(1.0, np.linalg.norm(w)):
-                raise InvalidMeasure(f"weight at {zeta} is not Hermitian")
-            if np.linalg.eigvalsh(herm).min() < -PSD_TOL:
-                raise InvalidMeasure(f"weight at {zeta} is not positive semidefinite")
-            checked.append((zeta, w))
-        object.__setattr__(self, "atoms", tuple(checked))
-        object.__setattr__(self, "C", C)
+        zetas, w = (np.array(x, dtype=complex) for x in (self.zetas, self.weights))
+        if zetas.ndim != 1 or w.shape != (len(zetas), *C.shape):
+            raise DimensionMismatch(f"atom weight size differs from C: atoms {zetas.shape}, "
+                                    f"weights {w.shape}, C {C.shape}")
+        if not (np.isfinite(zetas).all() and np.isfinite(w).all()):
+            raise NotFinite("atoms and weights must be finite")
+        herm = (w + w.conj().swapaxes(1, 2)) / 2.0
+        for bad, what in (
+                (np.abs(np.abs(zetas) - 1.0) > CIRCLE_TOL, "atom at {} is not on the unit circle"),
+                (np.linalg.norm(w - herm, axis=(1, 2))
+                 > PSD_TOL * np.maximum(1.0, np.linalg.norm(w, axis=(1, 2))),
+                 "weight at {} is not Hermitian"),
+                (np.linalg.eigvalsh(herm).min(axis=1) < -PSD_TOL,
+                 "weight at {} is not positive semidefinite")):
+            if bad.any():
+                raise InvalidMeasure(what.format(zetas[np.argmax(bad)]))
+        for name, a in (("zetas", zetas), ("weights", w), ("C", C)):
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
 
     @property
     def m(self) -> int:
         return self.C.shape[0]
 
     def total_mass(self) -> np.ndarray:
-        return sum((w for _, w in self.atoms), np.zeros((self.m, self.m), dtype=complex))
+        return self.weights.sum(axis=0)
 
 
 def uniform_grid_measure(n: int, m: int = 1) -> AtomicMeasure:
     """Quadrature stand-in for normalized arc-length: n equal atoms."""
-    if n < 1:
-        raise OutOfRange("need at least one atom")
-    eye = np.eye(m, dtype=complex)
-    atoms = tuple(
-        (np.exp(2j * np.pi * j / n), eye / n) for j in range(n)
-    )
-    return AtomicMeasure(atoms=atoms, C=np.zeros((m, m), dtype=complex))
+    if n < 1 or m < 1:
+        raise OutOfRange(f"need at least one atom and m >= 1, got n={n}, m={m}")
+    return AtomicMeasure(zetas=np.exp(2j * np.pi * np.arange(n) / n),
+                         weights=np.broadcast_to(np.eye(m) / n, (n, m, m)),
+                         C=np.zeros((m, m), dtype=complex))
 
 
 def herglotz_eval(measure: AtomicMeasure, z) -> np.ndarray:
     """Evaluate i C + sum_j weight_j (zeta_j + z)/(zeta_j - z) at a finite z."""
     z = require_finite(z)
-    out = 1j * measure.C.astype(complex)
-    for zeta, weight in measure.atoms:
-        denom = zeta - z
-        if abs(denom) < 1e-12:
-            raise ZAtAtom(f"z = {z} coincides with the atom at {zeta}")
-        out = out + weight * ((zeta + z) / denom)
-    return out
+    denom = measure.zetas - z
+    at_atom = np.abs(denom) < 1e-12
+    if at_atom.any():
+        raise ZAtAtom(f"z = {z} coincides with the atom at {measure.zetas[np.argmax(at_atom)]}")
+    return 1j * measure.C + np.tensordot((measure.zetas + z) / denom, measure.weights, axes=1)
 
 
 @dataclass(frozen=True)

@@ -25,7 +25,6 @@ import numpy as np
 import scipy.linalg
 
 from .coefficients import (
-    CoefficientKind,
     DefectPair,
     VerblunskySequence,
     _as_square,
@@ -36,7 +35,6 @@ from .errors import (
     CmvError,
     DimensionMismatch,
     InsufficientPadding,
-    InvalidBoundary,
     NotUnitary,
     SingularSolve,
     SiteOutOfWindow,
@@ -112,18 +110,13 @@ def _placed_blocks(seq: VerblunskySequence, spec: SplitSpec | None = None):
     flattened, and V, W are _placement's (src, rows, cols) for the block
     entries inside the window that belong to V and to W.
     """
-    for k in (seq.k_min, seq.k_max):
-        if seq.kind(k) is not CoefficientKind.UNITARY:
-            raise InvalidBoundary(f"site {k}: endpoint coefficient must be unitary")
     n, m = seq.n_sites, seq.m
     A = seq.arrays
-    blocks = np.zeros((n + 1, 2 * m, 2 * m), dtype=complex)
-    blocks[1:-1, :m, :m] = -A.alpha
+    blocks = np.zeros((n + 1, 2 * m, 2 * m), dtype=complex)    # unitary ends: no defects
+    blocks[:, :m, :m] = -seq.values
     blocks[1:-1, :m, m:] = A.rho_tilde
     blocks[1:-1, m:, :m] = A.rho
-    blocks[1:-1, m:, m:] = A.alpha.conj().transpose(0, 2, 1)
-    for row, k in ((0, seq.k_min), (-1, seq.k_max)):   # unitary ends: no defects
-        blocks[row, :m, :m], blocks[row, m:, m:] = -seq.alpha(k), seq.alpha(k).conj().T
+    blocks[:, m:, m:] = seq.values.conj().transpose(0, 2, 1)
     if spec is not None:
         blocks[spec.k0 - seq.k_min] = scipy.linalg.block_diag(
             -spec.gamma_left, spec.gamma_right.conj().T)

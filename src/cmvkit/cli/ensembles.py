@@ -7,11 +7,7 @@ from enum import Enum
 
 import numpy as np
 
-from ..coefficients import (
-    VerblunskySequence,
-    contractive,
-    unitary,
-)
+from ..coefficients import VerblunskySequence
 from ..errors import OutOfRange
 
 MAX_RADIUS = 1.0 - 1e-8
@@ -41,6 +37,8 @@ class EnsembleSpec:
     def __post_init__(self):
         if self.m < 1:
             raise OutOfRange("block size m must be at least 1")
+        if self.k_max - self.k_min < 4:
+            raise OutOfRange(f"window [{self.k_min}, {self.k_max}]: need k_max - k_min >= 4")
         if not 0.0 < self.radius_max <= MAX_RADIUS:
             raise OutOfRange(f"radius_max must lie in (0, {MAX_RADIUS}]")
 
@@ -57,15 +55,15 @@ def _random_contraction(rng: np.random.Generator, m: int,
 def generate(spec: EnsembleSpec) -> VerblunskySequence:
     """Deterministic sequence from a spec: identity boundaries, sampled interior."""
     rng = np.random.default_rng(spec.seed)
-    eye = np.eye(spec.m, dtype=complex)
-    alphas = {spec.k_min: unitary(eye), spec.k_max: unitary(eye)}
-    for k in range(spec.k_min + 1, spec.k_max):
+    values = np.empty((spec.k_max - spec.k_min + 1, spec.m, spec.m), dtype=complex)
+    values[0] = values[-1] = np.eye(spec.m)
+    for row in range(1, len(values) - 1):
         if spec.distribution is Distribution.UNIFORM_DISK:
             target = spec.radius_max * np.sqrt(rng.uniform())
         else:
             target = spec.radius_max
-        alphas[k] = contractive(_random_contraction(rng, spec.m, target))
-    return VerblunskySequence(spec.m, spec.k_min, spec.k_max, alphas)
+        values[row] = _random_contraction(rng, spec.m, target)
+    return VerblunskySequence(spec.k_min, values)
 
 
 def random_unitary(rng: np.random.Generator, m: int) -> np.ndarray:

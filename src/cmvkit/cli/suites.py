@@ -475,14 +475,14 @@ def suite_analytic(spec: EnsembleSpec, tol: Tolerances):
     out = []
     rng = np.random.default_rng([spec.seed, 9, 0])
     m = spec.m
-    atoms = []
+    zetas, weights = [], []
     for j in range(6):
-        zeta = np.exp(2j * np.pi * rng.uniform())
+        zetas.append(np.exp(2j * np.pi * rng.uniform()))
         g = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
-        atoms.append((zeta, g @ g.conj().T / m))
+        weights.append(g @ g.conj().T / m)
     C = rng.standard_normal((m, m))
     C = C + C.T
-    measure = AtomicMeasure(atoms=tuple(atoms), C=C.astype(complex))
+    measure = AtomicMeasure(zetas=zetas, weights=weights, C=C.astype(complex))
 
     worst_rt = 0.0
     zs = [0.7 * np.exp(2j * np.pi * rng.uniform()) for _ in range(5)]
@@ -594,7 +594,7 @@ def run_suite(names, spec: EnsembleSpec,
     """Run the named suites and collect a report.
 
     Results are sorted by (suite, check) so the output does not depend
-    on the order of names; timing goes into meta only.
+    on the order of names; timing, total and per suite, goes into meta only.
     """
     tolerances = tolerances or Tolerances()
     for name in names:
@@ -603,11 +603,15 @@ def run_suite(names, spec: EnsembleSpec,
                 f"unknown suite {name!r}; available: {', '.join(sorted(SUITES))}"
             )
     start = time.perf_counter()
-    chunks = [SUITES[n](spec, tolerances) for n in names]
-    results = sorted((r for chunk in chunks for r in chunk),
-                     key=lambda r: (r.suite, r.check))
+    results, suite_seconds = [], {}
+    for name in names:
+        begin = time.perf_counter()
+        results += SUITES[name](spec, tolerances)
+        suite_seconds[name] = time.perf_counter() - begin
+    results.sort(key=lambda r: (r.suite, r.check))
     meta = {
         "runtime_seconds": time.perf_counter() - start,
+        "suite_seconds": suite_seconds,
         "seed": spec.seed,
         "m": spec.m,
         "window": [spec.k_min, spec.k_max],

@@ -3,18 +3,17 @@
 A sequence assigns to each lattice index k an m x m coefficient alpha_k.
 Interior coefficients are strict contractions (operator norm below one),
 while the two window endpoints hold unitary matrices that close the window
-off and keep every assembled operator exactly unitary.
+off and keep every assembled operator exactly unitary. A sequence holds its
+coefficients as one read-only stack; VerblunskyCoefficient is one coefficient.
 
 The helpers here compute the positive defect matrices
 rho = (I - alpha* alpha)^(1/2) and rho~ = (I - alpha alpha*)^(1/2),
 the 2m x 2m orthogonal building block built from a single coefficient,
 singular value factorizations, unitary square roots, and two-sided
-unitary gauge transforms of whole sequences. Each sequence stacks its
-interior algebra by site once (SequenceArrays, one batched pass over the
-stacked coefficients) for transfers and assembly, and keeps its V and W*
-in band storage once (bands) for the resolvent blocks behind the
-m-functions and the Green oracle, which slice it rather than build
-sub-windows.
+unitary gauge transforms of whole sequences. Each sequence factors its
+interior algebra once (SequenceArrays, one batched pass over the stack)
+for transfers and assembly, and keeps its V and W* in band storage once
+(bands) for the resolvent blocks behind the m-functions and the Green oracle.
 """
 
 from __future__ import annotations
@@ -112,49 +111,57 @@ def unitary(value) -> VerblunskyCoefficient:
 class VerblunskySequence:
     """Contiguous window k_min..k_max of coefficients, unitary at both ends.
 
-    The window of coefficients realizes an operator on the sites
-    k_min..k_max-1; the endpoint unitaries close the two cut edges.
+    values stacks alpha_{k_min}..alpha_{k_max} with shape (n + 1, m, m), alpha_k
+    in row k - k_min: a read-only copy, validated in one batched pass. It
+    realizes an operator on the sites k_min..k_max-1; the endpoint unitaries
+    close the two cut edges.
     """
 
-    m: int
     k_min: int
-    k_max: int
-    alphas: dict
+    values: np.ndarray
 
     def __post_init__(self):
-        if self.k_max - self.k_min < 4:
-            raise OutOfRange(
-                f"coefficient window [{self.k_min}, {self.k_max}] is too short; "
-                "need k_max - k_min >= 4"
-            )
-        for k in range(self.k_min, self.k_max + 1):
-            if k not in self.alphas:
-                raise MalformedInput(f"missing coefficient at site {k}")
-            c = self.alphas[k]
-            if not isinstance(c, VerblunskyCoefficient):
-                raise TypeError(f"site {k}: expected VerblunskyCoefficient")
-            if c.m != self.m:
-                raise DimensionMismatch(
-                    f"site {k}: block size {c.m} does not match m={self.m}"
-                )
-            boundary = k in (self.k_min, self.k_max)
-            if boundary and c.kind is not CoefficientKind.UNITARY:
+        a = np.array(self.values, dtype=complex)
+        if a.ndim != 3 or not 0 < a.shape[1] == a.shape[2]:
+            raise DimensionMismatch(f"expected a stack of square blocks, got shape {a.shape}")
+        k_max = self.k_min + len(a) - 1
+        if k_max - self.k_min < 4:
+            raise OutOfRange(f"coefficient window [{self.k_min}, {k_max}] is too short; "
+                             "need k_max - k_min >= 4")
+        bad = ~np.isfinite(a).all(axis=(1, 2))
+        if bad.any():
+            raise NotFinite(f"site {self.k_min + np.argmax(bad)}: matrix entries must be finite")
+        norms = np.linalg.norm(a[1:-1], 2, axis=(1, 2))
+        bad = ~(norms <= 1.0 - CONTRACTION_TOL)
+        if bad.any():
+            i = np.argmax(bad)
+            raise NotContractive(f"site {self.k_min + 1 + i}: coefficient norm "
+                                 f"{norms[i]:.3e} exceeds {1.0 - CONTRACTION_TOL}")
+        for k, end in ((self.k_min, a[0]), (k_max, a[-1])):
+            if not is_unitary(end):
                 raise NotUnitary(f"site {k}: window endpoint must be unitary")
-            if not boundary and c.kind is not CoefficientKind.CONTRACTIVE:
-                raise NotContractive(f"site {k}: interior coefficient must be contractive")
+        a.setflags(write=False)
+        object.__setattr__(self, "values", a)
+
+    @property
+    def m(self) -> int:
+        return self.values.shape[1]
+
+    @property
+    def k_max(self) -> int:
+        return self.k_min + len(self.values) - 1
 
     def alpha(self, k: int) -> np.ndarray:
-        return self._at(k).value
+        return self.values[self._row(k)]
 
     def kind(self, k: int) -> CoefficientKind:
-        return self._at(k).kind
+        end = self._row(k) in (0, self.n_sites)
+        return CoefficientKind.UNITARY if end else CoefficientKind.CONTRACTIVE
 
-    def _at(self, k: int) -> VerblunskyCoefficient:
-        try:
-            return self.alphas[k]
-        except KeyError:
-            raise SiteOutOfWindow(
-                f"site {k} outside the window [{self.k_min}, {self.k_max}]") from None
+    def _row(self, k: int) -> int:
+        if not self.k_min <= k <= self.k_max:
+            raise SiteOutOfWindow(f"site {k} outside the window [{self.k_min}, {self.k_max}]")
+        return k - self.k_min
 
     @property
     def n_sites(self) -> int:
@@ -167,9 +174,9 @@ class VerblunskySequence:
 
     def replace(self, k: int, coeff: VerblunskyCoefficient) -> "VerblunskySequence":
         """New sequence with the coefficient at k swapped out."""
-        alphas = dict(self.alphas)
-        alphas[k] = coeff
-        return VerblunskySequence(self.m, self.k_min, self.k_max, alphas)
+        values = self.values.copy()
+        values[self._row(k)] = _sized(k, coeff.value, self.m)
+        return VerblunskySequence(self.k_min, values)
 
     def restrict(self, k_lo: int, k_hi: int,
                  left=None, right=None) -> "VerblunskySequence":
@@ -181,17 +188,16 @@ class VerblunskySequence:
         if not (self.k_min <= k_lo < k_hi <= self.k_max):
             raise SiteOutOfWindow(
                 f"sub-window [{k_lo}, {k_hi}] leaves [{self.k_min}, {self.k_max}]")
-        alphas = {k: self.alphas[k] for k in range(k_lo, k_hi + 1)}
-        if left is not None:
-            alphas[k_lo] = unitary(left)
-        if right is not None:
-            alphas[k_hi] = unitary(right)
-        return VerblunskySequence(self.m, k_lo, k_hi, alphas)
+        values = self.values[k_lo - self.k_min:k_hi - self.k_min + 1].copy()
+        for row, k, end in ((0, k_lo, left), (-1, k_hi, right)):
+            if end is not None:
+                values[row] = _sized(k, end, self.m)
+        return VerblunskySequence(k_lo, values)
 
     @cached_property
     def arrays(self) -> "SequenceArrays":
         """Interior algebra stacked by site, factored in one batched pass."""
-        alpha = np.stack([self.alphas[k].value for k in range(self.k_min + 1, self.k_max)])
+        alpha = self.values[1:-1]
         d = _defects_raw(alpha)
         rho_inv, rho_tilde_inv = np.linalg.inv(d.rho), np.linalg.inv(d.rho_tilde)
         return SequenceArrays(alpha, d.rho, d.rho_tilde, rho_inv, rho_tilde_inv,
@@ -207,17 +213,32 @@ class VerblunskySequence:
 def sequence_from_values(values: dict, m: int | None = None) -> VerblunskySequence:
     """Build a sequence from a plain {k: array-or-scalar} map.
 
-    Endpoint entries are taken as unitary, everything else as contractive.
-    Scalars are promoted to 1x1 matrices.
+    The keys must fill one window; its ends must be unitary and the rest
+    contractive. Scalars are promoted to 1x1 matrices.
     """
     ks = sorted(values)
-    k_min, k_max = ks[0], ks[-1]
-    coerced = {k: np.atleast_2d(np.asarray(v, dtype=complex))
-               for k, v in values.items()}
-    if m is None:
-        m = coerced[k_min].shape[0]
-    alphas = {k: (unitary if k in (k_min, k_max) else contractive)(coerced[k]) for k in ks}
-    return VerblunskySequence(m, k_min, k_max, alphas)
+    blocks = {k: np.atleast_2d(np.asarray(v, dtype=complex)) for k, v in values.items()}
+    return _stacked(ks[0], ks[-1], blocks[ks[0]].shape[0] if m is None else m, blocks.get)
+
+
+def _sized(k: int, a, m: int):
+    """a, once checked to be an m x m block for site k."""
+    if np.shape(a) != (m, m):
+        raise DimensionMismatch(f"site {k}: expected {m}x{m}, got shape {np.shape(a)}")
+    return a
+
+
+def _stacked(k_min: int, k_max: int, m: int, block) -> VerblunskySequence:
+    """The sequence of block(k) over k_min..k_max; block returns None for a missing site."""
+    if m < 1:
+        raise DimensionMismatch(f"block size m must be at least 1, got {m}")
+    rows = []
+    for k in range(k_min, k_max + 1):
+        a = block(k)
+        if a is None:
+            raise MalformedInput(f"site {k}: coefficient missing")
+        rows.append(_sized(k, a, m))
+    return VerblunskySequence(k_min, np.array(rows, dtype=complex).reshape(-1, m, m))
 
 
 @dataclass(frozen=True)
@@ -381,10 +402,7 @@ def gauge_transform(seq: VerblunskySequence, sigma, tau) -> VerblunskySequence:
         raise DimensionMismatch("gauge factors must match the sequence block size")
     if not (is_unitary(s) and is_unitary(t)):
         raise NotUnitary("gauge factors must be unitary")
-    alphas = {}
-    for k in range(seq.k_min, seq.k_max + 1):
-        alphas[k] = VerblunskyCoefficient(s @ seq.alpha(k) @ t.conj().T, seq.kind(k))
-    return VerblunskySequence(seq.m, seq.k_min, seq.k_max, alphas)
+    return VerblunskySequence(seq.k_min, s @ seq.values @ t.conj().T)
 
 
 def _matrix_to_json(a: np.ndarray) -> list:
@@ -404,8 +422,7 @@ def sequence_document(seq: VerblunskySequence) -> dict:
         "m": seq.m,
         "k_min": seq.k_min,
         "k_max": seq.k_max,
-        "alphas": {str(k): _matrix_to_json(seq.alpha(k))
-                   for k in range(seq.k_min, seq.k_max + 1)},
+        "alphas": {str(k): _matrix_to_json(a) for k, a in enumerate(seq.values, seq.k_min)},
     }
 
 
@@ -426,25 +443,13 @@ def parse_sequence(doc: dict) -> VerblunskySequence:
     """
     try:
         m, k_min, k_max = (int(doc[key]) for key in ("m", "k_min", "k_max"))
-        alphas_doc = doc["alphas"]
+        entries = doc["alphas"]
     except (KeyError, TypeError, ValueError) as exc:
         raise MalformedInput(f"coefficient document missing or malformed field: {exc}") from exc
-    if not isinstance(alphas_doc, dict):
+    if not isinstance(entries, dict):
         raise MalformedInput("coefficient document field 'alphas' must map sites to matrices")
-    alphas = {}
-    for k in range(k_min, k_max + 1):
-        key = str(k)
-        if key not in alphas_doc:
-            raise MalformedInput(f"site {k}: coefficient missing")
-        a = _matrix_from_json(alphas_doc[key], where=f"site {k}")
-        if a.shape != (m, m):
-            raise DimensionMismatch(f"site {k}: expected {m}x{m}, got {a.shape}")
-        boundary = k in (k_min, k_max)
-        try:
-            alphas[k] = unitary(a) if boundary else contractive(a)
-        except (NotUnitary, NotContractive) as exc:
-            raise type(exc)(f"site {k}: {exc}") from exc
-    return VerblunskySequence(m, k_min, k_max, alphas)
+    return _stacked(k_min, k_max, m, lambda k: _matrix_from_json(entries[str(k)], f"site {k}")
+                    if str(k) in entries else None)
 
 
 def _read_json(path):

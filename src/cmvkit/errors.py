@@ -60,10 +60,6 @@ class SiteOutOfWindow(CmvError, KeyError):
     __str__ = ValueError.__str__    # the plain message, not KeyError's repr of it
 
 
-class InvalidBoundary(CmvError):
-    """A window endpoint coefficient is not unitary."""
-
-
 class SplitOutOfWindow(CmvError):
     """A decoupling site does not sit inside the window."""
 

@@ -185,11 +185,16 @@ def M_function(seq: VerblunskySequence, k0: int, gamma, z, sign,
     sign = _norm_sign(sign)
     if sign == PLUS:
         return m_function(seq, k0, gamma, z, PLUS, gamma_sqrt=gamma_sqrt)
-    z = require_off_circle(z, allow_zero=True)
+    return _M_minus(seq, k0, gamma, require_off_circle(z, allow_zero=True), gamma_sqrt)
+
+
+def _M_minus(seq: VerblunskySequence, k0: int, gamma, z, gamma_sqrt, m_minus=None):
+    """M_minus at k0: the closed form at z = 0, else the transform of m_minus (solved if None)."""
     if z == 0:
         return M_minus_at_zero(seq.alpha(k0), gamma, gamma_sqrt=gamma_sqrt)
-    mm = m_function(seq, k0, gamma, z, MINUS, gamma_sqrt=gamma_sqrt)
-    return M_minus_from_m_minus(mm, z)
+    if m_minus is None:
+        m_minus = m_function(seq, k0, gamma, z, MINUS, gamma_sqrt=gamma_sqrt)
+    return M_minus_from_m_minus(m_minus, z)
 
 
 def schur_from_M(M: np.ndarray) -> np.ndarray:
@@ -351,10 +356,7 @@ def spectral_sample(seq: VerblunskySequence, k0: int, gamma, z,
     mp = m_function(seq, k0, gamma, z, PLUS, gamma_sqrt=gamma_sqrt)
     mm = m_function(seq, k0, gamma, z, MINUS, gamma_sqrt=gamma_sqrt)
     Mp = mp
-    if z == 0:
-        Mm = M_minus_at_zero(seq.alpha(k0), gamma, gamma_sqrt=gamma_sqrt)
-    else:
-        Mm = M_minus_from_m_minus(mm, z)
+    Mm = _M_minus(seq, k0, gamma, z, gamma_sqrt, m_minus=mm)
     phip = schur_from_M(Mp)
     phim = schur_from_M(Mm)
     inside = abs(z) < 1.0

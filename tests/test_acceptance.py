@@ -427,13 +427,13 @@ def test_criterion_10_gauge_equivalence():
 
 def test_criterion_11_analytic_toolbox():
     rng = np.random.default_rng(1100)
-    atoms = []
+    zetas, weights = [], []
     for _ in range(5):
-        zeta = np.exp(2j * np.pi * rng.uniform())
+        zetas.append(np.exp(2j * np.pi * rng.uniform()))
         G = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))
-        atoms.append((zeta, G @ G.conj().T / 2))
+        weights.append(G @ G.conj().T / 2)
     C = rng.standard_normal((2, 2))
-    mu = AtomicMeasure(atoms=tuple(atoms), C=(C + C.T).astype(complex))
+    mu = AtomicMeasure(zetas=zetas, weights=weights, C=(C + C.T).astype(complex))
     worst_rt = 0.0
     for theta in (0.4, 1.9, 3.6, 5.1):
         F = herglotz_eval(mu, 0.7 * np.exp(1j * theta))

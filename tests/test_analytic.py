@@ -15,25 +15,25 @@ from cmvkit.analytic import (
     reflect,
     uniform_grid_measure,
 )
-from cmvkit.errors import NotFinite, SingularFactor
+from cmvkit.errors import NotFinite, OutOfRange, SingularFactor
 
 
 def random_measure(seed, m=2, n=5):
     rng = np.random.default_rng(seed)
-    atoms = []
+    zetas, weights = [], []
     for _ in range(n):
-        zeta = np.exp(2j * np.pi * rng.uniform())
+        zetas.append(np.exp(2j * np.pi * rng.uniform()))
         g = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
-        atoms.append((zeta, g @ g.conj().T / m))
+        weights.append(g @ g.conj().T / m)
     C = rng.standard_normal((m, m))
-    return AtomicMeasure(atoms=tuple(atoms), C=(C + C.T).astype(complex))
+    return AtomicMeasure(zetas=zetas, weights=weights, C=(C + C.T).astype(complex))
 
 
 def test_uniform_grid_total_mass():
     mu = uniform_grid_measure(64, m=2)
     np.testing.assert_allclose(mu.total_mass(), np.eye(2), atol=1e-13)
-    assert len(mu.atoms) == 64
-    assert all(abs(abs(z) - 1) < 1e-12 for z, _ in mu.atoms)
+    assert mu.zetas.shape == (64,) and mu.weights.shape == (64, 2, 2)
+    assert np.all(np.abs(np.abs(mu.zetas) - 1) < 1e-12)
 
 
 def test_quadrature_of_lebesgue_is_constant_one():
@@ -45,7 +45,7 @@ def test_quadrature_of_lebesgue_is_constant_one():
 
 def test_herglotz_closed_form_single_atom():
     w = np.array([[2.0]])
-    mu = AtomicMeasure(atoms=((1.0, w),), C=np.array([[0.5]]))
+    mu = AtomicMeasure(zetas=[1.0], weights=[w], C=np.array([[0.5]]))
     z = 0.25j
     want = 0.5j + 2.0 * (1 + z) / (1 - z)
     np.testing.assert_allclose(herglotz_eval(mu, z)[0, 0], want, atol=1e-14)
@@ -76,20 +76,43 @@ def test_caratheodory_requires_interior_points():
 
 
 def test_eval_at_atom_raises():
-    mu = AtomicMeasure(atoms=((1.0, np.eye(1)),), C=np.zeros((1, 1)))
+    mu = AtomicMeasure(zetas=[1.0], weights=[np.eye(1)], C=np.zeros((1, 1)))
     with pytest.raises(ZAtAtom):
         herglotz_eval(mu, 1.0)
 
 
 def test_measure_validation():
     with pytest.raises(ValueError, match="not on the unit circle"):
-        AtomicMeasure(atoms=((0.5, np.eye(1)),), C=np.zeros((1, 1)))
+        AtomicMeasure(zetas=[0.5], weights=[np.eye(1)], C=np.zeros((1, 1)))
     with pytest.raises(ValueError, match="Hermitian"):
-        AtomicMeasure(atoms=(), C=np.array([[1j]]))
+        AtomicMeasure(zetas=[], weights=np.zeros((0, 1, 1)), C=np.array([[1j]]))
     with pytest.raises(ValueError, match="positive semidefinite"):
-        AtomicMeasure(atoms=((1.0, -np.eye(2)),), C=np.zeros((2, 2)))
+        AtomicMeasure(zetas=[1.0], weights=[-np.eye(2)], C=np.zeros((2, 2)))
     with pytest.raises(ValueError, match="size differs"):
-        AtomicMeasure(atoms=((1.0, np.eye(2)),), C=np.zeros((1, 1)))
+        AtomicMeasure(zetas=[1.0], weights=[np.eye(2)], C=np.zeros((1, 1)))
+
+
+@pytest.mark.parametrize("zeta, weight", [(complex("nan"), np.eye(1)),
+                                          (1.0, np.array([[float("nan")]])),
+                                          (complex(0, float("inf")), np.eye(1))])
+def test_non_finite_atoms_and_weights_are_rejected(zeta, weight):
+    with pytest.raises(NotFinite):
+        AtomicMeasure(zetas=[zeta], weights=[weight], C=np.zeros((1, 1)))
+
+
+def test_uniform_grid_rejects_empty_blocks():
+    with pytest.raises(OutOfRange):
+        uniform_grid_measure(3, m=0)
+    with pytest.raises(OutOfRange):
+        uniform_grid_measure(0)
+
+
+def test_herglotz_sum_matches_atom_by_atom():
+    mu = random_measure(4, m=3, n=7)
+    z = 0.6 * np.exp(0.9j)
+    want = 1j * mu.C + sum(w * (zeta + z) / (zeta - z) for zeta, w in zip(mu.zetas, mu.weights))
+    np.testing.assert_allclose(herglotz_eval(mu, z), want, rtol=0, atol=1e-13)
+    assert not (mu.zetas.flags.writeable or mu.weights.flags.writeable or mu.C.flags.writeable)
 
 
 def test_cayley_round_trip_on_herglotz_values():

@@ -10,6 +10,7 @@ import pytest
 from cmvkit import cli
 from cmvkit.cli import main
 from cmvkit.cli.ensembles import EnsembleSpec, generate
+from cmvkit.cli.suites import run_suite
 from cmvkit.coefficients import load_sequence
 from cmvkit.errors import CmvError
 from cmvkit.laurent import PLUS, window_family
@@ -252,6 +253,18 @@ def test_verify_subset_and_formats(capsys):
     rows = list(csv.reader(io.StringIO(out)))
     assert rows[0] == ["suite", "check", "residual", "tol", "passed"]
     assert all(row[-1] == "True" for row in rows[1:])
+
+
+def test_verify_meta_times_each_suite():
+    """Per-suite seconds sit in meta beside the total; results do not move."""
+    spec = EnsembleSpec(m=2, k_min=0, k_max=16, seed=5)
+    names = ["analytic", "unitarity"]
+    report = run_suite(names, spec)
+    seconds = report.meta["suite_seconds"]
+    assert list(seconds) == names and all(s >= 0.0 for s in seconds.values())
+    assert sum(seconds.values()) <= report.meta["runtime_seconds"]
+    again = run_suite(names[::-1], spec).to_dict()
+    assert json.dumps(again["results"]) == json.dumps(report.to_dict()["results"])
 
 
 def test_verify_unknown_suite_is_usage_error(capsys):

@@ -9,8 +9,13 @@ from cmvkit import coefficients
 from cmvkit.coefficients import (
     CoefficientKind,
     DimensionMismatch,
+    MalformedInput,
     NotContractive,
+    NotFinite,
     NotUnitary,
+    OutOfRange,
+    SiteOutOfWindow,
+    VerblunskyCoefficient,
     VerblunskySequence,
     contractive,
     defect_matrices,
@@ -20,8 +25,10 @@ from cmvkit.coefficients import (
     is_unitary,
     load_sequence,
     operator_norm,
+    parse_sequence,
     principal_unitary_sqrt,
     save_sequence,
+    sequence_document,
     sequence_from_values,
     theta_block,
     unitary,
@@ -179,21 +186,94 @@ def test_coefficient_value_is_a_frozen_copy():
         seq.alpha(0)[:] = 0.0
 
 
-def test_sub_windows_share_coefficient_objects():
-    """restrict (also to half windows) and replace reuse the parent's coefficients."""
+def test_sequences_hold_one_read_only_stack(monkeypatch):
+    """No sequence path builds a coefficient object; arrays view the stored stack."""
+    built = []
+    real = VerblunskyCoefficient.__post_init__
+
+    def counting(self):
+        built.append(self)
+        real(self)
+
+    monkeypatch.setattr(VerblunskyCoefficient, "__post_init__", counting)
     seq = generate(EnsembleSpec(m=2, k_min=0, k_max=12, seed=21))
     g = random_unitary(np.random.default_rng(22), 2)
-    k0 = 6
-    views = (
-        (seq.restrict(2, 9, left=g, right=g), range(3, 9)),
-        (seq.replace(5, contractive(np.zeros((2, 2)))),
-         [k for k in range(1, 12) if k != 5]),
-        (seq.restrict(k0, 12, left=g), range(k0 + 1, 12)),
-        (seq.restrict(0, k0 + 1, right=g), range(1, k0 + 1)),
-    )
-    for view, interior in views:
-        for k in interior:
-            assert view.alphas[k] is seq.alphas[k]
+    made = (seq, seq.restrict(2, 9, left=g, right=g), seq.restrict(6, 12, left=g),
+            gauge_transform(seq, g, g.conj().T), parse_sequence(sequence_document(seq)),
+            sequence_from_values({k: 1.0 if k in (0, 6) else 0.3 for k in range(7)}))
+    assert built == []
+    for view in made:
+        assert view.values.shape == (view.n_sites + 1, view.m, view.m)
+        with pytest.raises(ValueError, match="read-only"):
+            view.values[1, 0, 0] = 0.0
+        assert np.shares_memory(view.arrays.alpha, view.values)
+
+
+def test_replace_outside_the_window_raises():
+    seq = generate(EnsembleSpec(m=2, k_min=0, k_max=10, seed=1))
+    for k in (99, -1, 11):
+        with pytest.raises(SiteOutOfWindow, match=f"site {k} outside the window"):
+            seq.replace(k, contractive(0.3 * np.eye(2)))
+
+
+def _scalar_values(n=8):
+    return {k: 1.0 if k in (0, n) else 0.3 for k in range(n + 1)}
+
+
+def _document_with(k, value):
+    doc = sequence_document(generate(EnsembleSpec(m=2, k_min=0, k_max=8, seed=31)))
+    doc["alphas"][str(k)] = coefficients._matrix_to_json(value)
+    return doc
+
+
+def _error_cases():
+    seq = generate(EnsembleSpec(m=2, k_min=0, k_max=10, seed=9))
+    g = random_unitary(np.random.default_rng(6), 2)
+    gap = _scalar_values()
+    del gap[3]
+
+    def values_with(k, value):
+        return lambda: sequence_from_values({**_scalar_values(), k: value})
+
+    def document_with(k, value):
+        return lambda: parse_sequence(_document_with(k, value))
+
+    cases = [
+        ("restrict-wrong-size-left", lambda: seq.restrict(2, 8, left=np.eye(3), right=g),
+         DimensionMismatch, "site 2:"),
+        ("restrict-non-unitary-left", lambda: seq.restrict(2, 8, left=0.5 * g, right=g),
+         NotUnitary, "site 2:"),
+        ("restrict-no-override", lambda: seq.restrict(2, 8), NotUnitary, "site 2:"),
+        ("restrict-no-right-override", lambda: seq.restrict(2, 8, left=g), NotUnitary, "site 8:"),
+        ("restrict-too-short", lambda: seq.restrict(2, 5, left=g, right=g),
+         OutOfRange, "[2, 5]"),
+        ("replace-end-with-contraction", lambda: seq.replace(10, contractive(0.3 * np.eye(2))),
+         NotUnitary, "site 10:"),
+        ("replace-wrong-size", lambda: seq.replace(5, contractive([[0.3]])),
+         DimensionMismatch, "site 5:"),
+        ("values-gap", lambda: sequence_from_values(gap), MalformedInput, "site 3"),
+    ]
+    for k in (0, 8):
+        cases += [(f"values-end-{k}", values_with(k, 0.5), NotUnitary, f"site {k}:"),
+                  (f"parse-end-{k}", document_with(k, 0.5 * np.eye(2)), NotUnitary, f"site {k}:")]
+    for k in (1, 4, 7):     # the first, a middle and the last interior site
+        cases += [
+            (f"values-norm-one-{k}", values_with(k, 1.0), NotContractive, f"site {k}:"),
+            (f"values-nan-{k}", values_with(k, np.nan), NotFinite, f"site {k}:"),
+            (f"values-mixed-sizes-{k}", values_with(k, 0.1 * np.eye(2)), DimensionMismatch,
+             f"site {k}:"),
+            (f"parse-unitary-interior-{k}", document_with(k, np.eye(2)), NotContractive,
+             f"site {k}:")]
+    return [pytest.param(*case[1:], id=case[0]) for case in cases]
+
+
+@pytest.mark.parametrize("call, error, where", _error_cases())
+def test_sequence_validation_errors_are_pinned(call, error, where):
+    """Each violated invariant raises one exact type that names the offending site."""
+    with pytest.raises(error) as info:
+        call()
+    assert type(info.value) is error
+    assert where in str(info.value)
 
 
 FIELDS = ("alpha", "rho", "rho_tilde", "rho_inv", "rho_tilde_inv",
@@ -207,7 +287,7 @@ def test_restricted_arrays_equal_a_fresh_stack():
     views = (seq.restrict(2, 9, left=g, right=g), seq.restrict(0, 15, left=g),
              seq.restrict(7, 15, left=g), seq.restrict(-1, 8, right=g))
     for view in views:
-        fresh = VerblunskySequence(view.m, view.k_min, view.k_max, dict(view.alphas))
+        fresh = VerblunskySequence(view.k_min, view.values)
         for name in FIELDS:
             got, want = getattr(view.arrays, name), getattr(fresh.arrays, name)
             assert got.shape == (view.n_sites - 1, 2, 2)

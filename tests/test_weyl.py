@@ -5,8 +5,8 @@ import sys
 import numpy as np
 import pytest
 
-from cmvkit import assembly, coefficients
-from cmvkit.assembly import InvalidBoundary, assemble, resolvent_block
+from cmvkit import assembly, coefficients, weyl
+from cmvkit.assembly import assemble, resolvent_block
 from cmvkit.greens import dense_resolvent_entry, full_green_entries, half_lattice_green
 from cmvkit.weyl import (
     M_from_schur,
@@ -31,7 +31,6 @@ from cmvkit.coefficients import (
     NotUnitary,
     VerblunskyCoefficient,
     VerblunskySequence,
-    contractive,
     principal_unitary_sqrt,
     sequence_from_values,
 )
@@ -437,11 +436,25 @@ def test_m_routes_never_assemble(monkeypatch):
     assert calls == []
 
 
-def test_non_unitary_half_window_edge_rejected():
-    seq = scalar_sequence(0.3)
-    seq.alphas[seq.k_max] = contractive(np.array([[0.5]]))
-    with pytest.raises(InvalidBoundary):
-        m_function(seq, 6, np.eye(1), 0.4, PLUS)
+def test_spectral_sample_solves_two_m_functions_per_z(monkeypatch):
+    """Both signs' m once each; M_minus is M_function's, also at z = 0."""
+    seq = generate(EnsembleSpec(m=2, k_min=0, k_max=24, seed=66, radius_max=0.85))
+    g = random_unitary(np.random.default_rng(67), 2)
+    real, calls = weyl.m_function, []
+
+    def counting(*args, **kwargs):
+        calls.append(args[4])
+        return real(*args, **kwargs)
+
+    for z in (0.0, 0.5 * np.exp(0.8j), 1.9 * np.exp(-2.1j)):
+        monkeypatch.setattr(weyl, "m_function", counting)
+        calls.clear()
+        s = spectral_sample(seq, 12, g, z)
+        assert calls == [PLUS, MINUS]
+        monkeypatch.setattr(weyl, "m_function", real)
+        assert np.array_equal(s.M_minus, M_function(seq, 12, g, z, MINUS))
+        assert np.array_equal(s.M_plus, M_function(seq, 12, g, z, PLUS))
+        assert np.array_equal(s.m_minus, m_function(seq, 12, g, z, MINUS))
 
 
 def test_m_function_errors_are_pinned():
