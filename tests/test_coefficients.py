@@ -209,6 +209,24 @@ def test_sequences_hold_one_read_only_stack(monkeypatch):
         assert np.shares_memory(view.arrays.alpha, view.values)
 
 
+def test_sub_windows_share_coefficient_objects():
+    """restrict (also to half windows) and replace carry the parent's interior values."""
+    seq = generate(EnsembleSpec(m=2, k_min=0, k_max=12, seed=21))
+    g = random_unitary(np.random.default_rng(22), 2)
+    k0 = 6
+    views = (
+        (seq.restrict(2, 9, left=g, right=g), range(3, 9)),
+        (seq.replace(5, contractive(np.zeros((2, 2)))),
+         [k for k in range(1, 12) if k != 5]),
+        (seq.restrict(k0, 12, left=g), range(k0 + 1, 12)),
+        (seq.restrict(0, k0 + 1, right=g), range(1, k0 + 1)),
+    )
+    for view, interior in views:
+        for k in interior:
+            assert np.array_equal(view.alpha(k), seq.alpha(k))
+        assert not np.shares_memory(view.values, seq.values)
+
+
 def test_replace_outside_the_window_raises():
     seq = generate(EnsembleSpec(m=2, k_min=0, k_max=10, seed=1))
     for k in (99, -1, 11):

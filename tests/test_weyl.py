@@ -31,6 +31,7 @@ from cmvkit.coefficients import (
     NotUnitary,
     VerblunskyCoefficient,
     VerblunskySequence,
+    contractive,
     principal_unitary_sqrt,
     sequence_from_values,
 )
@@ -455,6 +456,17 @@ def test_spectral_sample_solves_two_m_functions_per_z(monkeypatch):
         assert np.array_equal(s.M_minus, M_function(seq, 12, g, z, MINUS))
         assert np.array_equal(s.M_plus, M_function(seq, 12, g, z, PLUS))
         assert np.array_equal(s.m_minus, m_function(seq, 12, g, z, MINUS))
+
+
+def test_non_unitary_half_window_edge_rejected():
+    """A non-unitary edge cannot reach a half-window solve: the stack refuses it."""
+    seq = scalar_sequence(0.3)
+    with pytest.raises(NotUnitary, match=f"site {seq.k_max}:"):
+        seq.replace(seq.k_max, contractive(np.array([[0.5]])))
+    with pytest.raises(ValueError, match="read-only"):
+        seq.values[-1] = 0.5
+    assert np.array_equal(seq.alpha(seq.k_max), [[1.0]])
+    assert np.isfinite(m_function(seq, 6, np.eye(1), 0.4, PLUS)).all()
 
 
 def test_m_function_errors_are_pinned():
