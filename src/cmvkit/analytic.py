@@ -13,7 +13,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .coefficients import _as_square
+from .coefficients import _as_square, _complex_array
 from .errors import DimensionMismatch, InvalidMeasure, NotFinite, OutOfRange, ZAtAtom, ZeroZ
 from .errors import require_finite
 # The Cayley pair Phi = (F - I)(F + I)^{-1} and back has one implementation.
@@ -41,7 +41,7 @@ class AtomicMeasure:
         C = _as_square(self.C).copy()
         if np.linalg.norm(C - C.conj().T) > PSD_TOL * max(1.0, np.linalg.norm(C)):
             raise InvalidMeasure("C must be Hermitian")
-        zetas, w = (np.array(x, dtype=complex) for x in (self.zetas, self.weights))
+        zetas, w = (_complex_array(x).copy(order="K") for x in (self.zetas, self.weights))
         if zetas.ndim != 1 or w.shape != (len(zetas), *C.shape):
             raise DimensionMismatch(f"atom weight size differs from C: atoms {zetas.shape}, "
                                     f"weights {w.shape}, C {C.shape}")

@@ -25,17 +25,17 @@ import numpy as np
 import scipy.linalg
 
 from .coefficients import (
+    BoundaryUnitary,
     DefectPair,
     VerblunskySequence,
-    _as_square,
-    is_unitary,
+    _unitary_block,
+    as_boundary,
     theta_block,
 )
 from .errors import (
     CmvError,
     DimensionMismatch,
     InsufficientPadding,
-    NotUnitary,
     SingularSolve,
     SiteOutOfWindow,
     SplitOutOfWindow,
@@ -87,14 +87,10 @@ class SplitSpec:
     gamma_right: np.ndarray
 
     def __post_init__(self):
-        gl = _as_square(self.gamma_left)
-        gr = _as_square(self.gamma_right)
+        gl = _unitary_block(self.gamma_left, "split unitary gamma_left")
+        gr = _unitary_block(self.gamma_right, "split unitary gamma_right", m=gl.shape[0])
         object.__setattr__(self, "gamma_left", gl)
         object.__setattr__(self, "gamma_right", gr)
-        if gl.shape != gr.shape:
-            raise DimensionMismatch("split unitaries must share one size")
-        if not (is_unitary(gl) and is_unitary(gr)):
-            raise NotUnitary("split matrices must be unitary")
 
 
 def _placed_blocks(seq: VerblunskySequence, spec: SplitSpec | None = None):
@@ -196,12 +192,11 @@ def resolvent_block(seq: VerblunskySequence, z: complex, k: int, kp: int,
                     gamma=None) -> np.ndarray:
     """The m x m block E_k* (U_s - z)^{-1} E_kp by one banded solve, never forming U_s.
 
-    U_s is the window's U (half None) or a half window cut at k0: sites
-    k0 .. k_max - 1 with alpha_k0 := gamma (half > 0), or k_min .. k0 with
-    alpha_{k0+1} := gamma (half < 0). A half window must hold 4 sites or
-    more and gamma must be an m x m unitary; the caller checks that z is
-    finite and that k and kp are sites of U_s. W is unitary, so
-    (U_s - z)^{-1} = W* (V - z W*)^{-1}.
+    U_s is the window's U (half None) or a half window of 4 sites or more cut
+    at k0: sites k0 .. k_max - 1 with alpha_k0 := gamma (half > 0), or k_min .. k0
+    with alpha_{k0+1} := gamma (half < 0), gamma an m x m unitary or BoundaryUnitary.
+    The caller checks that z is finite and that k and kp are sites of U_s.
+    W is unitary, so (U_s - z)^{-1} = W* (V - z W*)^{-1}.
 
     A half window's V and W* are a column slice of seq.bands in which only
     the cut block's corner at k0 differs: gamma* (plus) or -gamma (minus).
@@ -219,11 +214,8 @@ def resolvent_block(seq: VerblunskySequence, z: complex, k: int, kp: int,
         if not seq.k_min <= lo_k < hi_k - 3 <= seq.k_max - 3:
             raise SiteOutOfWindow(f"half window [{lo_k}, {hi_k}] of [{seq.k_min}, "
                                   f"{seq.k_max}] must hold 4 sites or more")
-        gamma = _as_square(gamma)
-        if not is_unitary(gamma):
-            raise NotUnitary("boundary unitary gamma is not unitary")
-        if gamma.shape != (m, m):
-            raise DimensionMismatch(f"gamma must be {m}x{m}, got {gamma.shape}")
+        gamma = (as_boundary(gamma, m).gamma if isinstance(gamma, BoundaryUnitary)
+                 else _unitary_block(gamma, "gamma", m))     # the solve needs no root
         i = (k0 - seq.k_min) * m              # first column of site k0 in seq
         if half > 0:
             lo, cut, corner = i, k0, gamma.conj().T

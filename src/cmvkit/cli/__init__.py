@@ -26,6 +26,7 @@ from ..coefficients import (
     _matrix_from_json,
     _matrix_to_json,
     _read_json,
+    as_boundary,
     factorize_svd,
     load_sequence,
     sequence_document,
@@ -154,7 +155,7 @@ def cmd_decouple(args) -> int:
 
 def cmd_laurent(args) -> int:
     seq = load_sequence(args.infile)
-    gamma = _load_gamma(args.gamma, seq.m)
+    gamma = as_boundary(_load_gamma(args.gamma, seq.m), seq.m)
     z = _parse_complex(args.z)
     fam = window_family(seq, gamma, z, args.k0, args.sign)
     lo, hi = _parse_window(args.range) if args.range \
@@ -165,7 +166,7 @@ def cmd_laurent(args) -> int:
         "k0": args.k0,
         "sign": args.sign,
         "z": [z.real, z.imag],
-        "gamma": _matrix_to_json(gamma),
+        "gamma": _matrix_to_json(gamma.gamma),
         "sites": sites,
     }
     _emit_json(payload, args.out)
@@ -210,7 +211,7 @@ def _emit_csv(rows, out: str | None) -> None:
 
 def cmd_mfun(args) -> int:
     seq = load_sequence(args.infile)
-    gamma = _load_gamma(args.gamma, seq.m)
+    gamma = as_boundary(_load_gamma(args.gamma, seq.m), seq.m)
     if args.grid:
         r1, r2, n_theta = _parse(args.grid, "--grid 'R1,R2,NTHETA'", float, float, int)
         _emit_csv(_grid_rows(seq, args.k0, gamma, (r1, r2), n_theta), args.out)
@@ -239,7 +240,7 @@ def _read_pairs(path: str) -> list[tuple[int, int]]:
 
 def cmd_green(args) -> int:
     seq = load_sequence(args.infile)
-    gamma = _load_gamma(args.gamma, seq.m)
+    gamma = as_boundary(_load_gamma(args.gamma, seq.m), seq.m)
     z = _parse_complex(args.z)
     pairs = _read_pairs(args.pairs)
     m = seq.m

@@ -43,26 +43,19 @@ class EnsembleSpec:
             raise OutOfRange(f"radius_max must lie in (0, {MAX_RADIUS}]")
 
 
-def _random_contraction(rng: np.random.Generator, m: int,
-                        target_norm: float) -> np.ndarray:
-    g = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
-    norm = np.linalg.norm(g, 2)
-    if norm < 1e-12:
-        return np.zeros((m, m), dtype=complex)
-    return g * (target_norm / norm)
-
-
 def generate(spec: EnsembleSpec) -> VerblunskySequence:
     """Deterministic sequence from a spec: identity boundaries, sampled interior."""
     rng = np.random.default_rng(spec.seed)
-    values = np.empty((spec.k_max - spec.k_min + 1, spec.m, spec.m), dtype=complex)
-    values[0] = values[-1] = np.eye(spec.m)
-    for row in range(1, len(values) - 1):
+    m = spec.m
+    values = np.empty((spec.k_max - spec.k_min + 1, m, m), dtype=complex)
+    values[0] = values[-1] = np.eye(m)
+    draws, targets = values[1:-1], np.full(len(values) - 2, spec.radius_max)
+    for i in range(len(draws)):     # per site: its radius, then its Gaussian draw
         if spec.distribution is Distribution.UNIFORM_DISK:
-            target = spec.radius_max * np.sqrt(rng.uniform())
-        else:
-            target = spec.radius_max
-        values[row] = _random_contraction(rng, spec.m, target)
+            targets[i] = spec.radius_max * np.sqrt(rng.uniform())
+        draws[i] = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
+    for g, target, norm in zip(draws, targets, np.linalg.norm(draws, 2, axis=(1, 2))):
+        g[...] = 0.0 if norm < 1e-12 else g * (target / norm)
     return VerblunskySequence(spec.k_min, values)
 
 

@@ -45,8 +45,16 @@ class CoefficientKind(Enum):
     UNITARY = "unitary"
 
 
+def _complex_array(value) -> np.ndarray:
+    """value as a complex array; ragged nesting raises DimensionMismatch, not numpy's ValueError."""
+    try:
+        return np.asarray(value, dtype=complex)
+    except ValueError as exc:
+        raise DimensionMismatch(f"expected a regular array of blocks: {exc}") from exc
+
+
 def _as_square(value) -> np.ndarray:
-    a = np.asarray(value, dtype=complex)
+    a = _complex_array(value)
     if a.ndim != 2 or a.shape[0] != a.shape[1]:
         raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
@@ -121,7 +129,7 @@ class VerblunskySequence:
     values: np.ndarray
 
     def __post_init__(self):
-        a = np.array(self.values, dtype=complex)
+        a = _complex_array(self.values).copy(order="K")
         if a.ndim != 3 or not 0 < a.shape[1] == a.shape[2]:
             raise DimensionMismatch(f"expected a stack of square blocks, got shape {a.shape}")
         k_max = self.k_min + len(a) - 1
@@ -138,8 +146,7 @@ class VerblunskySequence:
             raise NotContractive(f"site {self.k_min + 1 + i}: coefficient norm "
                                  f"{norms[i]:.3e} exceeds {1.0 - CONTRACTION_TOL}")
         for k, end in ((self.k_min, a[0]), (k_max, a[-1])):
-            if not is_unitary(end):
-                raise NotUnitary(f"site {k}: window endpoint must be unitary")
+            _unitary_block(end, f"site {k}: window endpoint")
         a.setflags(write=False)
         object.__setattr__(self, "values", a)
 
@@ -368,19 +375,63 @@ def factorize_svd(alpha) -> UnitaryFactorization:
     return UnitaryFactorization(sigma=u, beta=s, tau=v)
 
 
-def principal_unitary_sqrt(gamma, tol: float = UNITARY_TOL) -> np.ndarray:
+def _unitary_block(value, what: str, m: int | None = None) -> np.ndarray:
+    """value, once checked to be a finite square unitary matrix (m x m when m is given)."""
+    a = _as_square(value)
+    if m is not None and a.shape != (m, m):
+        raise DimensionMismatch(f"{what} must be {m}x{m}, got shape {a.shape}")
+    if not is_unitary(a):
+        raise NotUnitary(f"{what} must be unitary")
+    return a
+
+
+def principal_unitary_sqrt(gamma) -> np.ndarray:
     """Unitary square root with every eigenangle halved.
 
     Eigenvalues e^(i theta) with theta in (-pi, pi] map to e^(i theta / 2),
     so the result squares back to the input and stays unitary.
     """
-    g = _as_square(gamma)
-    if not is_unitary(g, tol):
-        raise NotUnitary("input to the unitary square root must be unitary")
+    g = _unitary_block(gamma, "gamma")
     t, q = scipy.linalg.schur(g, output="complex")
     angles = np.angle(np.diag(t))
     root = np.exp(0.5j * angles)
     return (q * root) @ q.conj().T
+
+
+@dataclass(frozen=True)
+class BoundaryUnitary:
+    """A unitary gamma at the cut and one square root of it, checked once, read-only.
+
+    root defaults to principal_unitary_sqrt(gamma); a given root must be an
+    m x m unitary squaring to gamma within 1e-10. Every function taking gamma
+    accepts this value or an array (see as_boundary); all that is built from
+    one value shares its root, and so one frame.
+    """
+
+    gamma: np.ndarray
+    root: np.ndarray | None = None
+
+    def __post_init__(self):
+        if self.root is None:
+            root = principal_unitary_sqrt(self.gamma)     # checks gamma on the way
+            gamma = _as_square(self.gamma)
+        else:
+            gamma = _unitary_block(self.gamma, "gamma")
+            root = _unitary_block(self.root, "the square root of gamma", m=gamma.shape[0])
+            if not np.allclose(root @ root, gamma, atol=1e-10):
+                raise NotUnitary("root must square to gamma")
+        for name, a in (("gamma", gamma), ("root", root)):
+            a = a.copy()
+            a.setflags(write=False)
+            object.__setattr__(self, name, a)
+
+
+def as_boundary(gamma, m: int | None = None) -> BoundaryUnitary:
+    """gamma as a BoundaryUnitary (an array is checked and rooted), m x m when m is given."""
+    b = gamma if isinstance(gamma, BoundaryUnitary) else BoundaryUnitary(gamma)
+    if m is not None and b.gamma.shape != (m, m):
+        raise DimensionMismatch(f"gamma must be {m}x{m}, got shape {b.gamma.shape}")
+    return b
 
 
 def gauge_transform(seq: VerblunskySequence, sigma, tau) -> VerblunskySequence:
@@ -396,12 +447,7 @@ def gauge_transform(seq: VerblunskySequence, sigma, tau) -> VerblunskySequence:
         transform by conjugation (rho by tau, rho_tilde by sigma), so
         contraction and unitarity of each site are preserved.
     """
-    s = _as_square(sigma)
-    t = _as_square(tau)
-    if s.shape != (seq.m, seq.m) or t.shape != (seq.m, seq.m):
-        raise DimensionMismatch("gauge factors must match the sequence block size")
-    if not (is_unitary(s) and is_unitary(t)):
-        raise NotUnitary("gauge factors must be unitary")
+    s, t = (_unitary_block(f, "gauge factor", m=seq.m) for f in (sigma, tau))
     return VerblunskySequence(seq.k_min, s @ seq.values @ t.conj().T)
 
 

@@ -10,7 +10,8 @@ solution; the tests check that solve against a dense LU.
 
 Scalar-only variants of the kernels, written with same-z values and a
 power-of-z prefactor instead of conjugated values, are provided as a
-separate code path.
+separate code path. Each kernel turns gamma into one coefficients.BoundaryUnitary
+at entry and hands it to every family and m-function it builds.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from enum import Enum
 import numpy as np
 
 from .assembly import resolvent_block
-from .coefficients import VerblunskySequence, principal_unitary_sqrt
+from .coefficients import VerblunskySequence, as_boundary
 from .errors import (
     MatrixCaseUnsupported,
     SingularWronskian,
@@ -102,15 +103,15 @@ def _check_sites(seq: VerblunskySequence, k0: int, sign: int | None, *sites):
             raise SiteOutOfWindow(f"site {site} outside the {where} [{lo}, {hi}]")
 
 
-def _half_family(seq, k0, gamma, z, sign, gamma_sqrt, *sites):
+def _half_family(seq, k0, gamma, z, sign, *sites):
     """Family seeded at k0 and propagated outward just far enough to cover sites."""
-    fam = seed_family(gamma, z, k0, sign, gamma_sqrt=gamma_sqrt)
+    fam = seed_family(gamma, z, k0, sign)
     # a half window's sites lie on one side of k0: reaching the farthest covers all
     return propagate(seq, fam, max(sites, key=lambda site: abs(site - k0)))
 
 
 def half_lattice_green(seq: VerblunskySequence, k0: int, gamma, z,
-                       k: int, kp: int, sign, gamma_sqrt=None) -> GreensEntry:
+                       k: int, kp: int, sign) -> GreensEntry:
     """One block of (U_half - z)^{-1} from the factorized kernel.
 
     Sign +, with hat(z, k) = Q(z, k) + P(z, k) m(z):
@@ -128,11 +129,11 @@ def half_lattice_green(seq: VerblunskySequence, k0: int, gamma, z,
     z = require_off_circle(z)
     zc = 1.0 / np.conj(z)
     _check_sites(seq, k0, sign, k, kp)
-    gamma_sqrt = principal_unitary_sqrt(gamma) if gamma_sqrt is None else gamma_sqrt
-    fam_z = _half_family(seq, k0, gamma, z, sign, gamma_sqrt, k, kp)
-    fam_c = _half_family(seq, k0, gamma, zc, sign, gamma_sqrt, k, kp)
-    m_z = m_function(seq, k0, gamma, z, sign, gamma_sqrt=gamma_sqrt)
-    m_c = m_function(seq, k0, gamma, zc, sign, gamma_sqrt=gamma_sqrt)
+    gamma = as_boundary(gamma, seq.m)
+    fam_z = _half_family(seq, k0, gamma, z, sign, k, kp)
+    fam_c = _half_family(seq, k0, gamma, zc, sign, k, kp)
+    m_z = m_function(seq, k0, gamma, z, sign)
+    m_c = m_function(seq, k0, gamma, zc, sign)
     a = fam_z.at(k)
     b = fam_c.at(kp)
     hat_z = a.Q + a.P @ m_z
@@ -151,8 +152,7 @@ def half_lattice_green(seq: VerblunskySequence, k0: int, gamma, z,
     return GreensEntry(k=k, kp=kp, value=value, branch=branch)
 
 
-def full_green_entries(seq: VerblunskySequence, k0: int, gamma, z,
-                       pairs, gamma_sqrt=None) -> list:
+def full_green_entries(seq: VerblunskySequence, k0: int, gamma, z, pairs) -> list:
     """Blocks of (U - z)^{-1} for many (k, kp) pairs at one z.
 
     The kernel is
@@ -166,9 +166,9 @@ def full_green_entries(seq: VerblunskySequence, k0: int, gamma, z,
     """
     z = require_off_circle(z)
     zc = 1.0 / np.conj(z)
-    gamma_sqrt = principal_unitary_sqrt(gamma) if gamma_sqrt is None else gamma_sqrt
-    sol_p, sol_m = weyl_solutions(seq, k0, gamma, z, gamma_sqrt=gamma_sqrt)
-    sol_pc, sol_mc = weyl_solutions(seq, k0, gamma, zc, gamma_sqrt=gamma_sqrt)
+    gamma = as_boundary(gamma, seq.m)
+    sol_p, sol_m = weyl_solutions(seq, k0, gamma, z)
+    sol_pc, sol_mc = weyl_solutions(seq, k0, gamma, zc)
     W = sol_p.M - sol_m.M
     entries = []
     for k, kp in pairs:
@@ -185,11 +185,9 @@ def full_green_entries(seq: VerblunskySequence, k0: int, gamma, z,
     return entries
 
 
-def full_lattice_green(seq: VerblunskySequence, k0: int, gamma, z,
-                       k: int, kp: int, gamma_sqrt=None) -> GreensEntry:
+def full_lattice_green(seq: VerblunskySequence, k0: int, gamma, z, k: int, kp: int) -> GreensEntry:
     """Single-entry convenience wrapper around full_green_entries."""
-    return full_green_entries(seq, k0, gamma, z, [(k, kp)],
-                              gamma_sqrt=gamma_sqrt)[0]
+    return full_green_entries(seq, k0, gamma, z, [(k, kp)])[0]
 
 
 def dense_resolvent_entry(seq: VerblunskySequence, z, k: int, kp: int,
@@ -226,8 +224,9 @@ def half_green_scalar_prefactor(seq: VerblunskySequence, k0: int, gamma, z,
     sign = _norm_sign(sign)
     z = require_off_circle(z)
     _check_sites(seq, k0, sign, k, kp)
+    gamma = as_boundary(gamma, seq.m)
     m_val = m_function(seq, k0, gamma, z, sign)[0, 0]
-    fam = _half_family(seq, k0, gamma, z, sign, None, k, kp)
+    fam = _half_family(seq, k0, gamma, z, sign, k, kp)
     exponent = k0 % 2 if sign == PLUS else (k0 + 1) % 2
     pref = z ** (-exponent) / (2.0 * z)
     a, b = fam.at(k), fam.at(kp)

@@ -6,7 +6,8 @@ matrices move one site via a parity-dependent 2m x 2m transfer matrix.
 Seeding the recursion at a reference site k0 with initial values built
 from a unitary gamma produces two families per sign, conventionally
 written P, R (first kind) and Q, S (second kind). Their values are
-Laurent polynomials in z.
+Laurent polynomials in z. The seeds take gamma's root from one
+coefficients.BoundaryUnitary, kept as the family's boundary.
 
 This module provides the transfer matrices and their explicit inverses
 (stacked by site from the sequence's arrays), seed construction,
@@ -24,17 +25,16 @@ from typing import NamedTuple
 import numpy as np
 
 from .coefficients import (
+    BoundaryUnitary,
     VerblunskySequence,
     _as_square,
+    as_boundary,
     defect_matrices,
-    is_unitary,
-    principal_unitary_sqrt,
 )
 from .errors import (
     CmvError,
     MatrixCaseUnsupported,
     NotFinite,
-    NotUnitary,
     OutOfRange,
     PathLeavesWindow,
     SiteOutOfWindow,
@@ -111,12 +111,12 @@ class SolutionFamily:
     Arrays have shape (n_sites, m, m) with site k stored at index
     k - k_lo. The U-components are P and Q, the V-components R and S;
     (P(k); R(k)) and (Q(k); S(k)) both satisfy the transfer recursion.
+    boundary holds the gamma and the square root the seeds were built from.
     """
 
     sign: int
     z: complex
-    gamma: np.ndarray
-    gamma_sqrt: np.ndarray
+    boundary: BoundaryUnitary
     k0: int
     k_lo: int
     P: np.ndarray
@@ -143,7 +143,7 @@ class SolutionFamily:
         return FamilySite(P=self.P[i], R=self.R[i], Q=self.Q[i], S=self.S[i])
 
 
-def seed_family(gamma, z, k0: int, sign, gamma_sqrt=None) -> SolutionFamily:
+def seed_family(gamma, z, k0: int, sign) -> SolutionFamily:
     """Single-site family holding the initial values at k0.
 
     Plus sign, odd k0:  P = z g, R = g*; Q = z g, S = -g*
@@ -151,21 +151,13 @@ def seed_family(gamma, z, k0: int, sign, gamma_sqrt=None) -> SolutionFamily:
     Minus sign, odd k0:  P = g, R = -g*; Q = g, S = g*
     Minus sign, even k0: P = -z g*, R = g; Q = z g*, S = g
 
-    where g is the unitary square root of gamma (principal by default,
-    overridable through gamma_sqrt) and g* doubles as gamma^{-1/2}.
+    where g is the root of gamma (an array or a BoundaryUnitary; the
+    principal root for an array) and g* doubles as gamma^{-1/2}.
     """
     z = require_nonzero(z)
     sign = _norm_sign(sign)
-    gamma = _as_square(gamma)
-    if not is_unitary(gamma):
-        raise NotUnitary("seed construction needs a unitary gamma")
-    if gamma_sqrt is None:
-        gh = principal_unitary_sqrt(gamma)
-    else:
-        gh = _as_square(gamma_sqrt)
-        if not is_unitary(gh) or not np.allclose(gh @ gh, gamma, atol=1e-10):
-            raise NotUnitary("gamma_sqrt must be a unitary square root of gamma")
-    ghi = gh.conj().T
+    boundary = as_boundary(gamma)
+    gh, ghi = boundary.root, boundary.root.conj().T
     if sign == PLUS:
         if k0 % 2 == 1:
             vals = (z * gh, ghi, z * gh, -ghi)
@@ -177,7 +169,7 @@ def seed_family(gamma, z, k0: int, sign, gamma_sqrt=None) -> SolutionFamily:
         else:
             vals = (-z * ghi, gh, z * ghi, gh)
     P, R, Q, S = (v[None, :, :].astype(complex) for v in vals)
-    return SolutionFamily(sign=sign, z=z, gamma=gamma, gamma_sqrt=gh,
+    return SolutionFamily(sign=sign, z=z, boundary=boundary,
                           k0=k0, k_lo=k0, P=P, R=R, Q=Q, S=S)
 
 
@@ -222,10 +214,9 @@ def propagate(seq: VerblunskySequence, family: SolutionFamily,
                    Q=X[:, :m, m:], S=X[:, m:, m:])
 
 
-def window_family(seq: VerblunskySequence, gamma, z, k0: int, sign,
-                  gamma_sqrt=None) -> SolutionFamily:
+def window_family(seq: VerblunskySequence, gamma, z, k0: int, sign) -> SolutionFamily:
     """Seed at k0 and propagate over all sites of the window."""
-    fam = seed_family(gamma, z, k0, sign, gamma_sqrt=gamma_sqrt)
+    fam = seed_family(as_boundary(gamma, seq.m), z, k0, sign)
     fam = propagate(seq, fam, seq.k_min)
     return propagate(seq, fam, seq.k_max - 1)
 
@@ -264,31 +255,23 @@ class ConnectionCoefficients:
         return (g1h.conj().T @ g2h + z * g1h @ g2h.conj().T) / pref
 
 
-def connection(gamma1, gamma2, alpha_k0, k0: int,
-               gamma1_sqrt=None, gamma2_sqrt=None) -> ConnectionCoefficients:
+def connection(gamma1, gamma2, alpha_k0, k0: int) -> ConnectionCoefficients:
     """Connection coefficients for families seeded at k0.
 
     Args:
-        gamma1, gamma2: unitary boundary matrices of the two families.
+        gamma1, gamma2: the families' boundary unitaries (arrays or
+            BoundaryUnitary values, whose roots seeded the families).
         alpha_k0: the contractive coefficient at the reference site,
             used by the cross-site pairs C3/D3/C4/D4.
         k0: reference site; only its parity enters (through c2/d2).
-        gamma1_sqrt, gamma2_sqrt: optional square-root overrides, which
-            must match the roots used when seeding the families.
 
     Returns:
         ConnectionCoefficients with C1, D1, C3, D3, C4, D4 as fields
         and c2(z), d2(z) as methods.
     """
-    g1 = _as_square(gamma1)
-    g2 = _as_square(gamma2)
-    if not (is_unitary(g1) and is_unitary(g2)):
-        raise NotUnitary("connection coefficients need unitary gammas")
-    g1h = principal_unitary_sqrt(g1) if gamma1_sqrt is None else _as_square(gamma1_sqrt)
-    g2h = principal_unitary_sqrt(g2) if gamma2_sqrt is None else _as_square(gamma2_sqrt)
-    g1i = g1h.conj().T
-    g2i = g2h.conj().T
     alpha = _as_square(alpha_k0)
+    g1h, g2h = (as_boundary(g, alpha.shape[0]).root for g in (gamma1, gamma2))
+    g1i, g2i = g1h.conj().T, g2h.conj().T
     d = defect_matrices(alpha)
     ri = np.linalg.inv(d.rho)
     rti = np.linalg.inv(d.rho_tilde)
@@ -317,7 +300,7 @@ def _check_pair(fam: SolutionFamily, fam_conj: SolutionFamily):
         )
     if fam.sign != fam_conj.sign or fam.k0 != fam_conj.k0:
         raise CmvError("paired families must share sign and reference site")
-    if not np.allclose(fam.gamma_sqrt, fam_conj.gamma_sqrt, atol=1e-12):
+    if not np.allclose(fam.boundary.root, fam_conj.boundary.root, atol=1e-12):
         raise CmvError("paired families must use the same gamma square root")
 
 

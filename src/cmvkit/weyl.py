@@ -17,7 +17,8 @@ M_plus coincides with m_plus. M_minus is a Cayley-type transform of
 m_minus; both directions of that transform, its z = 0 closed form, the
 Schur-function maps, and the parity formula expressing the Schur
 function through Weyl solution values are provided, each as its own
-code path so they can be checked against one another.
+code path so they can be checked against one another. The frame is set
+by the root of one coefficients.BoundaryUnitary, shared with the families.
 """
 
 from __future__ import annotations
@@ -30,7 +31,7 @@ from .assembly import resolvent_block
 from .coefficients import (
     VerblunskySequence,
     _as_square,
-    principal_unitary_sqrt,
+    as_boundary,
 )
 from .errors import (
     SingularSolutionValue,
@@ -51,8 +52,7 @@ from .laurent import (
 )
 
 
-def m_function(seq: VerblunskySequence, k0: int, gamma, z, sign,
-               gamma_sqrt=None) -> np.ndarray:
+def m_function(seq: VerblunskySequence, k0: int, gamma, z, sign) -> np.ndarray:
     """Half-lattice m-function at the reference site, by a banded pencil solve.
 
     The raw sandwich +/- E*(U_h + z)(U_h - z)^{-1} E = +/- (I + 2z G(k0, k0)),
@@ -71,15 +71,12 @@ def m_function(seq: VerblunskySequence, k0: int, gamma, z, sign,
         Full window; the relevant half is carved out internally.
     k0 : int
         Reference site.
-    gamma : unitary m x m
-        Boundary unitary installed at the cut.
+    gamma : unitary m x m array or BoundaryUnitary
+        Boundary unitary installed at the cut, with the square root used
+        for the frame change (the principal root for an array).
     z : complex
         Off the unit circle; z = 0 is allowed and returns +/- identity.
     sign : +1 or -1
-    gamma_sqrt : optional m x m
-        Square root of gamma to use for the frame change; the principal
-        root is taken when omitted.  Pass the same root used to seed any
-        Laurent family this value will be compared against.
 
     Returns
     -------
@@ -87,18 +84,17 @@ def m_function(seq: VerblunskySequence, k0: int, gamma, z, sign,
     """
     sign = _norm_sign(sign)
     z = require_off_circle(z, allow_zero=True)
-    G = resolvent_block(seq, z, k0, k0, sign, k0, gamma)
+    boundary = as_boundary(gamma, seq.m)
+    G = resolvent_block(seq, z, k0, k0, sign, k0, boundary)
     raw = float(sign) * (np.eye(seq.m) + 2.0 * z * G)
-    gh = principal_unitary_sqrt(gamma) if gamma_sqrt is None else np.asarray(
-        gamma_sqrt, dtype=complex)
+    gh = boundary.root
     ghi = gh.conj().T
     if k0 % 2 == 0:
         return gh @ raw @ ghi
     return ghi @ raw @ gh
 
 
-def m_from_edge_condition(seq: VerblunskySequence, k0: int, gamma, z, sign,
-                          gamma_sqrt=None) -> np.ndarray:
+def m_from_edge_condition(seq: VerblunskySequence, k0: int, gamma, z, sign) -> np.ndarray:
     """Same m-function, computed by matching the far boundary instead.
 
     The solution Q + P m must be proportional to its V-component through
@@ -107,7 +103,7 @@ def m_from_edge_condition(seq: VerblunskySequence, k0: int, gamma, z, sign,
     """
     sign = _norm_sign(sign)
     z = require_nonzero(z)
-    fam = seed_family(gamma, z, k0, sign, gamma_sqrt=gamma_sqrt)
+    fam = seed_family(as_boundary(gamma, seq.m), z, k0, sign)
     if sign == PLUS:
         k_edge = seq.k_max - 1
         g = seq.alpha(seq.k_max)
@@ -147,8 +143,7 @@ def m_minus_from_M_minus(M_minus: np.ndarray, z) -> np.ndarray:
     return solve(num, den, right=True)
 
 
-def M_minus_via_connection(seq: VerblunskySequence, k0: int, gamma, z,
-                           gamma_sqrt=None) -> np.ndarray:
+def M_minus_via_connection(seq: VerblunskySequence, k0: int, gamma, z) -> np.ndarray:
     """M_minus from the connection coefficients and m_minus one site down.
 
     M_minus(z, k0) = [D3 + D4 m][C3 + C4 m]^{-1} with m = m_minus(z, k0 - 1),
@@ -156,26 +151,24 @@ def M_minus_via_connection(seq: VerblunskySequence, k0: int, gamma, z,
     the Cayley-type route, so the two can be compared.
     """
     z = require_off_circle(z, allow_zero=True)
-    gamma_sqrt = principal_unitary_sqrt(gamma) if gamma_sqrt is None else gamma_sqrt
-    mm = m_function(seq, k0 - 1, gamma, z, MINUS, gamma_sqrt=gamma_sqrt)
-    cc = connection(gamma, gamma, seq.alpha(k0), k0,
-                    gamma1_sqrt=gamma_sqrt, gamma2_sqrt=gamma_sqrt)
+    gamma = as_boundary(gamma, seq.m)
+    mm = m_function(seq, k0 - 1, gamma, z, MINUS)
+    cc = connection(gamma, gamma, seq.alpha(k0), k0)
     return solve(cc.D3 + cc.D4 @ mm, cc.C3 + cc.C4 @ mm, right=True)
 
 
-def M_minus_at_zero(alpha_k0, gamma, gamma_sqrt=None) -> np.ndarray:
+def M_minus_at_zero(alpha_k0, gamma) -> np.ndarray:
     """Closed form of M_minus(0) from the coefficient at the cut.
 
     Equals (D3 - D4)(C3 - C4)^{-1}, which the connection formulas give
     once m_minus(0) = -I is inserted; no window data is needed.
     """
-    cc = connection(gamma, gamma, alpha_k0, 0,
-                    gamma1_sqrt=gamma_sqrt, gamma2_sqrt=gamma_sqrt)
+    gamma = as_boundary(gamma)
+    cc = connection(gamma, gamma, alpha_k0, 0)
     return solve(cc.D3 - cc.D4, cc.C3 - cc.C4, right=True)
 
 
-def M_function(seq: VerblunskySequence, k0: int, gamma, z, sign,
-               gamma_sqrt=None) -> np.ndarray:
+def M_function(seq: VerblunskySequence, k0: int, gamma, z, sign) -> np.ndarray:
     """M_plus or M_minus at the reference site.
 
     Plus: identical to m_plus. Minus: Cayley-type transform of m_minus,
@@ -184,16 +177,16 @@ def M_function(seq: VerblunskySequence, k0: int, gamma, z, sign,
     """
     sign = _norm_sign(sign)
     if sign == PLUS:
-        return m_function(seq, k0, gamma, z, PLUS, gamma_sqrt=gamma_sqrt)
-    return _M_minus(seq, k0, gamma, require_off_circle(z, allow_zero=True), gamma_sqrt)
+        return m_function(seq, k0, gamma, z, PLUS)
+    return _M_minus(seq, k0, gamma, require_off_circle(z, allow_zero=True))
 
 
-def _M_minus(seq: VerblunskySequence, k0: int, gamma, z, gamma_sqrt, m_minus=None):
+def _M_minus(seq: VerblunskySequence, k0: int, gamma, z, m_minus=None):
     """M_minus at k0: the closed form at z = 0, else the transform of m_minus (solved if None)."""
     if z == 0:
-        return M_minus_at_zero(seq.alpha(k0), gamma, gamma_sqrt=gamma_sqrt)
+        return M_minus_at_zero(seq.alpha(k0), gamma)
     if m_minus is None:
-        m_minus = m_function(seq, k0, gamma, z, MINUS, gamma_sqrt=gamma_sqrt)
+        m_minus = m_function(seq, k0, gamma, z, MINUS)
     return M_minus_from_m_minus(m_minus, z)
 
 
@@ -249,12 +242,12 @@ class WeylSolution:
     """Per-site values of one Weyl solution over the window.
 
     U(k) = Q_plus(k) + P_plus(k) M and V(k) = S_plus(k) + R_plus(k) M from
-    the plus family seeded at k0 (kept as family); M is M_plus or M_minus by sign.
+    the plus family seeded at k0 (kept as family, with the boundary unitary
+    as family.boundary); M is M_plus or M_minus by sign.
     """
 
     sign: int
     z: complex
-    gamma: np.ndarray
     k0: int
     M: np.ndarray
     k_lo: int
@@ -277,34 +270,33 @@ class WeylSolution:
         return self.U[i], self.V[i]
 
 
-def weyl_solution(seq: VerblunskySequence, k0: int, gamma, z, sign,
-                  gamma_sqrt=None) -> WeylSolution:
+def weyl_solution(seq: VerblunskySequence, k0: int, gamma, z, sign) -> WeylSolution:
     """Weyl solution of the given sign over the whole window.
 
     The plus solution satisfies the right-edge relation at k_max - 1,
     the minus solution the left-edge relation at k_min; both emerge
     from the plus-seeded polynomial families combined with M.
     """
-    return weyl_solutions(seq, k0, gamma, z, (sign,), gamma_sqrt=gamma_sqrt)[0]
+    return weyl_solutions(seq, k0, gamma, z, (sign,))[0]
 
 
 def weyl_solutions(seq: VerblunskySequence, k0: int, gamma, z,
-                   signs=(PLUS, MINUS), gamma_sqrt=None) -> tuple:
+                   signs=(PLUS, MINUS)) -> tuple:
     """Weyl solutions of the given signs at z, sharing one propagated family
     and one square root of gamma."""
     signs = [_norm_sign(sign) for sign in signs]
     z = require_off_circle(z)
-    gamma_sqrt = principal_unitary_sqrt(gamma) if gamma_sqrt is None else gamma_sqrt
-    Ms = [M_function(seq, k0, gamma, z, sign, gamma_sqrt=gamma_sqrt) for sign in signs]
-    fam = window_family(seq, gamma, z, k0, PLUS, gamma_sqrt=gamma_sqrt)
-    return tuple(WeylSolution(sign=sign, z=z, gamma=fam.gamma, k0=k0, M=M,
+    gamma = as_boundary(gamma, seq.m)
+    Ms = [M_function(seq, k0, gamma, z, sign) for sign in signs]
+    fam = window_family(seq, gamma, z, k0, PLUS)
+    return tuple(WeylSolution(sign=sign, z=z, k0=k0, M=M,
                               k_lo=fam.k_lo, U=fam.Q + fam.P @ M, V=fam.S + fam.R @ M,
                               family=fam)
                  for sign, M in zip(signs, Ms))
 
 
 def schur_parity_formula(seq: VerblunskySequence, k0: int, gamma, z, k: int,
-                         sign, gamma_sqrt=None) -> np.ndarray:
+                         sign) -> np.ndarray:
     """Schur function from Weyl solution values at one site.
 
     Odd k:  Phi = z g^{1/2} V(k) U(k)^{-1} g^{1/2}
@@ -312,9 +304,9 @@ def schur_parity_formula(seq: VerblunskySequence, k0: int, gamma, z, k: int,
 
     At k = k0 this reproduces the Cayley transform of M.
     """
-    sol = weyl_solution(seq, k0, gamma, z, sign, gamma_sqrt=gamma_sqrt)
+    sol = weyl_solution(seq, k0, gamma, z, sign)
     Uk, Vk = sol.at(k)
-    gh = sol.family.gamma_sqrt
+    gh = sol.family.boundary.root
     if k % 2 == 1:
         core = solve(Vk, Uk, SingularSolutionValue, right=True)
         return sol.z * (gh @ core @ gh)
@@ -349,14 +341,14 @@ def _herm_eigs(F: np.ndarray) -> np.ndarray:
 
 
 def spectral_sample(seq: VerblunskySequence, k0: int, gamma, z,
-                    tol: float = 1e-10, gamma_sqrt=None) -> SpectralSample:
+                    tol: float = 1e-10) -> SpectralSample:
     """Evaluate m, M, and Phi for both signs at one point, from one root of gamma."""
     z = require_off_circle(z, allow_zero=True)
-    gamma_sqrt = principal_unitary_sqrt(gamma) if gamma_sqrt is None else gamma_sqrt
-    mp = m_function(seq, k0, gamma, z, PLUS, gamma_sqrt=gamma_sqrt)
-    mm = m_function(seq, k0, gamma, z, MINUS, gamma_sqrt=gamma_sqrt)
+    gamma = as_boundary(gamma, seq.m)
+    mp = m_function(seq, k0, gamma, z, PLUS)
+    mm = m_function(seq, k0, gamma, z, MINUS)
     Mp = mp
-    Mm = _M_minus(seq, k0, gamma, z, gamma_sqrt, m_minus=mm)
+    Mm = _M_minus(seq, k0, gamma, z, m_minus=mm)
     phip = schur_from_M(Mp)
     phim = schur_from_M(Mm)
     inside = abs(z) < 1.0

@@ -221,8 +221,7 @@ def test_criterion_06_quadratic_and_conjugation():
             fams = {}
             for sign in (PLUS, MINUS):
                 f = window_family(seq, g, z, k0, sign)
-                fc = window_family(seq, g, zc, k0, sign,
-                                   gamma_sqrt=f.gamma_sqrt)
+                fc = window_family(seq, f.boundary, zc, k0, sign)
                 fams[sign] = (f, fc)
             for k in range(seq.k_min, seq.k_max):
                 res = quadratic_identities(fams[PLUS], fams[MINUS], k)

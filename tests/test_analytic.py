@@ -15,7 +15,7 @@ from cmvkit.analytic import (
     reflect,
     uniform_grid_measure,
 )
-from cmvkit.errors import NotFinite, OutOfRange, SingularFactor
+from cmvkit.errors import DimensionMismatch, NotFinite, OutOfRange, SingularFactor
 
 
 def random_measure(seed, m=2, n=5):
@@ -90,6 +90,9 @@ def test_measure_validation():
         AtomicMeasure(zetas=[1.0], weights=[-np.eye(2)], C=np.zeros((2, 2)))
     with pytest.raises(ValueError, match="size differs"):
         AtomicMeasure(zetas=[1.0], weights=[np.eye(2)], C=np.zeros((1, 1)))
+    with pytest.raises(DimensionMismatch) as info:     # ragged weights, not numpy's error
+        AtomicMeasure([1, 1j], [np.eye(1), np.eye(2)], np.zeros((1, 1)))
+    assert type(info.value) is DimensionMismatch
 
 
 @pytest.mark.parametrize("zeta, weight", [(complex("nan"), np.eye(1)),

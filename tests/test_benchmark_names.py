@@ -1,25 +1,32 @@
-"""The library names that perfbench/spans.py wraps by name still resolve.
+"""The benchmark in perfbench/ still runs against the library.
 
-The tracer looks up each (module, attribute) at install time, so a renamed
-or deleted function would only surface in a traced benchmark run.
+The tracer looks up each (module, attribute) of perfbench/spans.py at install
+time, and the workloads call the public API with the signatures they were
+written for, so a renamed function or a changed signature would otherwise
+only surface in a benchmark run.
 """
 
 import importlib
 import importlib.util
+import sys
 from pathlib import Path
 
-SPANS = Path(__file__).resolve().parents[1] / "perfbench" / "spans.py"
+import pytest
+
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
-def load_spans():
-    spec = importlib.util.spec_from_file_location("perfbench_spans", SPANS)
+def load(name: str):
+    """perfbench/<name>.py as a module, registered so its dataclasses resolve."""
+    spec = importlib.util.spec_from_file_location(f"perfbench_{name}", PERFBENCH / f"{name}.py")
     module = importlib.util.module_from_spec(spec)
+    sys.modules[spec.name] = module
     spec.loader.exec_module(module)
     return module
 
 
 def test_every_traced_name_resolves():
-    spans = load_spans()
+    spans = load("spans")
     named = [entry[:2] for entry in spans.SPANNED] + list(spans.SITE_READS)
     for mod_name, dotted in named:
         owner = importlib.import_module(mod_name)
@@ -31,3 +38,13 @@ def test_every_traced_name_resolves():
     for counted in spans.CALLS.values():
         assert set(counted) <= wrapped, counted
     assert importlib.import_module("cmvkit.cli.suites").SUITES
+
+
+WORKLOADS = load("workloads")
+
+
+@pytest.mark.parametrize("name", WORKLOADS.WORKLOADS)
+def test_one_tiny_cycle_of_each_workload_passes_its_checks(name):
+    workload = WORKLOADS.build(name, 3, "tiny")
+    verdicts = [op.check(op.call()) for op in workload.cycle]
+    assert verdicts and all(v.passed and v.in_claim_ok for v in verdicts), name

@@ -270,6 +270,8 @@ def _error_cases():
         ("replace-wrong-size", lambda: seq.replace(5, contractive([[0.3]])),
          DimensionMismatch, "site 5:"),
         ("values-gap", lambda: sequence_from_values(gap), MalformedInput, "site 3"),
+        ("ragged-stack", lambda: VerblunskySequence(0, [[[1]], [[0.1, 0.2]]]),
+         DimensionMismatch, "regular array"),
     ]
     for k in (0, 8):
         cases += [(f"values-end-{k}", values_with(k, 0.5), NotUnitary, f"site {k}:"),

@@ -33,8 +33,7 @@ def test_pairing_of_first_and_second_kind():
     seq, g, k0 = make_case(2, 30)
     z = 0.5 * np.exp(1.1j)
     fam = window_family(seq, g, z, k0, PLUS)
-    fam_c = window_family(seq, g, 1.0 / np.conj(z), k0, PLUS,
-                          gamma_sqrt=fam.gamma_sqrt)
+    fam_c = window_family(seq, fam.boundary, 1.0 / np.conj(z), k0, PLUS)
     for k in range(k0 - 3, k0 + 4):
         got = wronskian((fam_c.at(k).P, fam_c.at(k).R),
                         (fam.at(k).Q, fam.at(k).S), k)
@@ -184,9 +183,9 @@ def test_half_kernel_short_propagation_is_exact(monkeypatch):
         spans.append((fam.k_lo, fam.k_hi))
         return fam
 
-    def whole(seq, k0, gamma, z, sign, gamma_sqrt, *sites):
+    def whole(seq, k0, gamma, z, sign, *sites):
         lo, hi = greens._half_range(seq, k0, sign)
-        return limited(seq, k0, gamma, z, sign, gamma_sqrt, lo, hi)
+        return limited(seq, k0, gamma, z, sign, lo, hi)
 
     branches = set()
     for sign, k, kp in ((PLUS, k0 + 9, k0 + 11), (PLUS, k0 + 11, k0 + 9),

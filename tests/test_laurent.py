@@ -22,6 +22,7 @@ from cmvkit.laurent import (
     window_family,
 )
 from cmvkit.coefficients import (
+    BoundaryUnitary,
     DefectPair,
     defect_matrices,
     principal_unitary_sqrt,
@@ -246,10 +247,8 @@ def test_connection_same_sign_identity():
     cc = connection(g1, g2, seq.alpha(k0), k0)
     for sign in (PLUS, MINUS):
         for z in (0.45 * np.exp(0.7j), 1.9 * np.exp(2.1j)):
-            fam1 = window_family(seq, g1, z, k0, sign,
-                                 gamma_sqrt=cc.g1_sqrt)
-            fam2 = window_family(seq, g2, z, k0, sign,
-                                 gamma_sqrt=cc.g2_sqrt)
+            fam1 = window_family(seq, BoundaryUnitary(g1, cc.g1_sqrt), z, k0, sign)
+            fam2 = window_family(seq, BoundaryUnitary(g2, cc.g2_sqrt), z, k0, sign)
             for k in (4, 10, 15):
                 s1, s2 = fam1.at(k), fam2.at(k)
                 np.testing.assert_allclose(
@@ -293,10 +292,10 @@ def test_connection_cross_sign_and_cross_site():
     k0 = 9
     cc = connection(g1, g2, seq.alpha(k0), k0)
     z = 0.5 * np.exp(1.3j)
-    fam_p = window_family(seq, g1, z, k0, PLUS, gamma_sqrt=cc.g1_sqrt)
-    fam_m_same = window_family(seq, g2, z, k0, MINUS, gamma_sqrt=cc.g2_sqrt)
-    fam_m_prev = window_family(seq, g2, z, k0 - 1, MINUS,
-                               gamma_sqrt=cc.g2_sqrt)
+    b1, b2 = BoundaryUnitary(g1, cc.g1_sqrt), BoundaryUnitary(g2, cc.g2_sqrt)
+    fam_p = window_family(seq, b1, z, k0, PLUS)
+    fam_m_same = window_family(seq, b2, z, k0, MINUS)
+    fam_m_prev = window_family(seq, b2, z, k0 - 1, MINUS)
     C2, D2 = cc.c2(z), cc.d2(z)
     for k in (3, 9, 14):
         p, ms, mp = fam_p.at(k), fam_m_same.at(k), fam_m_prev.at(k)
@@ -315,11 +314,9 @@ def test_quadratic_identities_small_residual():
     z = 0.48 * np.exp(0.9j)
     zc = 1.0 / np.conj(z)
     k0 = 9
-    root = principal_unitary_sqrt(g)
-    pair_p = (window_family(seq, g, z, k0, PLUS, gamma_sqrt=root),
-              window_family(seq, g, zc, k0, PLUS, gamma_sqrt=root))
-    pair_m = (window_family(seq, g, z, k0, MINUS, gamma_sqrt=root),
-              window_family(seq, g, zc, k0, MINUS, gamma_sqrt=root))
+    b = BoundaryUnitary(g, principal_unitary_sqrt(g))
+    pair_p = (window_family(seq, b, z, k0, PLUS), window_family(seq, b, zc, k0, PLUS))
+    pair_m = (window_family(seq, b, z, k0, MINUS), window_family(seq, b, zc, k0, MINUS))
     for k in (2, 8, 9, 12, 16):
         res = quadratic_identities(pair_p, pair_m, k)
         assert max(res.values()) < 1e-9
@@ -349,7 +346,7 @@ def test_family_respects_gamma_sqrt_branch():
     g = np.array([[np.exp(2.4j)]])
     z = 0.4 + 0.1j
     root = -principal_unitary_sqrt(g)
-    fam = seed_family(g, z, 6, PLUS, gamma_sqrt=root)
+    fam = seed_family(BoundaryUnitary(g, root), z, 6, PLUS)
     site = fam.at(6)
     # even reference site: P = gamma^{-1/2}, R = gamma^{1/2}
     np.testing.assert_allclose(site.P, np.linalg.inv(root), atol=1e-14)

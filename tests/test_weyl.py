@@ -27,6 +27,7 @@ from cmvkit.weyl import (
 )
 from cmvkit.laurent import MINUS, PLUS
 from cmvkit.coefficients import (
+    BoundaryUnitary,
     DimensionMismatch,
     NotUnitary,
     VerblunskyCoefficient,
@@ -80,8 +81,8 @@ def test_two_routes_agree_with_alternate_root():
     root = -principal_unitary_sqrt(g)
     z = 0.41 - 0.22j
     for sign in (PLUS, MINUS):
-        a = m_function(seq, 12, g, z, sign, gamma_sqrt=root)
-        b = m_from_edge_condition(seq, 12, g, z, sign, gamma_sqrt=root)
+        a = m_function(seq, 12, BoundaryUnitary(g, root), z, sign)
+        b = m_from_edge_condition(seq, 12, BoundaryUnitary(g, root), z, sign)
         np.testing.assert_allclose(a, b, atol=1e-11)
 
 
@@ -125,8 +126,8 @@ def test_minus_routes_agree_with_a_mixed_root():
     np.testing.assert_allclose(root @ root, g, atol=1e-13)
     for k0 in (11, 12):
         z = 0.45 * np.exp(1.2j)
-        M1 = M_function(seq, k0, g, z, MINUS, gamma_sqrt=root)
-        M2 = M_minus_via_connection(seq, k0, g, z, gamma_sqrt=root)
+        M1 = M_function(seq, k0, BoundaryUnitary(g, root), z, MINUS)
+        M2 = M_minus_via_connection(seq, k0, BoundaryUnitary(g, root), z)
         np.testing.assert_allclose(M1, M2, atol=1e-11)
 
 
@@ -226,8 +227,8 @@ def test_gamma_transformation_law():
     g1h, g2h = principal_unitary_sqrt(g1), principal_unitary_sqrt(g2)
     z = 0.5 * np.exp(1.9j)
     for sign in (PLUS, MINUS):
-        M1 = M_function(seq, 10, g1, z, sign, gamma_sqrt=g1h)
-        M2 = M_function(seq, 10, g2, z, sign, gamma_sqrt=g2h)
+        M1 = M_function(seq, 10, BoundaryUnitary(g1, g1h), z, sign)
+        M2 = M_function(seq, 10, BoundaryUnitary(g2, g2h), z, sign)
         np.testing.assert_allclose(M_gamma_transform(M1, g1h, g2h), M2,
                                    atol=1e-11)
         phi2 = schur_gamma_conjugation(schur_from_M(M1), g1h, g2h)
@@ -388,17 +389,19 @@ def test_m_routes_build_no_sequence_after_the_first_call(monkeypatch):
 
 
 def test_one_gamma_root_per_public_call(monkeypatch):
-    real = coefficients.principal_unitary_sqrt
-    roots = []
+    """An array gamma is checked (is_unitary) and rooted once per call, however
+    many families and m-functions the call builds from it."""
+    calls = {"principal_unitary_sqrt": [], "is_unitary": []}
+    for fn, seen in calls.items():
+        real = getattr(coefficients, fn)
 
-    def counting(gamma, *args, **kwargs):
-        roots.append(1)
-        return real(gamma, *args, **kwargs)
+        def counting(*args, real=real, seen=seen, **kwargs):
+            seen.append(1)
+            return real(*args, **kwargs)
 
-    for name, module in list(sys.modules.items()):
-        if name.startswith("cmvkit") and \
-                getattr(module, "principal_unitary_sqrt", None) is real:
-            monkeypatch.setattr(module, "principal_unitary_sqrt", counting)
+        for name, module in list(sys.modules.items()):
+            if name.startswith("cmvkit") and getattr(module, fn, None) is real:
+                monkeypatch.setattr(module, fn, counting)
     seq = generate(EnsembleSpec(m=2, k_min=0, k_max=24, seed=64, radius_max=0.85))
     g = random_unitary(np.random.default_rng(65), 2)
     z = 0.5 * np.exp(0.8j)
@@ -407,9 +410,11 @@ def test_one_gamma_root_per_public_call(monkeypatch):
                  lambda: half_lattice_green(seq, 12, g, z, 13, 15, PLUS),
                  lambda: half_lattice_green(seq, 12, g, z, 9, 11, MINUS),
                  lambda: full_green_entries(seq, 12, g, z, [(9, 14), (14, 9)])):
-        roots.clear()
+        for seen in calls.values():
+            seen.clear()
         call()
-        assert len(roots) == 1
+        assert len(calls["principal_unitary_sqrt"]) == 1
+        assert len(calls["is_unitary"]) <= 1
 
 
 def test_m_routes_never_assemble(monkeypatch):
@@ -489,5 +494,5 @@ def test_m_function_errors_are_pinned():
         assert type(info.value) is err, (sign, k0, type(info.value))
         if gam is not g:    # a given root does not excuse a bad gamma
             with pytest.raises(err) as info:
-                m_function(seq, k0, gam, 0.5j, sign, gamma_sqrt=np.eye(2))
+                m_function(seq, k0, BoundaryUnitary(gam, np.eye(2)), 0.5j, sign)
             assert type(info.value) is err
