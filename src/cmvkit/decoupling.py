@@ -170,10 +170,11 @@ def decoupling_report(seq: VerblunskySequence, k0: int,
     rtol : float
         Relative singular value threshold for rank decisions.
     """
-    block = local_block(seq, k0, gamma1, gamma2)
+    spec = SplitSpec(k0=k0, gamma_left=gamma1, gamma_right=gamma2)
+    block = operator_difference_block(seq, spec)
     singular_values = np.linalg.svd(block, compute_uv=False)
     full = assemble(seq)
-    split = assemble_split(seq, SplitSpec(k0=k0, gamma_left=gamma1, gamma_right=gamma2))
+    split = assemble_split(seq, spec)
     op_rank = numerical_rank(full.U - split.U, rtol)
     if z_samples is None:
         z_samples = default_z_samples()

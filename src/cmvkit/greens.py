@@ -36,7 +36,7 @@ from .laurent import (
     propagate,
     seed_family,
 )
-from .weyl import m_function, weyl_solutions
+from .weyl import _weyl_solutions, m_function
 
 
 class GreensBranch(Enum):
@@ -162,13 +162,16 @@ def full_green_entries(seq: VerblunskySequence, k0: int, gamma, z, pairs) -> lis
 
     with W = M_plus(z) - M_minus(z). Weyl solutions are built once and
     reused across the pairs and share one root of gamma; each sign pair
-    shares one propagated family.
+    shares one family, propagated only between k0 and the pairs' sites.
     """
     z = require_off_circle(z)
     zc = 1.0 / np.conj(z)
     gamma = as_boundary(gamma, seq.m)
-    sol_p, sol_m = weyl_solutions(seq, k0, gamma, z)
-    sol_pc, sol_mc = weyl_solutions(seq, k0, gamma, zc)
+    pairs = list(pairs)
+    sites = [site for pair in pairs for site in pair]
+    _check_sites(seq, k0, None, *sites)
+    sol_p, sol_m = _weyl_solutions(seq, k0, gamma, z, sites)
+    sol_pc, sol_mc = _weyl_solutions(seq, k0, gamma, zc, sites)
     W = sol_p.M - sol_m.M
     entries = []
     for k, kp in pairs:
@@ -247,7 +250,8 @@ def full_green_scalar_prefactor(seq: VerblunskySequence, k0: int, gamma, z,
     if seq.m != 1:
         raise MatrixCaseUnsupported("prefactor kernels are scalar-only")
     z = require_off_circle(z)
-    sol_p, sol_m = weyl_solutions(seq, k0, gamma, z)
+    _check_sites(seq, k0, None, k, kp)
+    sol_p, sol_m = _weyl_solutions(seq, k0, gamma, z, (k, kp))
     Wv = (sol_p.M - sol_m.M)[0, 0]
     if abs(Wv) < 1e-14:
         raise SingularWronskian(f"M_plus - M_minus vanished at z = {z}")

@@ -12,9 +12,9 @@ coefficients.BoundaryUnitary, kept as the family's boundary.
 This module provides the transfer matrices and their explicit inverses
 (stacked by site from the sequence's arrays), seed construction,
 propagation of the family's (n_sites, 2m, 2m) state [[P, Q], [R, S]] by
-one 2m x 2m product per site, the connection coefficients relating
-families with different gamma or different sign, and residual checks
-for the quadratic and conjugation identities.
+one banded triangular solve per direction, the connection coefficients
+relating families with different gamma or different sign, and residual
+checks for the quadratic and conjugation identities.
 """
 
 from __future__ import annotations
@@ -23,6 +23,7 @@ from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
+from scipy.linalg import get_lapack_funcs
 
 from .coefficients import (
     BoundaryUnitary,
@@ -43,6 +44,8 @@ from .errors import (
 
 PLUS = 1
 MINUS = -1
+
+_tbtrs = get_lapack_funcs("tbtrs", dtype=complex)
 
 
 def _norm_sign(sign) -> int:
@@ -173,16 +176,36 @@ def seed_family(gamma, z, k0: int, sign) -> SolutionFamily:
                           k0=k0, k_lo=k0, P=P, R=R, Q=Q, S=S)
 
 
+def _chain(steps: np.ndarray, X0: np.ndarray) -> np.ndarray:
+    """X_i = steps[i - 1] X_{i - 1} for i = 1 .. n, stacked, from one banded solve.
+
+    The recursion is the unit block-lower-bidiagonal system X_0 = X0,
+    X_i - T_i X_{i-1} = 0, of band width 4m - 1 with 2m right-hand sides;
+    LAPACK's tbtrs solves it by substitution without pivoting, so each
+    X_i is T_i X_{i-1} summed in another order.
+    """
+    n, w = steps.shape[:2]
+    # band[j, b, d] holds A[(j*w + b) + d, j*w + b]: -T_{j+1}[b + d - w, b] for d >= w - b
+    band = np.zeros((n + 1, w, 2 * w), dtype=complex)
+    for b in range(w):
+        np.negative(steps[:, :, b], out=band[:n, b, w - b:2 * w - b])
+    rhs = np.zeros(((n + 1) * w, w), dtype=complex, order="F")
+    rhs[:w] = X0
+    # info is nonzero only for malformed arguments: a unit diagonal is never singular
+    x, _ = _tbtrs(band.reshape(-1, 2 * w).T, rhs, uplo="L", diag="U", overwrite_b=1)
+    return x[w:].reshape(n, w, w)
+
+
 def propagate(seq: VerblunskySequence, family: SolutionFamily,
               k_target: int) -> SolutionFamily:
     """Extend a family so that it covers k_target.
 
     The family is held as one state [[P, Q], [R, S]] per site, whose
     columns (P; R) and (Q; S) obey the same recursion. It moves forward
-    with transfer matrices and backward with their explicit inverses, one
-    2m x 2m product per site, the path's matrices built as one stack.
-    Already-covered sites are kept as stored. Raises NotFinite when a
-    propagated value overflows.
+    with transfer matrices and backward with their explicit inverses, each
+    direction one banded triangular solve over the path's matrices, built
+    as one stack. Already-covered sites are kept as stored. Raises
+    NotFinite when a propagated value overflows.
     """
     if not seq.k_min <= k_target <= seq.k_max - 1:
         raise PathLeavesWindow(
@@ -194,19 +217,17 @@ def propagate(seq: VerblunskySequence, family: SolutionFamily,
     new_lo = min(family.k_lo, k_target)
     new_hi = max(family.k_hi, k_target)
     X = np.empty((new_hi - new_lo + 1, 2 * m, 2 * m), dtype=complex)
-    kept = X[family.k_lo - new_lo:family.k_hi - new_lo + 1]
+    lo, hi = family.k_lo - new_lo, family.k_hi - new_lo    # kept sites' indices
+    kept = X[lo:hi + 1]
     kept[:, :m, :m], kept[:, :m, m:] = family.P, family.Q
     kept[:, m:, :m], kept[:, m:, m:] = family.R, family.S
-    sites = list(X)
     with np.errstate(over="ignore", invalid="ignore"):    # reported below as NotFinite
         if new_hi > family.k_hi:
             steps = _transfers(seq, family.z, family.k_hi + 1, new_hi)
-            for T, i in zip(steps, range(family.k_hi + 1 - new_lo, len(sites))):
-                np.matmul(T, sites[i - 1], out=sites[i])
+            X[hi + 1:] = _chain(steps, X[hi])
         if new_lo < family.k_lo:
             steps = _transfers(seq, family.z, new_lo + 1, family.k_lo, inverse=True)
-            for Ti, i in zip(steps[::-1], range(family.k_lo - new_lo, 0, -1)):
-                np.matmul(Ti, sites[i], out=sites[i - 1])
+            X[:lo] = _chain(steps[::-1], X[lo])[::-1]
     if not np.all(np.isfinite(X)):
         raise NotFinite(f"solution family overflows on sites {new_lo}..{new_hi} "
                         f"at z = {family.z}")
@@ -270,7 +291,8 @@ def connection(gamma1, gamma2, alpha_k0, k0: int) -> ConnectionCoefficients:
         and c2(z), d2(z) as methods.
     """
     alpha = _as_square(alpha_k0)
-    g1h, g2h = (as_boundary(g, alpha.shape[0]).root for g in (gamma1, gamma2))
+    g1h = as_boundary(gamma1, alpha.shape[0]).root
+    g2h = g1h if gamma2 is gamma1 else as_boundary(gamma2, alpha.shape[0]).root
     g1i, g2i = g1h.conj().T, g2h.conj().T
     d = defect_matrices(alpha)
     ri = np.linalg.inv(d.rho)

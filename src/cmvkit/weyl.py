@@ -48,7 +48,6 @@ from .laurent import (
     connection,
     propagate,
     seed_family,
-    window_family,
 )
 
 
@@ -239,7 +238,8 @@ def M_gamma_transform(M1: np.ndarray, g1_sqrt: np.ndarray,
 
 @dataclass(frozen=True)
 class WeylSolution:
-    """Per-site values of one Weyl solution over the window.
+    """Per-site values of one Weyl solution over sites k_lo .. k_hi (the window
+    for weyl_solution and weyl_solutions).
 
     U(k) = Q_plus(k) + P_plus(k) M and V(k) = S_plus(k) + R_plus(k) M from
     the plus family seeded at k0 (kept as family, with the boundary unitary
@@ -284,13 +284,23 @@ def weyl_solutions(seq: VerblunskySequence, k0: int, gamma, z,
                    signs=(PLUS, MINUS)) -> tuple:
     """Weyl solutions of the given signs at z, sharing one propagated family
     and one square root of gamma."""
+    return _weyl_solutions(seq, k0, gamma, z, (seq.k_min, seq.k_max - 1), signs)
+
+
+def _weyl_solutions(seq: VerblunskySequence, k0: int, gamma, z, sites,
+                    signs=(PLUS, MINUS)) -> tuple:
+    """weyl_solutions over the sites from k0 to the farthest of sites on each
+    side only: the family is propagated no farther than the sites read."""
     signs = [_norm_sign(sign) for sign in signs]
     z = require_off_circle(z)
     gamma = as_boundary(gamma, seq.m)
     Ms = [M_function(seq, k0, gamma, z, sign) for sign in signs]
-    fam = window_family(seq, gamma, z, k0, PLUS)
-    return tuple(WeylSolution(sign=sign, z=z, k0=k0, M=M,
-                              k_lo=fam.k_lo, U=fam.Q + fam.P @ M, V=fam.S + fam.R @ M,
+    fam = seed_family(gamma, z, k0, PLUS)
+    fam = propagate(seq, propagate(seq, fam, min(sites, default=k0)), max(sites, default=k0))
+    P, R = (a.reshape(-1, seq.m) for a in (fam.P, fam.R))
+    return tuple(WeylSolution(sign=sign, z=z, k0=k0, M=M, k_lo=fam.k_lo,
+                              U=fam.Q + (P @ M).reshape(fam.Q.shape),
+                              V=fam.S + (R @ M).reshape(fam.S.shape),
                               family=fam)
                  for sign, M in zip(signs, Ms))
 

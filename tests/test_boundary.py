@@ -5,11 +5,14 @@ output as the value built from it; the negated root flips the sign of
 solution values and leaves every m-function, kernel and coefficient as is.
 """
 
+import sys
+
 import numpy as np
 import pytest
 
 import cmvkit as C
-from cmvkit.assembly import resolvent_block
+from cmvkit import coefficients
+from cmvkit.assembly import SplitSpec, assemble, assemble_split, resolvent_block
 from cmvkit.coefficients import BoundaryUnitary, principal_unitary_sqrt
 from cmvkit.errors import DimensionMismatch, NotFinite, NotUnitary
 from cmvkit.cli.ensembles import EnsembleSpec, generate, random_unitary
@@ -117,3 +120,45 @@ def test_boundary_value_is_a_read_only_copy():
     assert np.array_equal(value.root, principal_unitary_sqrt(value.gamma))
     assert not value.gamma.flags.writeable and not value.root.flags.writeable
     assert C.seed_family(value, Z, K0, C.PLUS).boundary is value
+
+
+def _counted_checks(monkeypatch):
+    """Count calls of is_unitary and principal_unitary_sqrt made anywhere in cmvkit."""
+    calls = {"principal_unitary_sqrt": 0, "is_unitary": 0}
+    for fn in calls:
+        real = getattr(coefficients, fn)
+
+        def counting(*args, real=real, fn=fn, **kwargs):
+            calls[fn] += 1
+            return real(*args, **kwargs)
+
+        for name, module in list(sys.modules.items()):
+            if name.startswith("cmvkit") and getattr(module, fn, None) is real:
+                monkeypatch.setattr(module, fn, counting)
+    return calls
+
+
+def test_connection_checks_one_gamma_passed_twice_once(monkeypatch):
+    """connection(g, g, ...) checks and roots g once, like one BoundaryUnitary."""
+    seq = generate(EnsembleSpec(m=2, k_min=0, k_max=20, seed=82))
+    g = random_unitary(np.random.default_rng(83), 2)
+    want = C.connection(BoundaryUnitary(g), BoundaryUnitary(g), seq.alpha(K0), K0)
+    calls = _counted_checks(monkeypatch)
+    got = C.connection(g, g, seq.alpha(K0), K0)
+    assert calls == {"principal_unitary_sqrt": 1, "is_unitary": 1}
+    for name in ("C1", "D1", "C3", "D3", "C4", "D4", "g1_sqrt", "g2_sqrt"):
+        assert np.array_equal(getattr(got, name), getattr(want, name))
+
+
+def test_decoupling_report_checks_its_split_pair_once(monkeypatch):
+    """One report builds one SplitSpec: two is_unitary calls, one per unitary."""
+    seq = generate(EnsembleSpec(m=2, k_min=0, k_max=20, seed=84))
+    ph = C.minimal_phases(seq.alpha(K0), [0.3, 1.1])
+    calls = _counted_checks(monkeypatch)
+    report = C.decoupling_report(seq, K0, ph.gamma1, ph.gamma2)
+    assert calls == {"principal_unitary_sqrt": 0, "is_unitary": 2}
+    monkeypatch.undo()
+    spec = SplitSpec(k0=K0, gamma_left=ph.gamma1, gamma_right=ph.gamma2)
+    assert np.array_equal(report.local_block, C.local_block(seq, K0, ph.gamma1, ph.gamma2))
+    assert report.op_rank == C.numerical_rank(assemble(seq).U - assemble_split(seq, spec).U)
+    assert report.minimal

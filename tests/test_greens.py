@@ -75,14 +75,14 @@ def test_full_kernel_propagates_one_family_per_z(monkeypatch):
     z = 0.5 * np.exp(0.9j)
     zc = 1.0 / np.conj(z)
     pairs = [(k0 - 3, k0 + 2), (k0 + 4, k0 - 1), (k0, k0), (k0 + 1, k0 + 1)]
-    real = weyl.window_family
+    real = weyl.seed_family
     seen = []
 
-    def counting(seq, gamma, z, *args, **kwargs):
+    def counting(gamma, z, *args, **kwargs):
         seen.append(z)
-        return real(seq, gamma, z, *args, **kwargs)
+        return real(gamma, z, *args, **kwargs)
 
-    monkeypatch.setattr(weyl, "window_family", counting)
+    monkeypatch.setattr(weyl, "seed_family", counting)
     got = full_green_entries(seq, k0, g, z, pairs)
     assert seen == [z, zc]
     monkeypatch.undo()
@@ -102,15 +102,15 @@ def test_wronskian_suite_reuses_the_weyl_families(monkeypatch):
     """The suite pairs first and second kind on the families inside its
     Weyl solutions: one propagation at z and one at 1/conj(z)."""
     spec = EnsembleSpec(m=2, k_min=0, k_max=24, seed=41)
-    real = laurent.window_family
+    real = laurent.seed_family
     seen = []
 
     def counting(*args, **kwargs):
-        seen.append(args[2])
+        seen.append(args[1])
         return real(*args, **kwargs)
 
-    for module in (laurent, weyl, suites):
-        monkeypatch.setattr(module, "window_family", counting)
+    for module in (laurent, weyl):
+        monkeypatch.setattr(module, "seed_family", counting)
     results = suites.suite_wronskian(spec, suites.Tolerances())
     assert len(seen) == 2
     assert all(r.passed for r in results)
@@ -242,6 +242,22 @@ def test_full_kernel_matches_dense():
                 want = dense_resolvent_entry(seq, z, e.k, e.kp)
                 scale = max(1.0, np.linalg.norm(want))
                 assert np.linalg.norm(e.value - want) / scale < 1e-8
+
+
+def test_full_kernel_on_a_long_window():
+    """At 4000 sites the Weyl solutions are built only between k0 and the
+    pairs' sites, so pairs next to k0 neither overflow nor lose accuracy."""
+    seq = generate(EnsembleSpec(m=2, k_min=0, k_max=4000, seed=4000))
+    g = random_unitary(np.random.default_rng(4001), 2)
+    k0 = 2000
+    for z in (0.5, 0.6 * np.exp(0.7j)):
+        entries = full_green_entries(seq, k0, g, z, [(2000, 2001), (2001, 2000), (1999, 2002)])
+        for e in entries:
+            want = dense_resolvent_entry(seq, z, e.k, e.kp)
+            assert np.linalg.norm(e.value - want) <= 1e-12 * np.linalg.norm(want)
+    for pair in ((k0, seq.k_max), (seq.k_min - 1, k0)):
+        with pytest.raises(SiteOutOfWindow, match="outside the window"):
+            full_green_entries(seq, k0, g, 0.5, [pair])
 
 
 def test_full_kernel_independent_of_gamma():

@@ -150,23 +150,73 @@ def _per_site_family(seq, fam, k_lo, k_hi):
     return {k: (P, R, Q, S) for k, (P, R, Q, S) in vals.items()}
 
 
+def _assert_window_family_matches_per_site(seq, g, z, k0, sign):
+    fam = window_family(seq, g, z, k0, sign)
+    want = _per_site_family(seq, seed_family(g, z, k0, sign), seq.k_min, seq.k_max - 1)
+    assert (fam.k_lo, fam.k_hi) == (seq.k_min, seq.k_max - 1)
+    for k, letters in want.items():
+        site = fam.at(k)
+        for got, ref in zip((site.P, site.R, site.Q, site.S), letters):
+            err = np.linalg.norm(got - ref)
+            assert err <= 1e-12 * np.linalg.norm(ref)
+
+
 @pytest.mark.parametrize("m", (1, 2, 3))
 def test_propagate_matches_per_site_transfers(m):
-    """Stacked one-product propagation agrees with per-site transfers."""
+    """Stacked banded-solve propagation agrees with per-site transfers."""
     seq = generate(EnsembleSpec(m=m, k_min=-3, k_max=27, seed=70 + m))
     g = random_unitary(np.random.default_rng(80 + m), m)
     for k0 in (11, 12):
         for z in (0.55 * np.exp(0.8j), 1.9 * np.exp(-2.3j)):
             for sign in (PLUS, MINUS):
-                fam = window_family(seq, g, z, k0, sign)
-                want = _per_site_family(seq, seed_family(g, z, k0, sign),
-                                        seq.k_min, seq.k_max - 1)
-                assert (fam.k_lo, fam.k_hi) == (seq.k_min, seq.k_max - 1)
-                for k, letters in want.items():
-                    site = fam.at(k)
-                    for got, ref in zip((site.P, site.R, site.Q, site.S), letters):
-                        err = np.linalg.norm(got - ref)
-                        assert err <= 1e-12 * np.linalg.norm(ref)
+                _assert_window_family_matches_per_site(seq, g, z, k0, sign)
+
+
+@pytest.mark.parametrize("m", (1, 2, 3))
+def test_propagate_matches_per_site_transfers_on_long_windows(m):
+    """The banded solve stays within 1e-12 of per-site transfers over 400 sites,
+    forward and backward from k0, inside, near and outside the unit circle."""
+    seq = generate(EnsembleSpec(m=m, k_min=0, k_max=400, seed=170 + m))
+    g = random_unitary(np.random.default_rng(180 + m), m)
+    for r in (0.5, 0.99, 1.01, 2.0):
+        for sign in (PLUS, MINUS):
+            _assert_window_family_matches_per_site(seq, g, r * np.exp(0.7j * m), 200, sign)
+
+
+def test_propagating_nearer_keeps_shared_sites():
+    """A nearer target gives bit-identical values on the sites both families
+    cover, in either direction and when a family is extended in two steps."""
+    seq = generate(EnsembleSpec(m=2, k_min=0, k_max=120, seed=185))
+    g = random_unitary(np.random.default_rng(186), 2)
+    for z in (0.6 * np.exp(0.4j), 1.8 * np.exp(-2.0j)):
+        fam = seed_family(g, z, 60, PLUS)
+        for near, far in ((61, 119), (75, 119), (59, 0), (40, 0)):
+            a, b = propagate(seq, fam, near), propagate(seq, fam, far)
+            stepped = propagate(seq, a, far)
+            for letter in "PRQS":
+                shared = getattr(b, letter)[a.k_lo - b.k_lo:a.k_hi - b.k_lo + 1]
+                assert np.array_equal(getattr(a, letter), shared)
+                assert np.array_equal(getattr(stepped, letter), getattr(b, letter))
+
+
+def test_each_direction_is_one_banded_solve(monkeypatch):
+    """A family extended both ways from its seed takes exactly two banded
+    solves, one per direction, whatever the number of sites."""
+    seq = generate(EnsembleSpec(m=2, k_min=0, k_max=60, seed=187))
+    g = random_unitary(np.random.default_rng(188), 2)
+    calls = []
+    real = laurent._tbtrs
+
+    def counting(*args, **kwargs):
+        calls.append(args[0].shape)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(laurent, "_tbtrs", counting)
+    window_family(seq, g, 0.6 + 0.2j, 25, PLUS)
+    assert calls == [(8, 4 * 26), (8, 4 * 35)]     # band 4m x 2m(n + 1) per direction
+    calls.clear()
+    propagate(seq, seed_family(g, 1.5j, 25, MINUS), 59)
+    assert len(calls) == 1
 
 
 def test_propagation_makes_no_transfer_calls(monkeypatch):
