@@ -40,7 +40,6 @@ from .decoupling import (
     PhaseSolution,
     decoupling_report,
     det_criterion,
-    local_block,
     minimal_phases,
     numerical_rank,
 )

@@ -9,11 +9,11 @@ matrix, which keeps the finite V and W exactly unitary.
 Also provided: the decoupled variant in which one block is replaced by
 diag(-gamma_left, gamma_right*), severing the window into two independent
 halves, a matrix-free application of the five-term difference
-expression for cross-checking rows of U, the window's V and W* in LAPACK
-band storage, and from them one banded solve for any m x m block of the
-resolvent (U_s - z)^{-1} of the window or of a half window cut at k0,
-which never forms U_s. The half-window m-functions and the Green oracle
-both read their blocks from it.
+expression for cross-checking rows of U, the V and W* of the window or a
+split in LAPACK band storage with one banded LU on the pencil V - z W*,
+and from them any m x m block of the resolvent (U_s - z)^{-1} of the
+window or of a half window cut at k0, which never forms U_s. The
+half-window m-functions and the Green oracle both read their blocks from it.
 """
 
 from __future__ import annotations
@@ -92,6 +92,14 @@ class SplitSpec:
         object.__setattr__(self, "gamma_left", gl)
         object.__setattr__(self, "gamma_right", gr)
 
+    def block_in(self, seq: VerblunskySequence) -> np.ndarray:
+        """diag(-gamma_left, gamma_right*), the block installed at k0 of seq."""
+        if not seq.k_min < self.k0 <= seq.k_max:
+            raise SplitOutOfWindow(f"split site {self.k0} outside ({seq.k_min}, {seq.k_max}]")
+        if self.gamma_left.shape != (seq.m, seq.m):
+            raise DimensionMismatch("split unitaries must match the sequence block size")
+        return scipy.linalg.block_diag(-self.gamma_left, self.gamma_right.conj().T)
+
 
 def _placed_blocks(seq: VerblunskySequence, spec: SplitSpec | None = None):
     """Every coefficient's 2m x 2m block of V or W and the entries it fills.
@@ -114,8 +122,7 @@ def _placed_blocks(seq: VerblunskySequence, spec: SplitSpec | None = None):
     blocks[1:-1, m:, :m] = A.rho
     blocks[:, m:, m:] = seq.values.conj().transpose(0, 2, 1)
     if spec is not None:
-        blocks[spec.k0 - seq.k_min] = scipy.linalg.block_diag(
-            -spec.gamma_left, spec.gamma_right.conj().T)
+        blocks[spec.k0 - seq.k_min] = spec.block_in(seq)
     return (blocks.reshape(-1), *_placement(n, m, seq.k_min % 2))
 
 
@@ -168,13 +175,13 @@ def assemble(seq: VerblunskySequence) -> CmvOperatorSet:
     return _dense_operators(seq)
 
 
-def band_storage(seq: VerblunskySequence) -> tuple:
-    """Read-only V and W* of the window in LAPACK gbsv layout (seq.bands), no row cap.
+def band_storage(seq: VerblunskySequence, spec: SplitSpec | None = None) -> tuple:
+    """Read-only V and W* of the window (seq.bands) or its split in LAPACK gbtrf layout, no row cap.
 
     With b = 2m - 1, entry (r, c) sits at [2b + r - c, c] of a column-major
     (3b + 1, m n) array; the top b rows are the LU's fill-in space.
     """
-    entries, (vs, vr, vc), (ws, wr, wc) = _placed_blocks(seq)
+    entries, (vs, vr, vc), (ws, wr, wc) = _placed_blocks(seq, spec)
     b, size = 2 * seq.m - 1, seq.m * seq.n_sites
     V, W_star = (np.zeros((size, 3 * b + 1), dtype=complex) for _ in range(2))
     V[vc, 2 * b + vr - vc] = entries[vs]
@@ -184,7 +191,23 @@ def band_storage(seq: VerblunskySequence) -> tuple:
     return V.T, W_star.T
 
 
-_gbsv = scipy.linalg.get_lapack_funcs("gbsv", dtype=complex)
+_gbtrf, _gbtrs = scipy.linalg.get_lapack_funcs(("gbtrf", "gbtrs"), dtype=complex)
+
+
+def pencil_solve(V: np.ndarray, W_star: np.ndarray, z: complex, rhs: np.ndarray,
+                 trans: int = 0) -> np.ndarray:
+    """(V - z W*)^{-1} rhs, or (V - z W*)^{-*} rhs for trans=2: one gbtrf, one gbtrs.
+
+    V and W* in band_storage's layout; SingularSolve if singular or overflowing."""
+    b = (V.shape[0] - 1) // 3
+    lu, piv, info = _gbtrf(V - z * W_star, b, b, overwrite_ab=True)
+    if info == 0:
+        X, info = _gbtrs(lu, b, b, rhs, piv, trans=trans)
+    if info != 0:
+        raise SingularSolve(f"resolvent solve failed at z = {z}")
+    if not np.all(np.isfinite(X)):
+        raise SingularSolve(f"resolvent solve overflowed at z = {z}")
+    return X
 
 
 def resolvent_block(seq: VerblunskySequence, z: complex, k: int, kp: int,
@@ -201,8 +224,8 @@ def resolvent_block(seq: VerblunskySequence, z: complex, k: int, kp: int,
     A half window's V and W* are a column slice of seq.bands in which only
     the cut block's corner at k0 differs: gamma* (plus) or -gamma (minus).
     Its entries coupling to the sites cut off fall in the corner of the
-    band layout outside the matrix, which gbsv never reads. One gbsv call
-    gives X = (V - z W*)^{-1} E_kp, and the block is (W E_k)* X.
+    band layout outside the matrix, which the LU never reads. One
+    pencil_solve gives X = (V - z W*)^{-1} E_kp, and the block is (W E_k)* X.
     Raises SingularSolve when the solve fails or overflows.
     """
     m, b = seq.m, 2 * seq.m - 1
@@ -231,11 +254,7 @@ def resolvent_block(seq: VerblunskySequence, z: complex, k: int, kp: int,
             W_star[rows, cols] = corner.conj().T
     j, jp = ((site - seq.k_min) * m - lo for site in (k, kp))   # first columns in U_s
     E = np.eye(hi - lo, m, -jp, dtype=complex)
-    _, _, X, info = _gbsv(b, b, V - z * W_star, E, overwrite_ab=True)
-    if info != 0:
-        raise SingularSolve(f"resolvent solve failed at z = {z}")
-    if not np.all(np.isfinite(X)):
-        raise SingularSolve(f"resolvent solve overflowed at z = {z}")
+    X = pencil_solve(V, W_star, z, E)
     # W E_k at column c is conj W*(k, c), which sits within one site of k
     c = np.arange(max(j - m, 0), min(j + 2 * m, hi - lo))[:, None]
     W_k = np.zeros((hi - lo, m), dtype=complex)
@@ -249,12 +268,6 @@ def assemble_split(seq: VerblunskySequence, spec: SplitSpec) -> CmvOperatorSet:
     The result is block diagonal across the cut between sites k0 - 1 and
     k0: rows below the cut never couple to columns at or above it.
     """
-    if not (seq.k_min < spec.k0 <= seq.k_max):
-        raise SplitOutOfWindow(
-            f"split site {spec.k0} outside ({seq.k_min}, {seq.k_max}]"
-        )
-    if spec.gamma_left.shape != (seq.m, seq.m):
-        raise DimensionMismatch("split unitaries must match the sequence block size")
     return _dense_operators(seq, spec)
 
 
@@ -339,8 +352,6 @@ def operator_difference_block(seq: VerblunskySequence, spec: SplitSpec) -> np.nd
     """
     if not (seq.k_min < spec.k0 < seq.k_max):
         raise SplitOutOfWindow(f"site {spec.k0} is not interior to the window")
-    m, A, i = seq.m, seq.arrays, spec.k0 - seq.k_min - 1
-    block = theta_block(A.alpha[i], DefectPair(rho=A.rho[i], rho_tilde=A.rho_tilde[i]))
-    block[:m, :m] += spec.gamma_left
-    block[m:, m:] -= spec.gamma_right.conj().T
-    return block
+    A, i = seq.arrays, spec.k0 - seq.k_min - 1
+    theta = theta_block(A.alpha[i], DefectPair(rho=A.rho[i], rho_tilde=A.rho_tilde[i]))
+    return theta - spec.block_in(seq)

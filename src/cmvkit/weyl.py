@@ -314,7 +314,7 @@ def schur_parity_formula(seq: VerblunskySequence, k0: int, gamma, z, k: int,
 
     At k = k0 this reproduces the Cayley transform of M.
     """
-    sol = weyl_solution(seq, k0, gamma, z, sign)
+    sol, = _weyl_solutions(seq, k0, gamma, z, (k,), (sign,))
     Uk, Vk = sol.at(k)
     gh = sol.family.boundary.root
     if k % 2 == 1:

@@ -159,6 +159,11 @@ def test_decoupling_report_checks_its_split_pair_once(monkeypatch):
     assert calls == {"principal_unitary_sqrt": 0, "is_unitary": 2}
     monkeypatch.undo()
     spec = SplitSpec(k0=K0, gamma_left=ph.gamma1, gamma_right=ph.gamma2)
-    assert np.array_equal(report.local_block, C.local_block(seq, K0, ph.gamma1, ph.gamma2))
-    assert report.op_rank == C.numerical_rank(assemble(seq).U - assemble_split(seq, spec).U)
+    assert np.array_equal(report.local_block, C.operator_difference_block(seq, spec))
+    U, U_split = assemble(seq).U, assemble_split(seq, spec).U
+    assert report.op_rank == C.numerical_rank(U - U_split)
+    eye = np.eye(U.shape[0])
+    assert report.resolvent_ranks == {
+        z: C.numerical_rank(np.linalg.inv(U - z * eye) - np.linalg.inv(U_split - z * eye))
+        for z in report.resolvent_ranks}
     assert report.minimal

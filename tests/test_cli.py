@@ -209,6 +209,19 @@ def test_green_runs_past_the_dense_row_cap(tmp_path, capsys):
         assert all(float(r[-1]) < 1e-9 for r in rows[1:])
 
 
+def test_decouple_runs_past_the_dense_row_cap(tmp_path, capsys):
+    """m = 2 on 300 sites: 600 rows, past the 512 that dense assembly allows."""
+    seq_file = str(tmp_path / "seq.json")
+    run(capsys, "gen", "--seed", "5", "--m", "2", "--window", "0,300", "--out", seq_file)
+    for k0 in ("150", "151"):                 # the cut block in V, then in W
+        code, out, _ = run(capsys, "decouple", "--in", seq_file, "--k0", k0)
+        assert code == 0
+        rep = json.loads(out)
+        assert rep["op_rank"] == 2 and rep["minimal"] is True
+        assert len(rep["resolvent_ranks"]) == 8
+        assert set(rep["resolvent_ranks"].values()) == {2}
+
+
 def test_analytic_exit_codes(tmp_path, capsys):
     rng = np.random.default_rng(0)
     G = rng.standard_normal((2, 2)) + 1j * rng.standard_normal((2, 2))

@@ -3,13 +3,14 @@
 import numpy as np
 import pytest
 
+from cmvkit.assembly import SplitSpec, assemble, assemble_split, operator_difference_block
 from cmvkit.decoupling import (
     decoupling_report,
     default_z_samples,
     det_criterion,
-    local_block,
     minimal_phases,
     numerical_rank,
+    _resolvent_factors,
 )
 from cmvkit.coefficients import factorize_svd, sequence_from_values
 from cmvkit.cli.ensembles import EnsembleSpec, generate, random_unitary
@@ -66,10 +67,11 @@ def test_det_criterion_uses_split_unitary_phases():
 
 def test_local_block_frozen_examples():
     seq = scalar_sequence(0.0)
-    blk = local_block(seq, 6, np.array([[1.0]]), np.array([[1.0]]))
+    one = np.array([[1.0]])
+    blk = operator_difference_block(seq, SplitSpec(k0=6, gamma_left=one, gamma_right=one))
     np.testing.assert_allclose(blk, [[1.0, 1.0], [1.0, -1.0]], atol=1e-15)
     assert numerical_rank(blk) == 2
-    blk_min = local_block(seq, 6, np.array([[-1.0]]), np.array([[1.0]]))
+    blk_min = operator_difference_block(seq, SplitSpec(k0=6, gamma_left=-one, gamma_right=one))
     np.testing.assert_allclose(blk_min, [[-1.0, 1.0], [1.0, -1.0]],
                                atol=1e-15)
     assert numerical_rank(blk_min) == 1
@@ -101,30 +103,69 @@ def test_scalar_report_minimal_and_perturbed():
     assert rep3.op_rank == 2
 
 
+def _dense_ranks(seq, k0, gamma1, gamma2, z_samples):
+    """rank(U - U_split) and each rank((U - z)^{-1} - (U_split - z)^{-1}), all n x n."""
+    U = assemble(seq).U
+    U_split = assemble_split(seq, SplitSpec(k0=k0, gamma_left=gamma1, gamma_right=gamma2)).U
+    eye = np.eye(U.shape[0])
+    return numerical_rank(U - U_split), {
+        z: numerical_rank(np.linalg.inv(U - z * eye) - np.linalg.inv(U_split - z * eye))
+        for z in z_samples}
+
+
+def test_thin_factors_reproduce_the_dense_resolvent_difference():
+    """-W* X B Y* is (U - z)^{-1} - (U_split - z)^{-1} entry for entry, at both parities."""
+    rng = np.random.default_rng(91)
+    for m in (1, 2, 3):
+        for k_min, k_max in ((0, 12), (1, 14)):
+            seq = generate(EnsembleSpec(m=m, k_min=k_min, k_max=k_max, seed=10 * m + k_min))
+            ops = assemble(seq)
+            eye = np.eye(ops.U.shape[0])
+            for k0 in (k_min + 1, k_min + 2, k_max - 2, k_max - 1):
+                spec = SplitSpec(k0=k0, gamma_left=random_unitary(rng, m),
+                                 gamma_right=random_unitary(rng, m))
+                U_split = assemble_split(seq, spec).U
+                B = operator_difference_block(seq, spec)
+                for z, X, Y in _resolvent_factors(seq, spec, default_z_samples()):
+                    want = np.linalg.inv(ops.U - z * eye) - np.linalg.inv(U_split - z * eye)
+                    got = -ops.W.conj().T @ X @ B @ Y.conj().T
+                    assert np.abs(got - want).max() < 1e-13 * max(np.abs(want).max(), 1.0)
+
+
 def test_matrix_report_ranks():
-    for m, seed in ((2, 1), (3, 2)):
-        spec = EnsembleSpec(m=m, k_min=0, k_max=12, seed=seed, radius_max=0.8)
-        seq = generate(spec)
-        rng = np.random.default_rng(seed)
-        s = rng.uniform(0, 2 * np.pi, size=m)
-        sol = minimal_phases(seq.alpha(6), s)
-        rep = decoupling_report(seq, 6, sol.gamma1, sol.gamma2)
-        assert rep.op_rank == m
-        assert rep.minimal
-        assert all(r == m for r in rep.resolvent_ranks.values())
-        # one bumped channel raises the rank by exactly one
-        fac = factorize_svd(seq.alpha(6))
-        t = np.asarray(sol.t, dtype=float).copy()
-        t[0] += 0.1
-        g1 = fac.sigma @ np.diag(np.exp(1j * t)) @ fac.tau.conj().T
-        repb = decoupling_report(seq, 6, g1, sol.gamma2,
-                                 z_samples=default_z_samples()[:1])
-        assert repb.op_rank == m + 1
-        # identity pair: full local rank
-        eye = np.eye(m)
-        repi = decoupling_report(seq, 6, eye, eye,
-                                 z_samples=default_z_samples()[:1])
-        assert repi.op_rank == 2 * m
+    """The report's thin-factor ranks are the literal dense ones, and the claimed ones.
+
+    m = 1-3, cuts of both parities next to either end and in the middle,
+    and five gamma pairs: minimal (rank m), one channel bumped (m + 1), a
+    single gamma on both sides, the identity (2m) and a random pair.
+    """
+    rng = np.random.default_rng(1)
+    seen = set()
+    for m in (1, 2, 3):
+        for k_min, k_max in ((0, 12), (1, 14)):
+            spec = EnsembleSpec(m=m, k_min=k_min, k_max=k_max, seed=m - 1 + 10 * k_min,
+                                radius_max=0.8)
+            seq = generate(spec)
+            for k0 in (k_min + 1, k_min + 2, 6 + k_min, k_max - 2, k_max - 1):
+                sol = minimal_phases(seq.alpha(k0), rng.uniform(0, 2 * np.pi, size=m))
+                fac = factorize_svd(seq.alpha(k0))
+                t = np.asarray(sol.t, dtype=float).copy()
+                t[0] += 0.1
+                bumped = fac.sigma @ np.diag(np.exp(1j * t)) @ fac.tau.conj().T
+                pairs = {"minimal": (sol.gamma1, sol.gamma2), "bumped": (bumped, sol.gamma2),
+                         "single": (sol.gamma2, sol.gamma2), "identity": (np.eye(m), np.eye(m)),
+                         "random": (random_unitary(rng, m), random_unitary(rng, m))}
+                reps = {}
+                for name, (g1, g2) in pairs.items():
+                    reps[name] = rep = decoupling_report(seq, k0, g1, g2)
+                    dense = _dense_ranks(seq, k0, g1, g2, default_z_samples())
+                    assert (rep.op_rank, rep.resolvent_ranks) == dense, (m, k0, name)
+                assert reps["minimal"].minimal and reps["minimal"].op_rank == m
+                assert set(reps["minimal"].resolvent_ranks.values()) == {m}
+                assert reps["bumped"].op_rank == m + 1 and not reps["bumped"].minimal
+                assert reps["identity"].op_rank == 2 * m
+                seen.add((m, k0 % 2, k0 - k_min in (1, k_max - k_min - 1)))
+    assert len(seen) == 12          # every m, both parities, edge and inner cuts
 
 
 def test_phase_solution_unitaries_share_frame():

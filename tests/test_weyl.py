@@ -7,6 +7,7 @@ import pytest
 
 from cmvkit import assembly, coefficients, weyl
 from cmvkit.assembly import assemble, resolvent_block
+from cmvkit.decoupling import decoupling_report, minimal_phases
 from cmvkit.greens import dense_resolvent_entry, full_green_entries, half_lattice_green
 from cmvkit.weyl import (
     M_from_schur,
@@ -190,6 +191,17 @@ def test_schur_parity_formula_at_reference():
             np.testing.assert_allclose(
                 schur_parity_formula(seq, k0, g, z, k0, sign),
                 schur_from_M(M), atol=1e-10)
+
+
+def test_schur_parity_formula_reads_only_its_site_on_a_long_window():
+    """At 4000 sites the whole-window family overflows; the formula reads k only."""
+    seq = generate(EnsembleSpec(m=2, k_min=0, k_max=4000, seed=4000))
+    g = random_unitary(np.random.default_rng(4001), 2)
+    for sign in (PLUS, MINUS):
+        np.testing.assert_allclose(
+            schur_parity_formula(seq, 2000, g, 0.5, 2000, sign),
+            schur_from_M(M_function(seq, 2000, g, 0.5, sign)), rtol=0, atol=1e-12)
+        assert np.all(np.isfinite(schur_parity_formula(seq, 2000, g, 0.5, 2003, sign)))
 
 
 def test_spectral_sample_flags_and_bounds():
@@ -418,16 +430,17 @@ def test_one_gamma_root_per_public_call(monkeypatch):
 
 
 def test_m_routes_never_assemble(monkeypatch):
-    real = assembly.assemble
     calls = []
+    for attr in ("assemble", "assemble_split"):
+        real = getattr(assembly, attr)
 
-    def counting(seq):
-        calls.append(seq)
-        return real(seq)
+        def counting(*args, real=real):
+            calls.append(args)
+            return real(*args)
 
-    for name, module in list(sys.modules.items()):
-        if name.startswith("cmvkit") and getattr(module, "assemble", None) is real:
-            monkeypatch.setattr(module, "assemble", counting)
+        for name, module in list(sys.modules.items()):
+            if name.startswith("cmvkit") and getattr(module, attr, None) is real:
+                monkeypatch.setattr(module, attr, counting)
     spec = EnsembleSpec(m=2, k_min=0, k_max=24, seed=60, radius_max=0.85)
     seq = generate(spec)
     g = random_unitary(np.random.default_rng(61), 2)
@@ -439,6 +452,10 @@ def test_m_routes_never_assemble(monkeypatch):
     assert calls == []
     dense_resolvent_entry(seq, z, 12, 13)
     dense_resolvent_entry(seq, z, 12, 15, half=PLUS, k0=12, gamma=g)
+    assert calls == []
+    for k0 in (12, 13):                       # the cut block in V, then in W
+        sol = minimal_phases(seq.alpha(k0), [0.3, 1.1])
+        assert decoupling_report(seq, k0, sol.gamma1, sol.gamma2).minimal
     assert calls == []
 
 
