@@ -78,10 +78,12 @@ from .weyl import (
 )
 from .greens import (
     GreensEntry,
+    dense_resolvent_entries,
     dense_resolvent_entry,
     full_green_entries,
     full_lattice_green,
     full_green_scalar_prefactor,
+    half_green_entries,
     half_green_scalar_prefactor,
     half_lattice_green,
     wronskian,

@@ -9,11 +9,13 @@ matrix, which keeps the finite V and W exactly unitary.
 Also provided: the decoupled variant in which one block is replaced by
 diag(-gamma_left, gamma_right*), severing the window into two independent
 halves, a matrix-free application of the five-term difference
-expression for cross-checking rows of U, the V and W* of the window or a
-split in LAPACK band storage with one banded LU on the pencil V - z W*,
-and from them any m x m block of the resolvent (U_s - z)^{-1} of the
-window or of a half window cut at k0, which never forms U_s. The
-half-window m-functions and the Green oracle both read their blocks from it.
+expression for cross-checking rows of U, the V and W* of the window in
+LAPACK band storage, and PencilLU, one banded LU of the pencil V - z W*
+of the window, a half window or a split, whose solve serves any set of
+right-hand sides. From one PencilLU, resolvent_blocks reads any m x m
+blocks of the resolvent (U_s - z)^{-1} of the window or of a half window
+cut at k0, never forming U_s; the half-window m-functions and the Green
+oracle read their blocks from it.
 """
 
 from __future__ import annotations
@@ -175,13 +177,13 @@ def assemble(seq: VerblunskySequence) -> CmvOperatorSet:
     return _dense_operators(seq)
 
 
-def band_storage(seq: VerblunskySequence, spec: SplitSpec | None = None) -> tuple:
-    """Read-only V and W* of the window (seq.bands) or its split in LAPACK gbtrf layout, no row cap.
+def band_storage(seq: VerblunskySequence) -> tuple:
+    """Read-only V and W* of the window (seq.bands) in LAPACK gbtrf layout, no row cap.
 
     With b = 2m - 1, entry (r, c) sits at [2b + r - c, c] of a column-major
     (3b + 1, m n) array; the top b rows are the LU's fill-in space.
     """
-    entries, (vs, vr, vc), (ws, wr, wc) = _placed_blocks(seq, spec)
+    entries, (vs, vr, vc), (ws, wr, wc) = _placed_blocks(seq)
     b, size = 2 * seq.m - 1, seq.m * seq.n_sites
     V, W_star = (np.zeros((size, 3 * b + 1), dtype=complex) for _ in range(2))
     V[vc, 2 * b + vr - vc] = entries[vs]
@@ -191,42 +193,58 @@ def band_storage(seq: VerblunskySequence, spec: SplitSpec | None = None) -> tupl
     return V.T, W_star.T
 
 
+def _with_block(V: np.ndarray, W_star: np.ndarray, k: int, j: int, block: np.ndarray) -> tuple:
+    """V and W* with the diagonal block at columns j.. replaced by the block of coefficient k:
+    in a copy of V for even k, else of W*, which holds its adjoint; the other is passed on."""
+    b = (V.shape[0] - 1) // 3
+    r = j + np.arange(len(block))
+    if k % 2 == 0:
+        V = V.copy(order="F")
+        V[2 * b + r[:, None] - r, r] = block
+    else:
+        W_star = W_star.copy(order="F")
+        W_star[2 * b + r[:, None] - r, r] = block.conj().T
+    return V, W_star
+
+
 _gbtrf, _gbtrs = scipy.linalg.get_lapack_funcs(("gbtrf", "gbtrs"), dtype=complex)
 
 
-def pencil_solve(V: np.ndarray, W_star: np.ndarray, z: complex, rhs: np.ndarray,
-                 trans: int = 0) -> np.ndarray:
-    """(V - z W*)^{-1} rhs, or (V - z W*)^{-*} rhs for trans=2: one gbtrf, one gbtrs.
+class PencilLU:
+    """One banded LU (LAPACK gbtrf) of V - z W*, V and W* in band_storage's layout; its
+    solve serves any right-hand sides, each column solved by itself. SingularSolve
+    if the pencil is singular or a solve overflows."""
 
-    V and W* in band_storage's layout; SingularSolve if singular or overflowing."""
-    b = (V.shape[0] - 1) // 3
-    lu, piv, info = _gbtrf(V - z * W_star, b, b, overwrite_ab=True)
-    if info == 0:
-        X, info = _gbtrs(lu, b, b, rhs, piv, trans=trans)
-    if info != 0:
-        raise SingularSolve(f"resolvent solve failed at z = {z}")
-    if not np.all(np.isfinite(X)):
-        raise SingularSolve(f"resolvent solve overflowed at z = {z}")
-    return X
+    def __init__(self, V: np.ndarray, W_star: np.ndarray, z: complex):
+        self.b, self.z = (V.shape[0] - 1) // 3, z
+        self.lu, self.piv, info = _gbtrf(V - z * W_star, self.b, self.b, overwrite_ab=True)
+        if info != 0:
+            raise SingularSolve(f"resolvent solve failed at z = {z}")
+
+    def solve(self, rhs: np.ndarray, trans: int = 0) -> np.ndarray:
+        """(V - z W*)^{-1} rhs, or (V - z W*)^{-*} rhs for trans=2: one gbtrs."""
+        X, info = _gbtrs(self.lu, self.b, self.b, rhs, self.piv, trans=trans)
+        if info != 0 or not np.isfinite(X).all():
+            raise SingularSolve(f"resolvent solve failed or overflowed at z = {self.z}")
+        return X
 
 
-def resolvent_block(seq: VerblunskySequence, z: complex, k: int, kp: int,
-                    half: int | None = None, k0: int | None = None,
-                    gamma=None) -> np.ndarray:
-    """The m x m block E_k* (U_s - z)^{-1} E_kp by one banded solve, never forming U_s.
+def resolvent_blocks(seq: VerblunskySequence, z: complex, pairs,
+                     half: int | None = None, k0: int | None = None, gamma=None) -> list:
+    """The m x m blocks E_k* (U_s - z)^{-1} E_kp for (k, kp) in pairs, never forming U_s.
 
     U_s is the window's U (half None) or a half window of 4 sites or more cut
     at k0: sites k0 .. k_max - 1 with alpha_k0 := gamma (half > 0), or k_min .. k0
     with alpha_{k0+1} := gamma (half < 0), gamma an m x m unitary or BoundaryUnitary.
-    The caller checks that z is finite and that k and kp are sites of U_s.
+    The caller checks that z is finite and that every site is a site of U_s.
     W is unitary, so (U_s - z)^{-1} = W* (V - z W*)^{-1}.
 
     A half window's V and W* are a column slice of seq.bands in which only
     the cut block's corner at k0 differs: gamma* (plus) or -gamma (minus).
     Its entries coupling to the sites cut off fall in the corner of the
-    band layout outside the matrix, which the LU never reads. One
-    pencil_solve gives X = (V - z W*)^{-1} E_kp, and the block is (W E_k)* X.
-    Raises SingularSolve when the solve fails or overflows.
+    band layout outside the matrix, which the LU never reads. One PencilLU
+    and one solve over the distinct kp give X = (V - z W*)^{-1} E_kp, and
+    each block is (W E_k)* X. Raises SingularSolve when the solve fails or overflows.
     """
     m, b = seq.m, 2 * seq.m - 1
     V, W_star = seq.bands
@@ -244,22 +262,22 @@ def resolvent_block(seq: VerblunskySequence, z: complex, k: int, kp: int,
             lo, cut, corner = i, k0, gamma.conj().T
         else:
             hi, cut, corner = i + m, k0 + 1, -gamma
-        V, W_star = V[:, lo:hi], W_star[:, lo:hi]
-        rows, cols = 2 * b + q[:, None] - q, i - lo + q    # the diagonal block at k0
-        if cut % 2 == 0:                      # the cut block lives in V
-            V = V.copy(order="F")
-            V[rows, cols] = corner
-        else:                                 # in W, so W* holds its adjoint
-            W_star = W_star.copy(order="F")
-            W_star[rows, cols] = corner.conj().T
-    j, jp = ((site - seq.k_min) * m - lo for site in (k, kp))   # first columns in U_s
-    E = np.eye(hi - lo, m, -jp, dtype=complex)
-    X = pencil_solve(V, W_star, z, E)
-    # W E_k at column c is conj W*(k, c), which sits within one site of k
-    c = np.arange(max(j - m, 0), min(j + 2 * m, hi - lo))[:, None]
-    W_k = np.zeros((hi - lo, m), dtype=complex)
-    W_k[c, q] = W_star[2 * b + j + q - c, c].conj()
-    return W_k.conj().T @ X
+        V, W_star = _with_block(V[:, lo:hi], W_star[:, lo:hi], cut, i - lo, corner)
+    cols = dict.fromkeys([kp for _, kp in pairs])     # each distinct kp: its first column of E
+    E = np.zeros((hi - lo, m * len(cols)), dtype=complex)
+    for i, kp in zip(range(0, E.shape[1], m), cols):
+        cols[kp], j = i, (kp - seq.k_min) * m - lo
+        E[j:j + m, i:i + m].flat[::m + 1] = 1.0       # the identity at site kp
+    X = PencilLU(V, W_star, z).solve(E)
+    rows, blocks = {}, []                     # rows: (W E_k)* for each distinct k
+    for k, kp in pairs:
+        if k not in rows:                     # (W E_k)* = W*(k, c), nonzero within one site of k
+            j = (k - seq.k_min) * m - lo
+            c = np.arange(max(j - m, 0), min(j + 2 * m, hi - lo))
+            rows[k] = np.full((hi - lo, m), complex(0.0, -0.0)).T    # an adjoint's zeros: conj(0)
+            rows[k][q[:, None], c] = W_star[2 * b + j + q[:, None] - c, c]
+        blocks.append(rows[k] @ X[:, cols[kp]:cols[kp] + m])
+    return blocks
 
 
 def assemble_split(seq: VerblunskySequence, spec: SplitSpec) -> CmvOperatorSet:

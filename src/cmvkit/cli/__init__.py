@@ -33,7 +33,7 @@ from ..coefficients import (
 )
 from ..decoupling import decoupling_report, det_criterion, minimal_phases
 from ..errors import CmvError, DimensionMismatch, MalformedInput
-from ..greens import dense_resolvent_entry, full_green_entries, half_lattice_green
+from ..greens import dense_resolvent_entries, full_green_entries, half_green_entries
 from ..laurent import window_family
 from ..weyl import spectral_sample
 from .ensembles import Distribution, EnsembleSpec, generate
@@ -247,12 +247,10 @@ def cmd_green(args) -> int:
     rows = [["k", "kp", "i", "j", "value_re", "value_im",
              "oracle_re", "oracle_im", "residual"]]
     if args.half:
-        entries = [half_lattice_green(seq, args.k0, gamma, z, k, kp, args.half)
-                   for k, kp in pairs]
+        entries = half_green_entries(seq, args.k0, gamma, z, pairs, args.half)
     else:
         entries = full_green_entries(seq, args.k0, gamma, z, pairs)
-    oracles = [dense_resolvent_entry(seq, z, k, kp, half=args.half, k0=args.k0, gamma=gamma)
-               for k, kp in pairs]
+    oracles = dense_resolvent_entries(seq, z, pairs, half=args.half, k0=args.k0, gamma=gamma)
     for entry, oracle, (k, kp) in zip(entries, oracles, pairs):
         for i in range(m):
             for j in range(m):

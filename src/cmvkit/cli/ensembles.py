@@ -49,13 +49,16 @@ def generate(spec: EnsembleSpec) -> VerblunskySequence:
     m = spec.m
     values = np.empty((spec.k_max - spec.k_min + 1, m, m), dtype=complex)
     values[0] = values[-1] = np.eye(m)
-    draws, targets = values[1:-1], np.full(len(values) - 2, spec.radius_max)
-    for i in range(len(draws)):     # per site: its radius, then its Gaussian draw
+    n = len(values) - 2
+    normals, targets = np.empty((n, 2, m, m)), np.full(n, spec.radius_max)
+    for i in range(n):     # per site: its radius, then its Gaussian draw
         if spec.distribution is Distribution.UNIFORM_DISK:
             targets[i] = spec.radius_max * np.sqrt(rng.uniform())
-        draws[i] = rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m))
-    for g, target, norm in zip(draws, targets, np.linalg.norm(draws, 2, axis=(1, 2))):
-        g[...] = 0.0 if norm < 1e-12 else g * (target / norm)
+        rng.standard_normal(out=normals[i])
+    draws = normals[:, 0] + 1j * normals[:, 1]
+    norms = np.linalg.norm(draws, 2, axis=(1, 2))
+    values[1:-1] = draws * (targets / norms)[:, None, None]
+    values[1:-1][norms < 1e-12] = 0.0
     return VerblunskySequence(spec.k_min, values)
 
 

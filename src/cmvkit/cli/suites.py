@@ -33,9 +33,9 @@ from ..decoupling import (
 )
 from ..errors import SingularWronskian, UnknownSuite, solve
 from ..greens import (
-    dense_resolvent_entry,
+    dense_resolvent_entries,
     full_green_entries,
-    half_lattice_green,
+    half_green_entries,
     wronskian,
     wronskian_symmetry_check,
 )
@@ -294,10 +294,9 @@ def suite_green_half(spec: EnsembleSpec, tol: Tolerances):
             lo, hi = max(spec.k_min, k0 - 6), k0
         worst = 0.0
         for z in (0.5 * np.exp(0.9j), 2.0 * np.exp(-1.3j)):
-            for k, kp in _pair_samples(rng, lo, hi, 5, max_sep=6):
-                entry = half_lattice_green(seq, k0, g, z, k, kp, sign)
-                oracle = dense_resolvent_entry(seq, z, k, kp, half=sign,
-                                               k0=k0, gamma=g)
+            pairs = _pair_samples(rng, lo, hi, 5, max_sep=6)
+            oracles = dense_resolvent_entries(seq, z, pairs, half=sign, k0=k0, gamma=g)
+            for entry, oracle in zip(half_green_entries(seq, k0, g, z, pairs, sign), oracles):
                 worst = max(worst, _rel(entry.value - oracle, oracle))
         out.append(_result("green-half", f"{label}-vs-dense", worst,
                            tol.pick(1e-8)))
@@ -319,8 +318,7 @@ def suite_green_full(spec: EnsembleSpec, tol: Tolerances):
         pairs = _pair_samples(rng, lo, hi, 6, max_sep=6)
         got = full_green_entries(seq, k0, g, z, pairs)
         got_eye = full_green_entries(seq, k0, eye, z, pairs)
-        for entry, entry_eye, (k, kp) in zip(got, got_eye, pairs):
-            oracle = dense_resolvent_entry(seq, z, k, kp)
+        for entry, entry_eye, oracle in zip(got, got_eye, dense_resolvent_entries(seq, z, pairs)):
             worst = max(worst, _rel(entry.value - oracle, oracle))
             worst_gamma = max(worst_gamma,
                               _rel(entry.value - entry_eye.value, oracle))
@@ -338,19 +336,20 @@ def suite_weyl(spec: EnsembleSpec, tol: Tolerances):
     g = BoundaryUnitary(random_unitary(rng, spec.m))
     zs = (0.35 * np.exp(0.8j), 0.55 * np.exp(-2.0j), 1.8 * np.exp(1.1j))
 
-    worst_mp = max(
-        _rel(m_function(seq, k0, g, z, PLUS)
-             - m_from_edge_condition(seq, k0, g, z, PLUS),
-             m_function(seq, k0, g, z, PLUS))
-        for z in zs)
+    worst_mp = 0.0
+    for z in zs:
+        mp = m_function(seq, k0, g, z, PLUS)
+        worst_mp = max(worst_mp, _rel(mp - m_from_edge_condition(seq, k0, g, z, PLUS), mp))
     out.append(_result("weyl", "M-plus-equals-m-plus", worst_mp,
                        tol.pick(1e-10)))
 
     worst_rt = 0.0
     worst_routes = 0.0
+    M_minus = []                      # M_minus(g, z) per z, read again by the gamma law below
     for z in zs:
         mm = m_function(seq, k0, g, z, MINUS)
         Mm = M_minus_from_m_minus(mm, z)
+        M_minus.append(Mm)
         worst_rt = max(worst_rt, _rel(m_minus_from_M_minus(Mm, z) - mm, mm))
         worst_routes = max(worst_routes,
                            _rel(M_minus_via_connection(seq, k0, g, z) - Mm, Mm))
@@ -382,8 +381,7 @@ def suite_weyl(spec: EnsembleSpec, tol: Tolerances):
 
     g2 = BoundaryUnitary(random_unitary(rng, spec.m))
     worst_law = 0.0
-    for z in zs[:2]:
-        M1 = M_function(seq, k0, g, z, MINUS)
+    for z, M1 in zip(zs[:2], M_minus):
         M2 = M_function(seq, k0, g2, z, MINUS)
         worst_law = max(worst_law, _rel(M_gamma_transform(M1, g.root, g2.root) - M2, M2))
         p1 = schur_from_M(M1)

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .assembly import SplitSpec, band_storage, operator_difference_block, pencil_solve
+from .assembly import PencilLU, SplitSpec, _with_block, operator_difference_block
 from .coefficients import (
     VerblunskySequence,
     _as_square,
@@ -145,18 +145,20 @@ def _resolvent_factors(seq: VerblunskySequence, spec: SplitSpec, z_samples):
     """Yield (z, X, Y) with (U - z)^{-1} - (U_split - z)^{-1} = -W* X B Y*, X and Y as in the
     module docstring; the caller checks spec with B = operator_difference_block(seq, spec)."""
     V, W_star = seq.bands
-    V_split, W_split_star = band_storage(seq, spec)
     m, b, j = seq.m, 2 * seq.m - 1, (spec.k0 - 1 - seq.k_min) * seq.m   # j: column of site k0 - 1
+    block = spec.block_in(seq)
+    V_split, W_split_star = _with_block(V, W_star, spec.k0, j, block)
     E = np.eye(V.shape[1], 2 * m, -j, dtype=complex)
     if spec.k0 % 2 == 0:                      # the cut block lives in V
         L, R = E, E
     else:                                     # in W: V E off V's band; W_split E = E diag(-g1, g2*)
         r, c = np.mgrid[:V.shape[1], j:j + 2 * m]
         L = np.where(abs(r - c) <= b, V[np.clip(2 * b + r - c, 0, 3 * b), c], 0)
-        R = E @ spec.block_in(seq)
+        R = E @ block
     for z in z_samples:
         z = require_off_circle(z)
-        yield z, pencil_solve(V, W_star, z, L), pencil_solve(V_split, W_split_star, z, R, trans=2)
+        X = PencilLU(V, W_star, z).solve(L)
+        yield z, X, PencilLU(V_split, W_split_star, z).solve(R, trans=2)
 
 
 def decoupling_report(seq: VerblunskySequence, k0: int,

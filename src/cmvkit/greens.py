@@ -4,9 +4,11 @@ Half-window resolvents factor into a polynomial family value at one
 site and a boundary-matched combination at the other; the full-window
 resolvent factors through both Weyl solutions and the inverse of their
 Wronskian. Each kernel here is an independent formula meant to be
-compared against the oracle dense_resolvent_entry, one banded solve of
-the same finite operator (assembly.resolvent_block) that propagates no
-solution; the tests check that solve against a dense LU.
+compared against the oracle dense_resolvent_entries, one banded LU per z
+of the same finite operator (assembly.resolvent_blocks) that propagates no
+solution; the tests check that solve against a dense LU. The half and
+full kernels and the oracle take a batch of (k, kp) pairs at one z; the
+single-pair names are thin callers of the batched forms.
 
 Scalar-only variants of the kernels, written with same-z values and a
 power-of-z prefactor instead of conjugated values, are provided as a
@@ -21,7 +23,7 @@ from enum import Enum
 
 import numpy as np
 
-from .assembly import resolvent_block
+from .assembly import resolvent_blocks
 from .coefficients import VerblunskySequence, as_boundary
 from .errors import (
     MatrixCaseUnsupported,
@@ -107,12 +109,11 @@ def _half_family(seq, k0, gamma, z, sign, *sites):
     """Family seeded at k0 and propagated outward just far enough to cover sites."""
     fam = seed_family(gamma, z, k0, sign)
     # a half window's sites lie on one side of k0: reaching the farthest covers all
-    return propagate(seq, fam, max(sites, key=lambda site: abs(site - k0)))
+    return propagate(seq, fam, max(sites, key=lambda site: abs(site - k0), default=k0))
 
 
-def half_lattice_green(seq: VerblunskySequence, k0: int, gamma, z,
-                       k: int, kp: int, sign) -> GreensEntry:
-    """One block of (U_half - z)^{-1} from the factorized kernel.
+def half_green_entries(seq: VerblunskySequence, k0: int, gamma, z, pairs, sign) -> list:
+    """Blocks of (U_half - z)^{-1} for many (k, kp) pairs at one z, from the factorized kernel.
 
     Sign +, with hat(z, k) = Q(z, k) + P(z, k) m(z):
 
@@ -121,35 +122,38 @@ def half_lattice_green(seq: VerblunskySequence, k0: int, gamma, z,
 
     Sign - swaps which side carries the hatted combination and flips
     the branch signs. The m-function is solved independently at z and
-    at 1/conj(z); no reflection shortcut is taken. Families are only
-    propagated over the sites between k0 and the farther of k, kp; all
-    four share one square root of gamma.
+    at 1/conj(z); no reflection shortcut is taken. One family per z and
+    1/conj(z) is propagated from k0 to the farthest site any pair reads,
+    and one m-function taken per z; all share one square root of gamma.
     """
     sign = _norm_sign(sign)
     z = require_off_circle(z)
     zc = 1.0 / np.conj(z)
-    _check_sites(seq, k0, sign, k, kp)
+    pairs = list(pairs)
+    sites = [site for pair in pairs for site in pair]
+    _check_sites(seq, k0, sign, *sites)
     gamma = as_boundary(gamma, seq.m)
-    fam_z = _half_family(seq, k0, gamma, z, sign, k, kp)
-    fam_c = _half_family(seq, k0, gamma, zc, sign, k, kp)
+    fam_z = _half_family(seq, k0, gamma, z, sign, *sites)
+    fam_c = _half_family(seq, k0, gamma, zc, sign, *sites)
     m_z = m_function(seq, k0, gamma, z, sign)
     m_c = m_function(seq, k0, gamma, zc, sign)
-    a = fam_z.at(k)
-    b = fam_c.at(kp)
-    hat_z = a.Q + a.P @ m_z
-    hat_c = b.Q + b.P @ m_c
-    branch = _branch(k, kp)
-    if sign == PLUS:
-        if branch is GreensBranch.UPPER_ODD:
-            value = -a.P @ hat_c.conj().T / (2.0 * z)
+    entries = []
+    for k, kp in pairs:
+        a, b, branch = fam_z.at(k), fam_c.at(kp), _branch(k, kp)
+        upper = branch is GreensBranch.UPPER_ODD
+        if (sign == PLUS) == upper:           # the hatted combination sits at kp
+            left, right = a.P, b.Q + b.P @ m_c
         else:
-            value = hat_z @ b.P.conj().T / (2.0 * z)
-    else:
-        if branch is GreensBranch.UPPER_ODD:
-            value = -hat_z @ b.P.conj().T / (2.0 * z)
-        else:
-            value = a.P @ hat_c.conj().T / (2.0 * z)
-    return GreensEntry(k=k, kp=kp, value=value, branch=branch)
+            left, right = a.Q + a.P @ m_z, b.P
+        value = (-left if upper else left) @ right.conj().T / (2.0 * z)
+        entries.append(GreensEntry(k=k, kp=kp, value=value, branch=branch))
+    return entries
+
+
+def half_lattice_green(seq: VerblunskySequence, k0: int, gamma, z,
+                       k: int, kp: int, sign) -> GreensEntry:
+    """One block of (U_half - z)^{-1}: the single-pair half_green_entries."""
+    return half_green_entries(seq, k0, gamma, z, ((k, kp),), sign)[0]
 
 
 def full_green_entries(seq: VerblunskySequence, k0: int, gamma, z, pairs) -> list:
@@ -163,6 +167,7 @@ def full_green_entries(seq: VerblunskySequence, k0: int, gamma, z, pairs) -> lis
     with W = M_plus(z) - M_minus(z). Weyl solutions are built once and
     reused across the pairs and share one root of gamma; each sign pair
     shares one family, propagated only between k0 and the pairs' sites.
+    The pairs' W^{-1} solves and products are each one stacked call.
     """
     z = require_off_circle(z)
     zc = 1.0 / np.conj(z)
@@ -173,19 +178,14 @@ def full_green_entries(seq: VerblunskySequence, k0: int, gamma, z, pairs) -> lis
     sol_p, sol_m = _weyl_solutions(seq, k0, gamma, z, sites)
     sol_pc, sol_mc = _weyl_solutions(seq, k0, gamma, zc, sites)
     W = sol_p.M - sol_m.M
-    entries = []
-    for k, kp in pairs:
-        branch = _branch(k, kp)
-        if branch is GreensBranch.UPPER_ODD:
-            left = sol_m.at(k)[0]
-            right = sol_pc.at(kp)[0]
-        else:
-            left = sol_p.at(k)[0]
-            right = sol_mc.at(kp)[0]
-        core = solve(W, right.conj().T, SingularWronskian)
-        entries.append(GreensEntry(k=k, kp=kp, value=left @ core / (2.0 * z),
-                                   branch=branch))
-    return entries
+    branches = [_branch(k, kp) for k, kp in pairs]
+    upper = np.array([branch is GreensBranch.UPPER_ODD for branch in branches])[:, None, None]
+    ik, ikp = np.array(pairs, dtype=int).reshape(-1, 2).T - sol_p.k_lo   # all four share one span
+    left = np.where(upper, sol_m.U[ik], sol_p.U[ik])
+    right = np.where(upper, sol_pc.U[ikp], sol_mc.U[ikp])
+    values = left @ solve(W, right.conj().transpose(0, 2, 1), SingularWronskian) / (2.0 * z)
+    return [GreensEntry(k=k, kp=kp, value=value, branch=branch)
+            for (k, kp), value, branch in zip(pairs, values, branches)]
 
 
 def full_lattice_green(seq: VerblunskySequence, k0: int, gamma, z, k: int, kp: int) -> GreensEntry:
@@ -193,20 +193,24 @@ def full_lattice_green(seq: VerblunskySequence, k0: int, gamma, z, k: int, kp: i
     return full_green_entries(seq, k0, gamma, z, [(k, kp)])[0]
 
 
+def dense_resolvent_entries(seq: VerblunskySequence, z, pairs, half=None,
+                            k0: int | None = None, gamma=None) -> list:
+    """Oracle blocks of (U - z)^{-1} for many (k, kp) pairs at one z, from one banded LU
+    (assembly.resolvent_blocks); with half = +1/-1 (and k0, gamma) those of the half-window
+    operator. It propagates no solution family, so it checks the factorized kernels;
+    m_function reads G(k0, k0) from the same banded solve. No dense matrix is formed."""
+    z = require_off_circle(z, allow_zero=True)
+    sign = None if half is None else _norm_sign(half)
+    pairs = list(pairs)
+    _check_sites(seq, k0, sign, *(site for pair in pairs for site in pair))
+    return resolvent_blocks(seq, z, pairs, sign, k0, gamma)
+
+
 def dense_resolvent_entry(seq: VerblunskySequence, z, k: int, kp: int,
                           half=None, k0: int | None = None,
                           gamma=None) -> np.ndarray:
-    """Oracle block of (U - z)^{-1} by one banded solve (assembly.resolvent_block).
-
-    With half set to +1/-1 (and k0, gamma given) the block is that of the
-    half-window operator instead of the full one. It propagates no solution
-    family, so it checks the factorized kernels; m_function reads
-    G(k0, k0) from the same solve. No dense matrix is formed.
-    """
-    z = require_off_circle(z, allow_zero=True)
-    sign = None if half is None else _norm_sign(half)
-    _check_sites(seq, k0, sign, k, kp)
-    return resolvent_block(seq, z, k, kp, sign, k0, gamma)
+    """One oracle block of (U - z)^{-1}: the single-pair dense_resolvent_entries."""
+    return dense_resolvent_entries(seq, z, ((k, kp),), half, k0, gamma)[0]
 
 
 def half_green_scalar_prefactor(seq: VerblunskySequence, k0: int, gamma, z,

@@ -9,7 +9,7 @@ with E the coordinate injection at k0. The plus operator lives on sites
 minus operator lives on [k_min, k0] with gamma installed at k0 + 1.
 Since (U_h + z)(U_h - z)^{-1} = I + 2z (U_h - z)^{-1}, m is the resolvent
 block G(k0, k0) of the half window, m = +/- (I + 2z G(k0, k0)). It comes
-from assembly.resolvent_block, the one banded solve of the pencil
+from assembly.resolvent_blocks, the one banded LU of the pencil
 V - z W* sliced from seq.bands that also serves the Green oracle; neither
 U_h = V W nor the half window's sequence is formed.
 
@@ -27,7 +27,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import resolvent_block
+from .assembly import resolvent_blocks
 from .coefficients import (
     VerblunskySequence,
     _as_square,
@@ -55,7 +55,7 @@ def m_function(seq: VerblunskySequence, k0: int, gamma, z, sign) -> np.ndarray:
     """Half-lattice m-function at the reference site, by a banded pencil solve.
 
     The raw sandwich +/- E*(U_h + z)(U_h - z)^{-1} E = +/- (I + 2z G(k0, k0)),
-    with G(k0, k0) from assembly.resolvent_block (which slices V - z W* from
+    with G(k0, k0) from assembly.resolvent_blocks (which slices V - z W* from
     seq.bands and never forms U_h), carries the
     boundary unitary in a frame that differs from the Laurent families by
     a one-sided square root of gamma.  To keep every downstream identity
@@ -84,7 +84,7 @@ def m_function(seq: VerblunskySequence, k0: int, gamma, z, sign) -> np.ndarray:
     sign = _norm_sign(sign)
     z = require_off_circle(z, allow_zero=True)
     boundary = as_boundary(gamma, seq.m)
-    G = resolvent_block(seq, z, k0, k0, sign, k0, boundary)
+    G, = resolvent_blocks(seq, z, ((k0, k0),), sign, k0, boundary)
     raw = float(sign) * (np.eye(seq.m) + 2.0 * z * G)
     gh = boundary.root
     ghi = gh.conj().T

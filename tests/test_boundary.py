@@ -12,7 +12,7 @@ import pytest
 
 import cmvkit as C
 from cmvkit import coefficients
-from cmvkit.assembly import SplitSpec, assemble, assemble_split, resolvent_block
+from cmvkit.assembly import SplitSpec, assemble, assemble_split, resolvent_blocks
 from cmvkit.coefficients import BoundaryUnitary, principal_unitary_sqrt
 from cmvkit.errors import DimensionMismatch, NotFinite, NotUnitary
 from cmvkit.cli.ensembles import EnsembleSpec, generate, random_unitary
@@ -63,7 +63,8 @@ ENTRIES = {
         1, lambda seq, g: [np.asarray(C.half_green_scalar_prefactor(seq, K0, g, Z, 12, 11, 1))], 1),
     "full_green_scalar_prefactor": (
         1, lambda seq, g: [np.asarray(C.full_green_scalar_prefactor(seq, K0, g, Z, 8, 11))], 1),
-    "resolvent_block": (2, lambda seq, g: [resolvent_block(seq, Z, K0 + 1, K0 + 2, 1, K0, g)], 1),
+    "resolvent_block": (
+        2, lambda seq, g: resolvent_blocks(seq, Z, [(K0 + 1, K0 + 2)], 1, K0, g), 1),
     "dense_resolvent_entry": (
         2, lambda seq, g: [C.dense_resolvent_entry(seq, Z, 9, 10, half=-1, k0=K0, gamma=g)], 1),
 }

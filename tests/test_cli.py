@@ -1,7 +1,9 @@
 """End-to-end runs of the cmv command line, in process."""
 
 import csv
+import hashlib
 import io
+import itertools
 import json
 
 import numpy as np
@@ -9,7 +11,7 @@ import pytest
 
 from cmvkit import cli
 from cmvkit.cli import main
-from cmvkit.cli.ensembles import EnsembleSpec, generate
+from cmvkit.cli.ensembles import Distribution, EnsembleSpec, generate
 from cmvkit.cli.suites import run_suite
 from cmvkit.coefficients import load_sequence
 from cmvkit.errors import CmvError
@@ -75,6 +77,21 @@ def test_gen_writes_the_sequence_document(tmp_path, capsys):
     path = tmp_path / "seq.json"
     run(capsys, "gen", "--seed", "4", "--m", "2", "--window=-2,6", "--out", str(path))
     assert path.read_text(encoding="utf-8") == want
+
+
+def test_generate_output_bytes_are_pinned():
+    """The sampled coefficients are a fixed function of the spec: one SHA-256 over
+    the value bytes of 54 specs (m = 1..3, 4, 40 and 200 sites, both radius laws,
+    three seeds, windows and radii), recorded when sampling looped site by site."""
+    digest = hashlib.sha256()
+    grid = itertools.product((1, 2, 3), (4, 40, 200), Distribution,
+                             ((0, 0, 0.9), (-3, 7, 0.5), (1, 2 ** 40, 0.99)))
+    for m, n, law, (k_min, seed, radius) in grid:
+        seq = generate(EnsembleSpec(m=m, k_min=k_min, k_max=k_min + n, seed=seed,
+                                    radius_max=radius, distribution=law))
+        digest.update(seq.values.tobytes())
+    assert digest.hexdigest() == \
+        "422b3ed4f09049383e868dccef699f57e5c2fccd81c5dc20e3eddf1bd570fa22"
 
 
 def test_assemble_split_decouples(tmp_path, capsys):

@@ -3,14 +3,16 @@
 import numpy as np
 import pytest
 
-from cmvkit import greens, laurent, weyl
+from cmvkit import assembly, greens, laurent, weyl
 from cmvkit.cli import suites
 from cmvkit.greens import (
     GreensBranch,
+    dense_resolvent_entries,
     dense_resolvent_entry,
     full_green_entries,
     full_green_scalar_prefactor,
     full_lattice_green,
+    half_green_entries,
     half_green_scalar_prefactor,
     half_lattice_green,
     wronskian,
@@ -96,6 +98,89 @@ def test_full_kernel_propagates_one_family_per_z(monkeypatch):
             left, right = sol[PLUS, z].at(k)[0], sol[MINUS, zc].at(kp)[0]
         want = left @ np.linalg.solve(W, right.conj().T) / (2.0 * z)
         assert np.array_equal(entry.value, want)
+
+
+def _counting(monkeypatch, module, name):
+    """Replace module.name by a wrapper that records its calls; returns the record."""
+    real, calls = getattr(module, name), []
+
+    def counting(*args, **kwargs):
+        calls.append(args)
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, counting)
+    return calls
+
+
+def test_batched_entries_factor_once_per_cut_and_z(monkeypatch):
+    """The oracle makes one banded LU per (cut, z) for any number of pairs; the
+    half kernel one per m-function (z and 1/conj(z)) and one propagation per z."""
+    seq, g, k0 = make_case(2, 36)
+    z = 0.5 * np.exp(0.7j)
+    near = [(k, kp) for k in range(k0 - 4, k0 + 5) for kp in range(k0 - 4, k0 + 5, 2)]
+    halves = {PLUS: [(k, kp) for k, kp in near if min(k, kp) >= k0],
+              MINUS: [(k, kp) for k, kp in near if max(k, kp) <= k0]}
+    lu = _counting(monkeypatch, assembly, "_gbtrf")
+    for half, pairs in ((None, near), *halves.items()):
+        del lu[:]
+        dense_resolvent_entries(seq, z, pairs, half=half, k0=k0, gamma=g)
+        assert len(lu) == 1, half
+    moves = _counting(monkeypatch, greens, "propagate")
+    for sign, pairs in halves.items():
+        del lu[:], moves[:]
+        half_green_entries(seq, k0, g, z, pairs, sign)
+        assert len(lu) == 2 and [fam.z for _, fam, _ in moves] == [z, 1.0 / np.conj(z)]
+
+
+def test_single_pair_forms_equal_the_batched_forms():
+    """Each single-pair name returns exactly the block its batched form gives in a
+    batch: m = 1..3, both k_min parities, the window and both half windows, pairs
+    in shuffled order with repeats."""
+    for m in (1, 2, 3):
+        for k_min in (0, 1):
+            seq = generate(EnsembleSpec(m=m, k_min=k_min, k_max=k_min + 24,
+                                        seed=70 + 2 * m + k_min, radius_max=0.85))
+            g = random_unitary(np.random.default_rng(71 + m), m)
+            k0 = k_min + 12
+            rng = np.random.default_rng(m + k_min)
+            pairs = [tuple(int(s) for s in rng.integers(k0 - 5, k0 + 6, 2)) for _ in range(30)]
+            halves = {None: pairs, PLUS: [(max(k, k0), max(kp, k0)) for k, kp in pairs],
+                      MINUS: [(min(k, k0), min(kp, k0)) for k, kp in pairs]}
+            for z in (0.5 * np.exp(0.9j), 2.0 * np.exp(-1.3j)):
+                for half, hp in halves.items():
+                    got = dense_resolvent_entries(seq, z, hp, half=half, k0=k0, gamma=g)
+                    want = [dense_resolvent_entry(seq, z, k, kp, half=half, k0=k0, gamma=g)
+                            for k, kp in hp]
+                    assert all(np.array_equal(a, b) for a, b in zip(got, want))
+                    if half is None:
+                        batch = full_green_entries(seq, k0, g, z, hp)
+                        one = [full_lattice_green(seq, k0, g, z, k, kp) for k, kp in hp]
+                    else:
+                        batch = half_green_entries(seq, k0, g, z, hp, half)
+                        one = [half_lattice_green(seq, k0, g, z, k, kp, half) for k, kp in hp]
+                    assert [(e.k, e.kp, e.branch) for e in batch] == \
+                        [(e.k, e.kp, e.branch) for e in one]
+                    assert all(np.array_equal(a.value, b.value) for a, b in zip(batch, one))
+    assert dense_resolvent_entries(seq, z, []) == [] and full_green_entries(seq, k0, g, z, []) == []
+
+
+def test_batched_forms_reject_any_pair_outside_their_window():
+    """One bad pair first or last in the batch raises SiteOutOfWindow, naming where."""
+    seq, g, k0 = make_case(2, 37)
+    good = {PLUS: [(k0, k0), (k0 + 1, k0 + 2)], MINUS: [(k0, k0), (k0 - 2, k0 - 1)],
+            None: [(k0, k0), (k0 - 2, k0 + 1)]}
+    for half, bad, where in ((PLUS, (k0 - 1, k0), "half-window"),
+                             (MINUS, (k0, k0 + 1), "half-window"),
+                             (None, (k0, seq.k_max), "window"),
+                             (None, (seq.k_min - 1, k0), "window")):
+        for pairs in ([bad] + good[half], good[half] + [bad]):
+            with pytest.raises(SiteOutOfWindow, match=f"outside the {where}"):
+                dense_resolvent_entries(seq, 0.5, pairs, half=half, k0=k0, gamma=g)
+            with pytest.raises(SiteOutOfWindow, match=f"outside the {where}"):
+                if half is None:
+                    full_green_entries(seq, k0, g, 0.5, pairs)
+                else:
+                    half_green_entries(seq, k0, g, 0.5, pairs, half)
 
 
 def test_wronskian_suite_reuses_the_weyl_families(monkeypatch):

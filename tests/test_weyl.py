@@ -6,9 +6,14 @@ import numpy as np
 import pytest
 
 from cmvkit import assembly, coefficients, weyl
-from cmvkit.assembly import assemble, resolvent_block
+from cmvkit.assembly import assemble, resolvent_blocks
 from cmvkit.decoupling import decoupling_report, minimal_phases
-from cmvkit.greens import dense_resolvent_entry, full_green_entries, half_lattice_green
+from cmvkit.greens import (
+    dense_resolvent_entries,
+    dense_resolvent_entry,
+    full_green_entries,
+    half_lattice_green,
+)
 from cmvkit.weyl import (
     M_from_schur,
     M_function,
@@ -311,13 +316,14 @@ def test_banded_m_matches_dense_sandwich():
                         want = dense_m(seq, k0, g, z, sign)
                         assert np.linalg.norm(got - want) \
                             <= 1e-12 * np.linalg.norm(want), (m, k_min, sign, k0, z)
-                    G = resolvent_block(seq, 0.0, k0, k0, sign, k0, g)
+                    G, = resolvent_blocks(seq, 0.0, [(k0, k0)], sign, k0, g)
                     assert np.array_equal(np.eye(m) + 2.0 * 0.0 * G, np.eye(m))
 
 
 def test_banded_oracle_matches_dense_lu():
     """Every block of 30-site windows and of both their half windows, m = 1..3,
-    both k_min parities: the banded oracle equals a dense LU solve."""
+    both k_min parities: the banded oracle equals a dense LU solve. All blocks
+    of one (window, z) come from one batched call, so one banded LU."""
     for m in (1, 2, 3):
         for k_min in (0, 1):
             seq = generate(EnsembleSpec(m=m, k_min=k_min, k_max=k_min + 30,
@@ -331,13 +337,12 @@ def test_banded_oracle_matches_dense_lu():
                 n = ops.U.shape[0]
                 for z in SANDWICH_Z:
                     dense = np.linalg.solve(ops.U - z * np.eye(n), np.eye(n))
-                    for k in win.sites:
-                        for kp in win.sites:
-                            got = dense_resolvent_entry(seq, z, k, kp, half=half,
-                                                        k0=k0, gamma=g)
-                            want = dense[ops.site_slice(k), ops.site_slice(kp)]
-                            assert np.linalg.norm(got - want) <= \
-                                1e-12 * max(np.linalg.norm(want), 1.0), (m, k_min, half, z, k, kp)
+                    pairs = [(k, kp) for k in win.sites for kp in win.sites]
+                    blocks = dense_resolvent_entries(seq, z, pairs, half=half, k0=k0, gamma=g)
+                    for (k, kp), got in zip(pairs, blocks):
+                        want = dense[ops.site_slice(k), ops.site_slice(kp)]
+                        assert np.linalg.norm(got - want) <= \
+                            1e-12 * max(np.linalg.norm(want), 1.0), (m, k_min, half, z, k, kp)
 
 
 def test_banded_m_has_no_dense_row_cap():
