@@ -29,10 +29,8 @@ from .coefficients import (
 from .assembly import (
     CmvOperatorSet,
     SplitSpec,
-    apply_difference,
     assemble,
     assemble_split,
-    five_term_coefficients,
     operator_difference_block,
 )
 from .decoupling import (
@@ -81,7 +79,6 @@ from .greens import (
     dense_resolvent_entries,
     dense_resolvent_entry,
     full_green_entries,
-    full_lattice_green,
     full_green_scalar_prefactor,
     half_green_entries,
     half_green_scalar_prefactor,

@@ -6,16 +6,18 @@ ones, each block occupying sites (j-1, j). At the two window edges the
 unitary endpoint coefficients leave only their diagonal corners inside the
 matrix, which keeps the finite V and W exactly unitary.
 
-Also provided: the decoupled variant in which one block is replaced by
-diag(-gamma_left, gamma_right*), severing the window into two independent
-halves, a matrix-free application of the five-term difference
-expression for cross-checking rows of U, the V and W* of the window in
-LAPACK band storage, and PencilLU, one banded LU of the pencil V - z W*
-of the window, a half window or a split, whose solve serves any set of
-right-hand sides. From one PencilLU, resolvent_blocks reads any m x m
-blocks of the resolvent (U_s - z)^{-1} of the window or of a half window
-cut at k0, never forming U_s; the half-window m-functions and the Green
-oracle read their blocks from it.
+One placement of the blocks (_placed_blocks) feeds two scatters: dense
+V, W and U, the small-window reference the tests compare against, and
+the V and W* of the window in LAPACK band storage, which serve the
+solves. The split variant replaces one block by diag(-gamma_left,
+gamma_right*), severing the window into two independent halves;
+operator_difference_block is the 2m x 2m block by which U and the split
+differ. PencilLU is one banded LU of the pencil V - z W* of the window,
+a half window or a split, whose solve serves any set of right-hand
+sides. From one PencilLU, resolvent_blocks reads any m x m blocks of the
+resolvent (U_s - z)^{-1} of the window or of a half window cut at k0,
+never forming U_s; the half-window m-functions and the Green oracle read
+their blocks from it.
 """
 
 from __future__ import annotations
@@ -37,7 +39,6 @@ from .coefficients import (
 from .errors import (
     CmvError,
     DimensionMismatch,
-    InsufficientPadding,
     SingularSolve,
     SiteOutOfWindow,
     SplitOutOfWindow,
@@ -287,78 +288,6 @@ def assemble_split(seq: VerblunskySequence, spec: SplitSpec) -> CmvOperatorSet:
     k0: rows below the cut never couple to columns at or above it.
     """
     return _dense_operators(seq, spec)
-
-
-def five_term_coefficients(seq: VerblunskySequence, k: int):
-    """Coefficients of the difference expression at site k.
-
-    Returns the five m x m matrices (c_mm, c_m, c_0, c_p, c_pp) so that
-    (U phi)(k) = c_mm phi(k-2) + c_m phi(k-1) + c_0 phi(k)
-               + c_p phi(k+1) + c_pp phi(k+2).
-    Requires the coefficients alpha_{k-1} .. alpha_{k+2} inside the window.
-    """
-    if k - 1 < seq.k_min or k + 2 > seq.k_max:
-        raise InsufficientPadding(
-            f"site {k} needs coefficients {k - 1}..{k + 2} inside "
-            f"[{seq.k_min}, {seq.k_max}]"
-        )
-    A, i = seq.arrays, k - seq.k_min - 1       # interior site j in row j - k_min - 1
-    zero = np.zeros((seq.m, seq.m), dtype=complex)
-    a_m1, a_0 = seq.alpha(k - 1), seq.alpha(k)
-    a_p1, a_p2 = seq.alpha(k + 1), seq.alpha(k + 2)
-    rho_0, rho_tilde_p1 = A.rho[i], A.rho_tilde[i + 1]
-    # the unitary endpoints have zero defects, as in the assembled U
-    rho_m1 = A.rho[i - 1] if k - 1 > seq.k_min else zero
-    rho_tilde_p2 = A.rho_tilde[i + 2] if k + 2 < seq.k_max else zero
-    if k % 2 == 0:
-        c_mm = rho_0 @ rho_m1
-        c_m = rho_0 @ a_m1.conj().T
-        c_0 = -a_0.conj().T @ a_p1
-        c_p = a_0.conj().T @ rho_tilde_p1
-        c_pp = zero
-    else:
-        c_mm = zero
-        c_m = -a_p1 @ rho_0
-        c_0 = -a_p1 @ a_0.conj().T
-        c_p = -rho_tilde_p1 @ a_p2
-        c_pp = rho_tilde_p1 @ rho_tilde_p2
-    return c_mm, c_m, c_0, c_p, c_pp
-
-
-def apply_difference(seq: VerblunskySequence, phi: np.ndarray, k_range) -> np.ndarray:
-    """Apply the five-term difference expression, no matrix involved.
-
-    Parameters
-    ----------
-    seq : VerblunskySequence
-    phi : array of shape (len(k_range) + 4, m)
-        Values phi(k) for k from k_range start - 2 up to k_range end + 2.
-    k_range : range or pair (a, b)
-        Output sites, each needing coefficients k-1 .. k+2 in the window.
-
-    Returns
-    -------
-    Array of shape (len(k_range), m) holding (U phi)(k).
-    """
-    if isinstance(k_range, tuple):
-        k_range = range(k_range[0], k_range[1])
-    phi = np.asarray(phi, dtype=complex)
-    if phi.ndim == 1:
-        phi = phi[:, None]
-    want = len(k_range) + 4
-    if phi.shape != (want, seq.m):
-        raise InsufficientPadding(
-            f"phi must have shape ({want}, {seq.m}) covering the padded range, "
-            f"got {phi.shape}"
-        )
-    out = np.zeros((len(k_range), seq.m), dtype=complex)
-    base = k_range.start - 2
-    for i, k in enumerate(k_range):
-        c = five_term_coefficients(seq, k)
-        window = phi[k - 2 - base:k + 3 - base]
-        for j in range(5):
-            out[i] += c[j] @ window[j]
-    return out
 
 
 def operator_difference_block(seq: VerblunskySequence, spec: SplitSpec) -> np.ndarray:

@@ -7,10 +7,12 @@ from enum import Enum
 
 import numpy as np
 
-from ..coefficients import VerblunskySequence
+from ..coefficients import CONTRACTION_TOL, VerblunskySequence
 from ..errors import OutOfRange
 
-MAX_RADIUS = 1.0 - 1e-8
+# One CONTRACTION_TOL inside the sequences' contraction bound 1 - CONTRACTION_TOL: a
+# draw scaled to norm radius_max lands within a few ulps of it, so it always passes.
+MAX_RADIUS = 1.0 - 2.0 * CONTRACTION_TOL
 
 
 class Distribution(Enum):
@@ -40,7 +42,8 @@ class EnsembleSpec:
         if self.k_max - self.k_min < 4:
             raise OutOfRange(f"window [{self.k_min}, {self.k_max}]: need k_max - k_min >= 4")
         if not 0.0 < self.radius_max <= MAX_RADIUS:
-            raise OutOfRange(f"radius_max must lie in (0, {MAX_RADIUS}]")
+            raise OutOfRange(f"radius_max must lie in (0, {MAX_RADIUS}], {CONTRACTION_TOL:g} "
+                             f"inside the contraction bound {1.0 - CONTRACTION_TOL}")
 
 
 def generate(spec: EnsembleSpec) -> VerblunskySequence:

@@ -109,6 +109,14 @@ def _sub_seed(spec: EnsembleSpec, suite_index: int, draw: int) -> int:
     return int(rng.integers(0, 2 ** 62))
 
 
+def _suite_data(spec: EnsembleSpec, suite_index: int):
+    """A suite's sequence, its mid site k0, its random stream and the first
+    boundary unitary drawn from that stream."""
+    seq = generate(replace(spec, seed=_sub_seed(spec, suite_index, 0)))
+    rng = np.random.default_rng([spec.seed, suite_index, 1])
+    return seq, _mid_site(spec), rng, BoundaryUnitary(random_unitary(rng, spec.m))
+
+
 def _pair_samples(rng, lo, hi, count, max_sep):
     """Index pairs with bounded separation, where oracles stay sharp."""
     pairs = []
@@ -209,10 +217,7 @@ def suite_decoupling(spec: EnsembleSpec, tol: Tolerances):
 
 def suite_connection(spec: EnsembleSpec, tol: Tolerances):
     out = []
-    seq = generate(replace(spec, seed=_sub_seed(spec, 3, 0)))
-    k0 = _mid_site(spec)
-    rng = np.random.default_rng([spec.seed, 3, 1])
-    g1 = BoundaryUnitary(random_unitary(rng, spec.m))
+    seq, k0, rng, g1 = _suite_data(spec, 3)
     g2 = BoundaryUnitary(random_unitary(rng, spec.m))
     cc = connection(g1, g2, seq.alpha(k0), k0)
     sites = [seq.k_min + 1, k0 - 1, k0, k0 + 2, seq.k_max - 2]
@@ -249,10 +254,7 @@ def suite_connection(spec: EnsembleSpec, tol: Tolerances):
 
 def suite_quadratic(spec: EnsembleSpec, tol: Tolerances):
     out = []
-    seq = generate(replace(spec, seed=_sub_seed(spec, 4, 0)))
-    k0 = _mid_site(spec)
-    rng = np.random.default_rng([spec.seed, 4, 1])
-    g = BoundaryUnitary(random_unitary(rng, spec.m))
+    seq, k0, rng, g = _suite_data(spec, 4)
     z = 0.4 - 0.3j
     zc = 1.0 / np.conj(z)
     fams = {sign: (window_family(seq, g, z, k0, sign), window_family(seq, g, zc, k0, sign))
@@ -280,10 +282,7 @@ def suite_quadratic(spec: EnsembleSpec, tol: Tolerances):
 
 def suite_green_half(spec: EnsembleSpec, tol: Tolerances):
     out = []
-    seq = generate(replace(spec, seed=_sub_seed(spec, 5, 0)))
-    k0 = _mid_site(spec)
-    rng = np.random.default_rng([spec.seed, 5, 1])
-    g = BoundaryUnitary(random_unitary(rng, spec.m))
+    seq, k0, rng, g = _suite_data(spec, 5)
     for sign, label in ((PLUS, "plus"), (MINUS, "minus")):
         # Keep sampled sites near k0: solution values at distance d are
         # differences of terms growing geometrically in d, so the digits
@@ -305,10 +304,7 @@ def suite_green_half(spec: EnsembleSpec, tol: Tolerances):
 
 def suite_green_full(spec: EnsembleSpec, tol: Tolerances):
     out = []
-    seq = generate(replace(spec, seed=_sub_seed(spec, 6, 0)))
-    k0 = _mid_site(spec)
-    rng = np.random.default_rng([spec.seed, 6, 1])
-    g = BoundaryUnitary(random_unitary(rng, spec.m))
+    seq, k0, rng, g = _suite_data(spec, 6)
     eye = BoundaryUnitary(np.eye(spec.m))
     worst = 0.0
     worst_gamma = 0.0
@@ -330,10 +326,7 @@ def suite_green_full(spec: EnsembleSpec, tol: Tolerances):
 
 def suite_weyl(spec: EnsembleSpec, tol: Tolerances):
     out = []
-    seq = generate(replace(spec, seed=_sub_seed(spec, 7, 0)))
-    k0 = _mid_site(spec)
-    rng = np.random.default_rng([spec.seed, 7, 1])
-    g = BoundaryUnitary(random_unitary(rng, spec.m))
+    seq, k0, rng, g = _suite_data(spec, 7)
     zs = (0.35 * np.exp(0.8j), 0.55 * np.exp(-2.0j), 1.8 * np.exp(1.1j))
 
     worst_mp = 0.0
@@ -407,10 +400,7 @@ def suite_weyl(spec: EnsembleSpec, tol: Tolerances):
 
 def suite_wronskian(spec: EnsembleSpec, tol: Tolerances):
     out = []
-    seq = generate(replace(spec, seed=_sub_seed(spec, 8, 0)))
-    k0 = _mid_site(spec)
-    rng = np.random.default_rng([spec.seed, 8, 1])
-    g = BoundaryUnitary(random_unitary(rng, spec.m))
+    seq, k0, rng, g = _suite_data(spec, 8)
     z = 0.5 * np.exp(1.7j)
     zc = 1.0 / np.conj(z)
     sol_p, sol_m = weyl_solutions(seq, k0, g, z)

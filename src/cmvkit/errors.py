@@ -64,10 +64,6 @@ class SplitOutOfWindow(CmvError):
     """A decoupling site does not sit inside the window."""
 
 
-class InsufficientPadding(CmvError):
-    """The input sequence does not cover the padded range."""
-
-
 class PathLeavesWindow(CmvError):
     """Propagation would need a coefficient outside the window interior."""
 

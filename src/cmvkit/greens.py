@@ -8,7 +8,10 @@ compared against the oracle dense_resolvent_entries, one banded LU per z
 of the same finite operator (assembly.resolvent_blocks) that propagates no
 solution; the tests check that solve against a dense LU. The half and
 full kernels and the oracle take a batch of (k, kp) pairs at one z; the
-single-pair names are thin callers of the batched forms.
+kernels propagate each family they read by one call over the span of
+the pairs' sites. half_lattice_green and dense_resolvent_entry are the
+single-pair forms of the half kernel and the oracle; the full kernel
+takes a one-pair batch.
 
 Scalar-only variants of the kernels, written with same-z values and a
 power-of-z prefactor instead of conjugated values, are provided as a
@@ -79,11 +82,9 @@ def wronskian(pair_conj, pair_z, k: int) -> np.ndarray:
     return (sgn / 2.0) * (Ua.conj().T @ Ub - Va.conj().T @ Vb)
 
 
-def wronskian_symmetry_check(M_plus: np.ndarray, M_minus: np.ndarray,
-                             W: np.ndarray | None = None) -> float:
+def wronskian_symmetry_check(M_plus: np.ndarray, M_minus: np.ndarray) -> float:
     """Residual of M+ W^{-1} M- = M- W^{-1} M+ with W = M+ - M-."""
-    if W is None:
-        W = M_plus - M_minus
+    W = M_plus - M_minus
     left = M_plus @ solve(W, M_minus, SingularWronskian)
     right = M_minus @ solve(W, M_plus, SingularWronskian)
     scale = max(1.0, np.linalg.norm(left), np.linalg.norm(right))
@@ -103,13 +104,6 @@ def _check_sites(seq: VerblunskySequence, k0: int, sign: int | None, *sites):
     for site in sites:
         if not lo <= site <= hi:
             raise SiteOutOfWindow(f"site {site} outside the {where} [{lo}, {hi}]")
-
-
-def _half_family(seq, k0, gamma, z, sign, *sites):
-    """Family seeded at k0 and propagated outward just far enough to cover sites."""
-    fam = seed_family(gamma, z, k0, sign)
-    # a half window's sites lie on one side of k0: reaching the farthest covers all
-    return propagate(seq, fam, max(sites, key=lambda site: abs(site - k0), default=k0))
 
 
 def half_green_entries(seq: VerblunskySequence, k0: int, gamma, z, pairs, sign) -> list:
@@ -133,8 +127,7 @@ def half_green_entries(seq: VerblunskySequence, k0: int, gamma, z, pairs, sign) 
     sites = [site for pair in pairs for site in pair]
     _check_sites(seq, k0, sign, *sites)
     gamma = as_boundary(gamma, seq.m)
-    fam_z = _half_family(seq, k0, gamma, z, sign, *sites)
-    fam_c = _half_family(seq, k0, gamma, zc, sign, *sites)
+    fam_z, fam_c = (propagate(seq, seed_family(gamma, w, k0, sign), *sites) for w in (z, zc))
     m_z = m_function(seq, k0, gamma, z, sign)
     m_c = m_function(seq, k0, gamma, zc, sign)
     entries = []
@@ -188,11 +181,6 @@ def full_green_entries(seq: VerblunskySequence, k0: int, gamma, z, pairs) -> lis
             for (k, kp), value, branch in zip(pairs, values, branches)]
 
 
-def full_lattice_green(seq: VerblunskySequence, k0: int, gamma, z, k: int, kp: int) -> GreensEntry:
-    """Single-entry convenience wrapper around full_green_entries."""
-    return full_green_entries(seq, k0, gamma, z, [(k, kp)])[0]
-
-
 def dense_resolvent_entries(seq: VerblunskySequence, z, pairs, half=None,
                             k0: int | None = None, gamma=None) -> list:
     """Oracle blocks of (U - z)^{-1} for many (k, kp) pairs at one z, from one banded LU
@@ -233,7 +221,7 @@ def half_green_scalar_prefactor(seq: VerblunskySequence, k0: int, gamma, z,
     _check_sites(seq, k0, sign, k, kp)
     gamma = as_boundary(gamma, seq.m)
     m_val = m_function(seq, k0, gamma, z, sign)[0, 0]
-    fam = _half_family(seq, k0, gamma, z, sign, k, kp)
+    fam = propagate(seq, seed_family(gamma, z, k0, sign), k, kp)
     exponent = k0 % 2 if sign == PLUS else (k0 + 1) % 2
     pref = z ** (-exponent) / (2.0 * z)
     a, b = fam.at(k), fam.at(kp)

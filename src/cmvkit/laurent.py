@@ -196,38 +196,36 @@ def _chain(steps: np.ndarray, X0: np.ndarray) -> np.ndarray:
     return x[w:].reshape(n, w, w)
 
 
-def propagate(seq: VerblunskySequence, family: SolutionFamily,
-              k_target: int) -> SolutionFamily:
-    """Extend a family so that it covers k_target.
+def propagate(seq: VerblunskySequence, family: SolutionFamily, *targets: int) -> SolutionFamily:
+    """Extend a family so that it covers every target site.
 
     The family is held as one state [[P, Q], [R, S]] per site, whose
-    columns (P; R) and (Q; S) obey the same recursion. It moves forward
-    with transfer matrices and backward with their explicit inverses, each
-    direction one banded triangular solve over the path's matrices, built
-    as one stack. Already-covered sites are kept as stored. Raises
-    NotFinite when a propagated value overflows.
+    columns (P; R) and (Q; S) obey the same recursion. It moves backward
+    from its first site with the transfer matrices' explicit inverses and
+    forward from its last with the transfer matrices, each direction one
+    banded triangular solve over the path's matrices, built as one stack.
+    Already-covered sites are kept as stored. Raises NotFinite when a
+    propagated value overflows.
     """
-    if not seq.k_min <= k_target <= seq.k_max - 1:
-        raise PathLeavesWindow(
-            f"target site {k_target} outside [{seq.k_min}, {seq.k_max - 1}]"
-        )
-    if family.covers(k_target):
+    for k in targets:
+        if not seq.k_min <= k <= seq.k_max - 1:
+            raise PathLeavesWindow(f"target site {k} outside [{seq.k_min}, {seq.k_max - 1}]")
+    new_lo, new_hi = min((family.k_lo, *targets)), max((family.k_hi, *targets))
+    if (new_lo, new_hi) == (family.k_lo, family.k_hi):
         return family
     m = family.m
-    new_lo = min(family.k_lo, k_target)
-    new_hi = max(family.k_hi, k_target)
     X = np.empty((new_hi - new_lo + 1, 2 * m, 2 * m), dtype=complex)
     lo, hi = family.k_lo - new_lo, family.k_hi - new_lo    # kept sites' indices
     kept = X[lo:hi + 1]
     kept[:, :m, :m], kept[:, :m, m:] = family.P, family.Q
     kept[:, m:, :m], kept[:, m:, m:] = family.R, family.S
     with np.errstate(over="ignore", invalid="ignore"):    # reported below as NotFinite
-        if new_hi > family.k_hi:
-            steps = _transfers(seq, family.z, family.k_hi + 1, new_hi)
-            X[hi + 1:] = _chain(steps, X[hi])
         if new_lo < family.k_lo:
             steps = _transfers(seq, family.z, new_lo + 1, family.k_lo, inverse=True)
             X[:lo] = _chain(steps[::-1], X[lo])[::-1]
+        if new_hi > family.k_hi:
+            steps = _transfers(seq, family.z, family.k_hi + 1, new_hi)
+            X[hi + 1:] = _chain(steps, X[hi])
     if not np.all(np.isfinite(X)):
         raise NotFinite(f"solution family overflows on sites {new_lo}..{new_hi} "
                         f"at z = {family.z}")
@@ -237,9 +235,8 @@ def propagate(seq: VerblunskySequence, family: SolutionFamily,
 
 def window_family(seq: VerblunskySequence, gamma, z, k0: int, sign) -> SolutionFamily:
     """Seed at k0 and propagate over all sites of the window."""
-    fam = seed_family(as_boundary(gamma, seq.m), z, k0, sign)
-    fam = propagate(seq, fam, seq.k_min)
-    return propagate(seq, fam, seq.k_max - 1)
+    return propagate(seq, seed_family(as_boundary(gamma, seq.m), z, k0, sign),
+                     seq.k_min, seq.k_max - 1)
 
 
 @dataclass(frozen=True)

@@ -295,8 +295,7 @@ def _weyl_solutions(seq: VerblunskySequence, k0: int, gamma, z, sites,
     z = require_off_circle(z)
     gamma = as_boundary(gamma, seq.m)
     Ms = [M_function(seq, k0, gamma, z, sign) for sign in signs]
-    fam = seed_family(gamma, z, k0, PLUS)
-    fam = propagate(seq, propagate(seq, fam, min(sites, default=k0)), max(sites, default=k0))
+    fam = propagate(seq, seed_family(gamma, z, k0, PLUS), *sites)
     P, R = (a.reshape(-1, seq.m) for a in (fam.P, fam.R))
     return tuple(WeylSolution(sign=sign, z=z, k0=k0, M=M, k_lo=fam.k_lo,
                               U=fam.Q + (P @ M).reshape(fam.Q.shape),

@@ -1,4 +1,4 @@
-"""Operator assembly: factorization, band structure, splits, five-term action."""
+"""Operator assembly: factorization, band structure, splits."""
 
 import numpy as np
 import pytest
@@ -7,10 +7,8 @@ from cmvkit.assembly import (
     CmvOperatorSet,
     SplitSpec,
     SplitOutOfWindow,
-    apply_difference,
     assemble,
     assemble_split,
-    five_term_coefficients,
     operator_difference_block,
 )
 from cmvkit.coefficients import sequence_from_values, theta_block
@@ -142,16 +140,21 @@ def blockwise_factors(seq, spec=None):
 
 
 def test_vectorized_placement_equals_blockwise():
-    """assemble and assemble_split reproduce the blockwise layout bit for bit."""
+    """assemble and assemble_split reproduce the blockwise layout bit for bit, also
+    on windows cut to a random unitary end, where the terms reaching past the
+    window are exact zeros."""
     rng = np.random.default_rng(13)
     for m in (1, 2, 3):
         for k_min in (0, 1):
             seq = generate(EnsembleSpec(m=m, k_min=k_min, k_max=k_min + 13,
                                         seed=20 + m))
-            ops = assemble(seq)
-            V, W = blockwise_factors(seq)
-            assert np.array_equal(ops.V, V) and np.array_equal(ops.W, W)
-            assert np.array_equal(ops.U, V @ W)
+            g = random_unitary(np.random.default_rng(30 + m), m)
+            for window in (seq, seq.restrict(k_min + 1, seq.k_max, left=g),
+                           seq.restrict(k_min, seq.k_max - 1, right=g)):
+                ops = assemble(window)
+                V, W = blockwise_factors(window)
+                assert np.array_equal(ops.V, V) and np.array_equal(ops.W, W)
+                assert np.array_equal(ops.U, V @ W)
             for k0 in (k_min + 3, k_min + 4, seq.k_max):
                 sp = SplitSpec(k0=k0, gamma_left=random_unitary(rng, m),
                                gamma_right=random_unitary(rng, m))
@@ -167,45 +170,3 @@ def test_split_outside_window_raises():
     eye = np.eye(1)
     with pytest.raises(SplitOutOfWindow):
         assemble_split(seq, SplitSpec(k0=-3, gamma_left=eye, gamma_right=eye))
-
-
-def test_apply_difference_matches_dense():
-    for m, seed in ((1, 11), (2, 12)):
-        spec = EnsembleSpec(m=m, k_min=0, k_max=16, seed=seed)
-        seq = generate(spec)
-        ops = assemble(seq)
-        rng = np.random.default_rng(seed)
-        k_range = range(4, 12)
-        phi = rng.normal(size=(len(k_range) + 4, m)) \
-            + 1j * rng.normal(size=(len(k_range) + 4, m))
-        got = apply_difference(seq, phi, k_range)
-        full = np.zeros(ops.U.shape[0], dtype=complex)
-        for i, k in enumerate(range(k_range.start - 2, k_range.stop + 2)):
-            full[ops.site_slice(k)] = phi[i]
-        want = ops.U @ full
-        for i, k in enumerate(k_range):
-            np.testing.assert_allclose(got[i], want[ops.site_slice(k)],
-                                       atol=1e-13)
-
-
-def test_stencil_has_zero_defects_at_unitary_endpoints():
-    """Next to a unitary endpoint the stencil term reaching past the window is
-    exactly zero, as in U: c_mm at k_min + 1 = 2 (k_min odd) and c_pp at
-    k_max - 2 = 13 (k_min even)."""
-    seq = generate(EnsembleSpec(m=2, k_min=0, k_max=16, seed=3))
-    g = random_unitary(np.random.default_rng(5), 2)
-    for window, k, term in ((seq.restrict(1, 16, left=g), 2, 0),
-                            (seq.restrict(0, 15, right=g), 13, 4)):
-        assert np.array_equal(five_term_coefficients(window, k)[term], np.zeros((2, 2)))
-
-
-def test_apply_difference_free_stencil():
-    """With zero coefficients the action shifts by two sites with unit weight."""
-    seq = free_sequence(16)
-    k_range = range(6, 10)
-    phi = np.arange(1.0, len(k_range) + 5).reshape(-1, 1).astype(complex)
-    got = apply_difference(seq, phi, k_range)
-    for i, k in enumerate(k_range):
-        src = (k - 2) if k % 2 == 0 else (k + 2)
-        j = src - (k_range.start - 2)
-        np.testing.assert_allclose(got[i], phi[j], atol=0)

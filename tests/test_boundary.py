@@ -58,7 +58,8 @@ ENTRIES = {
                            for s, k, kp in ((1, K0 + 1, K0 + 3), (-1, K0 - 2, K0))], 1),
     "full_green_entries": (2, lambda seq, g: [
         e.value for e in C.full_green_entries(seq, K0, g, Z, [(8, 12), (12, 8)])], 1),
-    "full_lattice_green": (2, lambda seq, g: [C.full_lattice_green(seq, K0, g, Z, 9, 11).value], 1),
+    "full_lattice_green": (
+        2, lambda seq, g: [C.full_green_entries(seq, K0, g, Z, [(9, 11)])[0].value], 1),
     "half_green_scalar_prefactor": (
         1, lambda seq, g: [np.asarray(C.half_green_scalar_prefactor(seq, K0, g, Z, 12, 11, 1))], 1),
     "full_green_scalar_prefactor": (

@@ -5,16 +5,20 @@ import hashlib
 import io
 import itertools
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
 from cmvkit import cli
 from cmvkit.cli import main
-from cmvkit.cli.ensembles import Distribution, EnsembleSpec, generate
+from cmvkit.cli.ensembles import MAX_RADIUS, Distribution, EnsembleSpec, generate
 from cmvkit.cli.suites import run_suite
-from cmvkit.coefficients import load_sequence
-from cmvkit.errors import CmvError
+from cmvkit.coefficients import CONTRACTION_TOL, load_sequence
+from cmvkit.errors import CmvError, OutOfRange
 from cmvkit.laurent import PLUS, window_family
 
 
@@ -92,6 +96,24 @@ def test_generate_output_bytes_are_pinned():
         digest.update(seq.values.tobytes())
     assert digest.hexdigest() == \
         "422b3ed4f09049383e868dccef699f57e5c2fccd81c5dc20e3eddf1bd570fa22"
+
+
+def test_fixed_radius_draws_build_at_every_accepted_radius(capsys):
+    """A fixed-radius draw at the largest accepted radius builds on every seed, at
+    m = 1..3; the sequences' own contraction bound is rejected as a radius, naming
+    the largest one."""
+    for m in (1, 2, 3):
+        for seed in range(20):
+            seq = generate(EnsembleSpec(m=m, k_min=0, k_max=40, seed=seed, radius_max=MAX_RADIUS,
+                                        distribution=Distribution.FIXED_RADIUS))
+            norms = np.linalg.norm(seq.values[1:-1], 2, axis=(1, 2))
+            np.testing.assert_allclose(norms, MAX_RADIUS, rtol=1e-14)
+    with pytest.raises(OutOfRange, match=str(MAX_RADIUS)):
+        EnsembleSpec(m=1, k_min=0, k_max=8, seed=0, radius_max=1.0 - CONTRACTION_TOL)
+    for radius, code in ((MAX_RADIUS, 0), (1.0 - CONTRACTION_TOL, 2)):
+        got, _, err = run(capsys, "gen", "--radius", repr(radius),
+                          "--distribution", "fixed-radius")
+        assert got == code and (code == 0 or str(MAX_RADIUS) in err)
 
 
 def test_assemble_split_decouples(tmp_path, capsys):
@@ -283,6 +305,17 @@ def test_verify_subset_and_formats(capsys):
     rows = list(csv.reader(io.StringIO(out)))
     assert rows[0] == ["suite", "check", "residual", "tol", "passed"]
     assert all(row[-1] == "True" for row in rows[1:])
+
+
+def test_python_m_runs_the_command_line():
+    """`python -m cmvkit.cli` is the cmv command."""
+    src = str(Path(cli.__file__).parents[2])
+    path = os.pathsep.join(filter(None, (src, os.environ.get("PYTHONPATH"))))
+    env = dict(os.environ, PYTHONPATH=path)
+    done = subprocess.run([sys.executable, "-m", "cmvkit.cli", "verify", "--suite", "analytic"],
+                          capture_output=True, text=True, env=env, timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert all(r["passed"] for r in json.loads(done.stdout)["results"])
 
 
 def test_verify_meta_times_each_suite():

@@ -11,7 +11,6 @@ from cmvkit.greens import (
     dense_resolvent_entry,
     full_green_entries,
     full_green_scalar_prefactor,
-    full_lattice_green,
     half_green_entries,
     half_green_scalar_prefactor,
     half_lattice_green,
@@ -129,7 +128,7 @@ def test_batched_entries_factor_once_per_cut_and_z(monkeypatch):
     for sign, pairs in halves.items():
         del lu[:], moves[:]
         half_green_entries(seq, k0, g, z, pairs, sign)
-        assert len(lu) == 2 and [fam.z for _, fam, _ in moves] == [z, 1.0 / np.conj(z)]
+        assert len(lu) == 2 and [args[1].z for args in moves] == [z, 1.0 / np.conj(z)]
 
 
 def test_single_pair_forms_equal_the_batched_forms():
@@ -154,7 +153,7 @@ def test_single_pair_forms_equal_the_batched_forms():
                     assert all(np.array_equal(a, b) for a, b in zip(got, want))
                     if half is None:
                         batch = full_green_entries(seq, k0, g, z, hp)
-                        one = [full_lattice_green(seq, k0, g, z, k, kp) for k, kp in hp]
+                        one = [full_green_entries(seq, k0, g, z, [pair])[0] for pair in hp]
                     else:
                         batch = half_green_entries(seq, k0, g, z, hp, half)
                         one = [half_lattice_green(seq, k0, g, z, k, kp, half) for k, kp in hp]
@@ -260,26 +259,25 @@ def test_half_kernel_short_propagation_is_exact(monkeypatch):
     """Far from k0, propagating to the needed sites only changes no bit."""
     seq, g, k0 = make_case(2, 44, n=40)
     z = 0.6 * np.exp(0.7j)
-    limited = greens._half_family
+    limited = greens.propagate
     spans = []
 
-    def recording(*args):
-        fam = limited(*args)
+    def recording(seq, fam, *sites):
+        fam = limited(seq, fam, *sites)
         spans.append((fam.k_lo, fam.k_hi))
         return fam
 
-    def whole(seq, k0, gamma, z, sign, *sites):
-        lo, hi = greens._half_range(seq, k0, sign)
-        return limited(seq, k0, gamma, z, sign, lo, hi)
+    def whole(seq, fam, *sites):
+        return limited(seq, fam, *greens._half_range(seq, fam.k0, fam.sign))
 
     branches = set()
     for sign, k, kp in ((PLUS, k0 + 9, k0 + 11), (PLUS, k0 + 11, k0 + 9),
                         (MINUS, k0 - 11, k0 - 9), (MINUS, k0 - 9, k0 - 11)):
         spans.clear()
-        monkeypatch.setattr(greens, "_half_family", recording)
+        monkeypatch.setattr(greens, "propagate", recording)
         short = half_lattice_green(seq, k0, g, z, k, kp, sign)
         assert spans and all(s == (min(k, kp, k0), max(k, kp, k0)) for s in spans)
-        monkeypatch.setattr(greens, "_half_family", whole)
+        monkeypatch.setattr(greens, "propagate", whole)
         full = half_lattice_green(seq, k0, g, z, k, kp, sign)
         assert short.branch is full.branch
         assert np.array_equal(short.value, full.value)
@@ -350,8 +348,8 @@ def test_full_kernel_independent_of_gamma():
     rng = np.random.default_rng(99)
     g1, g2 = random_unitary(rng, 2), random_unitary(rng, 2)
     z = 0.5 * np.exp(2.9j)
-    a = full_lattice_green(seq, k0, g1, z, k0 - 2, k0 + 3).value
-    b = full_lattice_green(seq, k0, g2, z, k0 - 2, k0 + 3).value
+    a = full_green_entries(seq, k0, g1, z, [(k0 - 2, k0 + 3)])[0].value
+    b = full_green_entries(seq, k0, g2, z, [(k0 - 2, k0 + 3)])[0].value
     np.testing.assert_allclose(a, b, atol=1e-12)
 
 
@@ -394,6 +392,6 @@ def test_small_z_stability():
             want = dense_resolvent_entry(seq, z, k, kp, half=PLUS, k0=k0,
                                          gamma=g)[0, 0]
             assert abs(got - want) / max(1.0, abs(want)) < 1e-6
-        got = full_lattice_green(seq, k0, g, z, k0 - 1, k0 + 1).value[0, 0]
+        got = full_green_entries(seq, k0, g, z, [(k0 - 1, k0 + 1)])[0].value[0, 0]
         want = dense_resolvent_entry(seq, z, k0 - 1, k0 + 1)[0, 0]
         assert abs(got - want) / max(1.0, abs(want)) < 1e-6

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from cmvkit import assembly, coefficients, weyl
+from cmvkit.analytic import herglotz_eval, uniform_grid_measure
 from cmvkit.assembly import assemble, resolvent_blocks
 from cmvkit.decoupling import decoupling_report, minimal_phases
 from cmvkit.greens import (
@@ -62,6 +63,24 @@ def test_normalization_at_zero():
                                    np.eye(3), atol=1e-13)
         np.testing.assert_allclose(m_function(seq, k0, g, 0.0, MINUS),
                                    -np.eye(3), atol=1e-13)
+
+
+def test_free_case_converges_on_long_windows():
+    """With zero coefficients m_plus and -m_minus at the middle of 0..n tend to the
+    Caratheodory function of arc-length, 1 inside the disk (the quadrature oracle
+    over 2^16 atoms), and the error falls with n as |z|^(n/2) from 10^3 to 10^4
+    sites, down to rounding at |z| = 0.99."""
+    for z in (0.99, 0.999 * np.exp(0.5j)):
+        oracle = herglotz_eval(uniform_grid_measure(2 ** 16), z)[0, 0]
+        for sign in (PLUS, MINUS):
+            errs = []
+            for n in (1000, 4000, 10000):
+                values = np.zeros((n + 1, 1, 1), dtype=complex)
+                values[0] = values[-1] = 1.0
+                got = m_function(VerblunskySequence(0, values), n // 2, np.eye(1), z, sign)
+                errs.append(abs(sign * got[0, 0] - oracle))
+                assert errs[-1] <= max(4.0 * abs(z) ** (n / 2), 1e-13), (z, sign, n)
+            assert errs[0] > errs[1] > errs[2], (z, sign, errs)
 
 
 def test_two_routes_agree():
