@@ -12,9 +12,10 @@ the V and W* of the window in LAPACK band storage, which serve the
 solves. The split variant replaces one block by diag(-gamma_left,
 gamma_right*), severing the window into two independent halves;
 operator_difference_block is the 2m x 2m block by which U and the split
-differ. PencilLU is one banded LU of the pencil V - z W* of the window,
-a half window or a split, whose solve serves any set of right-hand
-sides. From one PencilLU, resolvent_blocks reads any m x m blocks of the
+differ; block_diag forms direct sums. PencilLU is one banded LU (LAPACK
+zgbtrf and zgbtrs, from _lapack) of the pencil V - z W* of the window, a
+half window or a split, whose solve serves any set of right-hand sides.
+From one PencilLU, resolvent_blocks reads any m x m blocks of the
 resolvent (U_s - z)^{-1} of the window or of a half window cut at k0,
 never forming U_s; the half-window m-functions and the Green oracle read
 their blocks from it.
@@ -26,8 +27,8 @@ import functools
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
+from ._lapack import zgbtrf as _gbtrf, zgbtrs as _gbtrs
 from .coefficients import (
     BoundaryUnitary,
     DefectPair,
@@ -76,6 +77,15 @@ class CmvOperatorSet:
         return self.U[self.site_slice(k), self.site_slice(kp)]
 
 
+def block_diag(*blocks: np.ndarray) -> np.ndarray:
+    """The direct sum of square blocks, in order along the diagonal."""
+    ends = np.cumsum([0] + [len(b) for b in blocks])
+    out = np.zeros((ends[-1], ends[-1]), dtype=np.result_type(*blocks))
+    for b, i, j in zip(blocks, ends, ends[1:]):
+        out[i:j, i:j] = b
+    return out
+
+
 @dataclass(frozen=True)
 class SplitSpec:
     """Where to cut the window and which unitaries to install.
@@ -101,7 +111,7 @@ class SplitSpec:
             raise SplitOutOfWindow(f"split site {self.k0} outside ({seq.k_min}, {seq.k_max}]")
         if self.gamma_left.shape != (seq.m, seq.m):
             raise DimensionMismatch("split unitaries must match the sequence block size")
-        return scipy.linalg.block_diag(-self.gamma_left, self.gamma_right.conj().T)
+        return block_diag(-self.gamma_left, self.gamma_right.conj().T)
 
 
 def _placed_blocks(seq: VerblunskySequence, spec: SplitSpec | None = None):
@@ -206,9 +216,6 @@ def _with_block(V: np.ndarray, W_star: np.ndarray, k: int, j: int, block: np.nda
         W_star = W_star.copy(order="F")
         W_star[2 * b + r[:, None] - r, r] = block.conj().T
     return V, W_star
-
-
-_gbtrf, _gbtrs = scipy.linalg.get_lapack_funcs(("gbtrf", "gbtrs"), dtype=complex)
 
 
 class PencilLU:

@@ -32,7 +32,7 @@ from ..coefficients import (
     sequence_document,
 )
 from ..decoupling import decoupling_report, det_criterion, minimal_phases
-from ..errors import CmvError, DimensionMismatch, MalformedInput
+from ..errors import CmvError, DimensionMismatch, MalformedInput, OutOfRange
 from ..greens import dense_resolvent_entries, full_green_entries, half_green_entries
 from ..laurent import window_family
 from ..weyl import spectral_sample
@@ -214,6 +214,8 @@ def cmd_mfun(args) -> int:
     gamma = as_boundary(_load_gamma(args.gamma, seq.m), seq.m)
     if args.grid:
         r1, r2, n_theta = _parse(args.grid, "--grid 'R1,R2,NTHETA'", float, float, int)
+        if n_theta < 1:
+            raise OutOfRange(f"--grid needs NTHETA >= 1, got {n_theta}")
         _emit_csv(_grid_rows(seq, args.k0, gamma, (r1, r2), n_theta), args.out)
         return 0
     if args.z is None:

@@ -13,7 +13,6 @@ import time
 from dataclasses import asdict, dataclass, replace
 
 import numpy as np
-import scipy.linalg
 
 from .. import __version__
 from ..analytic import (
@@ -24,14 +23,14 @@ from ..analytic import (
     uniform_grid_measure,
     AtomicMeasure,
 )
-from ..assembly import SplitSpec, assemble, assemble_split
+from ..assembly import SplitSpec, assemble, assemble_split, block_diag
 from ..coefficients import BoundaryUnitary, factorize_svd, gauge_transform, principal_unitary_sqrt
 from ..decoupling import (
     decoupling_report,
     det_criterion,
     minimal_phases,
 )
-from ..errors import SingularWronskian, UnknownSuite, solve
+from ..errors import OutOfRange, SingularWronskian, UnknownSuite, solve
 from ..greens import (
     dense_resolvent_entries,
     full_green_entries,
@@ -513,7 +512,7 @@ def suite_gauge(spec: EnsembleSpec, tol: Tolerances):
     sigma = random_unitary(rng, spec.m)
     tau = random_unitary(rng, spec.m)
     gauged = gauge_transform(seq, sigma, tau)
-    Am = scipy.linalg.block_diag(*(sigma if k % 2 == 1 else tau for k in seq.sites))
+    Am = block_diag(*(sigma if k % 2 == 1 else tau for k in seq.sites))
     lhs = Am @ assemble(seq).U @ Am.conj().T
     rhs = assemble(gauged).U
     out.append(_result("gauge", "matrix-conjugation", _rel(lhs - rhs, rhs),
@@ -529,7 +528,7 @@ def suite_gauge(spec: EnsembleSpec, tol: Tolerances):
     eye = np.eye(spec.m)
     split_gauged = assemble_split(gauged_g, SplitSpec(k0=k0, gamma_left=eye,
                                                       gamma_right=eye))
-    Ag = scipy.linalg.block_diag(*(ghi if k % 2 == 1 else gh for k in seq.sites))
+    Ag = block_diag(*(ghi if k % 2 == 1 else gh for k in seq.sites))
     lhs = Ag @ split_orig.U @ Ag.conj().T
     out.append(_result("gauge", "split-consistency",
                        _rel(lhs - split_gauged.U, split_gauged.U),
@@ -549,6 +548,10 @@ SUITES = {
     "analytic": suite_analytic,
     "gauge": suite_gauge,
 }
+# The shortest window, as k_max - k_min, whose every site a suite samples lies inside;
+# the other suites run on any window EnsembleSpec accepts (k_max - k_min >= 4).
+MIN_SPAN = {"connection": 5, "green-half": 7, "green-full": 7, "wronskian": 7,
+            "analytic": 7, "weyl": 8, "quadratic": 9}
 
 
 @dataclass(frozen=True)
@@ -573,6 +576,7 @@ def run_suite(names, spec: EnsembleSpec,
               tolerances: Tolerances | None = None) -> VerificationReport:
     """Run the named suites and collect a report.
 
+    Every name and the window are checked first (UnknownSuite, OutOfRange).
     Results are sorted by (suite, check) so the output does not depend
     on the order of names; timing, total and per suite, goes into meta only.
     """
@@ -582,6 +586,10 @@ def run_suite(names, spec: EnsembleSpec,
             raise UnknownSuite(
                 f"unknown suite {name!r}; available: {', '.join(sorted(SUITES))}"
             )
+        need = MIN_SPAN.get(name, 4)
+        if spec.k_max - spec.k_min < need:
+            raise OutOfRange(f"suite {name!r} needs a window with k_max - k_min >= {need}, "
+                             f"got [{spec.k_min}, {spec.k_max}]")
     start = time.perf_counter()
     results, suite_seconds = [], {}
     for name in names:

@@ -9,11 +9,12 @@ coefficients as one read-only stack; VerblunskyCoefficient is one coefficient.
 The helpers here compute the positive defect matrices
 rho = (I - alpha* alpha)^(1/2) and rho~ = (I - alpha alpha*)^(1/2),
 the 2m x 2m orthogonal building block built from a single coefficient,
-singular value factorizations, unitary square roots, and two-sided
-unitary gauge transforms of whole sequences. Each sequence factors its
-interior algebra once (SequenceArrays, one batched pass over the stack)
-for transfers and assembly, and keeps its V and W* in band storage once
-(bands) for the resolvent blocks behind the m-functions and the Green oracle.
+singular value factorizations, unitary square roots (from the Schur form
+of LAPACK zgees, via _lapack), and two-sided unitary gauge transforms of
+whole sequences. Each sequence factors its interior algebra once
+(SequenceArrays, one batched pass over the stack) for transfers and
+assembly, and keeps its V and W* in band storage once (bands) for the
+resolvent blocks behind the m-functions and the Green oracle.
 """
 
 from __future__ import annotations
@@ -24,9 +25,10 @@ from enum import Enum
 from functools import cached_property
 
 import numpy as np
-import scipy.linalg
 
+from ._lapack import zgees
 from .errors import (
+    CmvError,
     DimensionMismatch,
     MalformedInput,
     NotContractive,
@@ -392,7 +394,10 @@ def principal_unitary_sqrt(gamma) -> np.ndarray:
     so the result squares back to the input and stays unitary.
     """
     g = _unitary_block(gamma, "gamma")
-    t, q = scipy.linalg.schur(g, output="complex")
+    lwork = zgees(lambda x: None, g, lwork=-1)[-2][0].real.astype(np.int_)
+    t, _, _, q, _, info = zgees(lambda x: None, g, lwork=lwork, sort_t=0)
+    if info != 0:
+        raise CmvError(f"Schur form of gamma not found (LAPACK zgees info = {info})")
     angles = np.angle(np.diag(t))
     root = np.exp(0.5j * angles)
     return (q * root) @ q.conj().T

@@ -12,9 +12,10 @@ coefficients.BoundaryUnitary, kept as the family's boundary.
 This module provides the transfer matrices and their explicit inverses
 (stacked by site from the sequence's arrays), seed construction,
 propagation of the family's (n_sites, 2m, 2m) state [[P, Q], [R, S]] by
-one banded triangular solve per direction, the connection coefficients
-relating families with different gamma or different sign, and residual
-checks for the quadratic and conjugation identities.
+one banded triangular solve (LAPACK ztbtrs, from _lapack) per direction,
+the connection coefficients relating families with different gamma or
+different sign, and residual checks for the quadratic and conjugation
+identities.
 """
 
 from __future__ import annotations
@@ -23,8 +24,8 @@ from dataclasses import dataclass, replace
 from typing import NamedTuple
 
 import numpy as np
-from scipy.linalg import get_lapack_funcs
 
+from ._lapack import ztbtrs as _tbtrs
 from .coefficients import (
     BoundaryUnitary,
     VerblunskySequence,
@@ -44,8 +45,6 @@ from .errors import (
 
 PLUS = 1
 MINUS = -1
-
-_tbtrs = get_lapack_funcs("tbtrs", dtype=complex)
 
 
 def _norm_sign(sign) -> int:

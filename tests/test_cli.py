@@ -16,7 +16,7 @@ import pytest
 from cmvkit import cli
 from cmvkit.cli import main
 from cmvkit.cli.ensembles import MAX_RADIUS, Distribution, EnsembleSpec, generate
-from cmvkit.cli.suites import run_suite
+from cmvkit.cli.suites import MIN_SPAN, SUITES, run_suite
 from cmvkit.coefficients import CONTRACTION_TOL, load_sequence
 from cmvkit.errors import CmvError, OutOfRange
 from cmvkit.laurent import PLUS, window_family
@@ -336,6 +336,18 @@ def test_verify_unknown_suite_is_usage_error(capsys):
     assert "error:" in err
 
 
+@pytest.mark.parametrize("name", sorted(SUITES))
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("k_min", [0, 1])
+def test_suite_runs_at_its_shortest_window_and_not_one_site_shorter(name, m, k_min):
+    """At k_max - k_min = its minimum a suite passes; one site less is OutOfRange before it
+    runs (from EnsembleSpec itself at its own minimum, 4)."""
+    need = MIN_SPAN.get(name, 4)
+    assert run_suite([name], EnsembleSpec(m=m, k_min=k_min, k_max=k_min + need, seed=7)).passed
+    with pytest.raises(OutOfRange, match=f"suite '{name}'" if need > 4 else "window"):
+        run_suite([name], EnsembleSpec(m=m, k_min=k_min, k_max=k_min + need - 1, seed=7))
+
+
 def test_seed_env_fallback(tmp_path, capsys, monkeypatch):
     a, b = str(tmp_path / "a.json"), str(tmp_path / "b.json")
     monkeypatch.setenv("CMV_SEED", "23")
@@ -388,6 +400,8 @@ BAD_INPUTS = {
     "gen-window-too-short": ("gen", "--window", "0,3"),
     "seed-env-not-integer": ("gen",),
     "mfun-grid-count-not-integer": ("mfun", *_SEQ, "--k0", "6", "--grid", "0.5,2,x"),
+    "mfun-grid-count-zero": ("mfun", *_SEQ, "--k0", "6", "--grid", "0.5,2,0"),
+    "mfun-grid-count-negative": ("mfun", *_SEQ, "--k0", "6", "--grid", "0.5,2,-3"),
     "mfun-z-on-circle": ("mfun", *_SEQ, "--k0", "6", "--z", "1,0"),
     "mfun-k0-outside": ("mfun", *_SEQ, "--k0", "99", "--z", "0.4,0.2"),
     "mfun-z-nan": ("mfun", *_SEQ, "--k0", "6", "--z", "nan,0"),
@@ -400,6 +414,7 @@ BAD_INPUTS = {
     "decouple-s-not-number": ("decouple", *_SEQ, "--k0", "6", "--s", "1,x"),
     "assemble-dense-row-cap": ("assemble", "--in", "{big}"),
     "verify-radius-too-large": ("verify", "--radius", "2"),
+    "verify-window-too-short-for-a-suite": ("verify", "--window", "0,5"),
     "in-truncated-json": ("assemble", "--in", "{trunc}"),
     "in-not-utf8": ("assemble", "--in", "{binary}"),
     "pairs-not-utf8": ("green", *_SEQ, *_Z, "--pairs", "{binary}"),
