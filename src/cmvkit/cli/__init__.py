@@ -216,6 +216,8 @@ def cmd_mfun(args) -> int:
         r1, r2, n_theta = _parse(args.grid, "--grid 'R1,R2,NTHETA'", float, float, int)
         if n_theta < 1:
             raise OutOfRange(f"--grid needs NTHETA >= 1, got {n_theta}")
+        if not (r1 > 0 and r2 > 0):
+            raise OutOfRange(f"--grid needs radii R1, R2 > 0, got {r1}, {r2}")
         _emit_csv(_grid_rows(seq, args.k0, gamma, (r1, r2), n_theta), args.out)
         return 0
     if args.z is None:

@@ -13,10 +13,10 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from cmvkit import cli
+from cmvkit import assembly, cli
 from cmvkit.cli import main
 from cmvkit.cli.ensembles import MAX_RADIUS, Distribution, EnsembleSpec, generate
-from cmvkit.cli.suites import MIN_SPAN, SUITES, run_suite
+from cmvkit.cli.suites import MIN_SPAN, SUITES, _worst, run_suite
 from cmvkit.coefficients import CONTRACTION_TOL, load_sequence
 from cmvkit.errors import CmvError, OutOfRange
 from cmvkit.laurent import PLUS, window_family
@@ -330,6 +330,66 @@ def test_verify_meta_times_each_suite():
     assert json.dumps(again["results"]) == json.dumps(report.to_dict()["results"])
 
 
+def test_worst_floors_at_zero_and_keeps_a_non_finite_residual():
+    """One check's residual: the largest value floored at 0, or the first non-finite
+    one as nan or +inf, which no tolerance passes."""
+    assert _worst([3e-16, -2.0, 1e-15]) == 1e-15
+    assert _worst([-1.0, -2.0]) == 0.0
+    assert _worst([]) == 0.0
+    assert _worst(4e-12) == 4e-12 and _worst(-4e-12) == 0.0
+    assert np.isnan(_worst([0.0, np.nan, 1.0, np.inf]))
+    assert _worst(np.array([[1.0, np.inf], [2.0, 0.0]])) == np.inf
+    assert _worst([0.5, -np.inf]) == np.inf
+
+
+def test_no_check_passes_on_a_non_finite_residual():
+    """At 1500 sites (m = 2, seed 7) products of the connection and quadratic
+    identities overflow at the far sites: those checks fail with the NaN instead of
+    passing on their finite residuals."""
+    with np.errstate(all="ignore"):
+        report = run_suite(["connection", "quadratic"],
+                           EnsembleSpec(m=2, k_min=0, k_max=1500, seed=7))
+    bad = [r for r in report.results if not np.isfinite(r.residual)]
+    assert bad and not any(r.passed for r in bad)
+    assert not report.passed
+
+
+def test_tol_identity_replaces_nonzero_defaults_and_exact_checks_stay_exact(capsys):
+    code, out, err = run(capsys, "verify", "--suite", "unitarity,decoupling", "--seed", "2",
+                         "--m", "2", "--window", "0,20", "--tol-identity", "1e-30")
+    assert code == 1
+    results = {(r["suite"], r["check"]): r for r in json.loads(out)["results"]}
+    band = results["unitarity", "band-zeros"]
+    assert band["tol"] == 0.0 and band["passed"]
+    exact = [r for r in results.values() if r["tol"] == 0.0]
+    assert len(exact) == 9 and all(r["passed"] for r in exact)   # band-zeros and 8 rank checks
+    assert all(r["tol"] == 1e-30 for r in results.values() if r["tol"] != 0.0)
+    assert not results["unitarity", "U-star-U"]["passed"]
+    assert "FAIL unitarity/U-star-U" in err
+
+
+def test_u_equals_vw_reads_the_band_storage(monkeypatch):
+    """U-equals-VW compares the dense U with V and W unpacked from seq.bands: exactly
+    0 while the two scatters agree, a failure once one band entry is corrupted."""
+    spec = EnsembleSpec(m=2, k_min=0, k_max=12, seed=3)
+
+    def check():
+        return next(r for r in run_suite(["unitarity"], spec).results if r.check == "U-equals-VW")
+
+    clean = check()
+    assert clean.residual == 0.0 and clean.passed
+    real = assembly.band_storage
+
+    def corrupted(seq):
+        V, W_star = (a.copy() for a in real(seq))
+        V[2 * (2 * seq.m - 1), 5] += 1e-6          # V's diagonal entry (5, 5)
+        return V, W_star
+
+    monkeypatch.setattr(assembly, "band_storage", corrupted)
+    got = check()
+    assert not got.passed and got.residual == pytest.approx(1e-6, rel=0.5)
+
+
 def test_verify_unknown_suite_is_usage_error(capsys):
     code, _, err = run(capsys, "verify", "--suite", "nonsense")
     assert code == 2
@@ -402,6 +462,8 @@ BAD_INPUTS = {
     "mfun-grid-count-not-integer": ("mfun", *_SEQ, "--k0", "6", "--grid", "0.5,2,x"),
     "mfun-grid-count-zero": ("mfun", *_SEQ, "--k0", "6", "--grid", "0.5,2,0"),
     "mfun-grid-count-negative": ("mfun", *_SEQ, "--k0", "6", "--grid", "0.5,2,-3"),
+    "mfun-grid-radius-zero": ("mfun", *_SEQ, "--k0", "6", "--grid", "0,2,4"),
+    "mfun-grid-radius-negative": ("mfun", *_SEQ, "--k0", "6", "--grid=-0.5,2,2"),
     "mfun-z-on-circle": ("mfun", *_SEQ, "--k0", "6", "--z", "1,0"),
     "mfun-k0-outside": ("mfun", *_SEQ, "--k0", "99", "--z", "0.4,0.2"),
     "mfun-z-nan": ("mfun", *_SEQ, "--k0", "6", "--z", "nan,0"),
@@ -415,6 +477,11 @@ BAD_INPUTS = {
     "assemble-dense-row-cap": ("assemble", "--in", "{big}"),
     "verify-radius-too-large": ("verify", "--radius", "2"),
     "verify-window-too-short-for-a-suite": ("verify", "--window", "0,5"),
+    "verify-tol-identity-nan": ("verify", "--tol-identity", "nan"),
+    "verify-tol-identity-inf": ("verify", "--tol-identity", "inf"),
+    "verify-tol-identity-negative": ("verify", "--tol-identity=-1"),
+    "verify-tol-rank-zero": ("verify", "--tol-rank", "0"),
+    "verify-tol-rank-above-one": ("verify", "--tol-rank", "5"),
     "in-truncated-json": ("assemble", "--in", "{trunc}"),
     "in-not-utf8": ("assemble", "--in", "{binary}"),
     "pairs-not-utf8": ("green", *_SEQ, *_Z, "--pairs", "{binary}"),

@@ -195,9 +195,9 @@ def test_wronskian_suite_reuses_the_weyl_families(monkeypatch):
 
     for module in (laurent, weyl):
         monkeypatch.setattr(module, "seed_family", counting)
-    results = suites.suite_wronskian(spec, suites.Tolerances())
+    report = suites.run_suite(["wronskian"], spec)
     assert len(seen) == 2
-    assert all(r.passed for r in results)
+    assert report.passed
     monkeypatch.undo()
     seq, g, k0 = make_case(2, 42)
     z = 0.5 * np.exp(1.7j)
@@ -362,7 +362,9 @@ def test_scalar_prefactor_half_forms():
                 want = dense_resolvent_entry(seq, z, k, kp, half=sign,
                                              k0=k0, gamma=g)[0, 0]
                 got = half_green_scalar_prefactor(seq, k0, g, z, k, kp, sign)
+                kernel = half_green_entries(seq, k0, g, z, [(k, kp)], sign)[0].value[0, 0]
                 assert abs(got - want) / max(1.0, abs(want)) < 1e-8
+                assert abs(got - kernel) / max(1.0, abs(kernel)) < 1e-8
 
 
 def test_scalar_prefactor_full_form():
@@ -371,7 +373,9 @@ def test_scalar_prefactor_full_form():
         for z in (0.5 * np.exp(0.3j), 1.9 * np.exp(1.1j)):
             want = dense_resolvent_entry(seq, z, k, kp)[0, 0]
             got = full_green_scalar_prefactor(seq, k0, g, z, k, kp)
+            kernel = full_green_entries(seq, k0, g, z, [(k, kp)])[0].value[0, 0]
             assert abs(got - want) / max(1.0, abs(want)) < 1e-8
+            assert abs(got - kernel) / max(1.0, abs(kernel)) < 1e-8
 
 
 def test_prefactor_forms_scalar_only():
