@@ -15,7 +15,7 @@ import numpy as np
 
 from .coefficients import _as_square, _complex_array
 from .errors import DimensionMismatch, InvalidMeasure, NotFinite, OutOfRange, ZAtAtom, ZeroZ
-from .errors import require_finite
+from .errors import require_finite, require_tolerance
 # The Cayley pair Phi = (F - I)(F + I)^{-1} and back has one implementation.
 from .weyl import M_from_schur as inverse_cayley, schur_from_M as cayley  # noqa: F401
 
@@ -101,8 +101,9 @@ def is_caratheodory(samples, tol: float = PSD_TOL) -> ValidityReport:
     """Check Re F(z) >= 0 over (z, F) samples taken inside the disk.
 
     Returns the smallest Hermitian-part eigenvalue per sample; valid
-    means every one of them clears -tol.
+    means every one of them clears -tol. OutOfRange unless tol is finite and >= 0.
     """
+    tol = require_tolerance(tol)
     floors = []
     for z, F in samples:
         if abs(require_finite(z)) >= 1.0:

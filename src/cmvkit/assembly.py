@@ -204,28 +204,22 @@ def band_storage(seq: VerblunskySequence) -> tuple:
     return V.T, W_star.T
 
 
-def _with_block(V: np.ndarray, W_star: np.ndarray, k: int, j: int, block: np.ndarray) -> tuple:
-    """V and W* with the diagonal block at columns j.. replaced by the block of coefficient k:
-    in a copy of V for even k, else of W*, which holds its adjoint; the other is passed on."""
-    b = (V.shape[0] - 1) // 3
-    r = j + np.arange(len(block))
-    if k % 2 == 0:
-        V = V.copy(order="F")
-        V[2 * b + r[:, None] - r, r] = block
-    else:
-        W_star = W_star.copy(order="F")
-        W_star[2 * b + r[:, None] - r, r] = block.conj().T
-    return V, W_star
-
-
 class PencilLU:
-    """One banded LU (LAPACK gbtrf) of V - z W*, V and W* in band_storage's layout; its
-    solve serves any right-hand sides, each column solved by itself. SingularSolve
-    if the pencil is singular or a solve overflows."""
+    """One banded LU (LAPACK gbtrf) of V - z W*, V and W* in band_storage's layout; given a
+    block, the diagonal block at columns j.. holds coefficient k's block instead (in V for
+    even k, else in W, whose adjoint W* holds), written into the formed pencil, so neither
+    V nor W* is copied. Its solve serves any right-hand sides, each column solved by
+    itself. SingularSolve if the pencil is singular or a solve overflows."""
 
-    def __init__(self, V: np.ndarray, W_star: np.ndarray, z: complex):
+    def __init__(self, V: np.ndarray, W_star: np.ndarray, z: complex,
+                 k: int = 0, j: int = 0, block: np.ndarray | None = None):
         self.b, self.z = (V.shape[0] - 1) // 3, z
-        self.lu, self.piv, info = _gbtrf(V - z * W_star, self.b, self.b, overwrite_ab=True)
+        pencil = V - z * W_star
+        if block is not None:
+            r = j + np.arange(len(block))
+            at = (2 * self.b + r[:, None] - r, r)
+            pencil[at] = block - z * W_star[at] if k % 2 == 0 else V[at] - z * block.conj().T
+        self.lu, self.piv, info = _gbtrf(pencil, self.b, self.b, overwrite_ab=True)
         if info != 0:
             raise SingularSolve(f"resolvent solve failed at z = {z}")
 
@@ -250,14 +244,16 @@ def resolvent_blocks(seq: VerblunskySequence, z: complex, pairs,
     A half window's V and W* are a column slice of seq.bands in which only
     the cut block's corner at k0 differs: gamma* (plus) or -gamma (minus).
     Its entries coupling to the sites cut off fall in the corner of the
-    band layout outside the matrix, which the LU never reads. One PencilLU
-    and one solve over the distinct kp give X = (V - z W*)^{-1} E_kp, and
-    each block is (W E_k)* X. Raises SingularSolve when the solve fails or overflows.
+    band layout outside the matrix, which the LU never reads. PencilLU writes
+    the corner into the formed pencil, and (W E_k0)* takes it directly when it
+    lies in W, so no band is copied. One PencilLU and one solve over the distinct
+    kp give X = (V - z W*)^{-1} E_kp, and each block is (W E_k)* X. Raises
+    SingularSolve when the solve fails or overflows.
     """
     m, b = seq.m, 2 * seq.m - 1
     V, W_star = seq.bands
     lo, hi = 0, m * seq.n_sites               # the columns of U_s in seq
-    q = np.arange(m)
+    q, cut, j0, corner = np.arange(m), 0, 0, None    # j0: first column of site k0 in U_s
     if half is not None:
         lo_k, hi_k = (k0, seq.k_max) if half > 0 else (seq.k_min, k0 + 1)
         if not seq.k_min <= lo_k < hi_k - 3 <= seq.k_max - 3:
@@ -270,13 +266,13 @@ def resolvent_blocks(seq: VerblunskySequence, z: complex, pairs,
             lo, cut, corner = i, k0, gamma.conj().T
         else:
             hi, cut, corner = i + m, k0 + 1, -gamma
-        V, W_star = _with_block(V[:, lo:hi], W_star[:, lo:hi], cut, i - lo, corner)
+        V, W_star, j0 = V[:, lo:hi], W_star[:, lo:hi], i - lo
     cols = dict.fromkeys([kp for _, kp in pairs])     # each distinct kp: its first column of E
     E = np.zeros((hi - lo, m * len(cols)), dtype=complex)
     for i, kp in zip(range(0, E.shape[1], m), cols):
         cols[kp], j = i, (kp - seq.k_min) * m - lo
         E[j:j + m, i:i + m].flat[::m + 1] = 1.0       # the identity at site kp
-    X = PencilLU(V, W_star, z).solve(E)
+    X = PencilLU(V, W_star, z, cut, j0, corner).solve(E)
     rows, blocks = {}, []                     # rows: (W E_k)* for each distinct k
     for k, kp in pairs:
         if k not in rows:                     # (W E_k)* = W*(k, c), nonzero within one site of k
@@ -284,6 +280,8 @@ def resolvent_blocks(seq: VerblunskySequence, z: complex, pairs,
             c = np.arange(max(j - m, 0), min(j + 2 * m, hi - lo))
             rows[k] = np.full((hi - lo, m), complex(0.0, -0.0)).T    # an adjoint's zeros: conj(0)
             rows[k][q[:, None], c] = W_star[2 * b + j + q[:, None] - c, c]
+            if k == k0 and cut % 2:           # the corner in W: W*(k0, k0) = corner*
+                rows[k][:, j + q] = corner.conj().T
         blocks.append(rows[k] @ X[:, cols[kp]:cols[kp] + m])
     return blocks
 

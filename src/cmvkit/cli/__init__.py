@@ -32,7 +32,7 @@ from ..coefficients import (
     sequence_document,
 )
 from ..decoupling import decoupling_report, det_criterion, minimal_phases
-from ..errors import CmvError, DimensionMismatch, MalformedInput, OutOfRange
+from ..errors import CmvError, DimensionMismatch, MalformedInput, OutOfRange, require_tolerance
 from ..greens import dense_resolvent_entries, full_green_entries, half_green_entries
 from ..laurent import window_family
 from ..weyl import spectral_sample
@@ -267,6 +267,7 @@ def cmd_green(args) -> int:
 
 
 def cmd_analytic(args) -> int:
+    tol = require_tolerance(args.tol_identity, "--tol-identity")
     try:
         samples = [(complex(item["z"][0], item["z"][1]),
                     _as_square(_matrix_from_json(item["F"], where="sample")))
@@ -275,7 +276,7 @@ def cmd_analytic(args) -> int:
         raise MalformedInput(f"{args.infile}: each sample needs 'z': [RE, IM] and "
                              f"a matrix 'F' ({type(exc).__name__}: {exc})") from exc
     if args.check == "caratheodory":
-        report = is_caratheodory(samples, tol=args.tol_identity)
+        report = is_caratheodory(samples, tol=tol)
         payload = {
             "check": "caratheodory",
             "valid": report.valid,
@@ -286,9 +287,8 @@ def cmd_analytic(args) -> int:
     else:
         excess = [max(0.0, float(np.linalg.norm(F, 2)) - 1.0)
                   for _, F in samples]
-        ok = all(e <= args.tol_identity for e in excess)
-        payload = {"check": "schur", "valid": ok, "norm_excess": excess,
-                   "tol": args.tol_identity}
+        ok = all(e <= tol for e in excess)
+        payload = {"check": "schur", "valid": ok, "norm_excess": excess, "tol": tol}
     _emit_json(payload, args.out)
     return 0 if ok else 1
 

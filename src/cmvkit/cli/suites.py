@@ -32,7 +32,7 @@ from ..decoupling import (
     det_criterion,
     minimal_phases,
 )
-from ..errors import OutOfRange, SingularWronskian, UnknownSuite, solve
+from ..errors import OutOfRange, SingularWronskian, UnknownSuite, require_tolerance, solve
 from ..greens import (
     dense_resolvent_entries,
     full_green_entries,
@@ -81,8 +81,8 @@ class Tolerances:
     def __post_init__(self):
         if not 0.0 < self.rank < 1.0:
             raise OutOfRange(f"rank tolerance must lie in (0, 1), got {self.rank}")
-        if self.identity is not None and not 0.0 <= self.identity < np.inf:
-            raise OutOfRange(f"identity tolerance must be finite and >= 0, got {self.identity}")
+        if self.identity is not None:
+            require_tolerance(self.identity, "identity tolerance")
 
     def pick(self, default: float) -> float:
         return default if self.identity is None or default == 0 else self.identity

@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, fields
 from enum import Enum
-from functools import cached_property
+from functools import cache, cached_property, lru_cache
 
 import numpy as np
 
@@ -55,9 +55,10 @@ def _complex_array(value) -> np.ndarray:
         raise DimensionMismatch(f"expected a regular array of blocks: {exc}") from exc
 
 
-def _as_square(value) -> np.ndarray:
+def _as_square(value, stack: bool = False) -> np.ndarray:
+    """value as a finite complex square matrix, or a stack (..., m, m) of them when stack."""
     a = _complex_array(value)
-    if a.ndim != 2 or a.shape[0] != a.shape[1]:
+    if not (a.ndim == 2 or stack and a.ndim > 2) or a.shape[-1] != a.shape[-2]:
         raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
     if not np.all(np.isfinite(a)):
         raise NotFinite("matrix entries must be finite")
@@ -387,6 +388,12 @@ def _unitary_block(value, what: str, m: int | None = None) -> np.ndarray:
     return a
 
 
+@cache
+def _zgees_lwork(m: int):
+    """zgees's optimal workspace for an m x m matrix; the query reads m only, not the entries."""
+    return zgees(lambda x: None, np.eye(m, dtype=complex), lwork=-1)[-2][0].real.astype(np.int_)
+
+
 def principal_unitary_sqrt(gamma) -> np.ndarray:
     """Unitary square root with every eigenangle halved.
 
@@ -394,8 +401,7 @@ def principal_unitary_sqrt(gamma) -> np.ndarray:
     so the result squares back to the input and stays unitary.
     """
     g = _unitary_block(gamma, "gamma")
-    lwork = zgees(lambda x: None, g, lwork=-1)[-2][0].real.astype(np.int_)
-    t, _, _, q, _, info = zgees(lambda x: None, g, lwork=lwork, sort_t=0)
+    t, _, _, q, _, info = zgees(lambda x: None, g, lwork=_zgees_lwork(g.shape[0]), sort_t=0)
     if info != 0:
         raise CmvError(f"Schur form of gamma not found (LAPACK zgees info = {info})")
     angles = np.angle(np.diag(t))
@@ -431,12 +437,23 @@ class BoundaryUnitary:
             object.__setattr__(self, name, a)
 
 
+@lru_cache(maxsize=32)
+def _boundary(shape: tuple, data: bytes) -> BoundaryUnitary:
+    """BoundaryUnitary of the complex array with this shape and bytes; an error is not cached."""
+    return BoundaryUnitary(np.frombuffer(data, dtype=complex).reshape(shape))
+
+
 def as_boundary(gamma, m: int | None = None) -> BoundaryUnitary:
-    """gamma as a BoundaryUnitary (an array is checked and rooted), m x m when m is given."""
-    b = gamma if isinstance(gamma, BoundaryUnitary) else BoundaryUnitary(gamma)
-    if m is not None and b.gamma.shape != (m, m):
-        raise DimensionMismatch(f"gamma must be {m}x{m}, got shape {b.gamma.shape}")
-    return b
+    """gamma as a BoundaryUnitary, m x m when m is given (checked first).
+
+    An array is checked and rooted once per distinct value: the value is
+    kept in a bounded cache keyed by its shape and complex bytes, so equal
+    arrays share one read-only BoundaryUnitary and one Schur root.
+    """
+    a = gamma.gamma if isinstance(gamma, BoundaryUnitary) else _complex_array(gamma)
+    if m is not None and a.shape != (m, m):
+        raise DimensionMismatch(f"gamma must be {m}x{m}, got shape {a.shape}")
+    return gamma if isinstance(gamma, BoundaryUnitary) else _boundary(a.shape, a.tobytes())
 
 
 def gauge_transform(seq: VerblunskySequence, sigma, tau) -> VerblunskySequence:

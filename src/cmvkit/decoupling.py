@@ -21,7 +21,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .assembly import PencilLU, SplitSpec, _with_block, operator_difference_block
+from .assembly import PencilLU, SplitSpec, operator_difference_block
 from .coefficients import (
     VerblunskySequence,
     _as_square,
@@ -147,7 +147,6 @@ def _resolvent_factors(seq: VerblunskySequence, spec: SplitSpec, z_samples):
     V, W_star = seq.bands
     m, b, j = seq.m, 2 * seq.m - 1, (spec.k0 - 1 - seq.k_min) * seq.m   # j: column of site k0 - 1
     block = spec.block_in(seq)
-    V_split, W_split_star = _with_block(V, W_star, spec.k0, j, block)
     E = np.eye(V.shape[1], 2 * m, -j, dtype=complex)
     if spec.k0 % 2 == 0:                      # the cut block lives in V
         L, R = E, E
@@ -158,7 +157,7 @@ def _resolvent_factors(seq: VerblunskySequence, spec: SplitSpec, z_samples):
     for z in z_samples:
         z = require_off_circle(z)
         X = PencilLU(V, W_star, z).solve(L)
-        yield z, X, PencilLU(V_split, W_split_star, z).solve(R, trans=2)
+        yield z, X, PencilLU(V, W_star, z, spec.k0, j, block).solve(R, trans=2)
 
 
 def decoupling_report(seq: VerblunskySequence, k0: int,

@@ -1,4 +1,4 @@
-"""The error family of cmvkit, the guards on z, and the one typed dense solve.
+"""The error family of cmvkit, the guards on z and tolerances, and the one typed dense solve.
 
 Every failure the library reports is a CmvError (a ValueError) of one of
 the classes below: a broken domain condition (contractive interior,
@@ -101,9 +101,10 @@ UNIT_CIRCLE_TOL = 1e-6
 
 def solve(A: np.ndarray, B: np.ndarray, err: type = SingularFactor,
           right: bool = False) -> np.ndarray:
-    """A^{-1} B, or A B^{-1} when right, raising err when the solve fails or overflows."""
+    """A^{-1} B, or A B^{-1} when right, raising err when the solve fails or overflows.
+    A and B may be stacks (..., m, m), solved matrix by matrix."""
     if right:
-        return solve(B.T, A.T, err).T
+        return solve(B.swapaxes(-1, -2), A.swapaxes(-1, -2), err).swapaxes(-1, -2)
     try:
         out = np.linalg.solve(A, B)
     except np.linalg.LinAlgError as exc:
@@ -111,6 +112,13 @@ def solve(A: np.ndarray, B: np.ndarray, err: type = SingularFactor,
     if not np.all(np.isfinite(out)):
         raise err("matrix factor is numerically singular")
     return out
+
+
+def require_tolerance(tol, what: str = "tolerance") -> float:
+    """tol as a float; OutOfRange unless it is finite and >= 0 (a NaN fails both)."""
+    if not 0.0 <= tol < cmath.inf:
+        raise OutOfRange(f"{what} must be finite and >= 0, got {tol}")
+    return float(tol)
 
 
 def require_finite(z) -> complex:

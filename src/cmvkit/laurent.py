@@ -287,8 +287,7 @@ def connection(gamma1, gamma2, alpha_k0, k0: int) -> ConnectionCoefficients:
         and c2(z), d2(z) as methods.
     """
     alpha = _as_square(alpha_k0)
-    g1h = as_boundary(gamma1, alpha.shape[0]).root
-    g2h = g1h if gamma2 is gamma1 else as_boundary(gamma2, alpha.shape[0]).root
+    g1h, g2h = (as_boundary(g, alpha.shape[0]).root for g in (gamma1, gamma2))
     g1i, g2i = g1h.conj().T, g2h.conj().T
     d = defect_matrices(alpha)
     ri = np.linalg.inv(d.rho)

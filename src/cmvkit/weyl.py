@@ -190,9 +190,10 @@ def _M_minus(seq: VerblunskySequence, k0: int, gamma, z, m_minus=None):
 
 
 def schur_from_M(M: np.ndarray) -> np.ndarray:
-    """Cayley transform Phi = (M - I)(M + I)^{-1}; also analytic.cayley."""
-    M = _as_square(M)
-    eye = np.eye(M.shape[0])
+    """Cayley transform Phi = (M - I)(M + I)^{-1} of one M or of a stack (..., m, m);
+    also analytic.cayley."""
+    M = _as_square(M, stack=True)
+    eye = np.eye(M.shape[-1])
     return solve(M - eye, M + eye, right=True)
 
 
@@ -346,33 +347,35 @@ class SpectralSample:
 
 
 def _herm_eigs(F: np.ndarray) -> np.ndarray:
-    return np.linalg.eigvalsh((F + F.conj().T) / 2.0)
+    """Eigenvalues of the Hermitian part of one matrix or of each in a stack (..., m, m)."""
+    return np.linalg.eigvalsh((F + F.conj().swapaxes(-1, -2)) / 2.0)
 
 
 def spectral_sample(seq: VerblunskySequence, k0: int, gamma, z,
                     tol: float = 1e-10) -> SpectralSample:
-    """Evaluate m, M, and Phi for both signs at one point, from one root of gamma."""
+    """Evaluate m, M, and Phi for both signs at one point, from one root of gamma.
+
+    gamma is rooted once per distinct value (coefficients.as_boundary). The
+    two Cayley transforms, the two Hermitian parts' eigenvalues and the two
+    Phi's singular values are each one stacked call; numpy solves such a
+    stack matrix by matrix, so each value equals its one-matrix call.
+    """
     z = require_off_circle(z, allow_zero=True)
     gamma = as_boundary(gamma, seq.m)
-    mp = m_function(seq, k0, gamma, z, PLUS)
-    mm = m_function(seq, k0, gamma, z, MINUS)
-    Mp = mp
+    mp, mm = (m_function(seq, k0, gamma, z, sign) for sign in (PLUS, MINUS))
     Mm = _M_minus(seq, k0, gamma, z, m_minus=mm)
-    phip = schur_from_M(Mp)
-    phim = schur_from_M(Mm)
-    inside = abs(z) < 1.0
-    eig_p = _herm_eigs(mp)
-    eig_m = _herm_eigs(mm)
-    norm_p = np.linalg.norm(phip, 2)
-    smin_m = np.linalg.svd(phim, compute_uv=False)[-1]
-    if inside:
+    phip, phim = schur_from_M(np.stack((mp, Mm)))     # M_plus = m_plus
+    eig_p, eig_m = _herm_eigs(np.stack((mp, mm)))
+    sv_p, sv_m = np.linalg.svd(np.stack((phip, phim)), compute_uv=False)
+    norm_p, smin_m = sv_p[0], sv_m[-1]
+    if abs(z) < 1.0:
         flags = (eig_p.min() >= -tol, eig_m.max() <= tol,
                  norm_p <= 1.0 + tol, smin_m >= 1.0 - tol)
     else:
         flags = (eig_p.max() <= tol, eig_m.min() >= -tol,
                  norm_p >= 1.0 - tol, smin_m <= 1.0 + tol)
     return SpectralSample(
-        z=z, m_plus=mp, m_minus=mm, M_plus=Mp, M_minus=Mm,
+        z=z, m_plus=mp, m_minus=mm, M_plus=mp, M_minus=Mm,
         Phi_plus=phip, Phi_minus=phim,
         caratheodory_plus=bool(flags[0]),
         anti_caratheodory_minus=bool(flags[1]),

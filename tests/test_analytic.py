@@ -70,6 +70,14 @@ def test_caratheodory_rejects_bad_function():
     assert report.min_eigenvalues[0] == pytest.approx(-1.0)
 
 
+@pytest.mark.parametrize("tol", [np.nan, -1.0, np.inf])
+def test_caratheodory_rejects_a_bad_tolerance(tol):
+    """A NaN tolerance would mark every sample invalid and a negative one a valid sample."""
+    with pytest.raises(OutOfRange, match="finite and >= 0"):
+        is_caratheodory([(0.1, np.array([[0.5]]))], tol=tol)
+    assert is_caratheodory([(0.1, np.array([[0.5]]))], tol=0.0).valid
+
+
 def test_caratheodory_requires_interior_points():
     with pytest.raises(ValueError, match="inside the unit disk"):
         is_caratheodory([(1.0, np.eye(1))])

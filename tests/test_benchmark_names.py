@@ -13,6 +13,8 @@ from pathlib import Path
 
 import pytest
 
+from cmvkit import coefficients
+
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
 
 
@@ -48,3 +50,22 @@ def test_one_tiny_cycle_of_each_workload_passes_its_checks(name):
     workload = WORKLOADS.build(name, 3, "tiny")
     verdicts = [op.check(op.call()) for op in workload.cycle]
     assert verdicts and all(v.passed and v.in_claim_ok for v in verdicts), name
+
+
+@pytest.mark.parametrize("name", ["spectral-grid", "green-sweep"])
+def test_a_workload_roots_its_gamma_once_per_process(name, monkeypatch):
+    """Every op of these workloads takes one array gamma: the first op roots it, and
+    no later op or cycle roots it again (coefficients.as_boundary's cache)."""
+    coefficients._boundary.cache_clear()
+    real, roots = coefficients.principal_unitary_sqrt, []
+
+    def counting(gamma):
+        roots.append(1)
+        return real(gamma)
+
+    monkeypatch.setattr(coefficients, "principal_unitary_sqrt", counting)
+    workload = WORKLOADS.build(name, 3, "tiny")
+    for _ in range(2):
+        for op in workload.cycle:
+            op.check(op.call())
+    assert len(workload.cycle) > 1 and len(roots) == 1, name

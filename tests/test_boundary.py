@@ -125,7 +125,9 @@ def test_boundary_value_is_a_read_only_copy():
 
 
 def _counted_checks(monkeypatch):
-    """Count calls of is_unitary and principal_unitary_sqrt made anywhere in cmvkit."""
+    """Count calls of is_unitary and principal_unitary_sqrt made anywhere in cmvkit,
+    from an empty as_boundary cache, so the counts do not depend on earlier tests."""
+    coefficients._boundary.cache_clear()
     calls = {"principal_unitary_sqrt": 0, "is_unitary": 0}
     for fn in calls:
         real = getattr(coefficients, fn)
@@ -169,3 +171,43 @@ def test_decoupling_report_checks_its_split_pair_once(monkeypatch):
         z: C.numerical_rank(np.linalg.inv(U - z * eye) - np.linalg.inv(U_split - z * eye))
         for z in report.resolvent_ranks}
     assert report.minimal
+
+
+def test_equal_arrays_share_one_boundary_value(monkeypatch):
+    """as_boundary roots each distinct array value once: an equal array, a copy or a
+    float array equal to a complex one, returns the very same read-only value."""
+    calls = _counted_checks(monkeypatch)
+    g = random_unitary(np.random.default_rng(85), 2)
+    value = coefficients.as_boundary(g)
+    assert coefficients.as_boundary(g.copy(), 2) is value
+    assert coefficients.as_boundary(g.tolist()) is value
+    assert coefficients.as_boundary(value, 2) is value
+    assert coefficients.as_boundary(np.eye(2)) is coefficients.as_boundary(np.eye(2, dtype=complex))
+    assert calls == {"principal_unitary_sqrt": 2, "is_unitary": 2}
+    assert np.array_equal(value.root, principal_unitary_sqrt(g))
+    assert not value.gamma.flags.writeable and not value.root.flags.writeable
+
+
+@pytest.mark.parametrize("gamma, m, err", [
+    (np.array([[np.nan, 0.0], [0.0, 1.0]]), None, NotFinite),
+    ([[1.0], [0.0, 1.0]], None, DimensionMismatch),             # ragged
+    (np.ones(2), None, DimensionMismatch),                       # not square
+    (np.diag([1.0, 0.5]), None, NotUnitary),
+    (np.eye(3), 2, DimensionMismatch),                           # a unitary of the wrong size
+])
+def test_a_bad_gamma_is_never_cached(gamma, m, err):
+    coefficients._boundary.cache_clear()
+    for _ in range(2):
+        with pytest.raises(err) as info:
+            coefficients.as_boundary(gamma, m)
+        assert type(info.value) is err
+        assert coefficients._boundary.cache_info().currsize == 0
+
+
+def test_the_boundary_cache_is_bounded():
+    coefficients._boundary.cache_clear()
+    size = coefficients._boundary.cache_info().maxsize
+    rng = np.random.default_rng(86)
+    for _ in range(size + 8):
+        coefficients.as_boundary(random_unitary(rng, 2))
+    assert coefficients._boundary.cache_info().currsize == size == 32

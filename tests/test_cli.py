@@ -438,7 +438,8 @@ def bad_input_files(tmp_path_factory):
              "obj_gamma": json.dumps({"m": 1}),
              "no_f": json.dumps([{"z": [0.2, 0.1]}]),
              "not_obj": json.dumps([5]),
-             "short_z": json.dumps([{"z": [0.2], "F": mat_json([[1.0]])}])}
+             "short_z": json.dumps([{"z": [0.2], "F": mat_json([[1.0]])}]),
+             "sample": json.dumps([{"z": [0.2, 0.1], "F": mat_json([[0.5]])}])}
     for name, text in texts.items():
         files[name] = str(tmp_path / name)
         (tmp_path / name).write_text(text, encoding="utf-8")
@@ -491,6 +492,9 @@ BAD_INPUTS = {
     "pairs-row-one-column": ("green", *_SEQ, *_Z, "--pairs", "{one_col}"),
     "analytic-sample-not-object": ("analytic", "--check", "schur", "--in", "{not_obj}"),
     "analytic-z-one-element": ("analytic", "--check", "schur", "--in", "{short_z}"),
+    **{f"analytic-{check}-tol-identity-{name}":
+       ("analytic", "--check", check, "--in", "{sample}", f"--tol-identity={tol}")
+       for check in ("schur", "caratheodory") for name, tol in (("nan", "nan"), ("negative", "-1"))},
 }
 
 

@@ -425,8 +425,10 @@ def test_m_routes_build_no_sequence_after_the_first_call(monkeypatch):
 
 
 def test_one_gamma_root_per_public_call(monkeypatch):
-    """An array gamma is checked (is_unitary) and rooted once per call, however
-    many families and m-functions the call builds from it."""
+    """An array gamma is checked (is_unitary) and rooted once, by the first call that
+    sees its value, however many families and m-functions that call builds from it;
+    every later call with an equal array (a fresh copy) checks and roots it zero times."""
+    coefficients._boundary.cache_clear()
     calls = {"principal_unitary_sqrt": [], "is_unitary": []}
     for fn, seen in calls.items():
         real = getattr(coefficients, fn)
@@ -441,16 +443,16 @@ def test_one_gamma_root_per_public_call(monkeypatch):
     seq = generate(EnsembleSpec(m=2, k_min=0, k_max=24, seed=64, radius_max=0.85))
     g = random_unitary(np.random.default_rng(65), 2)
     z = 0.5 * np.exp(0.8j)
-    for call in (lambda: spectral_sample(seq, 12, g, z),
-                 lambda: spectral_sample(seq, 12, g, 0.0),
-                 lambda: half_lattice_green(seq, 12, g, z, 13, 15, PLUS),
-                 lambda: half_lattice_green(seq, 12, g, z, 9, 11, MINUS),
-                 lambda: full_green_entries(seq, 12, g, z, [(9, 14), (14, 9)])):
+    for i, call in enumerate((lambda g: spectral_sample(seq, 12, g, z),
+                              lambda g: spectral_sample(seq, 12, g, 0.0),
+                              lambda g: half_lattice_green(seq, 12, g, z, 13, 15, PLUS),
+                              lambda g: half_lattice_green(seq, 12, g, z, 9, 11, MINUS),
+                              lambda g: full_green_entries(seq, 12, g, z, [(9, 14), (14, 9)]))):
         for seen in calls.values():
             seen.clear()
-        call()
-        assert len(calls["principal_unitary_sqrt"]) == 1
-        assert len(calls["is_unitary"]) <= 1
+        call(g.copy())
+        assert len(calls["principal_unitary_sqrt"]) == (1 if i == 0 else 0)
+        assert len(calls["is_unitary"]) == (1 if i == 0 else 0)
 
 
 def test_m_routes_never_assemble(monkeypatch):
@@ -502,6 +504,33 @@ def test_spectral_sample_solves_two_m_functions_per_z(monkeypatch):
         assert np.array_equal(s.M_minus, M_function(seq, 12, g, z, MINUS))
         assert np.array_equal(s.M_plus, M_function(seq, 12, g, z, PLUS))
         assert np.array_equal(s.m_minus, m_function(seq, 12, g, z, MINUS))
+
+
+@pytest.mark.parametrize("z", [0.0] + [r * np.exp(0.8j) for r in (0.5, 0.99, 1.01, 2.0)])
+@pytest.mark.parametrize("k0", [12, 13])
+def test_spectral_sample_equals_its_one_matrix_helpers(z, k0):
+    """The stacked Cayley solve, eigvalsh and svd give each matrix's own call bit for bit."""
+    seq = generate(EnsembleSpec(m=2, k_min=0, k_max=24, seed=68, radius_max=0.85))
+    g = random_unitary(np.random.default_rng(69), 2)
+    s = spectral_sample(seq, k0, g, z)
+    mp, mm = (m_function(seq, k0, g, z, sign) for sign in (PLUS, MINUS))
+    Mm = M_minus_at_zero(seq.alpha(k0), g) if z == 0 else M_minus_from_m_minus(mm, z)
+    phip, phim = schur_from_M(mp), schur_from_M(Mm)
+    got = (s.m_plus, s.m_minus, s.M_plus, s.M_minus, s.Phi_plus, s.Phi_minus)
+    assert all(np.array_equal(a, b) for a, b in zip(got, (mp, mm, mp, Mm, phip, phim)))
+    eig_p, eig_m = (np.linalg.eigvalsh((F + F.conj().T) / 2.0) for F in (mp, mm))
+    stacked = weyl._herm_eigs(np.stack((mp, mm)))
+    assert np.array_equal(stacked[0], eig_p) and np.array_equal(stacked[1], eig_m)
+    norm_p, sv_m = np.linalg.norm(phip, 2), np.linalg.svd(phim, compute_uv=False)
+    sv = np.linalg.svd(np.stack((phip, phim)), compute_uv=False)
+    assert sv[0, 0] == norm_p and np.array_equal(sv[1], sv_m)
+    tol = 1e-10
+    if abs(z) < 1:
+        want = (eig_p.min() >= -tol, eig_m.max() <= tol, norm_p <= 1 + tol, sv_m[-1] >= 1 - tol)
+    else:
+        want = (eig_p.max() <= tol, eig_m.min() >= -tol, norm_p >= 1 - tol, sv_m[-1] <= 1 + tol)
+    assert (s.caratheodory_plus, s.anti_caratheodory_minus,
+            s.schur_plus, s.anti_schur_minus) == want == (True,) * 4
 
 
 def test_non_unitary_half_window_edge_rejected():
