@@ -18,6 +18,7 @@ from .errors import DimensionMismatch, InvalidMeasure, NotFinite, OutOfRange, ZA
 from .errors import require_finite, require_tolerance
 # The Cayley pair Phi = (F - I)(F + I)^{-1} and back has one implementation.
 from .weyl import M_from_schur as inverse_cayley, schur_from_M as cayley  # noqa: F401
+from .weyl import _herm_eigs
 
 PSD_TOL = 1e-10
 CIRCLE_TOL = 1e-8
@@ -108,9 +109,7 @@ def is_caratheodory(samples, tol: float = PSD_TOL) -> ValidityReport:
     for z, F in samples:
         if abs(require_finite(z)) >= 1.0:
             raise OutOfRange(f"sample point {z} is not inside the unit disk")
-        F = _as_square(F)
-        herm = (F + F.conj().T) / 2.0
-        floors.append(float(np.linalg.eigvalsh(herm).min()))
+        floors.append(float(_herm_eigs(_as_square(F)).min()))
     valid = all(f >= -tol for f in floors)
     return ValidityReport(valid=valid, min_eigenvalues=tuple(floors), tol=tol)
 

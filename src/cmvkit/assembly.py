@@ -6,11 +6,11 @@ ones, each block occupying sites (j-1, j). At the two window edges the
 unitary endpoint coefficients leave only their diagonal corners inside the
 matrix, which keeps the finite V and W exactly unitary.
 
-One placement of the blocks (_placed_blocks) feeds two scatters: dense
-V, W and U, the small-window reference the tests compare against, and
-the V and W* of the window in LAPACK band storage, which serve the
-solves. The split variant replaces one block by diag(-gamma_left,
-gamma_right*), severing the window into two independent halves;
+One placement of the blocks (_placed_blocks, one stacked theta_block) feeds
+two scatters: dense V, W and U, the small-window reference the tests compare
+against, and the V and W* of the window in LAPACK band storage, which serve
+the solves and which band_block reads back. The split variant replaces one
+block by diag(-gamma_left, gamma_right*), severing the window in two halves;
 operator_difference_block is the 2m x 2m block by which U and the split
 differ; block_diag forms direct sums. PencilLU is one banded LU (LAPACK
 zgbtrf and zgbtrs, from _lapack) of the pencil V - z W* of the window, a
@@ -40,6 +40,7 @@ from .coefficients import (
 from .errors import (
     CmvError,
     DimensionMismatch,
+    MissingCut,
     SingularSolve,
     SiteOutOfWindow,
     SplitOutOfWindow,
@@ -128,12 +129,9 @@ def _placed_blocks(seq: VerblunskySequence, spec: SplitSpec | None = None):
     entries inside the window that belong to V and to W.
     """
     n, m = seq.n_sites, seq.m
-    A = seq.arrays
-    blocks = np.zeros((n + 1, 2 * m, 2 * m), dtype=complex)    # unitary ends: no defects
-    blocks[:, :m, :m] = -seq.values
-    blocks[1:-1, :m, m:] = A.rho_tilde
-    blocks[1:-1, m:, :m] = A.rho
-    blocks[:, m:, m:] = seq.values.conj().transpose(0, 2, 1)
+    A, zero = seq.arrays, np.zeros((1, m, m))                   # unitary ends: no defects
+    rho, rho_tilde = (np.concatenate((zero, d, zero)) for d in (A.rho, A.rho_tilde))
+    blocks = theta_block(seq.values, DefectPair(rho, rho_tilde))
     if spec is not None:
         blocks[spec.k0 - seq.k_min] = spec.block_in(seq)
     return (blocks.reshape(-1), *_placement(n, m, seq.k_min % 2))
@@ -204,6 +202,21 @@ def band_storage(seq: VerblunskySequence) -> tuple:
     return V.T, W_star.T
 
 
+def band_block(band: np.ndarray, rows, cols) -> np.ndarray:
+    """The entries (r, c), r in rows and c in cols, of the matrix that band holds in
+    band_storage's layout: exact zeros off the band."""
+    b = (band.shape[0] - 1) // 3
+    r, c = np.ix_(rows, cols)
+    return np.where(abs(r - c) <= b, band[np.clip(2 * b + r - c, 0, 3 * b), c], 0)
+
+
+def half_sites(seq: VerblunskySequence, k0, half: int) -> tuple:
+    """First and last site of the half window cut at k0 (MissingCut if k0 is None)."""
+    if k0 is None:
+        raise MissingCut("a half window needs its cut site k0")
+    return (k0, seq.k_max - 1) if half > 0 else (seq.k_min, k0)
+
+
 class PencilLU:
     """One banded LU (LAPACK gbtrf) of V - z W*, V and W* in band_storage's layout; given a
     block, the diagonal block at columns j.. holds coefficient k's block instead (in V for
@@ -236,9 +249,10 @@ def resolvent_blocks(seq: VerblunskySequence, z: complex, pairs,
     """The m x m blocks E_k* (U_s - z)^{-1} E_kp for (k, kp) in pairs, never forming U_s.
 
     U_s is the window's U (half None) or a half window of 4 sites or more cut
-    at k0: sites k0 .. k_max - 1 with alpha_k0 := gamma (half > 0), or k_min .. k0
-    with alpha_{k0+1} := gamma (half < 0), gamma an m x m unitary or BoundaryUnitary.
-    The caller checks that z is finite and that every site is a site of U_s.
+    at k0 (half_sites): sites k0 .. k_max - 1 with alpha_k0 := gamma (half > 0), or
+    k_min .. k0 with alpha_{k0+1} := gamma (half < 0), gamma an m x m unitary or
+    BoundaryUnitary; MissingCut without k0 or gamma. The caller checks that z is
+    finite and that every site is a site of U_s.
     W is unitary, so (U_s - z)^{-1} = W* (V - z W*)^{-1}.
 
     A half window's V and W* are a column slice of seq.bands in which only
@@ -255,10 +269,12 @@ def resolvent_blocks(seq: VerblunskySequence, z: complex, pairs,
     lo, hi = 0, m * seq.n_sites               # the columns of U_s in seq
     q, cut, j0, corner = np.arange(m), 0, 0, None    # j0: first column of site k0 in U_s
     if half is not None:
-        lo_k, hi_k = (k0, seq.k_max) if half > 0 else (seq.k_min, k0 + 1)
-        if not seq.k_min <= lo_k < hi_k - 3 <= seq.k_max - 3:
-            raise SiteOutOfWindow(f"half window [{lo_k}, {hi_k}] of [{seq.k_min}, "
+        first, last = half_sites(seq, k0, half)
+        if not seq.k_min <= first < last - 2 <= seq.k_max - 3:
+            raise SiteOutOfWindow(f"half window [{first}, {last + 1}] of [{seq.k_min}, "
                                   f"{seq.k_max}] must hold 4 sites or more")
+        if gamma is None:
+            raise MissingCut("a half window needs its boundary unitary gamma")
         gamma = (as_boundary(gamma, m).gamma if isinstance(gamma, BoundaryUnitary)
                  else _unitary_block(gamma, "gamma", m))     # the solve needs no root
         i = (k0 - seq.k_min) * m              # first column of site k0 in seq

@@ -16,6 +16,7 @@ import csv
 import json
 import os
 import sys
+from dataclasses import replace
 
 import numpy as np
 
@@ -126,8 +127,7 @@ def cmd_decouple(args) -> int:
         if t.size != m:
             raise DimensionMismatch(f"need {m} phases in --t, got {t.size}")
         fac = factorize_svd(alpha)
-        gamma1 = fac.sigma @ np.diag(np.exp(1j * t)) @ fac.tau.conj().T
-        gamma2 = fac.sigma @ np.diag(np.exp(1j * s)) @ fac.tau.conj().T
+        gamma1, gamma2 = (replace(fac, beta=np.exp(1j * p)).reconstruct() for p in (t, s))
     else:
         sol = minimal_phases(alpha, s)
         t, gamma1, gamma2 = sol.t, sol.gamma1, sol.gamma2

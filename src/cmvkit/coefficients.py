@@ -70,15 +70,14 @@ def operator_norm(a) -> float:
     return float(np.linalg.norm(np.asarray(a, dtype=complex), 2))
 
 
-def is_contraction(alpha, tol: float = CONTRACTION_TOL) -> bool:
-    """True when the operator norm stays at or below 1 - tol."""
-    return operator_norm(alpha) <= 1.0 - tol
+def is_contraction(alpha) -> bool:
+    """True when the operator norm stays at or below 1 - CONTRACTION_TOL."""
+    return operator_norm(alpha) <= 1.0 - CONTRACTION_TOL
 
 
-def is_unitary(g, tol: float = UNITARY_TOL) -> bool:
+def is_unitary(g) -> bool:
     g = np.asarray(g, dtype=complex)
-    eye = np.eye(g.shape[0])
-    return bool(np.linalg.norm(g.conj().T @ g - eye) <= tol)
+    return bool(np.linalg.norm(g.conj().T @ g - np.eye(g.shape[0])) <= UNITARY_TOL)
 
 
 @dataclass(frozen=True)
@@ -309,12 +308,12 @@ def _defects_raw(alpha: np.ndarray) -> DefectPair:
     return DefectPair(rho=rho, rho_tilde=rho_tilde)
 
 
-def defect_matrices(alpha, tol: float = CONTRACTION_TOL) -> DefectPair:
+def defect_matrices(alpha) -> DefectPair:
     """Both defect matrices of a strict contraction.
 
     Parameters
     ----------
-    alpha : complex square array with operator norm below 1 - tol
+    alpha : complex square array with operator norm below 1 - CONTRACTION_TOL
 
     Returns
     -------
@@ -322,30 +321,29 @@ def defect_matrices(alpha, tol: float = CONTRACTION_TOL) -> DefectPair:
     rho_tilde alpha = alpha rho.
     """
     a = _as_square(alpha)
-    if not is_contraction(a, tol):
-        raise NotContractive(
-            f"norm {operator_norm(a):.6f} is not below {1.0 - tol}"
-        )
+    if not is_contraction(a):
+        raise NotContractive(f"norm {operator_norm(a):.6f} is not below {1.0 - CONTRACTION_TOL}")
     return _defects_raw(a)
 
 
 def theta_block(alpha, defects: DefectPair | None = None) -> np.ndarray:
-    """2m x 2m unitary block [[-alpha, rho~], [rho, alpha*]].
+    """2m x 2m unitary block [[-alpha, rho~], [rho, alpha*]], or the stack (..., 2m, 2m)
+    of them for a stack alpha (..., m, m) and defects of alpha's shape.
 
     Accepts unitary alpha as well, in which case both defects vanish and the
     block degenerates to diag(-alpha, alpha*).
     """
-    a = _as_square(alpha)
+    a = _as_square(alpha, stack=True)
     if defects is None:
         defects = _defects_raw(a)
-    m = a.shape[0]
-    if defects.rho.shape != (m, m) or defects.rho_tilde.shape != (m, m):
+    if np.shape(defects.rho) != a.shape or np.shape(defects.rho_tilde) != a.shape:
         raise DimensionMismatch("defect matrices do not match the coefficient size")
-    out = np.empty((2 * m, 2 * m), dtype=complex)
-    out[:m, :m] = -a
-    out[:m, m:] = defects.rho_tilde
-    out[m:, :m] = defects.rho
-    out[m:, m:] = a.conj().T
+    m = a.shape[-1]
+    out = np.empty((*a.shape[:-2], 2 * m, 2 * m), dtype=complex)
+    out[..., :m, :m] = -a
+    out[..., :m, m:] = defects.rho_tilde
+    out[..., m:, :m] = defects.rho
+    out[..., m:, m:] = a.conj().swapaxes(-1, -2)
     return out
 
 

@@ -17,11 +17,11 @@ P = V - z W* and P_split, and (L, R) = (E, E) for even k0 and
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .assembly import PencilLU, SplitSpec, operator_difference_block
+from .assembly import PencilLU, SplitSpec, band_block, operator_difference_block
 from .coefficients import (
     VerblunskySequence,
     _as_square,
@@ -103,7 +103,8 @@ def minimal_phases(alpha_k0: np.ndarray, s) -> PhaseSolution:
         t_j = 2 arg[i (beta_j e^{-i s_j / 2} - e^{i s_j / 2})]
 
     normalized to [0, 2 pi). The returned unitaries are
-    gamma1 = sigma diag(e^{i t_j}) tau* and gamma2 = sigma diag(e^{i s_j}) tau*.
+    gamma1 = sigma diag(e^{i t_j}) tau* and gamma2 = sigma diag(e^{i s_j}) tau*,
+    each the factorization's reconstruct with those phases as beta.
     """
     alpha = _as_square(alpha_k0)
     if not is_contraction(alpha):
@@ -112,15 +113,9 @@ def minimal_phases(alpha_k0: np.ndarray, s) -> PhaseSolution:
     s = np.atleast_1d(np.asarray(s, dtype=float))
     if s.shape != (m,):
         raise DimensionMismatch(f"need {m} phases s, got shape {s.shape}")
-    fac = factorize_svd(alpha)
-    beta = np.asarray(fac.beta, dtype=float)
-    half = s / 2.0
-    t = 2.0 * np.angle(1j * (beta * np.exp(-1j * half) - np.exp(1j * half)))
-    t = _wrap_two_pi(t)
-    theta1 = np.diag(np.exp(1j * t))
-    theta2 = np.diag(np.exp(1j * s))
-    gamma1 = fac.sigma @ theta1 @ fac.tau.conj().T
-    gamma2 = fac.sigma @ theta2 @ fac.tau.conj().T
+    fac, half = factorize_svd(alpha), s / 2.0
+    t = _wrap_two_pi(2.0 * np.angle(1j * (fac.beta * np.exp(-1j * half) - np.exp(1j * half))))
+    gamma1, gamma2 = (replace(fac, beta=np.exp(1j * p)).reconstruct() for p in (t, s))
     return PhaseSolution(s=s, t=t, gamma1=gamma1, gamma2=gamma2)
 
 
@@ -145,14 +140,13 @@ def _resolvent_factors(seq: VerblunskySequence, spec: SplitSpec, z_samples):
     """Yield (z, X, Y) with (U - z)^{-1} - (U_split - z)^{-1} = -W* X B Y*, X and Y as in the
     module docstring; the caller checks spec with B = operator_difference_block(seq, spec)."""
     V, W_star = seq.bands
-    m, b, j = seq.m, 2 * seq.m - 1, (spec.k0 - 1 - seq.k_min) * seq.m   # j: column of site k0 - 1
+    m, j = seq.m, (spec.k0 - 1 - seq.k_min) * seq.m       # j: column of site k0 - 1
     block = spec.block_in(seq)
     E = np.eye(V.shape[1], 2 * m, -j, dtype=complex)
     if spec.k0 % 2 == 0:                      # the cut block lives in V
         L, R = E, E
     else:                                     # in W: V E off V's band; W_split E = E diag(-g1, g2*)
-        r, c = np.mgrid[:V.shape[1], j:j + 2 * m]
-        L = np.where(abs(r - c) <= b, V[np.clip(2 * b + r - c, 0, 3 * b), c], 0)
+        L = band_block(V, np.arange(V.shape[1]), np.arange(j, j + 2 * m))
         R = E @ block
     for z in z_samples:
         z = require_off_circle(z)

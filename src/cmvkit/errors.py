@@ -64,6 +64,10 @@ class SplitOutOfWindow(CmvError):
     """A decoupling site does not sit inside the window."""
 
 
+class MissingCut(CmvError):
+    """A half window was asked for without its cut site k0 or its boundary unitary gamma."""
+
+
 class PathLeavesWindow(CmvError):
     """Propagation would need a coefficient outside the window interior."""
 

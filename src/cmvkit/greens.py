@@ -26,7 +26,7 @@ from enum import Enum
 
 import numpy as np
 
-from .assembly import resolvent_blocks
+from .assembly import half_sites, resolvent_blocks
 from .coefficients import VerblunskySequence, as_boundary
 from .errors import (
     MatrixCaseUnsupported,
@@ -38,6 +38,7 @@ from .errors import (
 from .laurent import (
     PLUS,
     _norm_sign,
+    _rel,
     propagate,
     seed_family,
 )
@@ -87,19 +88,12 @@ def wronskian_symmetry_check(M_plus: np.ndarray, M_minus: np.ndarray) -> float:
     W = M_plus - M_minus
     left = M_plus @ solve(W, M_minus, SingularWronskian)
     right = M_minus @ solve(W, M_plus, SingularWronskian)
-    scale = max(1.0, np.linalg.norm(left), np.linalg.norm(right))
-    return float(np.linalg.norm(left - right) / scale)
-
-
-def _half_range(seq: VerblunskySequence, k0: int, sign: int):
-    if sign == PLUS:
-        return k0, seq.k_max - 1
-    return seq.k_min, k0
+    return float(_rel(np.linalg.norm(left - right), np.linalg.norm(left), np.linalg.norm(right)))
 
 
 def _check_sites(seq: VerblunskySequence, k0: int, sign: int | None, *sites):
     """Every site lies in the half window of sign at k0, or in the window when sign is None."""
-    lo, hi = (seq.k_min, seq.k_max - 1) if sign is None else _half_range(seq, k0, sign)
+    lo, hi = (seq.k_min, seq.k_max - 1) if sign is None else half_sites(seq, k0, sign)
     where = "window" if sign is None else "half-window"
     for site in sites:
         if not lo <= site <= hi:

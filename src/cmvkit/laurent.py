@@ -21,6 +21,7 @@ identities.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from functools import partialmethod
 from typing import NamedTuple
 
 import numpy as np
@@ -259,17 +260,14 @@ class ConnectionCoefficients:
     g1_sqrt: np.ndarray
     g2_sqrt: np.ndarray
 
-    def c2(self, z) -> np.ndarray:
+    def _plus_to_minus(self, z, op) -> np.ndarray:
+        """op(g1h* g2h, z g1h g2h*) / (2 z^parity): c2(z) with op subtract, d2(z) with add."""
         z = require_nonzero(z)
         g1h, g2h = self.g1_sqrt, self.g2_sqrt
-        pref = 2.0 * z ** self.parity
-        return (g1h.conj().T @ g2h - z * g1h @ g2h.conj().T) / pref
+        return op(g1h.conj().T @ g2h, z * g1h @ g2h.conj().T) / (2.0 * z ** self.parity)
 
-    def d2(self, z) -> np.ndarray:
-        z = require_nonzero(z)
-        g1h, g2h = self.g1_sqrt, self.g2_sqrt
-        pref = 2.0 * z ** self.parity
-        return (g1h.conj().T @ g2h + z * g1h @ g2h.conj().T) / pref
+    c2 = partialmethod(_plus_to_minus, op=np.subtract)
+    d2 = partialmethod(_plus_to_minus, op=np.add)
 
 
 def connection(gamma1, gamma2, alpha_k0, k0: int) -> ConnectionCoefficients:

@@ -38,6 +38,7 @@ from .errors import (
     SiteOutOfWindow,
     require_nonzero,
     require_off_circle,
+    require_tolerance,
     solve,
 )
 from .laurent import (
@@ -359,8 +360,9 @@ def spectral_sample(seq: VerblunskySequence, k0: int, gamma, z,
     two Cayley transforms, the two Hermitian parts' eigenvalues and the two
     Phi's singular values are each one stacked call; numpy solves such a
     stack matrix by matrix, so each value equals its one-matrix call.
+    OutOfRange unless tol is finite and >= 0.
     """
-    z = require_off_circle(z, allow_zero=True)
+    z, tol = require_off_circle(z, allow_zero=True), require_tolerance(tol)
     gamma = as_boundary(gamma, seq.m)
     mp, mm = (m_function(seq, k0, gamma, z, sign) for sign in (PLUS, MINUS))
     Mm = _M_minus(seq, k0, gamma, z, m_minus=mm)

@@ -9,6 +9,7 @@ from cmvkit.assembly import (
     SplitOutOfWindow,
     assemble,
     assemble_split,
+    band_block,
     operator_difference_block,
 )
 from cmvkit.coefficients import sequence_from_values, theta_block
@@ -162,6 +163,36 @@ def test_vectorized_placement_equals_blockwise():
                 V, W = blockwise_factors(seq, sp)
                 assert np.array_equal(ops.V, V) and np.array_equal(ops.W, W)
                 assert np.array_equal(ops.U, V @ W)
+
+
+def test_band_storage_reads_back_the_blockwise_factors():
+    """band_block over every row and column of seq.bands gives the blockwise V and W*
+    exactly, also on windows cut to a random unitary end."""
+    for m in (1, 2, 3):
+        for k_min in (0, 1):
+            seq = generate(EnsembleSpec(m=m, k_min=k_min, k_max=k_min + 13, seed=40 + m))
+            g = random_unitary(np.random.default_rng(50 + m), m)
+            for window in (seq, seq.restrict(k_min + 1, seq.k_max, left=g),
+                           seq.restrict(k_min, seq.k_max - 1, right=g)):
+                every = range(m * window.n_sites)
+                V_band, W_star_band = window.bands
+                V, W = blockwise_factors(window)
+                assert np.array_equal(band_block(V_band, every, every), V)
+                assert np.array_equal(band_block(W_star_band, every, every), W.conj().T)
+
+
+def test_band_block_reads_exact_zeros_off_the_band():
+    """Off the band the reader returns 0 whatever the storage holds there, on it the
+    entry (r, c) at [2b + r - c, c], and a sub-block reads what the whole matrix holds."""
+    for m in (1, 2, 3):
+        b, size = 2 * m - 1, 6 * m
+        band = np.arange(1, (3 * b + 1) * size + 1).reshape(3 * b + 1, size) * (1 + 1j)
+        dense = band_block(band, range(size), range(size))
+        for r in range(size):
+            for c in range(size):
+                assert dense[r, c] == (band[2 * b + r - c, c] if abs(r - c) <= b else 0)
+        rows, cols = [size - 1, 0, 2], [1, size - 2]
+        assert np.array_equal(band_block(band, rows, cols), dense[np.ix_(rows, cols)])
 
 
 def test_split_outside_window_raises():

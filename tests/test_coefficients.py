@@ -8,6 +8,7 @@ from hypothesis import strategies as st
 from cmvkit import coefficients
 from cmvkit.coefficients import (
     CoefficientKind,
+    DefectPair,
     DimensionMismatch,
     MalformedInput,
     NotContractive,
@@ -391,3 +392,24 @@ def test_dimension_mismatch_reported():
     with pytest.raises(DimensionMismatch):
         theta_block(np.zeros((2, 2)),
                     defect_matrices(np.zeros((3, 3))))
+
+
+def test_stacked_theta_block_equals_one_block_at_a_time():
+    """A stack gives each coefficient's theta_block bit for bit, with computed or given
+    defects; defects of another shape than the stack raise DimensionMismatch."""
+    for m in (1, 2, 3):
+        seq = generate(EnsembleSpec(m=m, k_min=0, k_max=9, seed=60 + m))
+        A = seq.arrays
+        stacked = theta_block(A.alpha)
+        given = theta_block(A.alpha, DefectPair(rho=A.rho, rho_tilde=A.rho_tilde))
+        assert stacked.shape == given.shape == (len(A.alpha), 2 * m, 2 * m)
+        for i, a in enumerate(A.alpha):
+            assert np.array_equal(stacked[i], theta_block(a))
+            assert np.array_equal(given[i], theta_block(a, DefectPair(A.rho[i], A.rho_tilde[i])))
+        for defects in (DefectPair(A.rho[0], A.rho_tilde[0]),
+                        DefectPair(A.rho[1:], A.rho_tilde[1:]),
+                        DefectPair(A.rho, A.rho_tilde[0])):
+            with pytest.raises(DimensionMismatch):
+                theta_block(A.alpha, defects)
+        with pytest.raises(DimensionMismatch):
+            theta_block(A.alpha[0], DefectPair(A.rho[:1], A.rho_tilde[:1]))

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from cmvkit import assembly
 from cmvkit.assembly import SplitSpec, assemble, assemble_split, operator_difference_block
 from cmvkit.decoupling import (
     decoupling_report,
@@ -14,6 +15,7 @@ from cmvkit.decoupling import (
 )
 from cmvkit.coefficients import factorize_svd, sequence_from_values
 from cmvkit.cli.ensembles import EnsembleSpec, generate, random_unitary
+from cmvkit.cli.suites import run_suite
 
 
 def scalar_sequence(alpha, n=12):
@@ -187,3 +189,20 @@ def test_default_z_samples_off_axis():
     for z in zs:
         assert abs(abs(z) - 1.0) > 0.1
         assert abs(z) > 0.1
+
+
+def test_decoupling_suite_factors_each_pencil_once(monkeypatch):
+    """At m = 2 the suite makes 16 banded LUs, no two of the same pencil: the two
+    minimal reports factor the unsplit and the split pencil at each of their 4 z, and
+    the reports that read op_rank only sample no z."""
+    pencils = []
+    gbtrf = assembly._gbtrf
+
+    def counted(ab, *args, **kwargs):
+        pencils.append(ab.tobytes())
+        return gbtrf(ab, *args, **kwargs)
+
+    monkeypatch.setattr(assembly, "_gbtrf", counted)
+    report = run_suite(["decoupling"], EnsembleSpec(m=2, k_min=0, k_max=40, seed=1))
+    assert report.passed
+    assert len(pencils) == 16 and len(set(pencils)) == 16

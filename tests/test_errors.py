@@ -10,8 +10,10 @@ import numpy as np
 import pytest
 
 import cmvkit
+from cmvkit.assembly import resolvent_blocks
 from cmvkit.errors import (
     CmvError,
+    MissingCut,
     NotFinite,
     SingularFactor,
     SingularWronskian,
@@ -22,6 +24,7 @@ from cmvkit.errors import (
     solve,
 )
 from cmvkit.cli.ensembles import EnsembleSpec, generate
+from cmvkit.greens import dense_resolvent_entries
 
 SRC = Path(cmvkit.__file__).parent
 
@@ -85,3 +88,16 @@ def test_non_finite_z_is_rejected(z):
     for allow_zero in (False, True):
         with pytest.raises(NotFinite):
             require_off_circle(z, allow_zero=allow_zero)
+
+
+@pytest.mark.parametrize("half", [1, -1])
+def test_half_window_without_its_cut_is_typed(half):
+    """A half window needs k0 and gamma; the error names the one missing."""
+    seq = generate(EnsembleSpec(m=2, k_min=0, k_max=12, seed=1))
+    g = np.eye(2)
+    for read in (dense_resolvent_entries, resolvent_blocks):
+        with pytest.raises(MissingCut, match="k0"):
+            read(seq, 0.5, [(6, 6)], half, gamma=g)
+        with pytest.raises(MissingCut, match="gamma"):
+            read(seq, 0.5, [(6, 6)], half, k0=6)
+        assert read(seq, 0.5, [(6, 6)], half, k0=6, gamma=g)[0].shape == (2, 2)

@@ -268,7 +268,7 @@ def test_half_kernel_short_propagation_is_exact(monkeypatch):
         return fam
 
     def whole(seq, fam, *sites):
-        return limited(seq, fam, *greens._half_range(seq, fam.k0, fam.sign))
+        return limited(seq, fam, *assembly.half_sites(seq, fam.k0, fam.sign))
 
     branches = set()
     for sign, k, kp in ((PLUS, k0 + 9, k0 + 11), (PLUS, k0 + 11, k0 + 9),

@@ -43,7 +43,7 @@ from cmvkit.coefficients import (
     principal_unitary_sqrt,
     sequence_from_values,
 )
-from cmvkit.errors import NotFinite, SiteOutOfWindow, ZOnUnitCircle
+from cmvkit.errors import NotFinite, OutOfRange, SiteOutOfWindow, ZOnUnitCircle
 from cmvkit.cli.ensembles import EnsembleSpec, generate, random_unitary
 
 
@@ -241,6 +241,14 @@ def test_spectral_sample_flags_and_bounds():
     outside = spectral_sample(seq, 10, g, 1.9 * np.exp(0.8j))
     assert outside.caratheodory_plus
     assert outside.schur_plus
+
+
+@pytest.mark.parametrize("tol", [float("nan"), -1.0, float("inf")])
+def test_spectral_sample_rejects_a_bad_tolerance(tol):
+    seq = generate(EnsembleSpec(m=2, k_min=0, k_max=20, seed=17, radius_max=0.85))
+    g = random_unitary(np.random.default_rng(18), 2)
+    with pytest.raises(OutOfRange, match="tolerance"):
+        spectral_sample(seq, 10, g, 0.5 * np.exp(0.3j), tol=tol)
 
 
 def test_reflection_symmetry():
