@@ -228,10 +228,9 @@ class PencilLU:
                  k: int = 0, j: int = 0, block: np.ndarray | None = None):
         self.b, self.z = (V.shape[0] - 1) // 3, z
         pencil = V - z * W_star
-        if block is not None:
-            r = j + np.arange(len(block))
-            at = (2 * self.b + r[:, None] - r, r)
-            pencil[at] = block - z * W_star[at] if k % 2 == 0 else V[at] - z * block.conj().T
+        for l in range(0 if block is None else len(block)):    # column j + l of the block
+            at = (slice(2 * self.b - l, 2 * self.b - l + len(block)), j + l)
+            pencil[at] = block[:, l] - z * W_star[at] if k % 2 == 0 else V[at] - z * block[l].conj()
         self.lu, self.piv, info = _gbtrf(pencil, self.b, self.b, overwrite_ab=True)
         if info != 0:
             raise SingularSolve(f"resolvent solve failed at z = {z}")
@@ -267,7 +266,7 @@ def resolvent_blocks(seq: VerblunskySequence, z: complex, pairs,
     m, b = seq.m, 2 * seq.m - 1
     V, W_star = seq.bands
     lo, hi = 0, m * seq.n_sites               # the columns of U_s in seq
-    q, cut, j0, corner = np.arange(m), 0, 0, None    # j0: first column of site k0 in U_s
+    cut, j0, corner = 0, 0, None              # j0: first column of site k0 in U_s
     if half is not None:
         first, last = half_sites(seq, k0, half)
         if not seq.k_min <= first < last - 2 <= seq.k_max - 3:
@@ -293,11 +292,11 @@ def resolvent_blocks(seq: VerblunskySequence, z: complex, pairs,
     for k, kp in pairs:
         if k not in rows:                     # (W E_k)* = W*(k, c), nonzero within one site of k
             j = (k - seq.k_min) * m - lo
-            c = np.arange(max(j - m, 0), min(j + 2 * m, hi - lo))
             rows[k] = np.full((hi - lo, m), complex(0.0, -0.0)).T    # an adjoint's zeros: conj(0)
-            rows[k][q[:, None], c] = W_star[2 * b + j + q[:, None] - c, c]
+            for c in range(max(j - m, 0), min(j + 2 * m, hi - lo)):
+                rows[k][:, c] = W_star[2 * b + j - c:2 * b + j - c + m, c]
             if k == k0 and cut % 2:           # the corner in W: W*(k0, k0) = corner*
-                rows[k][:, j + q] = corner.conj().T
+                rows[k][:, j:j + m] = corner.conj().T
         blocks.append(rows[k] @ X[:, cols[kp]:cols[kp] + m])
     return blocks
 

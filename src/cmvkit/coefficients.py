@@ -72,7 +72,19 @@ def operator_norm(a) -> float:
 
 def is_contraction(alpha) -> bool:
     """True when the operator norm stays at or below 1 - CONTRACTION_TOL."""
-    return operator_norm(alpha) <= 1.0 - CONTRACTION_TOL
+    return _require_contraction(alpha, raises=False)
+
+
+def _require_contraction(alpha, k_first=None, raises: bool = True) -> bool:
+    """Whether the operator norm of alpha, or of each matrix of a stack (n, m, m) of sites
+    k_first.., stays at or below 1 - CONTRACTION_TOL; if not and raises, NotContractive."""
+    norms = np.linalg.norm(np.asarray(alpha, dtype=complex), 2, axis=(-2, -1)).reshape(-1)
+    bad = ~(norms <= 1.0 - CONTRACTION_TOL)
+    if raises and bad.any():
+        where = "" if k_first is None else f"site {k_first + np.argmax(bad)}: "
+        raise NotContractive(f"{where}coefficient norm {norms[bad][0]:.3e} exceeds "
+                             f"{1.0 - CONTRACTION_TOL}")
+    return not bad.any()
 
 
 def is_unitary(g) -> bool:
@@ -96,11 +108,7 @@ class VerblunskyCoefficient:
         v.setflags(write=False)
         object.__setattr__(self, "value", v)
         if self.kind is CoefficientKind.CONTRACTIVE:
-            if not is_contraction(v):
-                raise NotContractive(
-                    f"coefficient norm {operator_norm(v):.3e} exceeds "
-                    f"{1.0 - CONTRACTION_TOL}"
-                )
+            _require_contraction(v)
         elif not is_unitary(v):
             raise NotUnitary("endpoint coefficient is not unitary")
 
@@ -141,12 +149,7 @@ class VerblunskySequence:
         bad = ~np.isfinite(a).all(axis=(1, 2))
         if bad.any():
             raise NotFinite(f"site {self.k_min + np.argmax(bad)}: matrix entries must be finite")
-        norms = np.linalg.norm(a[1:-1], 2, axis=(1, 2))
-        bad = ~(norms <= 1.0 - CONTRACTION_TOL)
-        if bad.any():
-            i = np.argmax(bad)
-            raise NotContractive(f"site {self.k_min + 1 + i}: coefficient norm "
-                                 f"{norms[i]:.3e} exceeds {1.0 - CONTRACTION_TOL}")
+        _require_contraction(a[1:-1], self.k_min + 1)
         for k, end in ((self.k_min, a[0]), (k_max, a[-1])):
             _unitary_block(end, f"site {k}: window endpoint")
         a.setflags(write=False)
@@ -321,8 +324,7 @@ def defect_matrices(alpha) -> DefectPair:
     rho_tilde alpha = alpha rho.
     """
     a = _as_square(alpha)
-    if not is_contraction(a):
-        raise NotContractive(f"norm {operator_norm(a):.6f} is not below {1.0 - CONTRACTION_TOL}")
+    _require_contraction(a)
     return _defects_raw(a)
 
 

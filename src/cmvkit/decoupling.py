@@ -25,12 +25,11 @@ from .assembly import PencilLU, SplitSpec, band_block, operator_difference_block
 from .coefficients import (
     VerblunskySequence,
     _as_square,
+    _require_contraction,
     factorize_svd,
-    is_contraction,
 )
 from .errors import (
     DimensionMismatch,
-    NotContractive,
     OutOfRange,
     require_off_circle,
 )
@@ -107,8 +106,7 @@ def minimal_phases(alpha_k0: np.ndarray, s) -> PhaseSolution:
     each the factorization's reconstruct with those phases as beta.
     """
     alpha = _as_square(alpha_k0)
-    if not is_contraction(alpha):
-        raise NotContractive("the perturbed coefficient must be a strict contraction")
+    _require_contraction(alpha)
     m = alpha.shape[0]
     s = np.atleast_1d(np.asarray(s, dtype=float))
     if s.shape != (m,):

@@ -9,9 +9,10 @@ of the same finite operator (assembly.resolvent_blocks) that propagates no
 solution; the tests check that solve against a dense LU. The half and
 full kernels and the oracle take a batch of (k, kp) pairs at one z; the
 kernels propagate each family they read by one call over the span of
-the pairs' sites. half_lattice_green and dense_resolvent_entry are the
-single-pair forms of the half kernel and the oracle; the full kernel
-takes a one-pair batch.
+the pairs' sites. A half-window operator U_h is exactly unitary, so m(1/conj(z)) =
+-m(z)*: the kernels read each m or M at 1/conj(z) from the solve at z.
+half_lattice_green and dense_resolvent_entry are the single-pair forms of the half
+kernel and the oracle; the full kernel takes a one-pair batch.
 
 Scalar-only variants of the kernels, written with same-z values and a
 power-of-z prefactor instead of conjugated values, are provided as a
@@ -109,10 +110,10 @@ def half_green_entries(seq: VerblunskySequence, k0: int, gamma, z, pairs, sign) 
         lower:  (2z)^{-1} hat(z, k) P(1/conj(z), kp)*
 
     Sign - swaps which side carries the hatted combination and flips
-    the branch signs. The m-function is solved independently at z and
-    at 1/conj(z); no reflection shortcut is taken. One family per z and
-    1/conj(z) is propagated from k0 to the farthest site any pair reads,
-    and one m-function taken per z; all share one square root of gamma.
+    the branch signs. U_half is exactly unitary, so m(1/conj(z)) = -m(z)*
+    and one banded solve gives m at both points. One family per z and
+    1/conj(z) is propagated from k0 to the farthest site any pair reads;
+    all share one square root of gamma.
     """
     sign = _norm_sign(sign)
     z = require_off_circle(z)
@@ -123,7 +124,7 @@ def half_green_entries(seq: VerblunskySequence, k0: int, gamma, z, pairs, sign) 
     gamma = as_boundary(gamma, seq.m)
     fam_z, fam_c = (propagate(seq, seed_family(gamma, w, k0, sign), *sites) for w in (z, zc))
     m_z = m_function(seq, k0, gamma, z, sign)
-    m_c = m_function(seq, k0, gamma, zc, sign)
+    m_c = -m_z.conj().T
     entries = []
     for k, kp in pairs:
         a, b, branch = fam_z.at(k), fam_c.at(kp), _branch(k, kp)
@@ -151,10 +152,11 @@ def full_green_entries(seq: VerblunskySequence, k0: int, gamma, z, pairs) -> lis
         upper: (2z)^{-1} U_-(z, k) W^{-1} U_+(1/conj(z), kp)*
         lower: (2z)^{-1} U_+(z, k) W^{-1} U_-(1/conj(z), kp)*
 
-    with W = M_plus(z) - M_minus(z). Weyl solutions are built once and
-    reused across the pairs and share one root of gamma; each sign pair
-    shares one family, propagated only between k0 and the pairs' sites.
-    The pairs' W^{-1} solves and products are each one stacked call.
+    with W = M_plus(z) - M_minus(z). Both half-window operators are exactly unitary,
+    so M_+/-(1/conj(z)) = -M_+/-(z)*: the solutions at 1/conj(z) take the M's solved
+    at z. Weyl solutions are built once and reused across the pairs and share one
+    root of gamma; each sign pair shares one family, propagated only between k0 and
+    the pairs' sites. The pairs' W^{-1} solves and products are each one stacked call.
     """
     z = require_off_circle(z)
     zc = 1.0 / np.conj(z)
@@ -163,7 +165,8 @@ def full_green_entries(seq: VerblunskySequence, k0: int, gamma, z, pairs) -> lis
     sites = [site for pair in pairs for site in pair]
     _check_sites(seq, k0, None, *sites)
     sol_p, sol_m = _weyl_solutions(seq, k0, gamma, z, sites)
-    sol_pc, sol_mc = _weyl_solutions(seq, k0, gamma, zc, sites)
+    sol_pc, sol_mc = _weyl_solutions(seq, k0, gamma, zc, sites,
+                                     Ms=[-sol.M.conj().T for sol in (sol_p, sol_m)])
     W = sol_p.M - sol_m.M
     branches = [_branch(k, kp) for k, kp in pairs]
     upper = np.array([branch is GreensBranch.UPPER_ODD for branch in branches])[:, None, None]

@@ -21,7 +21,7 @@ identities.
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
-from functools import partialmethod
+from functools import cached_property, partialmethod
 from typing import NamedTuple
 
 import numpy as np
@@ -250,8 +250,6 @@ class ConnectionCoefficients:
     it also carries a z^(k0 mod 2) prefactor.
     """
 
-    C1: np.ndarray
-    D1: np.ndarray
     C3: np.ndarray
     D3: np.ndarray
     C4: np.ndarray
@@ -268,6 +266,8 @@ class ConnectionCoefficients:
 
     c2 = partialmethod(_plus_to_minus, op=np.subtract)
     d2 = partialmethod(_plus_to_minus, op=np.add)
+    C1 = cached_property(lambda self: self.d2(1))    # at z = 1, z^parity = 1
+    D1 = cached_property(lambda self: self.c2(1))
 
 
 def connection(gamma1, gamma2, alpha_k0, k0: int) -> ConnectionCoefficients:
@@ -281,8 +281,8 @@ def connection(gamma1, gamma2, alpha_k0, k0: int) -> ConnectionCoefficients:
         k0: reference site; only its parity enters (through c2/d2).
 
     Returns:
-        ConnectionCoefficients with C1, D1, C3, D3, C4, D4 as fields
-        and c2(z), d2(z) as methods.
+        ConnectionCoefficients with C3, D3, C4, D4 as fields, c2(z), d2(z)
+        as methods, and C1 = d2(1), D1 = c2(1).
     """
     alpha = _as_square(alpha_k0)
     g1h, g2h = (as_boundary(g, alpha.shape[0]).root for g in (gamma1, gamma2))
@@ -290,9 +290,6 @@ def connection(gamma1, gamma2, alpha_k0, k0: int) -> ConnectionCoefficients:
     d = defect_matrices(alpha)
     ri = np.linalg.inv(d.rho)
     rti = np.linalg.inv(d.rho_tilde)
-
-    C1 = (g1i @ g2h + g1h @ g2i) / 2.0
-    D1 = (g1i @ g2h - g1h @ g2i) / 2.0
 
     X1 = g1i @ rti @ alpha @ g2i
     X2 = g1h @ ri @ alpha.conj().T @ g2h
@@ -302,7 +299,7 @@ def connection(gamma1, gamma2, alpha_k0, k0: int) -> ConnectionCoefficients:
     D3 = ((X1 + X2) + (X3 + X4)) / 2.0
     C4 = (-(X1 + X2) + (X3 + X4)) / 2.0
     D4 = (-(X1 - X2) + (X3 - X4)) / 2.0
-    return ConnectionCoefficients(C1=C1, D1=D1, C3=C3, D3=D3, C4=C4, D4=D4,
+    return ConnectionCoefficients(C3=C3, D3=D3, C4=C4, D4=D4,
                                   parity=k0 % 2, g1_sqrt=g1h, g2_sqrt=g2h)
 
 

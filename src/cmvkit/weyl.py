@@ -290,13 +290,14 @@ def weyl_solutions(seq: VerblunskySequence, k0: int, gamma, z,
 
 
 def _weyl_solutions(seq: VerblunskySequence, k0: int, gamma, z, sites,
-                    signs=(PLUS, MINUS)) -> tuple:
+                    signs=(PLUS, MINUS), Ms=None) -> tuple:
     """weyl_solutions over the sites from k0 to the farthest of sites on each
-    side only: the family is propagated no farther than the sites read."""
+    side only: the family is propagated no farther than the sites read. Ms,
+    one per sign, are taken as given; None solves them at z."""
     signs = [_norm_sign(sign) for sign in signs]
     z = require_off_circle(z)
     gamma = as_boundary(gamma, seq.m)
-    Ms = [M_function(seq, k0, gamma, z, sign) for sign in signs]
+    Ms = [M_function(seq, k0, gamma, z, sign) for sign in signs] if Ms is None else Ms
     fam = propagate(seq, seed_family(gamma, z, k0, PLUS), *sites)
     P, R = (a.reshape(-1, seq.m) for a in (fam.P, fam.R))
     return tuple(WeylSolution(sign=sign, z=z, k0=k0, M=M, k_lo=fam.k_lo,

@@ -191,18 +191,11 @@ def test_default_z_samples_off_axis():
         assert abs(z) > 0.1
 
 
-def test_decoupling_suite_factors_each_pencil_once(monkeypatch):
+def test_decoupling_suite_factors_each_pencil_once(count_calls):
     """At m = 2 the suite makes 16 banded LUs, no two of the same pencil: the two
     minimal reports factor the unsplit and the split pencil at each of their 4 z, and
     the reports that read op_rank only sample no z."""
-    pencils = []
-    gbtrf = assembly._gbtrf
-
-    def counted(ab, *args, **kwargs):
-        pencils.append(ab.tobytes())
-        return gbtrf(ab, *args, **kwargs)
-
-    monkeypatch.setattr(assembly, "_gbtrf", counted)
+    pencils = count_calls(assembly, "_gbtrf", lambda ab, *args, **kwargs: ab.tobytes())
     report = run_suite(["decoupling"], EnsembleSpec(m=2, k_min=0, k_max=40, seed=1))
     assert report.passed
     assert len(pencils) == 16 and len(set(pencils)) == 16

@@ -87,8 +87,10 @@ def test_full_kernel_propagates_one_family_per_z(monkeypatch):
     got = full_green_entries(seq, k0, g, z, pairs)
     assert seen == [z, zc]
     monkeypatch.undo()
-    sol = {(s, w): weyl_solution(seq, k0, g, w, s)
-           for s in (PLUS, MINUS) for w in (z, zc)}
+    sol = {(s, z): weyl_solution(seq, k0, g, z, s) for s in (PLUS, MINUS)}
+    reflected = weyl._weyl_solutions(seq, k0, g, zc, (seq.k_min, seq.k_max - 1),
+                                     Ms=[-sol[s, z].M.conj().T for s in (PLUS, MINUS)])
+    sol.update({(s, zc): r for s, r in zip((PLUS, MINUS), reflected)})
     W = sol[PLUS, z].M - sol[MINUS, z].M
     for entry, (k, kp) in zip(got, pairs):
         if entry.branch is GreensBranch.UPPER_ODD:
@@ -99,36 +101,25 @@ def test_full_kernel_propagates_one_family_per_z(monkeypatch):
         assert np.array_equal(entry.value, want)
 
 
-def _counting(monkeypatch, module, name):
-    """Replace module.name by a wrapper that records its calls; returns the record."""
-    real, calls = getattr(module, name), []
-
-    def counting(*args, **kwargs):
-        calls.append(args)
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(module, name, counting)
-    return calls
-
-
-def test_batched_entries_factor_once_per_cut_and_z(monkeypatch):
+def test_batched_entries_factor_once_per_cut_and_z(count_calls):
     """The oracle makes one banded LU per (cut, z) for any number of pairs; the
-    half kernel one per m-function (z and 1/conj(z)) and one propagation per z."""
+    half kernel one for its m-function at z, which gives m at 1/conj(z) too, and
+    one propagation per z."""
     seq, g, k0 = make_case(2, 36)
     z = 0.5 * np.exp(0.7j)
     near = [(k, kp) for k in range(k0 - 4, k0 + 5) for kp in range(k0 - 4, k0 + 5, 2)]
     halves = {PLUS: [(k, kp) for k, kp in near if min(k, kp) >= k0],
               MINUS: [(k, kp) for k, kp in near if max(k, kp) <= k0]}
-    lu = _counting(monkeypatch, assembly, "_gbtrf")
+    lu = count_calls(assembly, "_gbtrf")
     for half, pairs in ((None, near), *halves.items()):
         del lu[:]
         dense_resolvent_entries(seq, z, pairs, half=half, k0=k0, gamma=g)
         assert len(lu) == 1, half
-    moves = _counting(monkeypatch, greens, "propagate")
+    moves = count_calls(greens, "propagate")
     for sign, pairs in halves.items():
         del lu[:], moves[:]
         half_green_entries(seq, k0, g, z, pairs, sign)
-        assert len(lu) == 2 and [args[1].z for args in moves] == [z, 1.0 / np.conj(z)]
+        assert len(lu) == 1 and [args[1].z for args in moves] == [z, 1.0 / np.conj(z)]
 
 
 def test_single_pair_forms_equal_the_batched_forms():
@@ -399,3 +390,38 @@ def test_small_z_stability():
         got = full_green_entries(seq, k0, g, z, [(k0 - 1, k0 + 1)])[0].value[0, 0]
         want = dense_resolvent_entry(seq, z, k0 - 1, k0 + 1)[0, 0]
         assert abs(got - want) / max(1.0, abs(want)) < 1e-6
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_functions_at_the_reflected_point_are_minus_adjoints(m):
+    """The half-window operators are unitary, so m(1/conj(z)) = -m(z)* and
+    M(1/conj(z)) = -M(z)*: both signs, both parities of k0, radii on both sides
+    of the circle, each side solved by itself."""
+    seq = generate(EnsembleSpec(m=m, k_min=0, k_max=30, seed=80 + m, radius_max=0.9))
+    g = random_unitary(np.random.default_rng(81 + m), m)
+    for k0 in (14, 15):
+        for r, theta in ((0.5, 0.3), (0.99, 2.0), (1.01, -1.0), (2.0, 4.1)):
+            z = r * np.exp(1j * theta)
+            zc = 1.0 / np.conj(z)
+            for sign in (PLUS, MINUS):
+                for f in (weyl.m_function, weyl.M_function):
+                    at_z, at_zc = (f(seq, k0, g, w, sign) for w in (z, zc))
+                    scale = max(np.linalg.norm(at_z), np.linalg.norm(at_zc))
+                    assert np.linalg.norm(at_zc + at_z.conj().T) <= 1e-12 * scale, \
+                        (f.__name__, k0, r, sign)
+
+
+def test_kernels_factor_one_pencil_per_half_window(count_calls):
+    """A half kernel call makes one banded LU and a full kernel call two, one per
+    half window, whatever the number of pairs."""
+    seq, g, k0 = make_case(2, 38)
+    z = 0.6 * np.exp(2.2j)
+    lu = count_calls(assembly, "_gbtrf")
+    for n in (1, 7):
+        for sign in (PLUS, MINUS):
+            del lu[:]
+            half_green_entries(seq, k0, g, z, [(k0, k0 + sign * d) for d in range(n)], sign)
+            assert len(lu) == 1, (sign, n)
+        del lu[:]
+        full_green_entries(seq, k0, g, z, [(k0 - d, k0 + d) for d in range(n)])
+        assert len(lu) == 2, n
