@@ -22,7 +22,7 @@ from __future__ import annotations
 import json
 from dataclasses import dataclass, fields
 from enum import Enum
-from functools import cache, cached_property, lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -109,8 +109,8 @@ class VerblunskyCoefficient:
         object.__setattr__(self, "value", v)
         if self.kind is CoefficientKind.CONTRACTIVE:
             _require_contraction(v)
-        elif not is_unitary(v):
-            raise NotUnitary("endpoint coefficient is not unitary")
+        else:
+            _unitary_block(v, "endpoint coefficient")
 
     @property
     def m(self) -> int:
@@ -350,32 +350,14 @@ def theta_block(alpha, defects: DefectPair | None = None) -> np.ndarray:
 
 
 def factorize_svd(alpha) -> UnitaryFactorization:
-    """Singular value factorization alpha = sigma diag(beta) tau*.
+    """Singular value factorization alpha = sigma diag(beta) tau*, beta descending.
 
-    Singular values come in descending order. Within any group of equal
-    singular values the left factor's columns are phase-normalized (first
-    nonvanishing entry made real nonnegative) and the right factor follows,
-    so repeated runs produce the same factors.
+    The factors are LAPACK's, from one np.linalg.svd call. A common phase on
+    column c of sigma and of tau cancels in sigma diag(e^(i p)) tau*, so it
+    leaves every gamma built from the factors unchanged.
     """
-    a = _as_square(alpha)
-    u, s, vh = np.linalg.svd(a)
-    v = vh.conj().T
-    n = len(s)
-    i = 0
-    while i < n:
-        j = i
-        while j + 1 < n and abs(s[j + 1] - s[i]) <= 1e-12 * max(s[0], 1.0):
-            j += 1
-        if j > i:
-            for c in range(i, j + 1):
-                col = u[:, c]
-                nz = np.flatnonzero(np.abs(col) > 1e-14)
-                if len(nz):
-                    ph = col[nz[0]] / abs(col[nz[0]])
-                    u[:, c] = col / ph
-                    v[:, c] = v[:, c] / ph
-        i = j + 1
-    return UnitaryFactorization(sigma=u, beta=s, tau=v)
+    u, s, vh = np.linalg.svd(_as_square(alpha))
+    return UnitaryFactorization(sigma=u, beta=s, tau=vh.conj().T)
 
 
 def _unitary_block(value, what: str, m: int | None = None) -> np.ndarray:
@@ -388,20 +370,14 @@ def _unitary_block(value, what: str, m: int | None = None) -> np.ndarray:
     return a
 
 
-@cache
-def _zgees_lwork(m: int):
-    """zgees's optimal workspace for an m x m matrix; the query reads m only, not the entries."""
-    return zgees(lambda x: None, np.eye(m, dtype=complex), lwork=-1)[-2][0].real.astype(np.int_)
-
-
 def principal_unitary_sqrt(gamma) -> np.ndarray:
     """Unitary square root with every eigenangle halved.
 
     Eigenvalues e^(i theta) with theta in (-pi, pi] map to e^(i theta / 2),
-    so the result squares back to the input and stays unitary.
+    so the result squares back to the input and stays unitary. The Schur
+    form comes from one LAPACK zgees call with the wrapper's default workspace.
     """
-    g = _unitary_block(gamma, "gamma")
-    t, _, _, q, _, info = zgees(lambda x: None, g, lwork=_zgees_lwork(g.shape[0]), sort_t=0)
+    t, _, _, q, _, info = zgees(lambda x: None, _unitary_block(gamma, "gamma"), sort_t=0)
     if info != 0:
         raise CmvError(f"Schur form of gamma not found (LAPACK zgees info = {info})")
     angles = np.angle(np.diag(t))

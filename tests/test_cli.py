@@ -19,7 +19,7 @@ from cmvkit.cli.ensembles import MAX_RADIUS, Distribution, EnsembleSpec, generat
 from cmvkit.cli.suites import MIN_SPAN, SUITES, _worst, run_suite
 from cmvkit.coefficients import CONTRACTION_TOL, load_sequence
 from cmvkit.errors import CmvError, OutOfRange
-from cmvkit.laurent import PLUS, window_family
+from cmvkit.laurent import MINUS, PLUS, seed_family, window_family
 
 
 def run(capsys, *argv):
@@ -179,6 +179,24 @@ def test_laurent_matches_library(tmp_path, capsys):
         np.testing.assert_allclose(from_json(site["S"]), ref.S, atol=1e-13)
 
 
+def test_laurent_minus_sign_writes_the_minus_family(tmp_path, capsys):
+    """--sign - seeds the minus family: at k0 of either parity its letters are
+    seed_family(..., MINUS)'s, which differ from the plus family's."""
+    seq_file = str(tmp_path / "seq.json")
+    run(capsys, "gen", "--seed", "11", "--m", "2", "--window", "0,10", "--out", seq_file)
+    z = 0.4 + 0.3j
+    for k0 in (5, 6):
+        code, out, _ = run(capsys, "laurent", "--in", seq_file, "--k0", str(k0),
+                           "--z", "0.4,0.3", "--sign", "-")
+        assert code == 0
+        doc = json.loads(out)
+        assert doc["sign"] == "-"
+        site, = (site for site in doc["sites"] if site["k"] == k0)
+        minus, plus = (seed_family(np.eye(2), z, k0, sign).at(k0) for sign in (MINUS, PLUS))
+        for name in "PRQS":
+            assert np.array_equal(from_json(site[name]), getattr(minus, name))
+        assert not np.array_equal(from_json(site["P"]), plus.P)
+
 def test_mfun_single_sample_and_sign_filter(tmp_path, capsys):
     seq_file = str(tmp_path / "seq.json")
     run(capsys, "gen", "--seed", "13", "--window", "0,14", "--out", seq_file)
@@ -232,6 +250,26 @@ def test_green_csv_residuals(tmp_path, capsys):
         assert len(rows) == 4
         assert all(float(r[-1]) < 1e-9 for r in rows[1:])
 
+
+def test_csv_written_with_out_equals_the_stdout_csv(tmp_path, capsys):
+    """verify --format csv, green and mfun --grid write the same bytes to --out as to stdout."""
+    seq_file = str(tmp_path / "seq.json")
+    run(capsys, "gen", "--seed", "17", "--window", "0,14", "--out", seq_file)
+    pairs_file = tmp_path / "pairs.csv"
+    pairs_file.write_text("k,kp\n7,7\n6,8\n")
+    commands = {
+        "verify": ("verify", "--suite", "analytic", "--seed", "2", "--format", "csv"),
+        "green": ("green", "--in", seq_file, "--k0", "7", "--z", "0.4,0.2",
+                  "--pairs", str(pairs_file)),
+        "mfun": ("mfun", "--in", seq_file, "--k0", "7", "--grid", "0.5,1.8,2"),
+    }
+    for name, argv in commands.items():
+        code, out, _ = run(capsys, *argv)
+        assert code == 0 and out.count("\n") > 1
+        path = tmp_path / f"{name}.csv"
+        code, written, _ = run(capsys, *argv, "--out", str(path))
+        assert code == 0 and written == ""
+        assert path.read_bytes() == out.encode("utf-8")
 
 def test_green_runs_past_the_dense_row_cap(tmp_path, capsys):
     """m = 2 on 300 sites: 600 rows, past the 512 that dense assembly allows."""
@@ -434,6 +472,7 @@ def bad_input_files(tmp_path_factory):
     main(["gen", "--seed", "5", "--window", "0,12", "--out", files["seq"]])
     main(["gen", "--seed", "5", "--m", "2", "--window", "0,300", "--out", files["big"]])
     texts = {"out_pairs": "k,kp\n3,40\n", "x_pairs": "3,x\n", "one_col": "3\n",
+             "header_pairs": "k,kp\n",
              "trunc": '{"m": 1, "k_min": 0, "k_max"',
              "obj_gamma": json.dumps({"m": 1}),
              "no_f": json.dumps([{"z": [0.2, 0.1]}]),
@@ -475,6 +514,11 @@ BAD_INPUTS = {
     "assemble-split-outside": ("assemble", *_SEQ, "--split", "99"),
     "decouple-s-count": ("decouple", *_SEQ, "--k0", "6", "--s", "1,2"),
     "decouple-s-not-number": ("decouple", *_SEQ, "--k0", "6", "--s", "1,x"),
+    "decouple-t-count": ("decouple", *_SEQ, "--k0", "6", "--t", "1,2"),
+    "decouple-tol-rank-zero": ("decouple", *_SEQ, "--k0", "6", "--tol-rank", "0"),
+    "decouple-tol-rank-nan": ("decouple", *_SEQ, "--k0", "6", "--tol-rank", "nan"),
+    "mfun-neither-z-nor-grid": ("mfun", *_SEQ, "--k0", "6"),
+    "pairs-header-only": ("green", *_SEQ, *_Z, "--pairs", "{header_pairs}"),
     "assemble-dense-row-cap": ("assemble", "--in", "{big}"),
     "verify-radius-too-large": ("verify", "--radius", "2"),
     "verify-window-too-short-for-a-suite": ("verify", "--window", "0,5"),

@@ -413,3 +413,38 @@ def test_stacked_theta_block_equals_one_block_at_a_time():
                 theta_block(A.alpha, defects)
         with pytest.raises(DimensionMismatch):
             theta_block(A.alpha[0], DefectPair(A.rho[:1], A.rho_tilde[:1]))
+
+
+def test_the_contraction_bound_is_inclusive():
+    """A norm of exactly 1 - CONTRACTION_TOL is a contraction, at an interior site too;
+    the next float up is not, for is_contraction, sequences and defect_matrices alike."""
+    edge = 1.0 - coefficients.CONTRACTION_TOL
+    for bound, ok in ((edge, True), (np.nextafter(edge, 2.0), False)):
+        for a in (np.array([[bound]]), np.diag([bound, 0.5])):
+            eye, zero = np.eye(len(a)), np.zeros_like(a)
+            assert is_contraction(a) is ok
+            if ok:
+                seq = sequence_from_values({0: eye, 1: a, 2: zero, 3: zero, 4: eye})
+                assert np.array_equal(seq.alpha(1), a)
+                defect_matrices(a)
+                continue
+            with pytest.raises(NotContractive, match="site 1: "):
+                VerblunskySequence(0, [eye, a, zero, zero, eye])
+            with pytest.raises(NotContractive):
+                defect_matrices(a)
+
+
+def test_each_new_root_makes_one_zgees_call_without_a_workspace_query(count_calls):
+    """principal_unitary_sqrt and as_boundary on an unseen value each run zgees once,
+    with the wrapper's default workspace; a value seen before runs it no more."""
+    calls = count_calls(coefficients, "zgees", lambda select, a, **kwargs: kwargs)
+    rng = np.random.default_rng(20)
+    for m in (1, 2, 3, 4):
+        g = random_unitary(rng, m)
+        before = len(calls)
+        principal_unitary_sqrt(g)
+        assert len(calls) == before + 1
+        coefficients.as_boundary(g)
+        coefficients.as_boundary(g.copy())
+        assert len(calls) == before + 2
+    assert calls and all(call.get("lwork") != -1 for call in calls)

@@ -1,5 +1,7 @@
 """Rank-m decoupling: phase solutions, local blocks, and rank reports."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -13,7 +15,7 @@ from cmvkit.decoupling import (
     numerical_rank,
     _resolvent_factors,
 )
-from cmvkit.coefficients import factorize_svd, sequence_from_values
+from cmvkit.coefficients import contractive, factorize_svd, sequence_from_values
 from cmvkit.cli.ensembles import EnsembleSpec, generate, random_unitary
 from cmvkit.cli.suites import run_suite
 
@@ -199,3 +201,30 @@ def test_decoupling_suite_factors_each_pencil_once(count_calls):
     report = run_suite(["decoupling"], EnsembleSpec(m=2, k_min=0, k_max=40, seed=1))
     assert report.passed
     assert len(pencils) == 16 and len(set(pencils)) == 16
+
+
+def test_minimal_decoupling_with_repeated_singular_values():
+    """alpha = 0, c U and sigma diag(a, a, b) tau* repeat a singular value, so LAPACK's
+    singular vectors are one choice of many: the minimal phases still split at rank m
+    at cuts of both parities, and a common phase on each sigma/tau column pair moves
+    neither alpha's reconstruction nor either gamma."""
+    rng = np.random.default_rng(19)
+    alphas = [np.zeros((2, 2)), np.zeros((3, 3)), 0.4 * random_unitary(rng, 2),
+              0.6 * random_unitary(rng, 3),
+              random_unitary(rng, 3) @ np.diag([0.3, 0.3, 0.7]) @ random_unitary(rng, 3)]
+    for alpha in alphas:
+        m = len(alpha)
+        base = generate(EnsembleSpec(m=m, k_min=0, k_max=12, seed=m, radius_max=0.8))
+        sol = minimal_phases(alpha, rng.uniform(0, 2 * np.pi, size=m))
+        for k0 in (6, 7):
+            rep = decoupling_report(base.replace(k0, contractive(alpha)), k0,
+                                    sol.gamma1, sol.gamma2)
+            assert rep.op_rank == m and rep.minimal
+            assert set(rep.resolvent_ranks.values()) == {m}
+        fac = factorize_svd(alpha)
+        phase = np.exp(2j * np.pi * rng.random(m))
+        turned = replace(fac, sigma=fac.sigma * phase, tau=fac.tau * phase)
+        np.testing.assert_allclose(turned.reconstruct(), fac.reconstruct(), rtol=0, atol=1e-15)
+        for p, gamma in ((sol.t, sol.gamma1), (sol.s, sol.gamma2)):
+            np.testing.assert_allclose(replace(turned, beta=np.exp(1j * p)).reconstruct(),
+                                       gamma, rtol=0, atol=1e-15)

@@ -29,7 +29,7 @@ from cmvkit.coefficients import (
     sequence_from_values,
     theta_block,
 )
-from cmvkit.errors import NotFinite, ZeroZ
+from cmvkit.errors import CmvError, MatrixCaseUnsupported, NotFinite, OutOfRange, ZeroZ
 from cmvkit.cli.ensembles import EnsembleSpec, generate, random_unitary
 
 
@@ -401,3 +401,28 @@ def test_family_respects_gamma_sqrt_branch():
     # even reference site: P = gamma^{-1/2}, R = gamma^{1/2}
     np.testing.assert_allclose(site.P, np.linalg.inv(root), atol=1e-14)
     np.testing.assert_allclose(site.R, root, atol=1e-14)
+
+
+def test_norm_sign_rejects_anything_but_the_two_signs():
+    with pytest.raises(OutOfRange, match="sign must be"):
+        laurent._norm_sign("x")
+
+
+def test_paired_families_are_checked_one_mismatch_at_a_time():
+    """A pair is (family at z, family at 1/conj(z)) of one sign, reference site and root;
+    each mismatch has its own CmvError, and conjugation symmetry is scalar-only."""
+    rng = np.random.default_rng(21)
+    g, z = random_unitary(rng, 2), 0.4 + 0.2j
+    fam, w = seed_family(g, z, 5, PLUS), 1 / np.conj(z)
+    pair = (fam, seed_family(g, w, 5, PLUS))
+    laurent._check_pair(*pair)
+    share = "must share sign and reference site"
+    wrong = [(r"must be evaluated at 1/conj\(z\)", seed_family(g, z, 5, PLUS)),
+             (share, seed_family(g, w, 5, MINUS)), (share, seed_family(g, w, 7, PLUS)),
+             ("same gamma square root", seed_family(random_unitary(rng, 2), w, 5, PLUS))]
+    for match, other in wrong:
+        with pytest.raises(CmvError, match=match) as info:
+            laurent._check_pair(fam, other)
+        assert type(info.value) is CmvError
+    with pytest.raises(MatrixCaseUnsupported):
+        conjugation_symmetry(pair, 5)
