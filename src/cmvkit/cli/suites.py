@@ -43,6 +43,7 @@ from ..greens import (
 from ..laurent import (
     MINUS,
     PLUS,
+    _unit_scale,
     connection,
     quadratic_identities,
     conjugation_symmetry,
@@ -217,6 +218,10 @@ def suite_connection(spec: EnsembleSpec, tol: Tolerances):
         p2 = window_family(seq, g2, z, k0, PLUS)
         m2 = window_family(seq, g2, z, k0, MINUS)
         m2_down = window_family(seq, g2, z, k0 - 1, MINUS)
+        # one power of two per site for all four families keeps the products and norms
+        # below finite on long windows, and leaves every ratio as it is unscaled
+        s = _unit_scale(p1.X, axis=(1, 2))[:, None, None]
+        p1, p2, m2, m2_down = (replace(f, X=f.X * s) for f in (p1, p2, m2, m2_down))
         C2, D2 = cc.c2(z), cc.d2(z)
         for k in sites:
             a1, a2, b2, b2d = p1.at(k), p2.at(k), m2.at(k), m2_down.at(k)

@@ -1,18 +1,18 @@
 """Explicit resolvent kernels and the matrix Wronskian.
 
-Half-window resolvents factor into a polynomial family value at one
-site and a boundary-matched combination at the other; the full-window
-resolvent factors through both Weyl solutions and the inverse of their
-Wronskian. Each kernel here is an independent formula meant to be
-compared against the oracle dense_resolvent_entries, one banded LU per z
-of the same finite operator (assembly.resolvent_blocks) that propagates no
-solution; the tests check that solve against a dense LU. The half and
-full kernels and the oracle take a batch of (k, kp) pairs at one z; the
-kernels propagate each family they read by one call over the span of
-the pairs' sites. A half-window operator U_h is exactly unitary, so m(1/conj(z)) =
--m(z)*: the kernels read each m or M at 1/conj(z) from the solve at z.
-half_lattice_green and dense_resolvent_entry are the single-pair forms of the half
-kernel and the oracle; the full kernel takes a one-pair batch.
+Half- and full-window resolvents share one factorized form: the pairing
+step _pairing, (2z)^{-1} left(k) W^{-1} right(kp)* stacked over a batch
+of (k, kp) pairs at one z. The half kernels hand it family values P and
+hats Q + P m = X [m; I] at the pairs' sites, with no W; the full kernel
+the Weyl solutions U_+/- and W = M_+ - M_-. Each family is one propagate
+call over the span of the pairs' sites. A half-window operator U_h is
+exactly unitary, so m(1/conj(z)) = -m(z)*: the kernels read each m or M
+at 1/conj(z) from the solve at z. Each kernel is an independent formula
+meant to be compared against the oracle dense_resolvent_entries, one
+banded LU per z of the same finite operator (assembly.resolvent_blocks)
+that propagates no solution; the tests check that solve against a dense
+LU. half_lattice_green and dense_resolvent_entry are the single-pair forms
+of the half kernel and the oracle; the full kernel takes a one-pair batch.
 
 Scalar-only variants of the kernels, written with same-z values and a
 power-of-z prefactor instead of conjugated values, are provided as a
@@ -43,7 +43,7 @@ from .laurent import (
     propagate,
     seed_family,
 )
-from .weyl import _weyl_solutions, m_function
+from .weyl import _combination, _weyl_solutions, m_function
 
 
 class GreensBranch(Enum):
@@ -92,13 +92,30 @@ def wronskian_symmetry_check(M_plus: np.ndarray, M_minus: np.ndarray) -> float:
     return float(_rel(np.linalg.norm(left - right), np.linalg.norm(left), np.linalg.norm(right)))
 
 
-def _check_sites(seq: VerblunskySequence, k0: int, sign: int | None, *sites):
-    """Every site lies in the half window of sign at k0, or in the window when sign is None."""
+def _check_pairs(seq: VerblunskySequence, k0: int, sign: int | None, pairs):
+    """pairs as a list, and their sites, after checking that every site lies in the half
+    window of sign at k0, or in the window when sign is None."""
+    pairs = list(pairs)
+    sites = [site for pair in pairs for site in pair]
     lo, hi = (seq.k_min, seq.k_max - 1) if sign is None else half_sites(seq, k0, sign)
     where = "window" if sign is None else "half-window"
     for site in sites:
         if not lo <= site <= hi:
             raise SiteOutOfWindow(f"site {site} outside the {where} [{lo}, {hi}]")
+    return pairs, sites
+
+
+def _pairing(z, pairs, upper, lower, W=None) -> list:
+    """(2z)^{-1} left(k) W^{-1} right(kp)* per pair, one stacked call per step (no W if None),
+    from the (left, right) stacks upper or lower, as the pair's _branch names."""
+    branches = [_branch(k, kp) for k, kp in pairs]
+    up = np.array([branch is GreensBranch.UPPER_ODD for branch in branches], dtype=bool)
+    left, right = (np.where(up[:, None, None], u, low) for u, low in zip(upper, lower))
+    right = right.conj().transpose(0, 2, 1)
+    if W is not None:
+        right = solve(W, right, SingularWronskian)
+    return [GreensEntry(k=k, kp=kp, value=value, branch=branch)
+            for (k, kp), value, branch in zip(pairs, left @ right / (2.0 * z), branches)]
 
 
 def half_green_entries(seq: VerblunskySequence, k0: int, gamma, z, pairs, sign) -> list:
@@ -118,24 +135,17 @@ def half_green_entries(seq: VerblunskySequence, k0: int, gamma, z, pairs, sign) 
     sign = _norm_sign(sign)
     z = require_off_circle(z)
     zc = 1.0 / np.conj(z)
-    pairs = list(pairs)
-    sites = [site for pair in pairs for site in pair]
-    _check_sites(seq, k0, sign, *sites)
+    pairs, sites = _check_pairs(seq, k0, sign, pairs)
     gamma = as_boundary(gamma, seq.m)
     fam_z, fam_c = (propagate(seq, seed_family(gamma, w, k0, sign), *sites) for w in (z, zc))
     m_z = m_function(seq, k0, gamma, z, sign)
-    m_c = -m_z.conj().T
-    entries = []
-    for k, kp in pairs:
-        a, b, branch = fam_z.at(k), fam_c.at(kp), _branch(k, kp)
-        upper = branch is GreensBranch.UPPER_ODD
-        if (sign == PLUS) == upper:           # the hatted combination sits at kp
-            left, right = a.P, b.Q + b.P @ m_c
-        else:
-            left, right = a.Q + a.P @ m_z, b.P
-        value = (-left if upper else left) @ right.conj().T / (2.0 * z)
-        entries.append(GreensEntry(k=k, kp=kp, value=value, branch=branch))
-    return entries
+    ik, ikp = np.array(pairs, dtype=int).reshape(-1, 2).T - fam_z.k_lo   # fam_c's span is fam_z's
+    top_z, top_c = fam_z.X[ik, :seq.m], fam_c.X[ikp, :seq.m]    # (P, Q) at k and at kp
+    P_z, P_c = top_z[..., :seq.m], top_c[..., :seq.m]
+    hat_z, hat_c = _combination(top_z, m_z), _combination(top_c, -m_z.conj().T)
+    if sign == PLUS:
+        return _pairing(z, pairs, (-P_z, hat_c), (hat_z, P_c))
+    return _pairing(z, pairs, (-hat_z, P_c), (P_z, hat_c))
 
 
 def half_lattice_green(seq: VerblunskySequence, k0: int, gamma, z,
@@ -156,26 +166,18 @@ def full_green_entries(seq: VerblunskySequence, k0: int, gamma, z, pairs) -> lis
     so M_+/-(1/conj(z)) = -M_+/-(z)*: the solutions at 1/conj(z) take the M's solved
     at z. Weyl solutions are built once and reused across the pairs and share one
     root of gamma; each sign pair shares one family, propagated only between k0 and
-    the pairs' sites. The pairs' W^{-1} solves and products are each one stacked call.
+    the pairs' sites.
     """
     z = require_off_circle(z)
     zc = 1.0 / np.conj(z)
     gamma = as_boundary(gamma, seq.m)
-    pairs = list(pairs)
-    sites = [site for pair in pairs for site in pair]
-    _check_sites(seq, k0, None, *sites)
+    pairs, sites = _check_pairs(seq, k0, None, pairs)
     sol_p, sol_m = _weyl_solutions(seq, k0, gamma, z, sites)
     sol_pc, sol_mc = _weyl_solutions(seq, k0, gamma, zc, sites,
                                      Ms=[-sol.M.conj().T for sol in (sol_p, sol_m)])
-    W = sol_p.M - sol_m.M
-    branches = [_branch(k, kp) for k, kp in pairs]
-    upper = np.array([branch is GreensBranch.UPPER_ODD for branch in branches])[:, None, None]
     ik, ikp = np.array(pairs, dtype=int).reshape(-1, 2).T - sol_p.k_lo   # all four share one span
-    left = np.where(upper, sol_m.U[ik], sol_p.U[ik])
-    right = np.where(upper, sol_pc.U[ikp], sol_mc.U[ikp])
-    values = left @ solve(W, right.conj().transpose(0, 2, 1), SingularWronskian) / (2.0 * z)
-    return [GreensEntry(k=k, kp=kp, value=value, branch=branch)
-            for (k, kp), value, branch in zip(pairs, values, branches)]
+    return _pairing(z, pairs, (sol_m.U[ik], sol_pc.U[ikp]), (sol_p.U[ik], sol_mc.U[ikp]),
+                    W=sol_p.M - sol_m.M)
 
 
 def dense_resolvent_entries(seq: VerblunskySequence, z, pairs, half=None,
@@ -186,8 +188,7 @@ def dense_resolvent_entries(seq: VerblunskySequence, z, pairs, half=None,
     m_function reads G(k0, k0) from the same banded solve. No dense matrix is formed."""
     z = require_off_circle(z, allow_zero=True)
     sign = None if half is None else _norm_sign(half)
-    pairs = list(pairs)
-    _check_sites(seq, k0, sign, *(site for pair in pairs for site in pair))
+    pairs, _ = _check_pairs(seq, k0, sign, pairs)
     return resolvent_blocks(seq, z, pairs, sign, k0, gamma)
 
 
@@ -215,7 +216,7 @@ def half_green_scalar_prefactor(seq: VerblunskySequence, k0: int, gamma, z,
         raise MatrixCaseUnsupported("prefactor kernels are scalar-only")
     sign = _norm_sign(sign)
     z = require_off_circle(z)
-    _check_sites(seq, k0, sign, k, kp)
+    _check_pairs(seq, k0, sign, [(k, kp)])
     gamma = as_boundary(gamma, seq.m)
     m_val = m_function(seq, k0, gamma, z, sign)[0, 0]
     fam = propagate(seq, seed_family(gamma, z, k0, sign), k, kp)
@@ -239,7 +240,7 @@ def full_green_scalar_prefactor(seq: VerblunskySequence, k0: int, gamma, z,
     if seq.m != 1:
         raise MatrixCaseUnsupported("prefactor kernels are scalar-only")
     z = require_off_circle(z)
-    _check_sites(seq, k0, None, k, kp)
+    _check_pairs(seq, k0, None, [(k, kp)])
     sol_p, sol_m = _weyl_solutions(seq, k0, gamma, z, (k, kp))
     Wv = (sol_p.M - sol_m.M)[0, 0]
     if abs(Wv) < 1e-14:

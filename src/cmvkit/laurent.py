@@ -9,18 +9,18 @@ written P, R (first kind) and Q, S (second kind). Their values are
 Laurent polynomials in z. The seeds take gamma's root from one
 coefficients.BoundaryUnitary, kept as the family's boundary.
 
-This module provides the transfer matrices and their explicit inverses
-(stacked by site from the sequence's arrays), seed construction,
-propagation of the family's (n_sites, 2m, 2m) state [[P, Q], [R, S]] by
-one banded triangular solve (LAPACK ztbtrs, from _lapack) per direction,
-the connection coefficients relating families with different gamma or
-different sign, and residual checks for the quadratic and conjugation
-identities.
+A family is one (n_sites, 2m, 2m) state X = [[P, Q], [R, S]], its letters
+views of X. This module provides the transfer matrices and their explicit
+inverses (stacked by site from the sequence's arrays), seed construction,
+propagation of X by one banded triangular solve (LAPACK ztbtrs, from
+_lapack) per direction, the connection coefficients relating families
+with different gamma or different sign, and residual checks for the
+quadratic and conjugation identities.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import cached_property, partialmethod
 from typing import NamedTuple
 
@@ -111,10 +111,11 @@ class FamilySite(NamedTuple):
 class SolutionFamily:
     """Values of the four letters P, R, Q, S over a run of sites.
 
-    Arrays have shape (n_sites, m, m) with site k stored at index
-    k - k_lo. The U-components are P and Q, the V-components R and S;
-    (P(k); R(k)) and (Q(k); S(k)) both satisfy the transfer recursion.
-    boundary holds the gamma and the square root the seeds were built from.
+    X holds the state [[P, Q], [R, S]] of site k at index k - k_lo, shape
+    (n_sites, 2m, 2m); P, R, Q, S are views of its (n_sites, m, m) blocks.
+    The U-components are P and Q, the V-components R and S; (P(k); R(k))
+    and (Q(k); S(k)) both satisfy the transfer recursion. boundary holds
+    the gamma and the square root the seeds were built from.
     """
 
     sign: int
@@ -122,18 +123,14 @@ class SolutionFamily:
     boundary: BoundaryUnitary
     k0: int
     k_lo: int
-    P: np.ndarray
-    R: np.ndarray
-    Q: np.ndarray
-    S: np.ndarray
+    X: np.ndarray
 
-    @property
-    def m(self) -> int:
-        return self.P.shape[1]
-
-    @property
-    def k_hi(self) -> int:
-        return self.k_lo + self.P.shape[0] - 1
+    m = property(lambda self: self.X.shape[1] // 2)
+    P = cached_property(lambda self: self.X[:, :self.m, :self.m])
+    R = cached_property(lambda self: self.X[:, self.m:, :self.m])
+    Q = cached_property(lambda self: self.X[:, :self.m, self.m:])
+    S = cached_property(lambda self: self.X[:, self.m:, self.m:])
+    k_hi = property(lambda self: self.k_lo + self.X.shape[0] - 1)
 
     def covers(self, k: int) -> bool:
         return self.k_lo <= k <= self.k_hi
@@ -161,19 +158,18 @@ def seed_family(gamma, z, k0: int, sign) -> SolutionFamily:
     sign = _norm_sign(sign)
     boundary = as_boundary(gamma)
     gh, ghi = boundary.root, boundary.root.conj().T
-    if sign == PLUS:
-        if k0 % 2 == 1:
-            vals = (z * gh, ghi, z * gh, -ghi)
-        else:
-            vals = (ghi, gh, -ghi, gh)
+    if sign == PLUS and k0 % 2 == 1:
+        vals = (z * gh, ghi, z * gh, -ghi)
+    elif sign == PLUS:
+        vals = (ghi, gh, -ghi, gh)
+    elif k0 % 2 == 1:
+        vals = (gh, -ghi, gh, ghi)
     else:
-        if k0 % 2 == 1:
-            vals = (gh, -ghi, gh, ghi)
-        else:
-            vals = (-z * ghi, gh, z * ghi, gh)
-    P, R, Q, S = (v[None, :, :].astype(complex) for v in vals)
-    return SolutionFamily(sign=sign, z=z, boundary=boundary,
-                          k0=k0, k_lo=k0, P=P, R=R, Q=Q, S=S)
+        vals = (-z * ghi, gh, z * ghi, gh)
+    m = gh.shape[0]
+    X = np.empty((1, 2 * m, 2 * m), dtype=complex)
+    X[0, :m, :m], X[0, m:, :m], X[0, :m, m:], X[0, m:, m:] = vals
+    return SolutionFamily(sign=sign, z=z, boundary=boundary, k0=k0, k_lo=k0, X=X)
 
 
 def _chain(steps: np.ndarray, X0: np.ndarray) -> np.ndarray:
@@ -199,13 +195,13 @@ def _chain(steps: np.ndarray, X0: np.ndarray) -> np.ndarray:
 def propagate(seq: VerblunskySequence, family: SolutionFamily, *targets: int) -> SolutionFamily:
     """Extend a family so that it covers every target site.
 
-    The family is held as one state [[P, Q], [R, S]] per site, whose
-    columns (P; R) and (Q; S) obey the same recursion. It moves backward
-    from its first site with the transfer matrices' explicit inverses and
-    forward from its last with the transfer matrices, each direction one
-    banded triangular solve over the path's matrices, built as one stack.
-    Already-covered sites are kept as stored. Raises NotFinite when a
-    propagated value overflows.
+    The family's state X = [[P, Q], [R, S]] has columns (P; R) and (Q; S)
+    that obey the same recursion. It moves backward from its first site
+    with the transfer matrices' explicit inverses and forward from its
+    last with the transfer matrices, each direction one banded triangular
+    solve over the path's matrices, built as one stack. Already-covered
+    sites are kept as stored, family.X copied once. Raises NotFinite when
+    a propagated value overflows.
     """
     for k in targets:
         if not seq.k_min <= k <= seq.k_max - 1:
@@ -213,12 +209,9 @@ def propagate(seq: VerblunskySequence, family: SolutionFamily, *targets: int) ->
     new_lo, new_hi = min((family.k_lo, *targets)), max((family.k_hi, *targets))
     if (new_lo, new_hi) == (family.k_lo, family.k_hi):
         return family
-    m = family.m
-    X = np.empty((new_hi - new_lo + 1, 2 * m, 2 * m), dtype=complex)
+    X = np.empty((new_hi - new_lo + 1, *family.X.shape[1:]), dtype=complex)
     lo, hi = family.k_lo - new_lo, family.k_hi - new_lo    # kept sites' indices
-    kept = X[lo:hi + 1]
-    kept[:, :m, :m], kept[:, :m, m:] = family.P, family.Q
-    kept[:, m:, :m], kept[:, m:, m:] = family.R, family.S
+    X[lo:hi + 1] = family.X
     with np.errstate(over="ignore", invalid="ignore"):    # reported below as NotFinite
         if new_lo < family.k_lo:
             steps = _transfers(seq, family.z, new_lo + 1, family.k_lo, inverse=True)
@@ -226,11 +219,10 @@ def propagate(seq: VerblunskySequence, family: SolutionFamily, *targets: int) ->
         if new_hi > family.k_hi:
             steps = _transfers(seq, family.z, family.k_hi + 1, new_hi)
             X[hi + 1:] = _chain(steps, X[hi])
-    if not np.all(np.isfinite(X)):
+    if not np.isfinite(X).all():
         raise NotFinite(f"solution family overflows on sites {new_lo}..{new_hi} "
                         f"at z = {family.z}")
-    return replace(family, k_lo=new_lo, P=X[:, :m, :m], R=X[:, m:, :m],
-                   Q=X[:, :m, m:], S=X[:, m:, m:])
+    return SolutionFamily(family.sign, family.z, family.boundary, family.k0, new_lo, X)
 
 
 def window_family(seq: VerblunskySequence, gamma, z, k0: int, sign) -> SolutionFamily:
@@ -316,8 +308,14 @@ def _check_pair(fam: SolutionFamily, fam_conj: SolutionFamily):
         raise CmvError("paired families must use the same gamma square root")
 
 
-def _rel(residual: float, *scales: float) -> float:
-    return residual / max(1.0, *scales)
+def _rel(residual: float, *scales: float, unit: float = 1.0) -> float:
+    return residual / max(unit, *scales)
+
+
+def _unit_scale(x: np.ndarray, axis=None):
+    """The power of two bringing max |x| over axis into [1/2, 1) (1 where that is 0 or not
+    finite): scaling by it is exact barring underflow, and no square or product overflows."""
+    return np.ldexp(1.0, -np.frexp(np.abs(x).max(axis=axis))[1])
 
 
 def quadratic_identities(pair_plus, pair_minus, k: int) -> dict:
@@ -332,13 +330,15 @@ def quadratic_identities(pair_plus, pair_minus, k: int) -> dict:
         P A(S)* + Q A(R)* = 0
         R A(Q)* + S A(P)* = 0
 
-    Returns a dict of relative residuals keyed like "PQ+", "RS-".
+    Returns a dict of relative residuals keyed like "PQ+", "RS-", each the unscaled one:
+    each family's values at k are scaled by its _unit_scale, c and the floor 1 by both.
     """
     out = {}
     for label, (fam, fam_conj) in (("+", pair_plus), ("-", pair_minus)):
         _check_pair(fam, fam_conj)
-        a = fam.at(k)
-        b = fam_conj.at(k)
+        a, b = fam.at(k), fam_conj.at(k)
+        sa, sb = (_unit_scale(f.X[k - f.k_lo]) for f in (fam, fam_conj))
+        a, b = FamilySite._make(v * sa for v in a), FamilySite._make(v * sb for v in b)
         eye = np.eye(fam.m)
         sgn = -1.0 if k % 2 == 0 else 1.0
         # key: (X, Y, X', Y', c) for X A(Y)* + X' A(Y')* = c I
@@ -348,8 +348,8 @@ def quadratic_identities(pair_plus, pair_minus, k: int) -> dict:
                       "RQ": (a.R, b.Q, a.S, b.P, 0.0)}
         for key, (x1, y1, x2, y2, c) in identities.items():
             t1, t2 = x1 @ y1.conj().T, x2 @ y2.conj().T
-            out[key + label] = _rel(np.linalg.norm(t1 + t2 - c * eye),
-                                    np.linalg.norm(t1), np.linalg.norm(t2))
+            out[key + label] = _rel(np.linalg.norm(t1 + t2 - c * sa * sb * eye),
+                                    np.linalg.norm(t1), np.linalg.norm(t2), unit=sa * sb)
     return out
 
 
@@ -369,17 +369,9 @@ def conjugation_symmetry(pair, k: int) -> dict:
     if fam.m != 1:
         raise MatrixCaseUnsupported("conjugation symmetry applies to m = 1 only")
     _check_pair(fam, fam_conj)
-    a = fam.at(k)
-    b = fam_conj.at(k)
-    z = fam.z
-    if fam.sign == PLUS:
-        w = z ** (fam.k0 % 2)
-        pred_r = w * np.conj(b.P[0, 0])
-        pred_s = -w * np.conj(b.Q[0, 0])
-    else:
-        w = z ** ((fam.k0 + 1) % 2)
-        pred_r = -w * np.conj(b.P[0, 0])
-        pred_s = w * np.conj(b.Q[0, 0])
+    a, b = fam.at(k), fam_conj.at(k)
+    w = fam.sign * fam.z ** ((fam.k0 + (fam.sign == MINUS)) % 2)   # +z^p or -z^e
+    pred_r, pred_s = w * np.conj(b.P[0, 0]), -w * np.conj(b.Q[0, 0])
     return {
         "R": _rel(abs(a.R[0, 0] - pred_r), abs(a.R[0, 0]), abs(pred_r)),
         "S": _rel(abs(a.S[0, 0] - pred_s), abs(a.S[0, 0]), abs(pred_s)),

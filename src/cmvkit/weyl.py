@@ -36,7 +36,6 @@ from .coefficients import (
 from .errors import (
     SingularSolutionValue,
     SiteOutOfWindow,
-    require_nonzero,
     require_off_circle,
     require_tolerance,
     solve,
@@ -99,24 +98,22 @@ def m_from_edge_condition(seq: VerblunskySequence, k0: int, gamma, z, sign) -> n
 
     The solution Q + P m must be proportional to its V-component through
     the edge unitary of the half-window; solving that linear condition
-    for m gives a route with no resolvent in it.
+    for m gives a route with no resolvent in it. z must lie off the unit
+    circle, as for m_function.
     """
     sign = _norm_sign(sign)
-    z = require_nonzero(z)
-    fam = seed_family(as_boundary(gamma, seq.m), z, k0, sign)
+    z = require_off_circle(z)
     if sign == PLUS:
-        k_edge = seq.k_max - 1
-        g = seq.alpha(seq.k_max)
+        k_edge, g = seq.k_max - 1, seq.alpha(seq.k_max)
         C = -g if k_edge % 2 == 1 else -z * g.conj().T
     else:
-        k_edge = seq.k_min
-        g = seq.alpha(seq.k_min)
+        k_edge, g = seq.k_min, seq.alpha(seq.k_min)
         C = z * g if k_edge % 2 == 1 else g.conj().T
-    fam = propagate(seq, fam, k_edge)
-    site = fam.at(k_edge)
-    A = site.P - C @ site.R
-    B = C @ site.S - site.Q
-    return solve(A, B)
+    fam = seed_family(as_boundary(gamma, seq.m), z, k0, sign)
+    site = propagate(seq, fam, k_edge).at(k_edge)
+    # [I, -C] X at the edge, one column block of X at a time: (P - C R, Q - C S)
+    A, B = np.stack((site.P, site.Q)) - C @ np.stack((site.R, site.S))
+    return solve(A, -B)
 
 
 def M_minus_from_m_minus(m_minus: np.ndarray, z) -> np.ndarray:
@@ -243,9 +240,10 @@ class WeylSolution:
     """Per-site values of one Weyl solution over sites k_lo .. k_hi (the window
     for weyl_solution and weyl_solutions).
 
-    U(k) = Q_plus(k) + P_plus(k) M and V(k) = S_plus(k) + R_plus(k) M from
-    the plus family seeded at k0 (kept as family, with the boundary unitary
-    as family.boundary); M is M_plus or M_minus by sign.
+    UV holds (U(k); V(k)) = X(k) [M; I] at index k - k_lo, shape (n_sites, 2m, m),
+    with U = Q_plus + P_plus M and V = S_plus + R_plus M as views of its blocks,
+    from the state X of the plus family seeded at k0 (kept as family, with the
+    boundary unitary as family.boundary); M is M_plus or M_minus by sign.
     """
 
     sign: int
@@ -253,23 +251,19 @@ class WeylSolution:
     k0: int
     M: np.ndarray
     k_lo: int
-    U: np.ndarray
-    V: np.ndarray
+    UV: np.ndarray
     family: SolutionFamily
 
-    @property
-    def m(self) -> int:
-        return self.U.shape[1]
-
-    @property
-    def k_hi(self) -> int:
-        return self.k_lo + self.U.shape[0] - 1
+    m = property(lambda self: self.UV.shape[2])
+    U = property(lambda self: self.UV[:, :self.m])
+    V = property(lambda self: self.UV[:, self.m:])
+    k_hi = property(lambda self: self.k_lo + self.UV.shape[0] - 1)
 
     def at(self, k: int):
         if not self.k_lo <= k <= self.k_hi:
             raise SiteOutOfWindow(f"site {k} outside [{self.k_lo}, {self.k_hi}]")
-        i = k - self.k_lo
-        return self.U[i], self.V[i]
+        uv, m = self.UV[k - self.k_lo], self.m
+        return uv[:m], uv[m:]
 
 
 def weyl_solution(seq: VerblunskySequence, k0: int, gamma, z, sign) -> WeylSolution:
@@ -299,12 +293,19 @@ def _weyl_solutions(seq: VerblunskySequence, k0: int, gamma, z, sites,
     gamma = as_boundary(gamma, seq.m)
     Ms = [M_function(seq, k0, gamma, z, sign) for sign in signs] if Ms is None else Ms
     fam = propagate(seq, seed_family(gamma, z, k0, PLUS), *sites)
-    P, R = (a.reshape(-1, seq.m) for a in (fam.P, fam.R))
     return tuple(WeylSolution(sign=sign, z=z, k0=k0, M=M, k_lo=fam.k_lo,
-                              U=fam.Q + (P @ M).reshape(fam.Q.shape),
-                              V=fam.S + (R @ M).reshape(fam.S.shape),
-                              family=fam)
+                              UV=_combination(fam.X, M), family=fam)
                  for sign, M in zip(signs, Ms))
+
+
+def _combination(X: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """X [M; I] for a stack of family states X (..., r, 2m), one product over the stack:
+    (Q + P M; S + R M) for whole states, Q + P M for their top rows (P, Q)."""
+    m = M.shape[0]
+    rows = X.reshape(-1, 2 * m)
+    out = rows[:, :m] @ M
+    out += rows[:, m:]
+    return out.reshape(*X.shape[:-1], m)
 
 
 def schur_parity_formula(seq: VerblunskySequence, k0: int, gamma, z, k: int,

@@ -380,16 +380,26 @@ def test_worst_floors_at_zero_and_keeps_a_non_finite_residual():
     assert _worst([0.5, -np.inf]) == np.inf
 
 
-def test_no_check_passes_on_a_non_finite_residual():
-    """At 1500 sites (m = 2, seed 7) products of the connection and quadratic
-    identities overflow at the far sites: those checks fail with the NaN instead of
-    passing on their finite residuals."""
-    with np.errstate(all="ignore"):
-        report = run_suite(["connection", "quadratic"],
-                           EnsembleSpec(m=2, k_min=0, k_max=1500, seed=7))
-    bad = [r for r in report.results if not np.isfinite(r.residual)]
-    assert bad and not any(r.passed for r in bad)
+def test_no_check_passes_on_a_non_finite_residual(monkeypatch):
+    """A suite whose residuals hold a NaN or an infinity fails that check through
+    run_suite, instead of passing on its finite residuals."""
+    monkeypatch.setitem(SUITES, "connection", lambda spec, tol: [
+        ("has-nan", [1e-16, np.nan, 2e-16], 1e-9), ("has-inf", [np.inf, 0.0], 1e-9),
+        ("finite", [1e-16], 1e-9)])
+    report = run_suite(["connection"], EnsembleSpec(m=2, k_min=0, k_max=20, seed=7))
+    passed = {r.check: r.passed for r in report.results}
+    assert passed == {"finite": True, "has-inf": False, "has-nan": False}
     assert not report.passed
+
+
+def test_long_window_residuals_are_finite():
+    """At 1500 sites (m = 2, seed 7) the connection and quadratic identities compare
+    values near 1e300: scaled by powers of two, every residual stays finite and passes."""
+    report = run_suite(["connection", "quadratic"],
+                       EnsembleSpec(m=2, k_min=0, k_max=1500, seed=7))
+    assert len(report.results) == 6
+    assert all(np.isfinite(r.residual) and r.passed for r in report.results)
+    assert report.passed
 
 
 def test_tol_identity_replaces_nonzero_defaults_and_exact_checks_stay_exact(capsys):

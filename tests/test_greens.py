@@ -154,6 +154,28 @@ def test_single_pair_forms_equal_the_batched_forms():
     assert dense_resolvent_entries(seq, z, []) == [] and full_green_entries(seq, k0, g, z, []) == []
 
 
+def test_batched_half_kernel_equals_its_single_pair_calls():
+    """One stacked half_green_entries call gives bit for bit the blocks of its single-pair
+    calls, with pairs over the whole half window in both branches: m = 1..3, both signs,
+    k0 even and odd, |z| < 1 and |z| > 1."""
+    for m in (1, 2, 3):
+        seq = generate(EnsembleSpec(m=m, k_min=0, k_max=30, seed=90 + m, radius_max=0.85))
+        g = random_unitary(np.random.default_rng(95 + m), m)
+        rng = np.random.default_rng(m)
+        for k0 in (14, 15):
+            for sign in (PLUS, MINUS):
+                lo, hi = (k0, seq.k_max - 1) if sign == PLUS else (seq.k_min, k0)
+                pairs = [tuple(int(s) for s in rng.integers(lo, hi + 1, 2)) for _ in range(12)]
+                pairs += [(lo, hi), (hi, lo), (k0, k0), (lo, lo), (hi, hi)]
+                for z in (0.6 * np.exp(0.7j), 1.7 * np.exp(-2.4j)):
+                    batch = half_green_entries(seq, k0, g, z, pairs, sign)
+                    assert {e.branch for e in batch} == set(GreensBranch)
+                    for entry, (k, kp) in zip(batch, pairs):
+                        one = half_lattice_green(seq, k0, g, z, k, kp, sign)
+                        assert (entry.k, entry.kp, entry.branch) == (one.k, one.kp, one.branch)
+                        assert np.array_equal(entry.value, one.value)
+
+
 def test_batched_forms_reject_any_pair_outside_their_window():
     """One bad pair first or last in the batch raises SiteOutOfWindow, naming where."""
     seq, g, k0 = make_case(2, 37)

@@ -199,6 +199,43 @@ def test_propagating_nearer_keeps_shared_sites():
                 assert np.array_equal(getattr(stepped, letter), getattr(b, letter))
 
 
+def test_propagating_both_ways_keeps_covered_sites():
+    """A family extended below its first and above its last site in one call keeps
+    every site it covered bit for bit, in a new state: m = 1..3, both signs."""
+    for m in (1, 2, 3):
+        seq = generate(EnsembleSpec(m=m, k_min=0, k_max=80, seed=190 + m))
+        g = random_unitary(np.random.default_rng(195 + m), m)
+        for sign in (PLUS, MINUS):
+            for z in (0.6 * np.exp(0.4j), 1.8 * np.exp(-2.0j)):
+                fam = propagate(seq, seed_family(g, z, 41, sign), 35, 48)
+                wide = propagate(seq, fam, 3, 77)
+                assert (wide.k_lo, wide.k_hi) == (3, 77)
+                kept = wide.X[fam.k_lo - wide.k_lo:fam.k_hi - wide.k_lo + 1]
+                assert np.array_equal(kept, fam.X)
+                assert not np.shares_memory(wide.X, fam.X)
+
+
+def test_family_letters_are_views_of_one_state():
+    """P, R, Q, S and each site's letters are views of the family's state X =
+    [[P, Q], [R, S]], for a seed and for a propagated family."""
+    m = 2
+    seq = generate(EnsembleSpec(m=m, k_min=0, k_max=20, seed=197))
+    g = random_unitary(np.random.default_rng(198), m)
+    seed = seed_family(g, 0.4 + 0.3j, 9, MINUS)
+    for fam in (seed, propagate(seq, seed, 2, 17)):
+        X = fam.X
+        assert X.shape == (fam.k_hi - fam.k_lo + 1, 2 * m, 2 * m) and fam.m == m
+        blocks = {"P": X[:, :m, :m], "R": X[:, m:, :m], "Q": X[:, :m, m:], "S": X[:, m:, m:]}
+        for letter, block in blocks.items():
+            view = getattr(fam, letter)
+            assert view.base is not None and np.shares_memory(view, X)
+            assert np.array_equal(view, block)
+        site = fam.at(fam.k_hi)
+        for letter in "PRQS":
+            assert np.shares_memory(getattr(site, letter), X)
+            assert np.array_equal(getattr(site, letter), getattr(fam, letter)[-1])
+
+
 def test_each_direction_is_one_banded_solve(monkeypatch):
     """A family extended both ways from its seed takes exactly two banded
     solves, one per direction, whatever the number of sites."""

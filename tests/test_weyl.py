@@ -297,6 +297,8 @@ def test_circle_points_rejected():
     seq = scalar_sequence(0.3)
     with pytest.raises(ZOnUnitCircle):
         m_function(seq, 6, np.eye(1), np.exp(0.4j), PLUS)
+    with pytest.raises(ZOnUnitCircle):
+        m_from_edge_condition(seq, 6, np.eye(1), np.exp(0.4j), PLUS)
 
 
 SANDWICH_Z = (0.0, 0.4 * np.exp(0.9j), 0.99 * np.exp(2j), 1.01 * np.exp(-1j),
