@@ -13,8 +13,10 @@ singular value factorizations, unitary square roots (from the Schur form
 of LAPACK zgees, via _lapack), and two-sided unitary gauge transforms of
 whole sequences. Each sequence factors its interior algebra once
 (SequenceArrays, one batched pass over the stack) for transfers and
-assembly, and keeps its V and W* in band storage once (bands) for the
-resolvent blocks behind the m-functions and the Green oracle.
+assembly, keeps its V and W* in band storage once (bands) for the
+resolvent blocks behind the m-functions and the Green oracle, and its
+z-free transfer matrices once per direction (transfer_band,
+transfer_inverse_band) for propagation.
 """
 
 from __future__ import annotations
@@ -220,6 +222,19 @@ class VerblunskySequence:
         """Read-only V and W* of the window in LAPACK band storage (assembly.band_storage)."""
         from .assembly import band_storage    # assembly builds on this module
         return band_storage(self)
+
+    @cached_property
+    def transfer_band(self) -> np.ndarray:
+        """Read-only z-free transfer matrices of the interior, for propagation away from
+        k_min, in the banded solve's layout (laurent._transfer_band)."""
+        from .laurent import _transfer_band     # laurent builds on this module
+        return _transfer_band(self)
+
+    @cached_property
+    def transfer_inverse_band(self) -> np.ndarray:
+        """The same for their explicit inverses, for propagation toward k_min."""
+        from .laurent import _transfer_band
+        return _transfer_band(self, inverse=True)
 
 
 def sequence_from_values(values: dict, m: int | None = None) -> VerblunskySequence:

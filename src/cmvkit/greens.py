@@ -2,9 +2,10 @@
 
 Half- and full-window resolvents share one factorized form: the pairing
 step _pairing, (2z)^{-1} left(k) W^{-1} right(kp)* stacked over a batch
-of (k, kp) pairs at one z. The half kernels hand it family values P and
-hats Q + P m = X [m; I] at the pairs' sites, with no W; the full kernel
-the Weyl solutions U_+/- and W = M_+ - M_-. Each family is one propagate
+of (k, kp) pairs at one z, each pair two integer sites (else MalformedInput).
+The half kernels hand it family values P and hats Q + P m = X [m; I], a hat
+only where a pair's branch reads one, with no W; the full kernel the Weyl
+solutions U_+/- and W = M_+ - M_-. Each family is one propagate
 call over the span of the pairs' sites. A half-window operator U_h is
 exactly unitary, so m(1/conj(z)) = -m(z)*: the kernels read each m or M
 at 1/conj(z) from the solve at z. Each kernel is an independent formula
@@ -22,6 +23,7 @@ at entry and hands it to every family and m-function it builds.
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -30,6 +32,7 @@ import numpy as np
 from .assembly import half_sites, resolvent_blocks
 from .coefficients import VerblunskySequence, as_boundary
 from .errors import (
+    MalformedInput,
     MatrixCaseUnsupported,
     SingularWronskian,
     SiteOutOfWindow,
@@ -37,6 +40,7 @@ from .errors import (
     solve,
 )
 from .laurent import (
+    MINUS,
     PLUS,
     _norm_sign,
     _rel,
@@ -93,9 +97,12 @@ def wronskian_symmetry_check(M_plus: np.ndarray, M_minus: np.ndarray) -> float:
 
 
 def _check_pairs(seq: VerblunskySequence, k0: int, sign: int | None, pairs):
-    """pairs as a list, and their sites, after checking that every site lies in the half
-    window of sign at k0, or in the window when sign is None."""
-    pairs = list(pairs)
+    """pairs as a list of (k, kp) int tuples, and their sites, after checking that each is two
+    integer sites lying in the half window of sign at k0, or in the window when sign is None."""
+    try:
+        pairs = [(operator.index(k), operator.index(kp)) for k, kp in pairs]
+    except (TypeError, ValueError) as exc:
+        raise MalformedInput(f"each pair must be two integer sites (k, kp): {exc}") from exc
     sites = [site for pair in pairs for site in pair]
     lo, hi = (seq.k_min, seq.k_max - 1) if sign is None else half_sites(seq, k0, sign)
     where = "window" if sign is None else "half-window"
@@ -105,17 +112,41 @@ def _check_pairs(seq: VerblunskySequence, k0: int, sign: int | None, pairs):
     return pairs, sites
 
 
-def _pairing(z, pairs, upper, lower, W=None) -> list:
+def _upper(pairs) -> list:
+    """For each pair, whether its _branch is UPPER_ODD."""
+    return [_branch(k, kp) is GreensBranch.UPPER_ODD for k, kp in pairs]
+
+
+def _pairing(z, pairs, up, upper, lower, W=None) -> list:
     """(2z)^{-1} left(k) W^{-1} right(kp)* per pair, one stacked call per step (no W if None),
-    from the (left, right) stacks upper or lower, as the pair's _branch names."""
-    branches = [_branch(k, kp) for k, kp in pairs]
-    up = np.array([branch is GreensBranch.UPPER_ODD for branch in branches], dtype=bool)
-    left, right = (np.where(up[:, None, None], u, low) for u, low in zip(upper, lower))
+    from the (left, right) stacks upper where up marks the pair UPPER_ODD, else lower. A batch
+    on one branch takes that branch's stacks as they are; a mixed one picks rows by np.where."""
+    if not any(up):
+        left, right = lower
+    elif all(up):
+        left, right = upper
+    else:
+        mask = np.array(up)[:, None, None]
+        left, right = (np.where(mask, u, low) for u, low in zip(upper, lower))
     right = right.conj().transpose(0, 2, 1)
     if W is not None:
         right = solve(W, right, SingularWronskian)
+    branches = [GreensBranch.UPPER_ODD if u else GreensBranch.LOWER_EVEN for u in up]
     return [GreensEntry(k=k, kp=kp, value=value, branch=branch)
             for (k, kp), value, branch in zip(pairs, left @ right / (2.0 * z), branches)]
+
+
+def _hats(top: np.ndarray, m_val: np.ndarray, rows: list) -> np.ndarray:
+    """The P of a stack top of (P, Q) rows, with the hat Q + P m_val in place of P on the
+    rows marked True in rows: one product over the whole stack when every row is."""
+    if all(rows):
+        return _combination(top, m_val)
+    out = top[..., :m_val.shape[0]]
+    if any(rows):
+        rows = np.array(rows)
+        out = out.copy()
+        out[rows] = _combination(top[rows], m_val)
+    return out
 
 
 def half_green_entries(seq: VerblunskySequence, k0: int, gamma, z, pairs, sign) -> list:
@@ -130,7 +161,8 @@ def half_green_entries(seq: VerblunskySequence, k0: int, gamma, z, pairs, sign) 
     the branch signs. U_half is exactly unitary, so m(1/conj(z)) = -m(z)*
     and one banded solve gives m at both points. One family per z and
     1/conj(z) is propagated from k0 to the farthest site any pair reads;
-    all share one square root of gamma.
+    all share one square root of gamma. A hat is formed only for the pairs
+    whose branch reads it, on the side it is read.
     """
     sign = _norm_sign(sign)
     z = require_off_circle(z)
@@ -141,11 +173,13 @@ def half_green_entries(seq: VerblunskySequence, k0: int, gamma, z, pairs, sign) 
     m_z = m_function(seq, k0, gamma, z, sign)
     ik, ikp = np.array(pairs, dtype=int).reshape(-1, 2).T - fam_z.k_lo   # fam_c's span is fam_z's
     top_z, top_c = fam_z.X[ik, :seq.m], fam_c.X[ikp, :seq.m]    # (P, Q) at k and at kp
+    up = _upper(pairs)
+    at_k = [u == (sign == MINUS) for u in up]     # whether the pair reads the hat at k, or at kp
+    hat_z, hat_c = _hats(top_z, m_z, at_k), _hats(top_c, -m_z.conj().T, [not a for a in at_k])
     P_z, P_c = top_z[..., :seq.m], top_c[..., :seq.m]
-    hat_z, hat_c = _combination(top_z, m_z), _combination(top_c, -m_z.conj().T)
     if sign == PLUS:
-        return _pairing(z, pairs, (-P_z, hat_c), (hat_z, P_c))
-    return _pairing(z, pairs, (-hat_z, P_c), (P_z, hat_c))
+        return _pairing(z, pairs, up, (-P_z, hat_c), (hat_z, P_c))
+    return _pairing(z, pairs, up, (-hat_z, P_c), (P_z, hat_c))
 
 
 def half_lattice_green(seq: VerblunskySequence, k0: int, gamma, z,
@@ -176,8 +210,8 @@ def full_green_entries(seq: VerblunskySequence, k0: int, gamma, z, pairs) -> lis
     sol_pc, sol_mc = _weyl_solutions(seq, k0, gamma, zc, sites,
                                      Ms=[-sol.M.conj().T for sol in (sol_p, sol_m)])
     ik, ikp = np.array(pairs, dtype=int).reshape(-1, 2).T - sol_p.k_lo   # all four share one span
-    return _pairing(z, pairs, (sol_m.U[ik], sol_pc.U[ikp]), (sol_p.U[ik], sol_mc.U[ikp]),
-                    W=sol_p.M - sol_m.M)
+    return _pairing(z, pairs, _upper(pairs), (sol_m.U[ik], sol_pc.U[ikp]),
+                    (sol_p.U[ik], sol_mc.U[ikp]), W=sol_p.M - sol_m.M)
 
 
 def dense_resolvent_entries(seq: VerblunskySequence, z, pairs, half=None,

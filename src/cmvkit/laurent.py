@@ -11,11 +11,17 @@ coefficients.BoundaryUnitary, kept as the family's boundary.
 
 A family is one (n_sites, 2m, 2m) state X = [[P, Q], [R, S]], its letters
 views of X. This module provides the transfer matrices and their explicit
-inverses (stacked by site from the sequence's arrays), seed construction,
-propagation of X by one banded triangular solve (LAPACK ztbtrs, from
-_lapack) per direction, the connection coefficients relating families
-with different gamma or different sign, and residual checks for the
-quadratic and conjugation identities.
+inverses, seed construction, propagation of X by one banded triangular
+solve (LAPACK ztbtrs, from _lapack) per direction, the connection
+coefficients relating families with different gamma or different sign, and
+residual checks for the quadratic and conjugation identities.
+
+The z-free part of every transfer matrix, and of every inverse, is built
+once per sequence and direction from the sequence's arrays, already in the
+solve's band layout (seq.transfer_band, seq.transfer_inverse_band). A path
+is a slice of those rows, reversed for a backward path, whose odd sites'
+off-diagonal blocks take z and 1/z; transfer and transfer_inverse read a
+one-site path.
 """
 
 from __future__ import annotations
@@ -58,26 +64,53 @@ def _norm_sign(sign) -> int:
     raise OutOfRange(f"sign must be +1/-1 or '+'/'-', got {sign!r}")
 
 
-def _transfers(seq: VerblunskySequence, z, k_lo: int, k_hi: int,
+def _as_steps(band: np.ndarray) -> np.ndarray:
+    """The view of a C-contiguous band (n, w, 2w) in _chain's layout as the stack of -T
+    (n, w, w): band[j, b, w - b + r] holds -T_{j+1}[r, b], item w + r + (2w - 1) b of row j."""
+    n, w = band.shape[:2]
+    item = band.itemsize
+    return np.ndarray((n, w, w), complex, band, offset=w * item,
+                      strides=(2 * w * w * item, item, (2 * w - 1) * item))
+
+
+def _transfer_band(seq: VerblunskySequence, inverse: bool = False) -> np.ndarray:
+    """-T(z, k) (-T(z, k)^-1 if inverse) for every interior site k, row k - k_min - 1, in
+    _chain's band layout, read-only; the odd sites' off-diagonal blocks are stored without
+    their z and 1/z. seq.transfer_band and seq.transfer_inverse_band keep it, built once."""
+    A, m, n = seq.arrays, seq.m, seq.n_sites - 1
+    # blocks (d1, o1, o2, d2): odd k is [[d1, z o1], [o2 / z, d2]], even k [[d2, o2], [o1, d1]]
+    if inverse:
+        T = np.stack((-A.rho_inv_alpha_star, A.rho_inv, A.rho_tilde_inv, -A.rho_tilde_inv_alpha))
+    else:
+        T = np.stack((A.rho_tilde_inv_alpha, A.rho_tilde_inv, A.rho_inv, A.rho_inv_alpha_star))
+    even = slice((seq.k_min + 1) % 2, None, 2)
+    T[:, even] = T[::-1, even]
+    T = T.reshape(2, 2, n, m, m).transpose(2, 0, 3, 1, 4).reshape(n, 2 * m, 2 * m)
+    band = np.zeros((n, 2 * m, 4 * m), dtype=complex)
+    np.negative(T, out=_as_steps(band))
+    band.setflags(write=False)
+    return band
+
+
+def _path_band(seq: VerblunskySequence, z, k_lo: int, k_hi: int,
                inverse: bool = False) -> np.ndarray:
-    """T(z, k) for k = k_lo .. k_hi stacked by site (their inverses if inverse),
-    placed from the sequence's stacked blocks; only the odd sites depend on z."""
+    """_chain's band over the path's steps: T(z, k) for k = k_lo .. k_hi, or with inverse
+    T(z, k)^-1 for k = k_hi .. k_lo. The rows are sliced from the sequence's cache and only
+    the odd sites' off-diagonal blocks take z, as z o1 and o2 / z."""
     z = require_nonzero(z)
     if not seq.k_min < k_lo <= k_hi < seq.k_max:
         raise PathLeavesWindow(f"transfer at sites {k_lo}..{k_hi} needs contractive "
                                f"coefficients, window is [{seq.k_min}, {seq.k_max}]")
-    A, m, rows = seq.arrays, seq.m, slice(k_lo - seq.k_min - 1, k_hi - seq.k_min)
-    ri, rti = A.rho_inv[rows], A.rho_tilde_inv[rows]
-    ri_ah, rti_a = A.rho_inv_alpha_star[rows], A.rho_tilde_inv_alpha[rows]
-    # odd k: [[d1, z o1], [o2 / z, d2]]; even k: [[d2, o2], [o1, d1]]
-    d1, d2, o1, o2 = (-ri_ah, -rti_a, ri, rti) if inverse else (rti_a, ri_ah, rti, ri)
-    T = np.empty((len(ri), 2 * m, 2 * m), dtype=complex)
-    odd, even = slice((k_lo + 1) % 2, None, 2), slice(k_lo % 2, None, 2)
-    T[odd, :m, :m], T[odd, :m, m:] = d1[odd], z * o1[odd]
-    T[odd, m:, :m], T[odd, m:, m:] = o2[odd] / z, d2[odd]
-    T[even, :m, :m], T[even, :m, m:] = d2[even], o2[even]
-    T[even, m:, :m], T[even, m:, m:] = o1[even], d1[even]
-    return T
+    cache = seq.transfer_inverse_band if inverse else seq.transfer_band
+    rows = cache[k_lo - seq.k_min - 1:k_hi - seq.k_min]
+    n, m = len(rows), seq.m
+    band = np.empty((n + 1, 2 * m, 4 * m), dtype=complex)
+    band[:n], band[n] = (rows[::-1] if inverse else rows), 0.0
+    first = k_hi if inverse else k_lo     # the path's first site
+    steps = _as_steps(band[:n])[(first + 1) % 2::2]     # the odd sites
+    np.multiply(z, steps[:, :m, m:], out=steps[:, :m, m:])
+    np.divide(steps[:, m:, :m], z, out=steps[:, m:, :m])
+    return band
 
 
 def transfer(seq: VerblunskySequence, z, k: int) -> np.ndarray:
@@ -88,7 +121,7 @@ def transfer(seq: VerblunskySequence, z, k: int) -> np.ndarray:
 
     with a = alpha_k, r = rho_k, rt = rho_tilde_k.
     """
-    return _transfers(seq, z, k, k)[0]
+    return -_as_steps(_path_band(seq, z, k, k))[0]
 
 
 def transfer_inverse(seq: VerblunskySequence, z, k: int) -> np.ndarray:
@@ -97,7 +130,7 @@ def transfer_inverse(seq: VerblunskySequence, z, k: int) -> np.ndarray:
     Odd k:  [[-r^-1 a*, z r^-1], [z^-1 rt^-1, -rt^-1 a]]
     Even k: [[-rt^-1 a, rt^-1], [r^-1, -r^-1 a*]]
     """
-    return _transfers(seq, z, k, k, inverse=True)[0]
+    return -_as_steps(_path_band(seq, z, k, k, inverse=True))[0]
 
 
 class FamilySite(NamedTuple):
@@ -172,19 +205,18 @@ def seed_family(gamma, z, k0: int, sign) -> SolutionFamily:
     return SolutionFamily(sign=sign, z=z, boundary=boundary, k0=k0, k_lo=k0, X=X)
 
 
-def _chain(steps: np.ndarray, X0: np.ndarray) -> np.ndarray:
-    """X_i = steps[i - 1] X_{i - 1} for i = 1 .. n, stacked, from one banded solve.
+def _chain(band: np.ndarray, X0: np.ndarray) -> np.ndarray:
+    """X_i = T_i X_{i - 1} for i = 1 .. n, stacked, from one banded solve over band
+    (n + 1, w, 2w), built by _path_band.
 
     The recursion is the unit block-lower-bidiagonal system X_0 = X0,
     X_i - T_i X_{i-1} = 0, of band width 4m - 1 with 2m right-hand sides;
-    LAPACK's tbtrs solves it by substitution without pivoting, so each
-    X_i is T_i X_{i-1} summed in another order.
+    band[j, b, d] holds its entry A[(j*w + b) + d, j*w + b], which is
+    -T_{j+1}[b + d - w, b] for d >= w - b and 0 for 0 < d < w - b (band[n]
+    is all 0). LAPACK's tbtrs solves it by substitution without pivoting, so
+    each X_i is T_i X_{i-1} summed in another order.
     """
-    n, w = steps.shape[:2]
-    # band[j, b, d] holds A[(j*w + b) + d, j*w + b]: -T_{j+1}[b + d - w, b] for d >= w - b
-    band = np.zeros((n + 1, w, 2 * w), dtype=complex)
-    for b in range(w):
-        np.negative(steps[:, :, b], out=band[:n, b, w - b:2 * w - b])
+    n, w = band.shape[0] - 1, band.shape[1]
     rhs = np.zeros(((n + 1) * w, w), dtype=complex, order="F")
     rhs[:w] = X0
     # info is nonzero only for malformed arguments: a unit diagonal is never singular
@@ -199,9 +231,9 @@ def propagate(seq: VerblunskySequence, family: SolutionFamily, *targets: int) ->
     that obey the same recursion. It moves backward from its first site
     with the transfer matrices' explicit inverses and forward from its
     last with the transfer matrices, each direction one banded triangular
-    solve over the path's matrices, built as one stack. Already-covered
-    sites are kept as stored, family.X copied once. Raises NotFinite when
-    a propagated value overflows.
+    solve over the path's band, sliced from the sequence's z-free cache
+    (_path_band). Already-covered sites are kept as stored, family.X copied
+    once. Raises NotFinite when a propagated value overflows.
     """
     for k in targets:
         if not seq.k_min <= k <= seq.k_max - 1:
@@ -214,11 +246,10 @@ def propagate(seq: VerblunskySequence, family: SolutionFamily, *targets: int) ->
     X[lo:hi + 1] = family.X
     with np.errstate(over="ignore", invalid="ignore"):    # reported below as NotFinite
         if new_lo < family.k_lo:
-            steps = _transfers(seq, family.z, new_lo + 1, family.k_lo, inverse=True)
-            X[:lo] = _chain(steps[::-1], X[lo])[::-1]
+            band = _path_band(seq, family.z, new_lo + 1, family.k_lo, inverse=True)
+            X[:lo] = _chain(band, X[lo])[::-1]
         if new_hi > family.k_hi:
-            steps = _transfers(seq, family.z, family.k_hi + 1, new_hi)
-            X[hi + 1:] = _chain(steps, X[hi])
+            X[hi + 1:] = _chain(_path_band(seq, family.z, family.k_hi + 1, new_hi), X[hi])
     if not np.isfinite(X).all():
         raise NotFinite(f"solution family overflows on sites {new_lo}..{new_hi} "
                         f"at z = {family.z}")

@@ -36,6 +36,7 @@ from .coefficients import (
 from .errors import (
     SingularSolutionValue,
     SiteOutOfWindow,
+    require_finite,
     require_off_circle,
     require_tolerance,
     solve,
@@ -122,7 +123,7 @@ def M_minus_from_m_minus(m_minus: np.ndarray, z) -> np.ndarray:
     M = [(m + I) - z(m - I)] [(m + I) + z(m - I)]^{-1}; the two factors
     commute, so the quotient may be taken on either side.
     """
-    z = complex(z)
+    z = require_finite(z)
     m = _as_square(m_minus)
     eye = np.eye(m.shape[0])
     num = (m + eye) - z * (m - eye)
@@ -132,7 +133,7 @@ def M_minus_from_m_minus(m_minus: np.ndarray, z) -> np.ndarray:
 
 def m_minus_from_M_minus(M_minus: np.ndarray, z) -> np.ndarray:
     """Inverse transform: m = [z(M + I) - (M - I)] [z(M + I) + (M - I)]^{-1}."""
-    z = complex(z)
+    z = require_finite(z)
     M = _as_square(M_minus)
     eye = np.eye(M.shape[0])
     num = z * (M + eye) - (M - eye)
@@ -204,7 +205,7 @@ def M_from_schur(phi: np.ndarray) -> np.ndarray:
 
 def m_minus_from_schur_minus(phi_minus: np.ndarray, z) -> np.ndarray:
     """m_minus = (z I + Phi_minus)^{-1} (z I - Phi_minus)."""
-    z = complex(z)
+    z = require_finite(z)
     phi = _as_square(phi_minus)
     eye = np.eye(phi.shape[0])
     return solve(z * eye + phi, z * eye - phi)

@@ -17,7 +17,7 @@ from cmvkit.greens import (
     wronskian,
     wronskian_symmetry_check,
 )
-from cmvkit.errors import SiteOutOfWindow
+from cmvkit.errors import MalformedInput, SiteOutOfWindow
 from cmvkit.laurent import MINUS, PLUS, MatrixCaseUnsupported, window_family
 from cmvkit.weyl import weyl_solution
 from cmvkit.cli.ensembles import EnsembleSpec, generate, random_unitary
@@ -174,6 +174,12 @@ def test_batched_half_kernel_equals_its_single_pair_calls():
                         one = half_lattice_green(seq, k0, g, z, k, kp, sign)
                         assert (entry.k, entry.kp, entry.branch) == (one.k, one.kp, one.branch)
                         assert np.array_equal(entry.value, one.value)
+                    for branch in GreensBranch:     # all-upper and all-lower batches
+                        want = [e for e in batch if e.branch is branch]
+                        got = half_green_entries(seq, k0, g, z, [(e.k, e.kp) for e in want], sign)
+                        for entry, one in zip(got, want, strict=True):
+                            assert (entry.k, entry.kp, entry.branch) == (one.k, one.kp, branch)
+                            assert np.array_equal(entry.value, one.value)
 
 
 def test_batched_forms_reject_any_pair_outside_their_window():
@@ -193,6 +199,31 @@ def test_batched_forms_reject_any_pair_outside_their_window():
                     full_green_entries(seq, k0, g, 0.5, pairs)
                 else:
                     half_green_entries(seq, k0, g, 0.5, pairs, half)
+
+
+def test_malformed_pairs_raise_malformed_input_in_kernels_and_oracle():
+    """A non-integral site, or an entry that is not two sites, is MalformedInput in both
+    kernels and the oracle alike; numpy integer sites are accepted, and tagged as ints."""
+    seq, g, k0 = make_case(2, 38)
+    calls = {
+        PLUS: lambda pairs: half_green_entries(seq, k0, g, 0.5, pairs, PLUS),
+        None: lambda pairs: full_green_entries(seq, k0, g, 0.5, pairs),
+        "oracle": lambda pairs: dense_resolvent_entries(seq, 0.5, pairs),
+        "half oracle": lambda pairs: dense_resolvent_entries(seq, 0.5, pairs, half=PLUS,
+                                                             k0=k0, gamma=g),
+    }
+    for bad in ((k0 + 0.5, k0 + 1), (k0, k0 + 1, k0 + 2), (k0,), k0, "ab", (k0, None)):
+        for form, call in calls.items():
+            with pytest.raises(MalformedInput, match="each pair must be two integer sites"):
+                call([(k0, k0 + 1), bad])
+    for form, call in calls.items():
+        want = call([(k0, k0 + 1), (k0 + 2, k0 + 1)])
+        got = call([(np.int64(k0), np.int32(k0 + 1)), np.array([k0 + 2, k0 + 1])])
+        if form in (PLUS, None):     # the kernels tag each entry with its sites
+            assert [(e.k, e.kp) for e in got] == [(k0, k0 + 1), (k0 + 2, k0 + 1)]
+            assert all(type(e.k) is type(e.kp) is int for e in got)
+            got, want = [e.value for e in got], [e.value for e in want]
+        assert all(np.array_equal(a, b) for a, b in zip(got, want, strict=True))
 
 
 def test_wronskian_suite_reuses_the_weyl_families(monkeypatch):

@@ -276,6 +276,35 @@ def test_propagation_makes_no_transfer_calls(monkeypatch):
     assert calls == []
 
 
+def test_transfer_cache_is_built_once_per_direction(count_calls):
+    """Many propagate, transfer and transfer_inverse calls on one sequence build the z-free
+    band at most once per direction, lazily, and each propagate call makes one banded solve
+    per direction it extends; the cache is read-only and no call writes to it."""
+    seq = generate(EnsembleSpec(m=2, k_min=-3, k_max=57, seed=189))
+    g = random_unitary(np.random.default_rng(190), 2)
+    builds = count_calls(laurent, "_transfer_band", lambda seq, inverse=False: inverse)
+    solves = count_calls(laurent, "_tbtrs")
+    propagate(seq, seed_family(g, 0.5, 20, PLUS), 41)
+    assert builds == [False] and len(solves) == 1     # forward only: no inverse band yet
+    for z in (0.6 * np.exp(0.4j), 1.8 * np.exp(-2.0j), -0.3j):
+        fam = seed_family(g, z, 20, PLUS)
+        del solves[:]
+        propagate(seq, fam, 41)
+        assert len(solves) == 1
+        propagate(seq, fam, 5, 50)
+        assert len(solves) == 3
+    cache = {name: getattr(seq, name).copy() for name in ("transfer_band", "transfer_inverse_band")}
+    assert builds == [False, True]
+    for k in range(seq.k_min + 1, seq.k_max):
+        transfer(seq, 0.5j, k)
+        transfer_inverse(seq, 2.0, k)
+        propagate(seq, seed_family(g, 1.5 - 1.0j, k, MINUS), seq.k_min, seq.k_max - 1)
+    assert builds == [False, True]
+    for name, before in cache.items():
+        assert not getattr(seq, name).flags.writeable
+        assert np.array_equal(getattr(seq, name), before)
+
+
 def test_propagate_rejects_leaving_window_and_zero_z():
     seq = generate(EnsembleSpec(m=2, k_min=0, k_max=14, seed=77))
     g = random_unitary(np.random.default_rng(78), 2)

@@ -125,6 +125,24 @@ def test_minus_transform_round_trip():
                                atol=1e-11)
 
 
+def test_minus_transforms_reject_non_finite_z_and_keep_zero():
+    """The three minus-side transforms check z like every other entry: NaN or infinite z
+    raises NotFinite, with no warning and no SingularFactor; z = 0 stays valid."""
+    spec = EnsembleSpec(m=2, k_min=0, k_max=20, seed=5, radius_max=0.85)
+    seq = generate(spec)
+    mm = m_function(seq, 10, random_unitary(np.random.default_rng(6), 2), 0.37 + 0.29j, MINUS)
+    phi = schur_from_M(M_minus_from_m_minus(mm, 0.37 + 0.29j))
+    transforms = (M_minus_from_m_minus, m_minus_from_M_minus, m_minus_from_schur_minus)
+    for transform in transforms:
+        for z in (np.nan, complex(np.nan, 1.0), np.inf, complex(0.5, -np.inf)):
+            with pytest.raises(NotFinite):
+                transform(phi if transform is m_minus_from_schur_minus else mm, z)
+    eye = np.eye(2)
+    np.testing.assert_allclose(M_minus_from_m_minus(mm, 0), eye, atol=1e-12)
+    np.testing.assert_allclose(m_minus_from_M_minus(mm, 0), -eye, atol=1e-12)
+    np.testing.assert_allclose(m_minus_from_schur_minus(phi, 0), -eye, atol=1e-12)
+
+
 def test_minus_three_routes():
     """Moebius transform, connection coefficients, and edge matching."""
     spec = EnsembleSpec(m=2, k_min=0, k_max=24, seed=7, radius_max=0.85)
