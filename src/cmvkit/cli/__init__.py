@@ -228,15 +228,19 @@ def cmd_mfun(args) -> int:
 
 
 def _read_pairs(path: str) -> list[tuple[int, int]]:
-    pairs = []
+    """The (k, kp) rows of a CSV file. Blank rows and a first-row header (its first cell
+    not an integer) are skipped; any other row that is not two integers is MalformedInput."""
     with open(path, newline="", encoding="utf-8") as fh:
         try:
-            for row in csv.reader(fh):
-                if not row or not row[0].strip().lstrip("+-").isdigit():
-                    continue
-                pairs.append((int(row[0]), int(row[1])))
-        except (IndexError, ValueError, csv.Error) as exc:   # ValueError: also not UTF-8
-            raise MalformedInput(f"{path}: rows must be integer pairs 'k,kp': {exc}") from exc
+            rows = [row for row in csv.reader(fh) if "".join(row).strip()]
+        except (ValueError, csv.Error) as exc:      # ValueError: not UTF-8
+            raise MalformedInput(f"{path}: not a UTF-8 CSV file: {exc}") from exc
+    if rows and not rows[0][0].strip().lstrip("+-").isdigit():
+        rows = rows[1:]
+    try:
+        pairs = [(int(k), int(kp)) for k, kp in rows]
+    except ValueError as exc:       # a cell not an integer, or a row not two cells
+        raise MalformedInput(f"{path}: rows must be integer pairs 'k,kp': {exc}") from exc
     if not pairs:
         raise MalformedInput(f"no index pairs found in {path}")
     return pairs

@@ -22,6 +22,7 @@ transfer_inverse_band) for propagation.
 from __future__ import annotations
 
 import json
+import operator
 from dataclasses import dataclass, fields
 from enum import Enum
 from functools import cached_property, lru_cache
@@ -240,11 +241,23 @@ class VerblunskySequence:
 def sequence_from_values(values: dict, m: int | None = None) -> VerblunskySequence:
     """Build a sequence from a plain {k: array-or-scalar} map.
 
-    The keys must fill one window; its ends must be unitary and the rest
-    contractive. Scalars are promoted to 1x1 matrices.
+    The keys must be integer sites filling one window; its ends must be unitary
+    and the rest contractive. Scalars are promoted to 1x1 matrices. Anything else
+    (not a map, an empty map, a key that is not an integer, a value that is not a
+    regular numeric array) raises MalformedInput.
     """
-    ks = sorted(values)
-    blocks = {k: np.atleast_2d(np.asarray(v, dtype=complex)) for k, v in values.items()}
+    try:
+        values = {operator.index(k): v for k, v in values.items()}
+    except (AttributeError, TypeError) as exc:
+        raise MalformedInput(f"values must map integer sites to coefficients: {exc}") from exc
+    if not values:
+        raise MalformedInput("no coefficients given")
+    ks, blocks = sorted(values), {}
+    for k, v in values.items():
+        try:
+            blocks[k] = np.atleast_2d(np.asarray(v, dtype=complex))
+        except (TypeError, ValueError) as exc:
+            raise MalformedInput(f"site {k}: not a regular numeric array: {exc}") from exc
     return _stacked(ks[0], ks[-1], blocks[ks[0]].shape[0] if m is None else m, blocks.get)
 
 

@@ -1,15 +1,15 @@
 """Explicit resolvent kernels and the matrix Wronskian.
 
-Half- and full-window resolvents share one factorized form: the pairing
-step _pairing, (2z)^{-1} left(k) W^{-1} right(kp)* stacked over a batch
-of (k, kp) pairs at one z, each pair two integer sites (else MalformedInput).
-The half kernels hand it family values P and hats Q + P m = X [m; I], a hat
-only where a pair's branch reads one, with no W; the full kernel the Weyl
-solutions U_+/- and W = M_+ - M_-. Each family is one propagate
-call over the span of the pairs' sites. A half-window operator U_h is
-exactly unitary, so m(1/conj(z)) = -m(z)*: the kernels read each m or M
-at 1/conj(z) from the solve at z. Each kernel is an independent formula
-meant to be compared against the oracle dense_resolvent_entries, one
+Half- and full-window resolvents share one body, _kernel: (2z)^{-1}
+left(k) W^{-1} right(kp)* stacked over a batch of (k, kp) pairs at one z,
+each pair two integer sites (else MalformedInput). It propagates one family
+at z and one at 1/conj(z), each one propagate call over the span of the
+pairs' sites, and forms each pair's factors from their (P, Q) rows at k and
+kp only: P, or X [c; I] = Q + P c for one m x m coefficient c (m, M_+/-, or
+their values at 1/conj(z)); the full kernel adds W = M_+ - M_-. A half-window
+operator U_h is exactly unitary, so m(1/conj(z)) = -m(z)*: the kernels read
+each m or M at 1/conj(z) from the solve at z. Each kernel is an independent
+formula meant to be compared against the oracle dense_resolvent_entries, one
 banded LU per z of the same finite operator (assembly.resolvent_blocks)
 that propagates no solution; the tests check that solve against a dense
 LU. half_lattice_green and dense_resolvent_entry are the single-pair forms
@@ -47,7 +47,7 @@ from .laurent import (
     propagate,
     seed_family,
 )
-from .weyl import _combination, _weyl_solutions, m_function
+from .weyl import M_function, _combination, _weyl_solutions, m_function
 
 
 class GreensBranch(Enum):
@@ -112,74 +112,69 @@ def _check_pairs(seq: VerblunskySequence, k0: int, sign: int | None, pairs):
     return pairs, sites
 
 
-def _upper(pairs) -> list:
-    """For each pair, whether its _branch is UPPER_ODD."""
-    return [_branch(k, kp) is GreensBranch.UPPER_ODD for k, kp in pairs]
-
-
-def _pairing(z, pairs, up, upper, lower, W=None) -> list:
-    """(2z)^{-1} left(k) W^{-1} right(kp)* per pair, one stacked call per step (no W if None),
-    from the (left, right) stacks upper where up marks the pair UPPER_ODD, else lower. A batch
-    on one branch takes that branch's stacks as they are; a mixed one picks rows by np.where."""
-    if not any(up):
-        left, right = lower
-    elif all(up):
-        left, right = upper
-    else:
-        mask = np.array(up)[:, None, None]
-        left, right = (np.where(mask, u, low) for u, low in zip(upper, lower))
-    right = right.conj().transpose(0, 2, 1)
-    if W is not None:
-        right = solve(W, right, SingularWronskian)
-    branches = [GreensBranch.UPPER_ODD if u else GreensBranch.LOWER_EVEN for u in up]
-    return [GreensEntry(k=k, kp=kp, value=value, branch=branch)
-            for (k, kp), value, branch in zip(pairs, left @ right / (2.0 * z), branches)]
-
-
-def _hats(top: np.ndarray, m_val: np.ndarray, rows: list) -> np.ndarray:
-    """The P of a stack top of (P, Q) rows, with the hat Q + P m_val in place of P on the
-    rows marked True in rows: one product over the whole stack when every row is."""
-    if all(rows):
-        return _combination(top, m_val)
-    out = top[..., :m_val.shape[0]]
-    if any(rows):
-        rows = np.array(rows)
-        out = out.copy()
-        out[rows] = _combination(top[rows], m_val)
+def _side(top: np.ndarray, coefficients, up: list) -> np.ndarray:
+    """One side's factor per pair from its (P, Q) rows top, with coefficients[0] on the rows
+    up marks UPPER_ODD and coefficients[1] on the others: None reads P, c reads X [c; I].
+    A one-branch batch takes one slice or one product over the whole stack."""
+    def read(part, c):
+        return part[..., :part.shape[1]] if c is None else _combination(part, c)
+    if all(up) or not any(up):
+        return read(top, coefficients[0 if all(up) else 1])
+    mask = np.array(up)
+    out = np.empty_like(top[..., :top.shape[1]])
+    for rows, c in zip((mask, ~mask), coefficients):
+        out[rows] = read(top[rows], c)
     return out
 
 
-def half_green_entries(seq: VerblunskySequence, k0: int, gamma, z, pairs, sign) -> list:
-    """Blocks of (U_half - z)^{-1} for many (k, kp) pairs at one z, from the factorized kernel.
+def _kernel(seq: VerblunskySequence, k0: int, gamma, z, pairs, sign) -> list:
+    """(2z)^{-1} left(k) W^{-1} right(kp)* for many (k, kp) pairs at one z: the half kernel
+    of sign, or the full kernel when sign is None.
 
-    Sign +, with hat(z, k) = Q(z, k) + P(z, k) m(z):
+    One family seeded at k0 (with sign; PLUS for the full kernel) is propagated at z and
+    one at 1/conj(z), each to the farthest site any pair reads, and their (P, Q) rows are
+    sliced at the pairs' k and kp. Each pair's left and right factor is formed once, on its
+    branch: P, or hat(c) = X [c; I] = Q + P c for one m x m coefficient c. A subscript c
+    reads -c* (m_c = -m*, M_+c = -M_+*), since m(1/conj(z)) = -m(z)* and likewise M_+/-:
 
-        upper: -(2z)^{-1} P(z, k) hat(1/conj(z), kp)*
-        lower:  (2z)^{-1} hat(z, k) P(1/conj(z), kp)*
+        half +:  upper -(P, hat(m_c)),   lower (hat(m), P)
+        half -:  upper -(hat(m), P),     lower (P, hat(m_c))
+        full:    upper (hat(M_-), hat(M_+c)),  lower (hat(M_+), hat(M_-c)),  W = M_+ - M_-
 
-    Sign - swaps which side carries the hatted combination and flips
-    the branch signs. U_half is exactly unitary, so m(1/conj(z)) = -m(z)*
-    and one banded solve gives m at both points. One family per z and
-    1/conj(z) is propagated from k0 to the farthest site any pair reads;
-    all share one square root of gamma. A hat is formed only for the pairs
-    whose branch reads it, on the side it is read.
+    The half kernels have no W; an upper half entry is negated after the division.
     """
-    sign = _norm_sign(sign)
     z = require_off_circle(z)
     zc = 1.0 / np.conj(z)
     pairs, sites = _check_pairs(seq, k0, sign, pairs)
     gamma = as_boundary(gamma, seq.m)
-    fam_z, fam_c = (propagate(seq, seed_family(gamma, w, k0, sign), *sites) for w in (z, zc))
-    m_z = m_function(seq, k0, gamma, z, sign)
+    seed = PLUS if sign is None else sign
+    fam_z, fam_c = (propagate(seq, seed_family(gamma, w, k0, seed), *sites) for w in (z, zc))
+    if sign is None:        # coefficients (upper, lower) of the left and of the right factor
+        Mp, Mm = (M_function(seq, k0, gamma, z, s) for s in (PLUS, MINUS))
+        lefts, rights, W = (Mm, Mp), (-Mp.conj().T, -Mm.conj().T), Mp - Mm
+    else:
+        m_z = m_function(seq, k0, gamma, z, sign)
+        lefts, rights, W = (None, m_z), (-m_z.conj().T, None), None
+        if sign == MINUS:
+            lefts, rights = lefts[::-1], rights[::-1]
     ik, ikp = np.array(pairs, dtype=int).reshape(-1, 2).T - fam_z.k_lo   # fam_c's span is fam_z's
-    top_z, top_c = fam_z.X[ik, :seq.m], fam_c.X[ikp, :seq.m]    # (P, Q) at k and at kp
-    up = _upper(pairs)
-    at_k = [u == (sign == MINUS) for u in up]     # whether the pair reads the hat at k, or at kp
-    hat_z, hat_c = _hats(top_z, m_z, at_k), _hats(top_c, -m_z.conj().T, [not a for a in at_k])
-    P_z, P_c = top_z[..., :seq.m], top_c[..., :seq.m]
-    if sign == PLUS:
-        return _pairing(z, pairs, up, (-P_z, hat_c), (hat_z, P_c))
-    return _pairing(z, pairs, up, (-hat_z, P_c), (P_z, hat_c))
+    up = [_branch(k, kp) is GreensBranch.UPPER_ODD for k, kp in pairs]
+    left = _side(fam_z.X[ik, :seq.m], lefts, up)
+    right = _side(fam_c.X[ikp, :seq.m], rights, up).conj().transpose(0, 2, 1)
+    if W is not None:
+        right = solve(W, right, SingularWronskian)
+    values = left @ right / (2.0 * z)
+    if sign is not None and any(up):
+        np.negative(values, out=values, where=np.array(up)[:, None, None])
+    return [GreensEntry(k=k, kp=kp, value=value,
+                        branch=GreensBranch.UPPER_ODD if u else GreensBranch.LOWER_EVEN)
+            for (k, kp), value, u in zip(pairs, values, up)]
+
+
+def half_green_entries(seq: VerblunskySequence, k0: int, gamma, z, pairs, sign) -> list:
+    """Blocks of (U_half - z)^{-1} for many (k, kp) pairs at one z, from the factorized
+    kernel (_kernel), with one banded solve for m at z and at 1/conj(z)."""
+    return _kernel(seq, k0, gamma, z, pairs, _norm_sign(sign))
 
 
 def half_lattice_green(seq: VerblunskySequence, k0: int, gamma, z,
@@ -189,29 +184,10 @@ def half_lattice_green(seq: VerblunskySequence, k0: int, gamma, z,
 
 
 def full_green_entries(seq: VerblunskySequence, k0: int, gamma, z, pairs) -> list:
-    """Blocks of (U - z)^{-1} for many (k, kp) pairs at one z.
-
-    The kernel is
-
-        upper: (2z)^{-1} U_-(z, k) W^{-1} U_+(1/conj(z), kp)*
-        lower: (2z)^{-1} U_+(z, k) W^{-1} U_-(1/conj(z), kp)*
-
-    with W = M_plus(z) - M_minus(z). Both half-window operators are exactly unitary,
-    so M_+/-(1/conj(z)) = -M_+/-(z)*: the solutions at 1/conj(z) take the M's solved
-    at z. Weyl solutions are built once and reused across the pairs and share one
-    root of gamma; each sign pair shares one family, propagated only between k0 and
-    the pairs' sites.
-    """
-    z = require_off_circle(z)
-    zc = 1.0 / np.conj(z)
-    gamma = as_boundary(gamma, seq.m)
-    pairs, sites = _check_pairs(seq, k0, None, pairs)
-    sol_p, sol_m = _weyl_solutions(seq, k0, gamma, z, sites)
-    sol_pc, sol_mc = _weyl_solutions(seq, k0, gamma, zc, sites,
-                                     Ms=[-sol.M.conj().T for sol in (sol_p, sol_m)])
-    ik, ikp = np.array(pairs, dtype=int).reshape(-1, 2).T - sol_p.k_lo   # all four share one span
-    return _pairing(z, pairs, _upper(pairs), (sol_m.U[ik], sol_pc.U[ikp]),
-                    (sol_p.U[ik], sol_mc.U[ikp]), W=sol_p.M - sol_m.M)
+    """Blocks of (U - z)^{-1} for many (k, kp) pairs at one z, from the factorized kernel
+    (_kernel) with the Weyl solutions U_+/- = X [M_+/-; I] of the plus family, formed
+    only at the pairs' sites, and one banded solve per half window."""
+    return _kernel(seq, k0, gamma, z, pairs, None)
 
 
 def dense_resolvent_entries(seq: VerblunskySequence, z, pairs, half=None,

@@ -285,14 +285,14 @@ def weyl_solutions(seq: VerblunskySequence, k0: int, gamma, z,
 
 
 def _weyl_solutions(seq: VerblunskySequence, k0: int, gamma, z, sites,
-                    signs=(PLUS, MINUS), Ms=None) -> tuple:
+                    signs=(PLUS, MINUS)) -> tuple:
     """weyl_solutions over the sites from k0 to the farthest of sites on each
-    side only: the family is propagated no farther than the sites read. Ms,
-    one per sign, are taken as given; None solves them at z."""
+    side only: the family is propagated no farther than the sites read, and
+    every M is solved at z."""
     signs = [_norm_sign(sign) for sign in signs]
     z = require_off_circle(z)
     gamma = as_boundary(gamma, seq.m)
-    Ms = [M_function(seq, k0, gamma, z, sign) for sign in signs] if Ms is None else Ms
+    Ms = [M_function(seq, k0, gamma, z, sign) for sign in signs]
     fam = propagate(seq, seed_family(gamma, z, k0, PLUS), *sites)
     return tuple(WeylSolution(sign=sign, z=z, k0=k0, M=M, k_lo=fam.k_lo,
                               UV=_combination(fam.X, M), family=fam)

@@ -482,7 +482,8 @@ def bad_input_files(tmp_path_factory):
     main(["gen", "--seed", "5", "--window", "0,12", "--out", files["seq"]])
     main(["gen", "--seed", "5", "--m", "2", "--window", "0,300", "--out", files["big"]])
     texts = {"out_pairs": "k,kp\n3,40\n", "x_pairs": "3,x\n", "one_col": "3\n",
-             "header_pairs": "k,kp\n",
+             "header_pairs": "k,kp\n", "float_pairs": "k,kp\n10,11\n12.5,13\n8,9\n",
+             "word_pairs": "k,kp\n10,11\nabc,3\n8,9\n",
              "trunc": '{"m": 1, "k_min": 0, "k_max"',
              "obj_gamma": json.dumps({"m": 1}),
              "no_f": json.dumps([{"z": [0.2, 0.1]}]),
@@ -544,6 +545,8 @@ BAD_INPUTS = {
     "gamma-not-a-matrix": ("laurent", *_SEQ, *_Z, "--gamma", "{obj_gamma}"),
     "pairs-row-not-integer": ("green", *_SEQ, *_Z, "--pairs", "{x_pairs}"),
     "pairs-row-one-column": ("green", *_SEQ, *_Z, "--pairs", "{one_col}"),
+    "pairs-float-row-after-data": ("green", *_SEQ, *_Z, "--pairs", "{float_pairs}"),
+    "pairs-word-row-after-data": ("green", *_SEQ, *_Z, "--pairs", "{word_pairs}"),
     "analytic-sample-not-object": ("analytic", "--check", "schur", "--in", "{not_obj}"),
     "analytic-z-one-element": ("analytic", "--check", "schur", "--in", "{short_z}"),
     **{f"analytic-{check}-tol-identity-{name}":

@@ -271,6 +271,13 @@ def _error_cases():
         ("replace-wrong-size", lambda: seq.replace(5, contractive([[0.3]])),
          DimensionMismatch, "site 5:"),
         ("values-gap", lambda: sequence_from_values(gap), MalformedInput, "site 3"),
+        ("values-empty", lambda: sequence_from_values({}), MalformedInput, "no coefficients"),
+        ("values-not-a-number", values_with(4, "x"), MalformedInput, "site 4:"),
+        ("values-ragged", values_with(4, [[0.1, 0.2], [0.3]]), MalformedInput, "site 4:"),
+        ("values-string-keys", lambda: sequence_from_values({"0": 1.0, "1": 0.1, "2": 1.0}),
+         MalformedInput, "integer"),
+        ("values-not-a-map", lambda: sequence_from_values([1.0, 0.1, 1.0]), MalformedInput,
+         "integer sites"),
         ("ragged-stack", lambda: VerblunskySequence(0, [[[1]], [[0.1, 0.2]]]),
          DimensionMismatch, "regular array"),
     ]

@@ -76,35 +76,55 @@ def test_full_kernel_propagates_one_family_per_z(monkeypatch):
     z = 0.5 * np.exp(0.9j)
     zc = 1.0 / np.conj(z)
     pairs = [(k0 - 3, k0 + 2), (k0 + 4, k0 - 1), (k0, k0), (k0 + 1, k0 + 1)]
-    real = weyl.seed_family
+    real = greens.seed_family
     seen = []
 
     def counting(gamma, z, *args, **kwargs):
         seen.append(z)
         return real(gamma, z, *args, **kwargs)
 
-    monkeypatch.setattr(weyl, "seed_family", counting)
+    monkeypatch.setattr(greens, "seed_family", counting)
     got = full_green_entries(seq, k0, g, z, pairs)
     assert seen == [z, zc]
     monkeypatch.undo()
-    sol = {(s, z): weyl_solution(seq, k0, g, z, s) for s in (PLUS, MINUS)}
-    reflected = weyl._weyl_solutions(seq, k0, g, zc, (seq.k_min, seq.k_max - 1),
-                                     Ms=[-sol[s, z].M.conj().T for s in (PLUS, MINUS)])
-    sol.update({(s, zc): r for s, r in zip((PLUS, MINUS), reflected)})
-    W = sol[PLUS, z].M - sol[MINUS, z].M
+    sol = {s: weyl_solution(seq, k0, g, z, s) for s in (PLUS, MINUS)}
+    X_c = window_family(seq, g, zc, k0, PLUS).X
+    U_c = {s: weyl._combination(X_c, -sol[s].M.conj().T)[:, :2] for s in (PLUS, MINUS)}
+    W = sol[PLUS].M - sol[MINUS].M
     for entry, (k, kp) in zip(got, pairs):
+        ik, ikp = k - sol[PLUS].k_lo, kp - sol[PLUS].k_lo
         if entry.branch is GreensBranch.UPPER_ODD:
-            left, right = sol[MINUS, z].at(k)[0], sol[PLUS, zc].at(kp)[0]
+            left, right = sol[MINUS].U[ik], U_c[PLUS][ikp]
         else:
-            left, right = sol[PLUS, z].at(k)[0], sol[MINUS, zc].at(kp)[0]
+            left, right = sol[PLUS].U[ik], U_c[MINUS][ikp]
         want = left @ np.linalg.solve(W, right.conj().T) / (2.0 * z)
         assert np.array_equal(entry.value, want)
 
 
+def test_full_kernel_forms_solution_values_only_at_the_pairs_sites(monkeypatch):
+    """One full call puts exactly two rows per pair through X [c; I] (the left factor at k,
+    the right one at kp) and never a stack over the propagated span."""
+    seq, g, k0 = make_case(2, 38, n=60)
+    pairs = [(k0 - 20, k0 + 25), (k0 + 4, k0 - 1), (k0, k0), (k0 + 1, k0 + 1), (3, 56)]
+    real = greens._combination
+    rows = []
+
+    def counting(X, M):
+        rows.append(X.shape[0])
+        return real(X, M)
+
+    monkeypatch.setattr(greens, "_combination", counting)
+    for batch in (pairs, pairs[:1], pairs[1:2]):      # mixed, all-upper, all-lower
+        rows.clear()
+        full_green_entries(seq, k0, g, 0.5 * np.exp(0.3j), batch)
+        assert sum(rows) == 2 * len(batch)
+        assert all(r <= len(batch) for r in rows)
+
+
 def test_batched_entries_factor_once_per_cut_and_z(count_calls):
     """The oracle makes one banded LU per (cut, z) for any number of pairs; the
-    half kernel one for its m-function at z, which gives m at 1/conj(z) too, and
-    one propagation per z."""
+    half kernel one for its m-function at z, which gives m at 1/conj(z) too, the
+    full kernel one per half window, and both one propagation per z."""
     seq, g, k0 = make_case(2, 36)
     z = 0.5 * np.exp(0.7j)
     near = [(k, kp) for k in range(k0 - 4, k0 + 5) for kp in range(k0 - 4, k0 + 5, 2)]
@@ -120,6 +140,9 @@ def test_batched_entries_factor_once_per_cut_and_z(count_calls):
         del lu[:], moves[:]
         half_green_entries(seq, k0, g, z, pairs, sign)
         assert len(lu) == 1 and [args[1].z for args in moves] == [z, 1.0 / np.conj(z)]
+    del lu[:], moves[:]
+    full_green_entries(seq, k0, g, z, near)
+    assert len(lu) == 2 and [args[1].z for args in moves] == [z, 1.0 / np.conj(z)]
 
 
 def test_single_pair_forms_equal_the_batched_forms():
@@ -156,27 +179,33 @@ def test_single_pair_forms_equal_the_batched_forms():
 
 def test_batched_half_kernel_equals_its_single_pair_calls():
     """One stacked half_green_entries call gives bit for bit the blocks of its single-pair
-    calls, with pairs over the whole half window in both branches: m = 1..3, both signs,
-    k0 even and odd, |z| < 1 and |z| > 1."""
+    calls and of its all-upper and all-lower sub-batches, with pairs over the whole half
+    window in both branches: m = 1..3, both signs, k0 even and odd, |z| < 1 and |z| > 1.
+    So does one full_green_entries call with pairs over the whole window."""
     for m in (1, 2, 3):
         seq = generate(EnsembleSpec(m=m, k_min=0, k_max=30, seed=90 + m, radius_max=0.85))
         g = random_unitary(np.random.default_rng(95 + m), m)
         rng = np.random.default_rng(m)
         for k0 in (14, 15):
-            for sign in (PLUS, MINUS):
-                lo, hi = (k0, seq.k_max - 1) if sign == PLUS else (seq.k_min, k0)
+            for sign in (PLUS, MINUS, None):
+                lo, hi = {PLUS: (k0, seq.k_max - 1), MINUS: (seq.k_min, k0),
+                          None: (seq.k_min, seq.k_max - 1)}[sign]
                 pairs = [tuple(int(s) for s in rng.integers(lo, hi + 1, 2)) for _ in range(12)]
                 pairs += [(lo, hi), (hi, lo), (k0, k0), (lo, lo), (hi, hi)]
+                if sign is None:
+                    kernel = lambda z, pairs: full_green_entries(seq, k0, g, z, pairs)
+                else:
+                    kernel = lambda z, pairs: half_green_entries(seq, k0, g, z, pairs, sign)
                 for z in (0.6 * np.exp(0.7j), 1.7 * np.exp(-2.4j)):
-                    batch = half_green_entries(seq, k0, g, z, pairs, sign)
+                    batch = kernel(z, pairs)
                     assert {e.branch for e in batch} == set(GreensBranch)
                     for entry, (k, kp) in zip(batch, pairs):
-                        one = half_lattice_green(seq, k0, g, z, k, kp, sign)
+                        one, = kernel(z, [(k, kp)])
                         assert (entry.k, entry.kp, entry.branch) == (one.k, one.kp, one.branch)
                         assert np.array_equal(entry.value, one.value)
                     for branch in GreensBranch:     # all-upper and all-lower batches
                         want = [e for e in batch if e.branch is branch]
-                        got = half_green_entries(seq, k0, g, z, [(e.k, e.kp) for e in want], sign)
+                        got = kernel(z, [(e.k, e.kp) for e in want])
                         for entry, one in zip(got, want, strict=True):
                             assert (entry.k, entry.kp, entry.branch) == (one.k, one.kp, branch)
                             assert np.array_equal(entry.value, one.value)
