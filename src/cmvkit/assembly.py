@@ -12,13 +12,16 @@ against, and the V and W* of the window in LAPACK band storage, which serve
 the solves and which band_block reads back. The split variant replaces one
 block by diag(-gamma_left, gamma_right*), severing the window in two halves;
 operator_difference_block is the 2m x 2m block by which U and the split
-differ; block_diag forms direct sums. PencilLU is one banded LU (LAPACK
-zgbtrf and zgbtrs, from _lapack) of the pencil V - z W* of the window, a
-half window or a split, whose solve serves any set of right-hand sides.
-From one PencilLU, resolvent_blocks reads any m x m blocks of the
+differ; block_diag forms direct sums. _pencil forms every pencil V - z W*,
+and is the one place a cut or split block enters one. PencilLU is one
+banded LU (LAPACK zgbtrf and zgbtrs, from _lapack) of the pencil of the
+window, a half window or a split, whose solve serves any set of right-hand
+sides. From one PencilLU, resolvent_blocks reads any m x m blocks of the
 resolvent (U_s - z)^{-1} of the window or of a half window cut at k0,
-never forming U_s; the half-window m-functions and the Green oracle read
-their blocks from it.
+never forming U_s: the Green oracle and the half-window oracle.
+cut_resolvent_blocks is the m-functions' own route to G(k0, k0) of the half
+windows: k0 eliminated last in each, both halves in one banded LU, and a
+solve over each half's trailing block only.
 """
 
 from __future__ import annotations
@@ -217,30 +220,95 @@ def half_sites(seq: VerblunskySequence, k0, half: int) -> tuple:
     return (k0, seq.k_max - 1) if half > 0 else (seq.k_min, k0)
 
 
+def _half_window(seq: VerblunskySequence, k0, half: int) -> tuple:
+    """(lo, hi, k, j) of the half window of sign half cut at k0 (half_sites), 4 sites or
+    more (else SiteOutOfWindow): its columns lo .. hi in seq, and the cut coefficient k (k0
+    for plus, k0 + 1 for minus), whose block _cut_block gives, at the half's columns j .."""
+    first, last = half_sites(seq, k0, half)
+    if not seq.k_min <= first < last - 2 <= seq.k_max - 3:
+        raise SiteOutOfWindow(f"half window [{first}, {last + 1}] of [{seq.k_min}, "
+                              f"{seq.k_max}] must hold 4 sites or more")
+    m, i = seq.m, (k0 - seq.k_min) * seq.m    # i: first column of site k0 in seq
+    return (i, m * seq.n_sites, k0, -m) if half > 0 else (0, i + m, k0 + 1, i)
+
+
+def _cut_block(gamma, m: int) -> np.ndarray:
+    """diag(-gamma, gamma*), the cut block of either half window, gamma an m x m unitary or
+    BoundaryUnitary; MissingCut if gamma is None."""
+    if gamma is None:
+        raise MissingCut("a half window needs its boundary unitary gamma")
+    gamma = (as_boundary(gamma, m).gamma if isinstance(gamma, BoundaryUnitary)
+             else _unitary_block(gamma, "gamma", m))     # the solve needs no root
+    return block_diag(-gamma, gamma.conj().T)
+
+
+def _pencil(V, W_star, z, out=None, k: int = 0, j: int = 0, block=None) -> np.ndarray:
+    """V - z W*, V and W* in band_storage's layout, written into out (a new array if None).
+
+    Given a block, coefficient k's block at columns j .. j + len(block) holds it instead:
+    in V for even k, else in W, whose adjoint W* holds block*. Each of its columns inside
+    the pencil is written whole, so a half window's cut block puts exact zeros on the rows
+    across the cut; its columns outside are not written. The one place a cut or split
+    block enters a pencil.
+    """
+    out = np.subtract(V, z * W_star, out=out)
+    b, n = (len(V) - 1) // 3, 0 if block is None else len(block)
+    for l in range(max(-j, 0), min(n, V.shape[1] - j)):     # column j + l of the block
+        at = (slice(2 * b - l, 2 * b - l + n), j + l)
+        out[at] = block[:, l] - z * W_star[at] if k % 2 == 0 else V[at] - z * block[l].conj()
+    return out
+
+
+def _adjoint_rows(W_star, i: int, c0: int, width: int, k: int = 0, j: int = 0,
+                  block=None) -> np.ndarray:
+    """(W E)* at the columns c0 .. c0 + width, each within one site of E's, from W* in
+    band_storage's layout, E the injection of the site whose first column is i; given
+    coefficient k's block at columns j .. as for _pencil, W*'s entries in it read block*
+    for odd k."""
+    b = (len(W_star) - 1) // 3
+    m = (b + 1) // 2
+    rows = np.empty((m, width), dtype=complex)
+    for t, c in enumerate(range(c0, c0 + width)):     # W*(r, c) sits at [2b + r - c, c]
+        rows[:, t] = W_star[2 * b + i - c:2 * b + i - c + m, c]
+    if block is not None and k % 2 and j <= i < j + len(block):
+        lo, hi = max(j, c0), min(j + len(block), c0 + width)
+        rows[:, lo - c0:hi - c0] = block.conj().T[i - j:i - j + m, lo - j:hi - j]
+    return rows
+
+
+def _factor(pencil: np.ndarray, z) -> tuple:
+    """The banded LU (lu, piv) of a formed pencil, kl = ku = b (LAPACK gbtrf, in place)."""
+    b = (len(pencil) - 1) // 3
+    lu, piv, info = _gbtrf(pencil, b, b, overwrite_ab=True)
+    if info != 0:
+        raise SingularSolve(f"resolvent solve failed at z = {z}")
+    return lu, piv
+
+
+def _solve(lu: np.ndarray, piv: np.ndarray, rhs: np.ndarray, z, trans: int = 0) -> np.ndarray:
+    """lu^{-1} rhs (lu^{-*} rhs for trans=2): one gbtrs, each column solved by itself.
+    SingularSolve if it fails or overflows."""
+    b = (len(lu) - 1) // 3
+    X, info = _gbtrs(lu, b, b, rhs, piv, trans=trans)
+    if info != 0 or not np.isfinite(X).all():
+        raise SingularSolve(f"resolvent solve failed or overflowed at z = {z}")
+    return X
+
+
 class PencilLU:
-    """One banded LU (LAPACK gbtrf) of V - z W*, V and W* in band_storage's layout; given a
-    block, the diagonal block at columns j.. holds coefficient k's block instead (in V for
-    even k, else in W, whose adjoint W* holds), written into the formed pencil, so neither
-    V nor W* is copied. Its solve serves any right-hand sides, each column solved by
-    itself. SingularSolve if the pencil is singular or a solve overflows."""
+    """One banded LU of V - z W*, V and W* in band_storage's layout, formed by _pencil (given
+    a block, coefficient k's block at columns j.. holds it), so neither V nor W* is copied.
+    Its solve serves any right-hand sides. SingularSolve if the pencil is singular or a solve
+    overflows."""
 
     def __init__(self, V: np.ndarray, W_star: np.ndarray, z: complex,
                  k: int = 0, j: int = 0, block: np.ndarray | None = None):
-        self.b, self.z = (V.shape[0] - 1) // 3, z
-        pencil = V - z * W_star
-        for l in range(0 if block is None else len(block)):    # column j + l of the block
-            at = (slice(2 * self.b - l, 2 * self.b - l + len(block)), j + l)
-            pencil[at] = block[:, l] - z * W_star[at] if k % 2 == 0 else V[at] - z * block[l].conj()
-        self.lu, self.piv, info = _gbtrf(pencil, self.b, self.b, overwrite_ab=True)
-        if info != 0:
-            raise SingularSolve(f"resolvent solve failed at z = {z}")
+        self.z = z
+        self.lu, self.piv = _factor(_pencil(V, W_star, z, None, k, j, block), z)
 
     def solve(self, rhs: np.ndarray, trans: int = 0) -> np.ndarray:
         """(V - z W*)^{-1} rhs, or (V - z W*)^{-*} rhs for trans=2: one gbtrs."""
-        X, info = _gbtrs(self.lu, self.b, self.b, rhs, self.piv, trans=trans)
-        if info != 0 or not np.isfinite(X).all():
-            raise SingularSolve(f"resolvent solve failed or overflowed at z = {self.z}")
-        return X
+        return _solve(self.lu, self.piv, rhs, self.z, trans)
 
 
 def resolvent_blocks(seq: VerblunskySequence, z: complex, pairs,
@@ -254,51 +322,87 @@ def resolvent_blocks(seq: VerblunskySequence, z: complex, pairs,
     finite and that every site is a site of U_s.
     W is unitary, so (U_s - z)^{-1} = W* (V - z W*)^{-1}.
 
-    A half window's V and W* are a column slice of seq.bands in which only
-    the cut block's corner at k0 differs: gamma* (plus) or -gamma (minus).
-    Its entries coupling to the sites cut off fall in the corner of the
-    band layout outside the matrix, which the LU never reads. PencilLU writes
-    the corner into the formed pencil, and (W E_k0)* takes it directly when it
-    lies in W, so no band is copied. One PencilLU and one solve over the distinct
-    kp give X = (V - z W*)^{-1} E_kp, and each block is (W E_k)* X. Raises
-    SingularSolve when the solve fails or overflows.
+    A half window's V and W* are a column slice of seq.bands in which only the cut
+    block diag(-gamma, gamma*) differs (_half_window, _cut_block). PencilLU writes its
+    columns inside the half into the formed pencil, and _adjoint_rows reads (W E_k0)* from it
+    when it lies in W, so no band is copied. One PencilLU and one solve over the
+    distinct kp give X = (V - z W*)^{-1} E_kp, and each block is (W E_k)* X, the row
+    dense over U_s. This is the general solve behind the Green oracle and the
+    half-window oracle; cut_resolvent_blocks, a route of its own, serves the
+    m-functions. Raises SingularSolve when the solve fails or overflows.
     """
-    m, b = seq.m, 2 * seq.m - 1
+    m = seq.m
     V, W_star = seq.bands
-    lo, hi = 0, m * seq.n_sites               # the columns of U_s in seq
-    cut, j0, corner = 0, 0, None              # j0: first column of site k0 in U_s
+    lo, hi, cut = 0, m * seq.n_sites, ()      # the columns of U_s in seq, its cut block
     if half is not None:
-        first, last = half_sites(seq, k0, half)
-        if not seq.k_min <= first < last - 2 <= seq.k_max - 3:
-            raise SiteOutOfWindow(f"half window [{first}, {last + 1}] of [{seq.k_min}, "
-                                  f"{seq.k_max}] must hold 4 sites or more")
-        if gamma is None:
-            raise MissingCut("a half window needs its boundary unitary gamma")
-        gamma = (as_boundary(gamma, m).gamma if isinstance(gamma, BoundaryUnitary)
-                 else _unitary_block(gamma, "gamma", m))     # the solve needs no root
-        i = (k0 - seq.k_min) * m              # first column of site k0 in seq
-        if half > 0:
-            lo, cut, corner = i, k0, gamma.conj().T
-        else:
-            hi, cut, corner = i + m, k0 + 1, -gamma
-        V, W_star, j0 = V[:, lo:hi], W_star[:, lo:hi], i - lo
+        lo, hi, k, j = _half_window(seq, k0, half)
+        V, W_star, cut = V[:, lo:hi], W_star[:, lo:hi], (k, j, _cut_block(gamma, m))
     cols = dict.fromkeys([kp for _, kp in pairs])     # each distinct kp: its first column of E
     E = np.zeros((hi - lo, m * len(cols)), dtype=complex)
     for i, kp in zip(range(0, E.shape[1], m), cols):
         cols[kp], j = i, (kp - seq.k_min) * m - lo
         E[j:j + m, i:i + m].flat[::m + 1] = 1.0       # the identity at site kp
-    X = PencilLU(V, W_star, z, cut, j0, corner).solve(E)
+    X = PencilLU(V, W_star, z, *cut).solve(E)
     rows, blocks = {}, []                     # rows: (W E_k)* for each distinct k
     for k, kp in pairs:
         if k not in rows:                     # (W E_k)* = W*(k, c), nonzero within one site of k
-            j = (k - seq.k_min) * m - lo
-            rows[k] = np.full((hi - lo, m), complex(0.0, -0.0)).T    # an adjoint's zeros: conj(0)
-            for c in range(max(j - m, 0), min(j + 2 * m, hi - lo)):
-                rows[k][:, c] = W_star[2 * b + j - c:2 * b + j - c + m, c]
-            if k == k0 and cut % 2:           # the corner in W: W*(k0, k0) = corner*
-                rows[k][:, j:j + m] = corner.conj().T
+            i = (k - seq.k_min) * m - lo
+            c0, c1 = max(i - m, 0), min(i + 2 * m, hi - lo)
+            rows[k] = np.full((m, hi - lo), complex(0.0, -0.0))    # an adjoint's zeros: conj(0)
+            rows[k][:, c0:c1] = _adjoint_rows(W_star, i, c0, c1 - c0, *cut)
         blocks.append(rows[k] @ X[:, cols[kp]:cols[kp] + m])
     return blocks
+
+
+def cut_resolvent_blocks(seq: VerblunskySequence, z: complex, k0: int, gamma,
+                         halves=(1, -1)) -> np.ndarray:
+    """The stack of G_h(k0, k0) = E_k0* (U_h - z)^{-1} E_k0 for each half window h in halves
+    (+1 or -1), cut at k0 with gamma as in resolvent_blocks, from one banded LU for all.
+
+    Each half is factored with k0 eliminated last. The minus half [k_min, k0] ends at k0.
+    The plus half is factored reversed, as J P J with J the order-reversing permutation
+    (its band rows b .. 3b and its columns flipped), so its right-hand side J E_k0 is the
+    anti-identity on its last m rows, and its solution rows read back reversed. The halves'
+    pencils (_pencil, the cut block's columns written whole) sit side by side in one band
+    array; exact zeros across each cut decouple them, so no pivot crosses between halves
+    while the LU stays finite (checked, as a stray pivot would make a solve read outside
+    its half).
+
+    A right-hand side on a half's last m rows reaches, through pivots and fill, only its
+    last K = 3m - 1 rows, so one gbtrs on the LU's K trailing columns of that half (pivots
+    shifted) gives exactly those rows of the full solve; they hold the 2m rows that
+    (W E_k0)* reads. SingularSolve when the LU or a solve fails or is not finite.
+    """
+    m, b, K = seq.m, 2 * seq.m - 1, 3 * seq.m - 1
+    V, W_star = seq.bands
+    cuts, end = [], 0                         # (half, lo, hi, k, j, its first column in ab)
+    for half in halves:
+        lo, hi, k, j = _half_window(seq, k0, half)
+        cuts.append((half, lo, hi, k, j, end))
+        end += hi - lo
+    block = _cut_block(gamma, m)
+    ab = np.empty((3 * b + 1, end), dtype=complex, order="F")
+    for half, lo, hi, k, j, a in cuts:
+        out = ab[:, a:a + hi - lo]
+        P = _pencil(V[:, lo:hi], W_star[:, lo:hi], z, out if half < 0 else None, k, j, block)
+        if half > 0:    # column-major, J P J's band is P's read backwards from entry b on
+            out.T.reshape(-1)[b:] = P.T.reshape(-1)[:b - 1:-1]
+    lu, piv = _factor(ab, z)
+    i = (k0 - seq.k_min) * m                  # first column of site k0 in seq
+    E = np.zeros((K, m), dtype=complex, order="F")         # E_k0 on the last K rows
+    E.flat[(K - m) * m::m + 1] = 1.0
+    G = np.empty((len(cuts), m, m), dtype=complex)
+    for h, (half, lo, hi, k, j, a) in enumerate(cuts):
+        e = a + hi - lo
+        p = piv[e - K:e] - (e - K)            # a pivot reaches kl < K rows down, so only these
+        if max(p.tolist()) > K:               # can leave the half: a non-finite LU lets them
+            raise SingularSolve(f"resolvent solve failed at z = {z}")
+        rhs = E if half < 0 else E[:, ::-1]   # E_k0, or J E_k0 for the reversed plus half
+        X = _solve(lu[:, e - K:e], p, rhs, z)[K - 2 * m:]
+        # (W E_k0)* on sites k0 - 1, k0 (minus) or k0, k0 + 1 (plus, solved in reverse)
+        c0, X = (i - m, X) if half < 0 else (i, X[::-1])
+        np.matmul(_adjoint_rows(W_star, i, c0, 2 * m, k, j + lo, block), X, out=G[h])
+    return G
 
 
 def assemble_split(seq: VerblunskySequence, spec: SplitSpec) -> CmvOperatorSet:

@@ -6,7 +6,9 @@ spectral functions (mfun), Green's kernel evaluation (green), sample
 validity checks (analytic), and the invariant suites (verify).
 
 Exit codes: 0 success, 1 failed checks, 2 usage or input errors, which
-are exactly a CmvError (errors.py) or an OSError; anything else is a bug.
+are exactly a CmvError (errors.py) or an OSError; 141 (128 + SIGPIPE, what
+a shell reports for a writer its pipe's reader left) when stdout's reader
+closes early, with nothing on stderr; anything else is a bug.
 """
 
 from __future__ import annotations
@@ -39,6 +41,8 @@ from ..laurent import window_family
 from ..weyl import spectral_sample
 from .ensembles import Distribution, EnsembleSpec, generate
 from .suites import SUITES, Tolerances, run_suite
+
+EXIT_BROKEN_PIPE = 141
 
 
 def _parse(text: str, form: str, *kinds) -> list:
@@ -177,27 +181,32 @@ _MATRICES = ("m_plus", "m_minus", "M_plus", "M_minus", "Phi_plus", "Phi_minus")
 _FLAGS = ("caratheodory_plus", "anti_caratheodory_minus", "schur_plus", "anti_schur_minus")
 
 
+def _kept(names, sign: str | None) -> list:
+    """The names of one sign's half with sign '+' or '-', else all of them."""
+    drop = {"+": "_minus", "-": "_plus"}.get(sign)
+    return [name for name in names if not (drop and name.endswith(drop))]
+
+
 def _sample_payload(sample, sign: str | None) -> dict:
-    full = {"z": [sample.z.real, sample.z.imag],
-            **{name: _matrix_to_json(getattr(sample, name)) for name in _MATRICES},
-            **{name: getattr(sample, name) for name in _FLAGS}}
-    drop = {"+": "_minus", "-": "_plus"}.get(sign)    # keep one sign's half
-    return {key: val for key, val in full.items() if not (drop and key.endswith(drop))}
+    return {"z": [sample.z.real, sample.z.imag],
+            **{name: _matrix_to_json(getattr(sample, name)) for name in _kept(_MATRICES, sign)},
+            **{name: getattr(sample, name) for name in _kept(_FLAGS, sign)}}
 
 
-def _grid_rows(seq, k0, gamma, radii, n_theta):
+def _grid_rows(seq, k0, gamma, radii, n_theta, sign: str | None):
     cells = [(i, j) for i in range(seq.m) for j in range(seq.m)]
-    rows = [["z_re", "z_im"] + [f"{name}_{i}{j}_{part}" for name in _MATRICES
-                                for i, j in cells for part in ("re", "im")] + list(_FLAGS)]
+    matrices, flags = _kept(_MATRICES, sign), _kept(_FLAGS, sign)
+    rows = [["z_re", "z_im"] + [f"{name}_{i}{j}_{part}" for name in matrices
+                                for i, j in cells for part in ("re", "im")] + flags]
     for r in radii:
         for jt in range(n_theta):
             z = r * np.exp(2j * np.pi * jt / n_theta)
             samp = spectral_sample(seq, k0, gamma, z)
             row = [z.real, z.imag]
-            for name in _MATRICES:
+            for name in matrices:
                 for i, j in cells:
                     row.extend([getattr(samp, name)[i, j].real, getattr(samp, name)[i, j].imag])
-            rows.append(row + [int(getattr(samp, name)) for name in _FLAGS])
+            rows.append(row + [int(getattr(samp, name)) for name in flags])
     return rows
 
 
@@ -213,12 +222,14 @@ def cmd_mfun(args) -> int:
     seq = load_sequence(args.infile)
     gamma = as_boundary(_load_gamma(args.gamma, seq.m), seq.m)
     if args.grid:
+        if args.z is not None:
+            raise MalformedInput("mfun takes --z or --grid, not both")
         r1, r2, n_theta = _parse(args.grid, "--grid 'R1,R2,NTHETA'", float, float, int)
         if n_theta < 1:
             raise OutOfRange(f"--grid needs NTHETA >= 1, got {n_theta}")
         if not (r1 > 0 and r2 > 0):
             raise OutOfRange(f"--grid needs radii R1, R2 > 0, got {r1}, {r2}")
-        _emit_csv(_grid_rows(seq, args.k0, gamma, (r1, r2), n_theta), args.out)
+        _emit_csv(_grid_rows(seq, args.k0, gamma, (r1, r2), n_theta, args.sign), args.out)
         return 0
     if args.z is None:
         raise MalformedInput("need --z RE,IM (or --grid) for mfun")
@@ -408,7 +419,12 @@ def main(argv=None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
     try:
-        return args.func(args)
+        code = args.func(args)
+        sys.stdout.flush()                  # a closed reader shows here, not at exit
+        return code
+    except BrokenPipeError:                 # the reader of stdout left: stop quietly
+        os.dup2(os.open(os.devnull, os.O_WRONLY), sys.stdout.fileno())
+        return EXIT_BROKEN_PIPE
     except (CmvError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

@@ -47,7 +47,7 @@ from .laurent import (
     propagate,
     seed_family,
 )
-from .weyl import M_function, _combination, _weyl_solutions, m_function
+from .weyl import _M_functions, _combination, _weyl_solutions, m_function
 
 
 class GreensBranch(Enum):
@@ -150,7 +150,7 @@ def _kernel(seq: VerblunskySequence, k0: int, gamma, z, pairs, sign) -> list:
     seed = PLUS if sign is None else sign
     fam_z, fam_c = (propagate(seq, seed_family(gamma, w, k0, seed), *sites) for w in (z, zc))
     if sign is None:        # coefficients (upper, lower) of the left and of the right factor
-        Mp, Mm = (M_function(seq, k0, gamma, z, s) for s in (PLUS, MINUS))
+        Mp, Mm = _M_functions(seq, k0, gamma, z)
         lefts, rights, W = (Mm, Mp), (-Mp.conj().T, -Mm.conj().T), Mp - Mm
     else:
         m_z = m_function(seq, k0, gamma, z, sign)
@@ -194,8 +194,9 @@ def dense_resolvent_entries(seq: VerblunskySequence, z, pairs, half=None,
                             k0: int | None = None, gamma=None) -> list:
     """Oracle blocks of (U - z)^{-1} for many (k, kp) pairs at one z, from one banded LU
     (assembly.resolvent_blocks); with half = +1/-1 (and k0, gamma) those of the half-window
-    operator. It propagates no solution family, so it checks the factorized kernels;
-    m_function reads G(k0, k0) from the same banded solve. No dense matrix is formed."""
+    operator. It propagates no solution family, so it checks the factorized kernels, and
+    it checks m_function, whose G(k0, k0) comes from a solve of its own
+    (assembly.cut_resolvent_blocks). No dense matrix is formed."""
     z = require_off_circle(z, allow_zero=True)
     sign = None if half is None else _norm_sign(half)
     pairs, _ = _check_pairs(seq, k0, sign, pairs)

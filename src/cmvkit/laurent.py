@@ -27,7 +27,7 @@ one-site path.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property, partialmethod
+from functools import cached_property, lru_cache, partialmethod
 from typing import NamedTuple
 
 import numpy as np
@@ -107,10 +107,24 @@ def _path_band(seq: VerblunskySequence, z, k_lo: int, k_hi: int,
     band = np.empty((n + 1, 2 * m, 4 * m), dtype=complex)
     band[:n], band[n] = (rows[::-1] if inverse else rows), 0.0
     first = k_hi if inverse else k_lo     # the path's first site
-    steps = _as_steps(band[:n])[(first + 1) % 2::2]     # the odd sites
-    np.multiply(z, steps[:, :m, m:], out=steps[:, :m, m:])
-    np.divide(steps[:, m:, :m], z, out=steps[:, m:, :m])
+    flat, (upper, lower) = band.reshape(-1), _odd_blocks(n, m, (first + 1) % 2)
+    flat[upper] = np.multiply(z, flat[upper])
+    flat[lower] = np.divide(flat[lower], z)
     return band
+
+
+@lru_cache(maxsize=128)
+def _odd_blocks(n: int, m: int, parity: int) -> tuple:
+    """Read-only flat positions, in an (n + 1, 2m, 4m) C-contiguous path band, of the
+    upper-right and then the lower-left m x m block of the steps parity, parity + 2, ...
+    below n of _as_steps' view: item w + (2w^2) j + r + (2w - 1) c holds step j's (r, c)."""
+    w = 2 * m
+    at = w + 2 * w * w * np.arange(parity, n, 2)[:, None, None] + np.arange(m)[:, None]
+    out = tuple((at + rows + (2 * w - 1) * (cols + np.arange(m))).reshape(-1)
+                for rows, cols in ((0, m), (m, 0)))
+    for a in out:
+        a.setflags(write=False)
+    return out
 
 
 def transfer(seq: VerblunskySequence, z, k: int) -> np.ndarray:

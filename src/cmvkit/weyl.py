@@ -9,9 +9,11 @@ with E the coordinate injection at k0. The plus operator lives on sites
 minus operator lives on [k_min, k0] with gamma installed at k0 + 1.
 Since (U_h + z)(U_h - z)^{-1} = I + 2z (U_h - z)^{-1}, m is the resolvent
 block G(k0, k0) of the half window, m = +/- (I + 2z G(k0, k0)). It comes
-from assembly.resolvent_blocks, the one banded LU of the pencil
-V - z W* sliced from seq.bands that also serves the Green oracle; neither
-U_h = V W nor the half window's sequence is formed.
+from assembly.cut_resolvent_blocks: one banded LU of the half windows'
+pencils V - z W*, k0 eliminated last in each, and a solve over the trailing
+block only; a call for both signs factors both halves at once. The Green
+oracle's assembly.resolvent_blocks is a separate solve, so the two check
+each other; neither U_h = V W nor the half window's sequence is formed.
 
 M_plus coincides with m_plus. M_minus is a Cayley-type transform of
 m_minus; both directions of that transform, its z = 0 closed form, the
@@ -27,7 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .assembly import resolvent_blocks
+from .assembly import cut_resolvent_blocks
 from .coefficients import (
     VerblunskySequence,
     _as_square,
@@ -56,7 +58,7 @@ def m_function(seq: VerblunskySequence, k0: int, gamma, z, sign) -> np.ndarray:
     """Half-lattice m-function at the reference site, by a banded pencil solve.
 
     The raw sandwich +/- E*(U_h + z)(U_h - z)^{-1} E = +/- (I + 2z G(k0, k0)),
-    with G(k0, k0) from assembly.resolvent_blocks (which slices V - z W* from
+    with G(k0, k0) from assembly.cut_resolvent_blocks (which slices V - z W* from
     seq.bands and never forms U_h), carries the
     boundary unitary in a frame that differs from the Laurent families by
     a one-sided square root of gamma.  To keep every downstream identity
@@ -82,16 +84,23 @@ def m_function(seq: VerblunskySequence, k0: int, gamma, z, sign) -> np.ndarray:
     -------
     The m x m matrix-valued m-function in the family frame.
     """
-    sign = _norm_sign(sign)
+    return _m_functions(seq, k0, gamma, z, (_norm_sign(sign),))[0]
+
+
+def _m_functions(seq: VerblunskySequence, k0: int, gamma, z, signs=(PLUS, MINUS)) -> np.ndarray:
+    """The stack of m_function for each of signs at one z, from one banded LU of their half
+    windows; the frame and the sums act on the whole stack."""
     z = require_off_circle(z, allow_zero=True)
     boundary = as_boundary(gamma, seq.m)
-    G, = resolvent_blocks(seq, z, ((k0, k0),), sign, k0, boundary)
-    raw = float(sign) * (np.eye(seq.m) + 2.0 * z * G)
     gh = boundary.root
     ghi = gh.conj().T
-    if k0 % 2 == 0:
-        return gh @ raw @ ghi
-    return ghi @ raw @ gh
+    left, right = (gh, ghi) if k0 % 2 == 0 else (ghi, gh)
+    raw = 2.0 * (z * cut_resolvent_blocks(seq, z, k0, boundary, signs))    # no 2z to overflow
+    raw.reshape(len(signs), -1)[:, ::seq.m + 1] += 1.0     # I + 2z G
+    for h, sign in enumerate(signs):
+        if sign == MINUS:
+            np.negative(raw[h], out=raw[h])
+    return left @ raw @ right
 
 
 def m_from_edge_condition(seq: VerblunskySequence, k0: int, gamma, z, sign) -> np.ndarray:
@@ -123,12 +132,14 @@ def M_minus_from_m_minus(m_minus: np.ndarray, z) -> np.ndarray:
     M = [(m + I) - z(m - I)] [(m + I) + z(m - I)]^{-1}; the two factors
     commute, so the quotient may be taken on either side.
     """
-    z = require_finite(z)
-    m = _as_square(m_minus)
+    return _M_from_m(_as_square(m_minus), require_finite(z))
+
+
+def _M_from_m(m: np.ndarray, z: complex) -> np.ndarray:
+    """M_minus_from_m_minus for an m the caller has produced finite and square itself."""
     eye = np.eye(m.shape[0])
-    num = (m + eye) - z * (m - eye)
-    den = (m + eye) + z * (m - eye)
-    return solve(num, den, right=True)
+    plus, minus = m + eye, z * (m - eye)
+    return solve(plus - minus, plus + minus, right=True)
 
 
 def m_minus_from_M_minus(M_minus: np.ndarray, z) -> np.ndarray:
@@ -185,13 +196,23 @@ def _M_minus(seq: VerblunskySequence, k0: int, gamma, z, m_minus=None):
         return M_minus_at_zero(seq.alpha(k0), gamma)
     if m_minus is None:
         m_minus = m_function(seq, k0, gamma, z, MINUS)
-    return M_minus_from_m_minus(m_minus, z)
+    return _M_from_m(m_minus, z)
+
+
+def _M_functions(seq: VerblunskySequence, k0: int, gamma, z, signs=(PLUS, MINUS)) -> list:
+    """M_function for each of signs at one z != 0, from one _m_functions call."""
+    return [m if sign == PLUS else _M_from_m(m, z)
+            for sign, m in zip(signs, _m_functions(seq, k0, gamma, z, signs))]
 
 
 def schur_from_M(M: np.ndarray) -> np.ndarray:
     """Cayley transform Phi = (M - I)(M + I)^{-1} of one M or of a stack (..., m, m);
     also analytic.cayley."""
-    M = _as_square(M, stack=True)
+    return _schur(_as_square(M, stack=True))
+
+
+def _schur(M: np.ndarray) -> np.ndarray:
+    """schur_from_M for an M, or stack, the caller has produced finite and square itself."""
     eye = np.eye(M.shape[-1])
     return solve(M - eye, M + eye, right=True)
 
@@ -292,7 +313,7 @@ def _weyl_solutions(seq: VerblunskySequence, k0: int, gamma, z, sites,
     signs = [_norm_sign(sign) for sign in signs]
     z = require_off_circle(z)
     gamma = as_boundary(gamma, seq.m)
-    Ms = [M_function(seq, k0, gamma, z, sign) for sign in signs]
+    Ms = _M_functions(seq, k0, gamma, z, signs)
     fam = propagate(seq, seed_family(gamma, z, k0, PLUS), *sites)
     return tuple(WeylSolution(sign=sign, z=z, k0=k0, M=M, k_lo=fam.k_lo,
                               UV=_combination(fam.X, M), family=fam)
@@ -357,21 +378,25 @@ def _herm_eigs(F: np.ndarray) -> np.ndarray:
 
 def spectral_sample(seq: VerblunskySequence, k0: int, gamma, z,
                     tol: float = 1e-10) -> SpectralSample:
-    """Evaluate m, M, and Phi for both signs at one point, from one root of gamma.
+    """Evaluate m, M, and Phi for both signs at one point, from one root of gamma
+    and one banded LU of both half windows (_m_functions).
 
     gamma is rooted once per distinct value (coefficients.as_boundary). The
     two Cayley transforms, the two Hermitian parts' eigenvalues and the two
     Phi's singular values are each one stacked call; numpy solves such a
-    stack matrix by matrix, so each value equals its one-matrix call.
-    OutOfRange unless tol is finite and >= 0.
+    stack matrix by matrix, so each value equals its one-matrix call. The
+    transforms take the m-functions, which the solve has checked finite,
+    without checking them again. OutOfRange unless tol is finite and >= 0.
     """
     z, tol = require_off_circle(z, allow_zero=True), require_tolerance(tol)
     gamma = as_boundary(gamma, seq.m)
-    mp, mm = (m_function(seq, k0, gamma, z, sign) for sign in (PLUS, MINUS))
+    ms = _m_functions(seq, k0, gamma, z)
+    mp, mm = ms
     Mm = _M_minus(seq, k0, gamma, z, m_minus=mm)
-    phip, phim = schur_from_M(np.stack((mp, Mm)))     # M_plus = m_plus
-    eig_p, eig_m = _herm_eigs(np.stack((mp, mm)))
-    sv_p, sv_m = np.linalg.svd(np.stack((phip, phim)), compute_uv=False)
+    phi = _schur(np.array((mp, Mm)))                 # M_plus = m_plus
+    phip, phim = phi
+    eig_p, eig_m = _herm_eigs(ms)
+    sv_p, sv_m = np.linalg.svd(phi, compute_uv=False)
     norm_p, smin_m = sv_p[0], sv_m[-1]
     if abs(z) < 1.0:
         flags = (eig_p.min() >= -tol, eig_m.max() <= tol,

@@ -17,7 +17,7 @@ from cmvkit import assembly, cli
 from cmvkit.cli import main
 from cmvkit.cli.ensembles import MAX_RADIUS, Distribution, EnsembleSpec, generate
 from cmvkit.cli.suites import MIN_SPAN, SUITES, _worst, run_suite
-from cmvkit.coefficients import CONTRACTION_TOL, load_sequence
+from cmvkit.coefficients import CONTRACTION_TOL, load_sequence, sequence_document
 from cmvkit.errors import CmvError, OutOfRange
 from cmvkit.laurent import MINUS, PLUS, seed_family, window_family
 
@@ -230,6 +230,46 @@ def test_mfun_grid_csv(tmp_path, capsys):
     assert len(rows) == 1 + 2 * 4
     flag = header.index("caratheodory_plus")
     assert all(row[flag] == "1" for row in rows[1:])
+
+
+def test_mfun_grid_sign_keeps_one_sign_columns(tmp_path, capsys):
+    """--sign drops the other sign's matrices and flags from the grid CSV, by the rule the
+    JSON sample uses; every kept column equals the full grid's."""
+    seq_file = str(tmp_path / "seq.json")
+    run(capsys, "gen", "--seed", "17", "--m", "2", "--window", "0,14", "--out", seq_file)
+    grid = ("mfun", "--in", seq_file, "--k0", "7", "--grid", "0.5,1.8,2")
+    _, out, _ = run(capsys, *grid)
+    full = list(csv.reader(io.StringIO(out)))
+    assert len(full[0]) == 2 + 6 * 4 * 2 + 4
+    for sign, other in (("+", "minus"), ("-", "plus")):
+        code, out, _ = run(capsys, *grid, "--sign", sign)
+        assert code == 0
+        rows = list(csv.reader(io.StringIO(out)))
+        assert rows[0] == [name for name in full[0] if f"_{other}" not in name]
+        assert len(rows[0]) == 2 + 3 * 4 * 2 + 2
+        kept = [full[0].index(name) for name in rows[0]]
+        assert rows[1:] == [[row[i] for i in kept] for row in full[1:]]
+
+
+def test_closed_stdout_exits_quietly(tmp_path):
+    """When the reader of cmv's stdout leaves after the first line, cmv exits 141 with
+    nothing on stderr instead of an 'error:' line; the line read is the CSV header."""
+    seq_file = tmp_path / "seq.json"
+    seq_file.write_text(json.dumps(sequence_document(
+        generate(EnsembleSpec(m=2, k_min=0, k_max=12, seed=3)))))
+    src = str(Path(cli.__file__).parents[2])
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, (src, os.environ.get("PYTHONPATH")))))
+    argv = [sys.executable, "-m", "cmvkit.cli", "mfun", "--in", str(seq_file), "--k0", "6",
+            "--grid", "0.5,2,400"]      # about 0.8 MB of CSV, more than a pipe holds
+    with subprocess.Popen(argv, stdout=subprocess.PIPE, stderr=subprocess.PIPE,
+                          env=env) as proc:
+        first = proc.stdout.readline()
+        proc.stdout.close()
+        err = proc.stderr.read()
+        code = proc.wait(timeout=120)
+    assert first.startswith(b"z_re,z_im,m_plus_00_re")
+    assert code == cli.EXIT_BROKEN_PIPE == 141 and err == b""
 
 
 def test_green_csv_residuals(tmp_path, capsys):
@@ -529,6 +569,7 @@ BAD_INPUTS = {
     "decouple-tol-rank-zero": ("decouple", *_SEQ, "--k0", "6", "--tol-rank", "0"),
     "decouple-tol-rank-nan": ("decouple", *_SEQ, "--k0", "6", "--tol-rank", "nan"),
     "mfun-neither-z-nor-grid": ("mfun", *_SEQ, "--k0", "6"),
+    "mfun-z-with-grid": ("mfun", *_SEQ, "--k0", "6", "--z", "0.3,0.1", "--grid", "0.5,2,2"),
     "pairs-header-only": ("green", *_SEQ, *_Z, "--pairs", "{header_pairs}"),
     "assemble-dense-row-cap": ("assemble", "--in", "{big}"),
     "verify-radius-too-large": ("verify", "--radius", "2"),

@@ -124,7 +124,7 @@ def test_full_kernel_forms_solution_values_only_at_the_pairs_sites(monkeypatch):
 def test_batched_entries_factor_once_per_cut_and_z(count_calls):
     """The oracle makes one banded LU per (cut, z) for any number of pairs; the
     half kernel one for its m-function at z, which gives m at 1/conj(z) too, the
-    full kernel one per half window, and both one propagation per z."""
+    full kernel one for both half windows, and both one propagation per z."""
     seq, g, k0 = make_case(2, 36)
     z = 0.5 * np.exp(0.7j)
     near = [(k, kp) for k in range(k0 - 4, k0 + 5) for kp in range(k0 - 4, k0 + 5, 2)]
@@ -142,7 +142,7 @@ def test_batched_entries_factor_once_per_cut_and_z(count_calls):
         assert len(lu) == 1 and [args[1].z for args in moves] == [z, 1.0 / np.conj(z)]
     del lu[:], moves[:]
     full_green_entries(seq, k0, g, z, near)
-    assert len(lu) == 2 and [args[1].z for args in moves] == [z, 1.0 / np.conj(z)]
+    assert len(lu) == 1 and [args[1].z for args in moves] == [z, 1.0 / np.conj(z)]
 
 
 def test_single_pair_forms_equal_the_batched_forms():
@@ -494,8 +494,9 @@ def test_functions_at_the_reflected_point_are_minus_adjoints(m):
 
 
 def test_kernels_factor_one_pencil_per_half_window(count_calls):
-    """A half kernel call makes one banded LU and a full kernel call two, one per
-    half window, whatever the number of pairs."""
+    """A half kernel call makes one banded LU of its half window's pencil, and a full
+    kernel call one of both half windows' pencils side by side, whatever the number of
+    pairs."""
     seq, g, k0 = make_case(2, 38)
     z = 0.6 * np.exp(2.2j)
     lu = count_calls(assembly, "_gbtrf")
@@ -506,4 +507,4 @@ def test_kernels_factor_one_pencil_per_half_window(count_calls):
             assert len(lu) == 1, (sign, n)
         del lu[:]
         full_green_entries(seq, k0, g, z, [(k0 - d, k0 + d) for d in range(n)])
-        assert len(lu) == 2, n
+        assert len(lu) == 1, n

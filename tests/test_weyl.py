@@ -513,22 +513,17 @@ def test_m_routes_never_assemble(monkeypatch):
     assert calls == []
 
 
-def test_spectral_sample_solves_two_m_functions_per_z(monkeypatch):
-    """Both signs' m once each; M_minus is M_function's, also at z = 0."""
+def test_spectral_sample_solves_two_m_functions_per_z(count_calls):
+    """Both signs' m once each, from one banded LU of both half windows; M_minus is
+    M_function's, also at z = 0."""
     seq = generate(EnsembleSpec(m=2, k_min=0, k_max=24, seed=66, radius_max=0.85))
     g = random_unitary(np.random.default_rng(67), 2)
-    real, calls = weyl.m_function, []
-
-    def counting(*args, **kwargs):
-        calls.append(args[4])
-        return real(*args, **kwargs)
-
+    lu = count_calls(assembly, "_gbtrf")
+    halves = count_calls(weyl, "cut_resolvent_blocks", lambda *args: args[4])
     for z in (0.0, 0.5 * np.exp(0.8j), 1.9 * np.exp(-2.1j)):
-        monkeypatch.setattr(weyl, "m_function", counting)
-        calls.clear()
+        del lu[:], halves[:]
         s = spectral_sample(seq, 12, g, z)
-        assert calls == [PLUS, MINUS]
-        monkeypatch.setattr(weyl, "m_function", real)
+        assert len(lu) == 1 and halves == [(PLUS, MINUS)]
         assert np.array_equal(s.M_minus, M_function(seq, 12, g, z, MINUS))
         assert np.array_equal(s.M_plus, M_function(seq, 12, g, z, PLUS))
         assert np.array_equal(s.m_minus, m_function(seq, 12, g, z, MINUS))
@@ -594,3 +589,160 @@ def test_m_function_errors_are_pinned():
             with pytest.raises(err) as info:
                 m_function(seq, k0, BoundaryUnitary(gam, np.eye(2)), 0.5j, sign)
             assert type(info.value) is err
+
+
+def _trailing_rows(lu, piv, rhs, end):
+    """The rows end - len(rhs) .. end solved from the LU's columns there only, pivots shifted."""
+    start = end - len(rhs)
+    return assembly._solve(lu[:, start:end], piv[start:end] - start, rhs, 1.0)
+
+
+def _in_matrix(lu):
+    """lu with the band entries above its matrix (row c - 2b + s < 0 at [s, c]), which gbtrf
+    neither sets nor reads, zeroed."""
+    b = (len(lu) - 1) // 3
+    rows = np.arange(len(lu))[:, None] + np.arange(lu.shape[1]) - 2 * b
+    return np.where(rows >= 0, lu, 0)
+
+
+def _own_lus(seq, k0, g, z):
+    """The banded LU of each half window's pencil alone, plus half reversed (J P J: its band
+    rows b .. 3b and its columns flipped), in the order PLUS, MINUS."""
+    V, W_star = seq.bands
+    b, block, lus = 2 * seq.m - 1, assembly._cut_block(g, seq.m), []
+    for half in (PLUS, MINUS):
+        lo, hi, k, j = assembly._half_window(seq, k0, half)
+        P = assembly._pencil(V[:, lo:hi], W_star[:, lo:hi], z, None, k, j, block)
+        if half == PLUS:
+            P[b:], P[:b] = P[b:][::-1, ::-1].copy(), 0.0
+        lus.append(assembly._factor(P, z))
+    return lus
+
+
+def test_trailing_block_solve_equals_the_full_solve_tail(monkeypatch):
+    """For a right-hand side on a half window's last m rows, a gbtrs on the LU's K trailing
+    columns gives the full solve's last K rows bit for bit, K >= 3m - 1. The one LU of both
+    halves side by side equals each half's own LU on its columns, so a half's trailing block
+    there is its own."""
+    real, factored = assembly._factor, []
+
+    def keeping(pencil, z):
+        factored.append(real(pencil, z))
+        return factored[-1]
+
+    monkeypatch.setattr(assembly, "_factor", keeping)
+    for m in (1, 2, 3):
+        seq = generate(EnsembleSpec(m=m, k_min=0, k_max=40, seed=90 + m))
+        g = random_unitary(np.random.default_rng(91 + m), m)
+        for k0, z in ((19, 0.6 * np.exp(1.1j)), (20, 1.7 * np.exp(-0.4j)), (4, 2.2j)):
+            own = _own_lus(seq, k0, g, z)
+            factored.clear()
+            weyl._m_functions(seq, k0, g, z)
+            (lu, piv), = factored
+            n = own[0][0].shape[1]
+            assert np.array_equal(_in_matrix(lu[:, :n]), _in_matrix(own[0][0]))
+            assert np.array_equal(_in_matrix(lu[:, n:]), _in_matrix(own[1][0]))
+            assert np.array_equal(piv[:n], own[0][1])
+            assert np.array_equal(piv[n:] - n, own[1][1])
+            for lu_h, piv_h in own:
+                size = lu_h.shape[1]
+                rhs = np.eye(size, m, m - size, dtype=complex)
+                full = assembly._solve(lu_h, piv_h, rhs, z)
+                for K in (3 * m - 1, 3 * m, 4 * m, 5 * m - 1):
+                    assert np.array_equal(_trailing_rows(lu_h, piv_h, rhs[-K:], size), full[-K:])
+
+
+CUT_Z = (0.0, 0.99 * np.exp(2j), 1.01 * np.exp(-1j), 2.2j)
+
+
+def test_m_function_agrees_with_the_oracle_solve():
+    """m_function (k0 eliminated last, a trailing-block solve) and +/-(I + 2z G(k0, k0))
+    from resolvent_blocks' general solve, two independent routes, agree to 1e-13:
+    m = 1..3, k_min in {0, 1, -3}, both parities of k0, the 4-site edge cuts; where both
+    halves hold 4 sites, the both-sign route gives each one-sign value bit for bit."""
+    for m in (1, 2, 3):
+        for k_min in (0, 1, -3):
+            seq = generate(EnsembleSpec(m=m, k_min=k_min, k_max=k_min + 24,
+                                        seed=100 + m - k_min, radius_max=0.9))
+            g = BoundaryUnitary(random_unitary(np.random.default_rng(110 + m - k_min), m))
+            cuts = {PLUS: (k_min, k_min + 11, k_min + 12, seq.k_max - 4),
+                    MINUS: (k_min + 3, k_min + 11, k_min + 12, seq.k_max - 1)}
+            for sign, k0s in cuts.items():
+                for k0 in k0s:
+                    for z in CUT_Z:
+                        got = m_function(seq, k0, g, z, sign)
+                        G, = resolvent_blocks(seq, z, [(k0, k0)], sign, k0, g)
+                        raw = sign * (np.eye(m) + 2.0 * z * G)
+                        gh = g.root
+                        want = gh @ raw @ gh.conj().T if k0 % 2 == 0 else gh.conj().T @ raw @ gh
+                        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want), \
+                            (m, k_min, sign, k0, z)
+                        if k_min + 3 <= k0 <= seq.k_max - 4:
+                            both = weyl._m_functions(seq, k0, g, z)
+                            assert np.array_equal(both[0 if sign == PLUS else 1], got)
+
+
+def test_m_function_is_accurate_against_a_30_digit_solve():
+    """Against a 30-digit solve of the same float64 half window, G = E* W* (V - z W*)^{-1} E
+    with V and W* exact, m+/- (framed in 30 digits too) are off by 5e-15 relative at most:
+    m = 1, 2, window 0..30, both signs, z inside, near and outside the circle."""
+    mp = pytest.importorskip("mpmath")
+    worst, k0 = 0.0, 15
+    with mp.workdps(30):
+        for m in (1, 2):
+            seq = generate(EnsembleSpec(m=m, k_min=0, k_max=30, seed=m))
+            g = BoundaryUnitary(random_unitary(np.random.default_rng(m + 10), m))
+            gh = mp.matrix(g.root.tolist())
+            for sign in (PLUS, MINUS):
+                ops = assemble(half_window(seq, k0, g.gamma, sign))
+                n = ops.U.shape[0]
+                V, W_star = mp.matrix(ops.V.tolist()), mp.matrix(ops.W.conj().T.tolist())
+                at = ops.site_slice(k0)
+                for z in (0.5 * np.exp(0.7j), 0.99 * np.exp(-2.5j), 1.9 * np.exp(1.3j)):
+                    zm = mp.mpc(z.real, z.imag)
+                    (LU, piv), X = mp.mp.LU_decomp(V - zm * W_star), mp.zeros(n, m)
+                    for i in range(m):                # one LU, a solve per column
+                        e = mp.zeros(n, 1)
+                        e[at.start + i] = 1
+                        X[:, i] = mp.mp.U_solve(LU, mp.mp.L_solve(LU, e, piv))
+                    G = (W_star * X)[at.start:at.stop, 0:m]
+                    raw = sign * (mp.eye(m) + 2 * zm * G)
+                    ref = gh * raw * gh.H if k0 % 2 == 0 else gh.H * raw * gh
+                    got = m_function(seq, k0, g, z, sign)
+                    err = mp.mnorm(mp.matrix(got.tolist()) - ref, 'F') / mp.mnorm(ref, 'F')
+                    worst = max(worst, float(err))
+    assert worst <= 5e-15, worst
+
+
+def test_m_function_route_makes_one_lu_and_short_solves(count_calls):
+    """One banded LU per m_function, spectral_sample, half-kernel and full-kernel call, and
+    no gbtrs on the m-function route reaches past K = 3m - 1 columns."""
+    lu = count_calls(assembly, "_gbtrf")
+    widths = count_calls(assembly, "_gbtrs", lambda ab, *args, **kwargs: ab.shape[1])
+    z = 0.6 * np.exp(0.4j)
+    for m in (1, 2, 3):
+        seq = generate(EnsembleSpec(m=m, k_min=0, k_max=30, seed=120 + m, radius_max=0.9))
+        g = random_unitary(np.random.default_rng(121 + m), m)
+        calls = [lambda: m_function(seq, 15, g, z, PLUS), lambda: m_function(seq, 14, g, z, MINUS),
+                 lambda: spectral_sample(seq, 15, g, z), lambda: spectral_sample(seq, 14, g, 0.0),
+                 lambda: M_function(seq, 15, g, z, MINUS),
+                 lambda: half_lattice_green(seq, 15, g, z, 16, 18, PLUS),
+                 lambda: half_lattice_green(seq, 15, g, z, 12, 15, MINUS),
+                 lambda: full_green_entries(seq, 15, g, z, [(12, 18), (18, 12)]),
+                 lambda: weyl.weyl_solutions(seq, 15, g, z)]
+        for call in calls:
+            del lu[:], widths[:]
+            call()
+            assert len(lu) == 1 and widths and max(widths) <= 3 * m - 1, (m, lu, widths)
+
+
+def test_m_function_stays_finite_at_the_largest_z():
+    """Near the float range's end, m+/- are -/+ I to rounding (G(k0, k0) ~ -1/z), with
+    nothing overflowing on the way: z G is formed before it is doubled."""
+    seq = generate(EnsembleSpec(m=2, k_min=0, k_max=40, seed=1))
+    g = random_unitary(np.random.default_rng(2), 2)
+    for z in (-1e308, 1e308j, 1e300):
+        for sign in (PLUS, MINUS):
+            got = m_function(seq, 20, g, z, sign)
+            assert np.linalg.norm(got + sign * np.eye(2)) <= 1e-14, (z, sign)
+        assert spectral_sample(seq, 20, g, z).schur_plus
