@@ -1,5 +1,5 @@
-"""zgbtrf, zgbtrs, ztbtrs and zgees from SciPy's compiled scipy/linalg/_flapack, loaded
-from its file so that scipy/linalg/__init__.py (SciPy's array-API layer, numpy.f2py,
+"""zgbtrf, zgbtrs, ztbtrs, zgees, zgeqrf, zungqr from SciPy's compiled scipy/linalg/_flapack,
+loaded from its file so that scipy/linalg/__init__.py (SciPy's array-API layer, numpy.f2py,
 numpy.testing, numpy.ma) never runs. They are the objects scipy.linalg.get_lapack_funcs(...,
 dtype=complex) returns, whichever of the two is imported first."""
 
@@ -20,3 +20,4 @@ _loader.exec_module(_flapack)
 if not _loaded:     # creating the module registers it; leave that entry to scipy.linalg's import
     del sys.modules[_NAME]
 zgbtrf, zgbtrs, ztbtrs, zgees = _flapack.zgbtrf, _flapack.zgbtrs, _flapack.ztbtrs, _flapack.zgees
+zgeqrf, zungqr = _flapack.zgeqrf, _flapack.zungqr

@@ -326,8 +326,9 @@ def resolvent_blocks(seq: VerblunskySequence, z: complex, pairs,
     block diag(-gamma, gamma*) differs (_half_window, _cut_block). PencilLU writes its
     columns inside the half into the formed pencil, and _adjoint_rows reads (W E_k0)* from it
     when it lies in W, so no band is copied. One PencilLU and one solve over the
-    distinct kp give X = (V - z W*)^{-1} E_kp, and each block is (W E_k)* X, the row
-    dense over U_s. This is the general solve behind the Green oracle and the
+    distinct kp give X = (V - z W*)^{-1} E_kp, and each block is (W E_k)* X, read over
+    the at most 3m columns (sites k - 1 .. k + 1) where (W E_k)* is nonzero, as in
+    cut_resolvent_blocks. This is the general solve behind the Green oracle and the
     half-window oracle; cut_resolvent_blocks, a route of its own, serves the
     m-functions. Raises SingularSolve when the solve fails or overflows.
     """
@@ -343,14 +344,14 @@ def resolvent_blocks(seq: VerblunskySequence, z: complex, pairs,
         cols[kp], j = i, (kp - seq.k_min) * m - lo
         E[j:j + m, i:i + m].flat[::m + 1] = 1.0       # the identity at site kp
     X = PencilLU(V, W_star, z, *cut).solve(E)
-    rows, blocks = {}, []                     # rows: (W E_k)* for each distinct k
+    rows, blocks = {}, []                     # rows: each distinct k's columns, (W E_k)* on them
     for k, kp in pairs:
         if k not in rows:                     # (W E_k)* = W*(k, c), nonzero within one site of k
             i = (k - seq.k_min) * m - lo
             c0, c1 = max(i - m, 0), min(i + 2 * m, hi - lo)
-            rows[k] = np.full((m, hi - lo), complex(0.0, -0.0))    # an adjoint's zeros: conj(0)
-            rows[k][:, c0:c1] = _adjoint_rows(W_star, i, c0, c1 - c0, *cut)
-        blocks.append(rows[k] @ X[:, cols[kp]:cols[kp] + m])
+            rows[k] = slice(c0, c1), _adjoint_rows(W_star, i, c0, c1 - c0, *cut)
+        at, row = rows[k]
+        blocks.append(row @ X[at, cols[kp]:cols[kp] + m])
     return blocks
 
 

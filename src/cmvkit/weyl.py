@@ -4,23 +4,23 @@ The m-function of a half-window operator at its reference site k0 is
 
     m(z) = +/- E* (U_h + z)(U_h - z)^{-1} E
 
-with E the coordinate injection at k0. The plus operator lives on sites
-[k0, k_max - 1] with the boundary unitary gamma installed at k0; the
-minus operator lives on [k_min, k0] with gamma installed at k0 + 1.
-Since (U_h + z)(U_h - z)^{-1} = I + 2z (U_h - z)^{-1}, m is the resolvent
-block G(k0, k0) of the half window, m = +/- (I + 2z G(k0, k0)). It comes
-from assembly.cut_resolvent_blocks: one banded LU of the half windows'
-pencils V - z W*, k0 eliminated last in each, and a solve over the trailing
-block only; a call for both signs factors both halves at once. The Green
-oracle's assembly.resolvent_blocks is a separate solve, so the two check
-each other; neither U_h = V W nor the half window's sequence is formed.
+with E the coordinate injection at k0. The plus operator lives on sites [k0, k_max - 1]
+with the boundary unitary gamma installed at k0; the minus operator lives on [k_min, k0]
+with gamma installed at k0 + 1. Since (U_h + z)(U_h - z)^{-1} = I + 2z (U_h - z)^{-1},
+m = +/- (I + 2z G(k0, k0)) with G the half window's resolvent. G(k0, k0) comes from
+assembly.cut_resolvent_blocks: one banded LU of the half windows' pencils V - z W*, k0
+eliminated last in each, a solve over the trailing block only, both halves at once;
+neither U_h = V W nor the half window's sequence is formed. Two routes check it: the
+Green oracle's assembly.resolvent_blocks, a separate solve, and m_from_edge_condition,
+which carries the subspace the far edge relation defines back to k0 site by site,
+orthonormalized after each step.
 
-M_plus coincides with m_plus. M_minus is a Cayley-type transform of
-m_minus; both directions of that transform, its z = 0 closed form, the
-Schur-function maps, and the parity formula expressing the Schur
-function through Weyl solution values are provided, each as its own
-code path so they can be checked against one another. The frame is set
-by the root of one coefficients.BoundaryUnitary, shared with the families.
+Each quantity at the cut has one route: _m_functions for m, _M_functions for M
+(M_plus = m_plus; M_minus the Cayley-type transform of m_minus, or its closed form at
+z = 0). Both directions of that transform, the Schur-function maps, and the parity
+formula expressing the Schur function through Weyl solution values are provided as
+code paths of their own, so that they check one another. The frame is set by the root
+of one coefficients.BoundaryUnitary, shared with the families.
 """
 
 from __future__ import annotations
@@ -29,6 +29,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from ._lapack import zgeqrf as _geqrf, zungqr as _ungqr
 from .assembly import cut_resolvent_blocks
 from .coefficients import (
     VerblunskySequence,
@@ -47,7 +48,9 @@ from .laurent import (
     MINUS,
     PLUS,
     SolutionFamily,
+    _as_steps,
     _norm_sign,
+    _path_band,
     connection,
     propagate,
     seed_family,
@@ -57,15 +60,13 @@ from .laurent import (
 def m_function(seq: VerblunskySequence, k0: int, gamma, z, sign) -> np.ndarray:
     """Half-lattice m-function at the reference site, by a banded pencil solve.
 
-    The raw sandwich +/- E*(U_h + z)(U_h - z)^{-1} E = +/- (I + 2z G(k0, k0)),
-    with G(k0, k0) from assembly.cut_resolvent_blocks (which slices V - z W* from
-    seq.bands and never forms U_h), carries the
-    boundary unitary in a frame that differs from the Laurent families by
-    a one-sided square root of gamma.  To keep every downstream identity
-    (boundary matching, Green kernels, Wronskians) in a single convention,
-    the raw value is conjugated back into the family frame before being
-    returned.  For scalar gamma, and whenever gamma commutes with its own
-    square root sandwich, the conjugation is invisible.
+    The raw sandwich +/- E*(U_h + z)(U_h - z)^{-1} E = +/- (I + 2z G(k0, k0)), with
+    G(k0, k0) from assembly.cut_resolvent_blocks (which slices V - z W* from seq.bands and
+    never forms U_h), carries the boundary unitary in a frame that differs from the Laurent
+    families by a one-sided square root of gamma. To keep every downstream identity
+    (boundary matching, Green kernels, Wronskians) in a single convention, the raw value is
+    conjugated back into the family frame before being returned. For scalar gamma, and
+    whenever gamma commutes with its own square root sandwich, the conjugation is invisible.
 
     Parameters
     ----------
@@ -104,26 +105,31 @@ def _m_functions(seq: VerblunskySequence, k0: int, gamma, z, signs=(PLUS, MINUS)
 
 
 def m_from_edge_condition(seq: VerblunskySequence, k0: int, gamma, z, sign) -> np.ndarray:
-    """Same m-function, computed by matching the far boundary instead.
+    """Same m-function, computed by matching the far boundary instead (z off the unit circle).
 
-    The solution Q + P m must be proportional to its V-component through
-    the edge unitary of the half-window; solving that linear condition
-    for m gives a route with no resolvent in it. z must lie off the unit
-    circle, as for m_function.
+    The solutions obeying the edge relation U = C V at the half window's far site span
+    (C; I) there. That m-dimensional subspace is carried one site at a time to k0 (by T^-1
+    for plus, T for minus), an orthonormal basis of it taken after each step (LAPACK zgeqrf,
+    zungqr): Miller's backward recursion (Gautschi, SIAM Review 9, 1967), no resolvent in it.
+    At k0 it is X_seed (c_top; c_bottom), X_seed the seed of this sign, and m = c_top
+    c_bottom^{-1}; with the plus seed, the minus route would return M_minus instead.
     """
-    sign = _norm_sign(sign)
-    z = require_off_circle(z)
+    m, sign, z = seq.m, _norm_sign(sign), require_off_circle(z)
     if sign == PLUS:
         k_edge, g = seq.k_max - 1, seq.alpha(seq.k_max)
-        C = -g if k_edge % 2 == 1 else -z * g.conj().T
+        C, path = (-g if k_edge % 2 == 1 else -z * g.conj().T), (k0 + 1, k_edge)
     else:
         k_edge, g = seq.k_min, seq.alpha(seq.k_min)
-        C = z * g if k_edge % 2 == 1 else g.conj().T
-    fam = seed_family(as_boundary(gamma, seq.m), z, k0, sign)
-    site = propagate(seq, fam, k_edge).at(k_edge)
-    # [I, -C] X at the edge, one column block of X at a time: (P - C R, Q - C S)
-    A, B = np.stack((site.P, site.Q)) - C @ np.stack((site.R, site.S))
-    return solve(A, -B)
+        C, path = (z * g if k_edge % 2 == 1 else g.conj().T), (k_edge + 1, k0)
+    X_seed = seed_family(as_boundary(gamma, m), z, k0, sign).X[0]
+    Y = np.vstack((C, np.eye(m)))
+    # the steps -T toward k0; the band's last row is its zero closing row
+    steps = [] if k0 == k_edge else _as_steps(_path_band(seq, z, *path, inverse=sign == PLUS))[:-1]
+    for step in steps:
+        Y, tau, _, _ = _geqrf(step @ Y, overwrite_a=True)
+        Y, _, _ = _ungqr(Y, tau, overwrite_a=True)
+    c = solve(X_seed, Y)
+    return solve(c[:m], c[m:], right=True)
 
 
 def M_minus_from_m_minus(m_minus: np.ndarray, z) -> np.ndarray:
@@ -178,31 +184,22 @@ def M_minus_at_zero(alpha_k0, gamma) -> np.ndarray:
 
 
 def M_function(seq: VerblunskySequence, k0: int, gamma, z, sign) -> np.ndarray:
-    """M_plus or M_minus at the reference site.
-
-    Plus: identical to m_plus. Minus: Cayley-type transform of m_minus,
-    except at z = 0 where the transform degenerates and the closed form
-    takes over.
-    """
-    sign = _norm_sign(sign)
-    if sign == PLUS:
-        return m_function(seq, k0, gamma, z, PLUS)
-    return _M_minus(seq, k0, gamma, require_off_circle(z, allow_zero=True))
+    """M_plus or M_minus at the reference site: m_plus, or the Cayley-type transform of
+    m_minus, except at z = 0 where the transform degenerates and the closed form takes over.
+    The one-sign form of _M_functions, as m_function is of _m_functions."""
+    z = require_off_circle(z, allow_zero=True)
+    return _M_functions(seq, k0, gamma, z, (_norm_sign(sign),))[0]
 
 
-def _M_minus(seq: VerblunskySequence, k0: int, gamma, z, m_minus=None):
-    """M_minus at k0: the closed form at z = 0, else the transform of m_minus (solved if None)."""
-    if z == 0:
-        return M_minus_at_zero(seq.alpha(k0), gamma)
-    if m_minus is None:
-        m_minus = m_function(seq, k0, gamma, z, MINUS)
-    return _M_from_m(m_minus, z)
-
-
-def _M_functions(seq: VerblunskySequence, k0: int, gamma, z, signs=(PLUS, MINUS)) -> list:
-    """M_function for each of signs at one z != 0, from one _m_functions call."""
-    return [m if sign == PLUS else _M_from_m(m, z)
-            for sign, m in zip(signs, _m_functions(seq, k0, gamma, z, signs))]
+def _M_functions(seq: VerblunskySequence, k0: int, gamma, z, signs=(PLUS, MINUS),
+                 ms=None) -> list:
+    """M_function for each of signs at one z, from ms, their m-functions (solved if None and
+    needed: M_minus(0) is the closed form, so M_minus alone at z = 0 factors nothing)."""
+    if ms is None and (z != 0 or PLUS in signs):
+        ms = _m_functions(seq, k0, gamma, z, signs)
+    return [ms[h] if sign == PLUS else
+            M_minus_at_zero(seq.alpha(k0), gamma) if z == 0 else _M_from_m(ms[h], z)
+            for h, sign in enumerate(signs)]
 
 
 def schur_from_M(M: np.ndarray) -> np.ndarray:
@@ -392,9 +389,8 @@ def spectral_sample(seq: VerblunskySequence, k0: int, gamma, z,
     gamma = as_boundary(gamma, seq.m)
     ms = _m_functions(seq, k0, gamma, z)
     mp, mm = ms
-    Mm = _M_minus(seq, k0, gamma, z, m_minus=mm)
-    phi = _schur(np.array((mp, Mm)))                 # M_plus = m_plus
-    phip, phim = phi
+    Ms = _M_functions(seq, k0, gamma, z, ms=ms)      # M_plus = m_plus
+    phi = _schur(np.array(Ms))
     eig_p, eig_m = _herm_eigs(ms)
     sv_p, sv_m = np.linalg.svd(phi, compute_uv=False)
     norm_p, smin_m = sv_p[0], sv_m[-1]
@@ -405,8 +401,8 @@ def spectral_sample(seq: VerblunskySequence, k0: int, gamma, z,
         flags = (eig_p.max() <= tol, eig_m.min() >= -tol,
                  norm_p >= 1.0 - tol, smin_m <= 1.0 + tol)
     return SpectralSample(
-        z=z, m_plus=mp, m_minus=mm, M_plus=mp, M_minus=Mm,
-        Phi_plus=phip, Phi_minus=phim,
+        z=z, m_plus=mp, m_minus=mm, M_plus=mp, M_minus=Ms[1],
+        Phi_plus=phi[0], Phi_minus=phi[1],
         caratheodory_plus=bool(flags[0]),
         anti_caratheodory_minus=bool(flags[1]),
         schur_plus=bool(flags[2]),

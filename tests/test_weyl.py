@@ -1,5 +1,6 @@
 """m-functions by two routes, the minus-side transforms, and Weyl solutions."""
 
+import itertools
 import sys
 
 import numpy as np
@@ -32,7 +33,7 @@ from cmvkit.weyl import (
     spectral_sample,
     weyl_solution,
 )
-from cmvkit.laurent import MINUS, PLUS
+from cmvkit.laurent import MINUS, PLUS, seed_family, transfer, transfer_inverse
 from cmvkit.coefficients import (
     BoundaryUnitary,
     DimensionMismatch,
@@ -44,7 +45,8 @@ from cmvkit.coefficients import (
     sequence_from_values,
 )
 from cmvkit.errors import NotFinite, OutOfRange, SiteOutOfWindow, ZOnUnitCircle
-from cmvkit.cli.ensembles import EnsembleSpec, generate, random_unitary
+from cmvkit.cli.ensembles import Distribution, EnsembleSpec, generate, random_unitary
+from cmvkit.cli.suites import run_suite
 
 
 def scalar_sequence(alpha, n=12):
@@ -746,3 +748,98 @@ def test_m_function_stays_finite_at_the_largest_z():
             got = m_function(seq, 20, g, z, sign)
             assert np.linalg.norm(got + sign * np.eye(2)) <= 1e-14, (z, sign)
         assert spectral_sample(seq, 20, g, z).schur_plus
+
+
+EDGE_Z = (0.1, 0.35 * np.exp(0.8j), 1.8 * np.exp(1.1j), 0.9 * np.exp(0.3j),
+          1.1 * np.exp(-2.1j), 0.95j, 1.05, 0.999 * np.exp(1j))
+
+
+def test_edge_route_agrees_with_m_function_across_the_window(count_calls):
+    """The edge route (the edge relation's subspace carried to k0, orthonormal after every
+    site) and m_function agree to 1e-13 relative, and no family is propagated: m = 1..3,
+    windows of 12 and 41 sites with k_min 0, -3, 1 and one of 2000 sites, k0 at both 4-site
+    cuts, the middle and the middle + 1, both signs, z off and near the circle. At |z| =
+    0.999 the two routes' data differ by more than their arithmetic (V and W hold rho, the
+    transfer matrices rho^-1): a 40-digit product of the float64 transfer matrices alone
+    sits up to 2.7e-13 from a 40-digit solve of V - z W*, so there the bound is 5e-13;
+    test_edge_route_is_accurate_against_its_transfer_matrices in 40 digits pins the route."""
+    propagated = count_calls(weyl, "propagate")
+    cases = [(m, n, k_min) for m in (1, 2, 3) for n in (12, 41) for k_min in (0, -3, 1)]
+    for m, n, k_min in cases + [(2, 2000, 0)]:
+        seq = generate(EnsembleSpec(m=m, k_min=k_min, k_max=k_min + n,
+                                    seed=140 + 10 * m - k_min + n))
+        g = BoundaryUnitary(random_unitary(np.random.default_rng(150 + m - k_min + n), m))
+        mid = k_min + n // 2
+        for k0 in (k_min + 3, mid, mid + 1, k_min + n - 4):
+            for sign in (PLUS, MINUS):
+                for z in EDGE_Z:
+                    want = m_function(seq, k0, g, z, sign)
+                    got = m_from_edge_condition(seq, k0, g, z, sign)
+                    tol = 5e-13 if abs(abs(z) - 0.999) < 1e-9 else 1e-13
+                    assert np.linalg.norm(got - want) <= tol * np.linalg.norm(want), \
+                        (m, n, k_min, k0, sign, z)
+    assert not propagated
+
+
+def test_edge_route_is_accurate_against_its_transfer_matrices():
+    """At |z| = 0.999, on windows of 41 and 60 sites (m = 2, 3; k0 at both 4-site cuts and
+    the middle; both signs), the edge route is within 1e-13 of its own data solved in 40
+    digits: (C; I) carried to k0 by the float64 transfer matrices, then solved against the
+    seed. A family shot outward from k0 to the edge misses this by up to 1e-11 at 60 sites."""
+    mp = pytest.importorskip("mpmath")
+    z = 0.999 * np.exp(1j)
+    with mp.workdps(40):
+        for n in (41, 60):
+            for m in (2, 3):
+                seq = generate(EnsembleSpec(m=m, k_min=0, k_max=n, seed=2))
+                g = BoundaryUnitary(random_unitary(np.random.default_rng(12), m))
+                for k0, sign in itertools.product((3, n // 2, n - 4), (PLUS, MINUS)):
+                    if sign == PLUS:
+                        k_edge, a = n - 1, seq.alpha(n)
+                        C = -a if k_edge % 2 else -z * a.conj().T
+                        steps = [transfer_inverse(seq, z, k) for k in range(k_edge, k0, -1)]
+                    else:     # the edge site k_min = 0 is even
+                        a = seq.alpha(0)
+                        C, steps = a.conj().T, [transfer(seq, z, k) for k in range(1, k0 + 1)]
+                    Y = mp.matrix(np.vstack((C, np.eye(m))).tolist())
+                    for T in steps:
+                        Y = mp.matrix(T.tolist()) * Y
+                    c = mp.inverse(mp.matrix(seed_family(g, z, k0, sign).X[0].tolist())) * Y
+                    want = c[0:m, 0:m] * mp.inverse(c[m:2 * m, 0:m])
+                    got = mp.matrix(m_from_edge_condition(seq, k0, g, z, sign).tolist())
+                    err = mp.mnorm(got - want, 'F') / mp.mnorm(want, 'F')
+                    assert err <= 1e-13, (n, m, k0, sign, float(err))
+
+
+def test_edge_route_holds_at_fixed_radius_near_one():
+    """Coefficients all of norm 0.9999 (rho ~ 0.014, transfer matrices of condition ~ 2e4):
+    the edge route stays within 1e-12 of m_function at z = 10 and 0.01."""
+    for m, n in ((1, 12), (2, 41), (3, 100)):
+        seq = generate(EnsembleSpec(m=m, k_min=0, k_max=n, seed=200 + m + n, radius_max=0.9999,
+                                    distribution=Distribution.FIXED_RADIUS))
+        g = random_unitary(np.random.default_rng(m), m)
+        for k0, sign, z in itertools.product((3, n // 2, n - 4), (PLUS, MINUS), (10.0, 0.01)):
+            want = m_function(seq, k0, g, z, sign)
+            got = m_from_edge_condition(seq, k0, g, z, sign)
+            assert np.linalg.norm(got - want) <= 1e-12 * np.linalg.norm(want), (m, n, k0, sign, z)
+
+
+def test_weyl_suite_passes_on_long_windows():
+    """The weyl suite, whose M-plus-equals-m-plus check runs the edge route, passes at m = 2,
+    seed 7, on 1500 and 10000 sites."""
+    for k_max in (1500, 10000):
+        assert run_suite(["weyl"], EnsembleSpec(m=2, k_min=0, k_max=k_max, seed=7)).passed
+
+
+def test_M_minus_at_zero_factors_nothing(count_calls):
+    """M_function(..., 0, MINUS) is the closed form alone, no banded LU, and equals
+    spectral_sample's M_minus at 0 bit for bit."""
+    factored = count_calls(assembly, "_factor")
+    for m in (1, 2, 3):
+        seq = generate(EnsembleSpec(m=m, k_min=0, k_max=30, seed=160 + m))
+        g = random_unitary(np.random.default_rng(161 + m), m)
+        for k0 in (14, 15):
+            got = M_function(seq, k0, g, 0, MINUS)
+            assert not factored
+            assert np.array_equal(got, spectral_sample(seq, k0, g, 0).M_minus)
+            factored.clear()
