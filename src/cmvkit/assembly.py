@@ -12,20 +12,27 @@ against, and the V and W* of the window in LAPACK band storage, which serve
 the solves and which band_block reads back. The split variant replaces one
 block by diag(-gamma_left, gamma_right*), severing the window in two halves;
 operator_difference_block is the 2m x 2m block by which U and the split
-differ; block_diag forms direct sums. _pencil forms every pencil V - z W*,
-and is the one place a cut or split block enters one. PencilLU is one
-banded LU (LAPACK zgbtrf and zgbtrs, from _lapack) of the pencil of the
-window, a half window or a split, whose solve serves any set of right-hand
-sides. From one PencilLU, resolvent_blocks reads any m x m blocks of the
-resolvent (U_s - z)^{-1} of the window or of a half window cut at k0,
-never forming U_s: the Green oracle and the half-window oracle.
-cut_resolvent_blocks is the m-functions' own route to G(k0, k0) of the half
-windows: k0 eliminated last in each, both halves in one banded LU, and a
-solve over each half's trailing block only.
+differ; block_diag forms direct sums. _cut_bands writes a cut or split block
+into copies of V and W*, the z-free bands of a half window or a split, and is
+the one place such a block enters a band; _pencil forms every pencil V - z W*
+from bands as one subtraction. PencilLU is one banded LU (LAPACK zgbtrf and
+zgbtrs, from _lapack) of the pencil of the window, a half window or a split,
+whose solve serves any set of right-hand sides. From one PencilLU,
+resolvent_blocks reads any m x m blocks of the resolvent (U_s - z)^{-1} of the
+window or of a half window cut at k0, never forming U_s: the Green oracle and
+the half-window oracle, which build their bands per call. cut_resolvent_blocks
+is the m-functions' own route to G(k0, k0) of the half windows: k0 eliminated
+last in each, both halves in one banded LU, and a solve over each half's
+trailing block only. Its z-free parts, both halves' cut bands side by side
+(the plus half reversed), the (W E_k0)* rows and the right-hand sides
+(CutBands, cut_band_storage), are built once per (k0, gamma) and kept on the
+sequence (VerblunskySequence.cut_bands), so a call at one more z costs one
+subtraction, one zgbtrf and a short zgbtrs and product per half.
 """
 
 from __future__ import annotations
 
+import contextlib
 import functools
 from dataclasses import dataclass
 
@@ -50,6 +57,7 @@ from .errors import (
 )
 
 MAX_DENSE_ROWS = 512
+RHS_BYTES = 1 << 22   # resolvent_blocks' right-hand sides per solve: at most this, or one site
 
 
 @dataclass(frozen=True)
@@ -242,37 +250,41 @@ def _cut_block(gamma, m: int) -> np.ndarray:
     return block_diag(-gamma, gamma.conj().T)
 
 
-def _pencil(V, W_star, z, out=None, k: int = 0, j: int = 0, block=None) -> np.ndarray:
-    """V - z W*, V and W* in band_storage's layout, written into out (a new array if None).
-
-    Given a block, coefficient k's block at columns j .. j + len(block) holds it instead:
-    in V for even k, else in W, whose adjoint W* holds block*. Each of its columns inside
-    the pencil is written whole, so a half window's cut block puts exact zeros on the rows
-    across the cut; its columns outside are not written. The one place a cut or split
-    block enters a pencil.
-    """
-    out = np.subtract(V, z * W_star, out=out)
-    b, n = (len(V) - 1) // 3, 0 if block is None else len(block)
+def _cut_bands(V, W_star, k: int = 0, j: int = 0, block=None) -> tuple:
+    """V and W* in band_storage's layout with coefficient k's block at columns j .. j +
+    len(block) holding block instead: in V for even k, else in W, whose adjoint W* holds
+    block*. Each of its columns inside the bands is written whole, so a half window's cut
+    block puts exact zeros on the rows across the cut; its columns outside are not written.
+    New arrays, or V and W* themselves without a block. The one place a cut or split block
+    enters a band, and through _pencil a pencil."""
+    if block is None:
+        return V, W_star
+    V, W_star = V.copy(order="F"), W_star.copy(order="F")
+    b, n = (len(V) - 1) // 3, len(block)
     for l in range(max(-j, 0), min(n, V.shape[1] - j)):     # column j + l of the block
         at = (slice(2 * b - l, 2 * b - l + n), j + l)
-        out[at] = block[:, l] - z * W_star[at] if k % 2 == 0 else V[at] - z * block[l].conj()
-    return out
+        if k % 2 == 0:
+            V[at] = block[:, l]
+        else:
+            W_star[at] = block[l].conj()
+    return V, W_star
 
 
-def _adjoint_rows(W_star, i: int, c0: int, width: int, k: int = 0, j: int = 0,
-                  block=None) -> np.ndarray:
+def _pencil(V, W_star, z) -> np.ndarray:
+    """V - z W*, a new array, from V and W* in band_storage's layout (_cut_bands' for a cut
+    or split window)."""
+    out = z * W_star
+    return np.subtract(V, out, out=out)
+
+
+def _adjoint_rows(W_star, i: int, c0: int, width: int) -> np.ndarray:
     """(W E)* at the columns c0 .. c0 + width, each within one site of E's, from W* in
-    band_storage's layout, E the injection of the site whose first column is i; given
-    coefficient k's block at columns j .. as for _pencil, W*'s entries in it read block*
-    for odd k."""
+    band_storage's layout, E the injection of the site whose first column is i."""
     b = (len(W_star) - 1) // 3
     m = (b + 1) // 2
     rows = np.empty((m, width), dtype=complex)
     for t, c in enumerate(range(c0, c0 + width)):     # W*(r, c) sits at [2b + r - c, c]
         rows[:, t] = W_star[2 * b + i - c:2 * b + i - c + m, c]
-    if block is not None and k % 2 and j <= i < j + len(block):
-        lo, hi = max(j, c0), min(j + len(block), c0 + width)
-        rows[:, lo - c0:hi - c0] = block.conj().T[i - j:i - j + m, lo - j:hi - j]
     return rows
 
 
@@ -296,15 +308,13 @@ def _solve(lu: np.ndarray, piv: np.ndarray, rhs: np.ndarray, z, trans: int = 0) 
 
 
 class PencilLU:
-    """One banded LU of V - z W*, V and W* in band_storage's layout, formed by _pencil (given
-    a block, coefficient k's block at columns j.. holds it), so neither V nor W* is copied.
-    Its solve serves any right-hand sides. SingularSolve if the pencil is singular or a solve
-    overflows."""
+    """One banded LU of V - z W* (_pencil), V and W* in band_storage's layout (_cut_bands' for
+    a cut or split window). Its solve serves any right-hand sides. SingularSolve if the pencil
+    is singular or a solve overflows."""
 
-    def __init__(self, V: np.ndarray, W_star: np.ndarray, z: complex,
-                 k: int = 0, j: int = 0, block: np.ndarray | None = None):
+    def __init__(self, V: np.ndarray, W_star: np.ndarray, z: complex):
         self.z = z
-        self.lu, self.piv = _factor(_pencil(V, W_star, z, None, k, j, block), z)
+        self.lu, self.piv = _factor(_pencil(V, W_star, z), z)
 
     def solve(self, rhs: np.ndarray, trans: int = 0) -> np.ndarray:
         """(V - z W*)^{-1} rhs, or (V - z W*)^{-*} rhs for trans=2: one gbtrs."""
@@ -323,86 +333,134 @@ def resolvent_blocks(seq: VerblunskySequence, z: complex, pairs,
     W is unitary, so (U_s - z)^{-1} = W* (V - z W*)^{-1}.
 
     A half window's V and W* are a column slice of seq.bands in which only the cut
-    block diag(-gamma, gamma*) differs (_half_window, _cut_block). PencilLU writes its
-    columns inside the half into the formed pencil, and _adjoint_rows reads (W E_k0)* from it
-    when it lies in W, so no band is copied. One PencilLU and one solve over the
-    distinct kp give X = (V - z W*)^{-1} E_kp, and each block is (W E_k)* X, read over
-    the at most 3m columns (sites k - 1 .. k + 1) where (W E_k)* is nonzero, as in
-    cut_resolvent_blocks. This is the general solve behind the Green oracle and the
-    half-window oracle; cut_resolvent_blocks, a route of its own, serves the
-    m-functions. Raises SingularSolve when the solve fails or overflows.
+    block diag(-gamma, gamma*) differs (_half_window, _cut_block, _cut_bands), built per
+    call: this route reads no cut_bands entry, so it checks the m-functions' route. One
+    PencilLU solves X = (V - z W*)^{-1} E_kp for the distinct kp, as many at a time as fit
+    in RHS_BYTES (one site at least), so E and X stay small on any window; gbtrs solves
+    each column by itself, so the batching changes no value. Each block is (W E_k)* X,
+    read over the at most 3m columns (sites k - 1 .. k + 1) where (W E_k)* is nonzero, as
+    in cut_resolvent_blocks. This is the general solve behind the Green oracle and the
+    half-window oracle; cut_resolvent_blocks, a route of its own, serves the m-functions.
+    Raises SingularSolve when the solve fails or overflows.
     """
     m = seq.m
     V, W_star = seq.bands
-    lo, hi, cut = 0, m * seq.n_sites, ()      # the columns of U_s in seq, its cut block
+    lo, hi = 0, m * seq.n_sites               # the columns of U_s in seq
     if half is not None:
         lo, hi, k, j = _half_window(seq, k0, half)
-        V, W_star, cut = V[:, lo:hi], W_star[:, lo:hi], (k, j, _cut_block(gamma, m))
-    cols = dict.fromkeys([kp for _, kp in pairs])     # each distinct kp: its first column of E
-    E = np.zeros((hi - lo, m * len(cols)), dtype=complex)
-    for i, kp in zip(range(0, E.shape[1], m), cols):
-        cols[kp], j = i, (kp - seq.k_min) * m - lo
-        E[j:j + m, i:i + m].flat[::m + 1] = 1.0       # the identity at site kp
-    X = PencilLU(V, W_star, z, *cut).solve(E)
-    rows, blocks = {}, []                     # rows: each distinct k's columns, (W E_k)* on them
-    for k, kp in pairs:
+        V, W_star = _cut_bands(V[:, lo:hi], W_star[:, lo:hi], k, j, _cut_block(gamma, m))
+    lu = PencilLU(V, W_star, z)
+    at_kp, rows = {}, {}                      # each distinct kp: its pairs' indices
+    for n, (k, kp) in enumerate(pairs):
+        at_kp.setdefault(kp, []).append(n)
         if k not in rows:                     # (W E_k)* = W*(k, c), nonzero within one site of k
-            i = (k - seq.k_min) * m - lo
-            c0, c1 = max(i - m, 0), min(i + 2 * m, hi - lo)
-            rows[k] = slice(c0, c1), _adjoint_rows(W_star, i, c0, c1 - c0, *cut)
-        at, row = rows[k]
-        blocks.append(row @ X[at, cols[kp]:cols[kp] + m])
-    return blocks
+            r = (k - seq.k_min) * m - lo
+            c0, c1 = max(r - m, 0), min(r + 2 * m, hi - lo)
+            rows[k] = slice(c0, c1), _adjoint_rows(W_star, r, c0, c1 - c0)
+    kps, per, X_at = list(at_kp), max(RHS_BYTES // (16 * m * (hi - lo)), 1), [None] * len(pairs)
+    for s in range(0, len(kps), per):
+        batch = kps[s:s + per]
+        E = np.zeros((hi - lo, m * len(batch)), dtype=complex)
+        for i, kp in zip(range(0, E.shape[1], m), batch):
+            j = (kp - seq.k_min) * m - lo
+            E[j:j + m, i:i + m].flat[::m + 1] = 1.0       # the identity at site kp
+        X = lu.solve(E)
+        for i, kp in zip(range(0, E.shape[1], m), batch):
+            for n in at_kp[kp]:               # X's rows that (W E_k)* reads, kept column-major
+                X_at[n] = X[rows[pairs[n][0]][0], i:i + m].copy(order="F")
+    # the products after every solve: with OpenBLAS on an AVX-512 host, a gbtrs right after
+    # a zgemm was measured 6-10x slower
+    return [rows[k][1] @ x for (k, _), x in zip(pairs, X_at)]
+
+
+@dataclass(frozen=True)
+class CutBands:
+    """The z-free parts of cut_resolvent_blocks at one (k0, gamma), read-only
+    (cut_band_storage; seq.cut_bands keeps them).
+
+    V and W_star hold the served half windows' cut bands (_cut_bands) side by side, the
+    plus half first and reversed as J P J. halves maps each served half (+1, -1) to (a, e,
+    rows, rhs): its columns a .. e there, (W E_k0)* over the 2m solution rows its trailing
+    solve keeps, and that solve's right-hand side, E_k0 (minus) or J E_k0 (plus) on its
+    last K = 3m - 1 rows.
+    """
+
+    V: np.ndarray
+    W_star: np.ndarray
+    halves: dict
+
+
+def cut_band_storage(seq: VerblunskySequence, k0: int, gamma) -> CutBands:
+    """The CutBands of the half windows cut at k0 with gamma (an m x m unitary or
+    BoundaryUnitary). A half of fewer than 4 sites is left out; SiteOutOfWindow if both
+    are, and MissingCut, DimensionMismatch or NotUnitary for a missing k0 or a bad gamma."""
+    m, b, K = seq.m, 2 * seq.m - 1, 3 * seq.m - 1
+    windows = {}
+    for half in (1, -1):
+        with contextlib.suppress(SiteOutOfWindow):
+            windows[half] = _half_window(seq, k0, half)
+    if not windows:
+        _half_window(seq, k0, 1)              # SiteOutOfWindow, as for the plus half alone
+    block, (V, W_star) = _cut_block(gamma, m), seq.bands
+    ends = np.cumsum([0] + [hi - lo for lo, hi, _, _ in windows.values()]).tolist()
+    V_ab, W_ab = (np.zeros((3 * b + 1, ends[-1]), dtype=complex, order="F") for _ in range(2))
+    E = np.zeros((K, m), dtype=complex, order="F")         # E_k0 on the last K rows
+    E.flat[(K - m) * m::m + 1] = 1.0
+    i, halves = (k0 - seq.k_min) * m, {}      # i: first column of site k0 in seq
+    for (half, (lo, hi, k, j)), a, e in zip(windows.items(), ends, ends[1:]):
+        cut = _cut_bands(V[:, lo:hi], W_star[:, lo:hi], k, j, block)
+        for out, band in zip((V_ab[:, a:e], W_ab[:, a:e]), cut):
+            if half < 0:
+                out[:] = band
+            else:       # column-major, J P J's band is P's read backwards from entry b on
+                out.T.reshape(-1)[b:] = band.T.reshape(-1)[:b - 1:-1]
+        # (W E_k0)* on sites k0 - 1, k0 (minus) or k0, k0 + 1 (plus)
+        rows = _adjoint_rows(cut[1], i - lo, i - lo - m if half < 0 else 0, 2 * m)
+        halves[half] = (a, e, rows, E if half < 0 else np.asfortranarray(E[:, ::-1]))
+    for x in (V_ab, W_ab, *(x for h in halves.values() for x in h[2:])):
+        x.setflags(write=False)
+    return CutBands(V_ab, W_ab, halves)
 
 
 def cut_resolvent_blocks(seq: VerblunskySequence, z: complex, k0: int, gamma,
                          halves=(1, -1)) -> np.ndarray:
     """The stack of G_h(k0, k0) = E_k0* (U_h - z)^{-1} E_k0 for each half window h in halves
-    (+1 or -1), cut at k0 with gamma as in resolvent_blocks, from one banded LU for all.
+    (+1 or -1), cut at k0 with the BoundaryUnitary gamma as in resolvent_blocks, from one
+    banded LU for all.
 
     Each half is factored with k0 eliminated last. The minus half [k_min, k0] ends at k0.
     The plus half is factored reversed, as J P J with J the order-reversing permutation
     (its band rows b .. 3b and its columns flipped), so its right-hand side J E_k0 is the
-    anti-identity on its last m rows, and its solution rows read back reversed. The halves'
-    pencils (_pencil, the cut block's columns written whole) sit side by side in one band
-    array; exact zeros across each cut decouple them, so no pivot crosses between halves
-    while the LU stays finite (checked, as a stray pivot would make a solve read outside
-    its half).
+    anti-identity on its last m rows, and its solution rows read back reversed. Everything
+    but z is built once per (k0, gamma) and kept on the sequence (seq.cut_bands,
+    cut_band_storage): the halves' cut bands side by side, the (W E_k0)* rows and the
+    right-hand sides. A call forms its halves' pencil V - z W* (_pencil) by one subtraction
+    over their columns; exact zeros across each cut decouple the halves, so no pivot
+    crosses between them while the LU stays finite (checked, as a stray pivot would make a
+    solve read outside its half), and a one-sign call factors its own half's columns only.
 
     A right-hand side on a half's last m rows reaches, through pivots and fill, only its
     last K = 3m - 1 rows, so one gbtrs on the LU's K trailing columns of that half (pivots
     shifted) gives exactly those rows of the full solve; they hold the 2m rows that
-    (W E_k0)* reads. SingularSolve when the LU or a solve fails or is not finite.
+    (W E_k0)* reads. SiteOutOfWindow for a half of fewer than 4 sites; SingularSolve when
+    the LU or a solve fails or is not finite.
     """
-    m, b, K = seq.m, 2 * seq.m - 1, 3 * seq.m - 1
-    V, W_star = seq.bands
-    cuts, end = [], 0                         # (half, lo, hi, k, j, its first column in ab)
+    m, K = seq.m, 3 * seq.m - 1
+    cut = seq.cut_bands(k0, gamma)
     for half in halves:
-        lo, hi, k, j = _half_window(seq, k0, half)
-        cuts.append((half, lo, hi, k, j, end))
-        end += hi - lo
-    block = _cut_block(gamma, m)
-    ab = np.empty((3 * b + 1, end), dtype=complex, order="F")
-    for half, lo, hi, k, j, a in cuts:
-        out = ab[:, a:a + hi - lo]
-        P = _pencil(V[:, lo:hi], W_star[:, lo:hi], z, out if half < 0 else None, k, j, block)
-        if half > 0:    # column-major, J P J's band is P's read backwards from entry b on
-            out.T.reshape(-1)[b:] = P.T.reshape(-1)[:b - 1:-1]
-    lu, piv = _factor(ab, z)
-    i = (k0 - seq.k_min) * m                  # first column of site k0 in seq
-    E = np.zeros((K, m), dtype=complex, order="F")         # E_k0 on the last K rows
-    E.flat[(K - m) * m::m + 1] = 1.0
-    G = np.empty((len(cuts), m, m), dtype=complex)
-    for h, (half, lo, hi, k, j, a) in enumerate(cuts):
-        e = a + hi - lo
+        if half not in cut.halves:            # it holds under 4 sites: SiteOutOfWindow
+            _half_window(seq, k0, half)
+    spans = [cut.halves[half] for half in halves]
+    a0, e0 = min(s[0] for s in spans), max(s[1] for s in spans)
+    lu, piv = _factor(_pencil(cut.V[:, a0:e0], cut.W_star[:, a0:e0], z), z)
+    G = np.empty((len(spans), m, m), dtype=complex)
+    for h, (half, (_, e, rows, rhs)) in enumerate(zip(halves, spans)):
+        e -= a0
         p = piv[e - K:e] - (e - K)            # a pivot reaches kl < K rows down, so only these
         if max(p.tolist()) > K:               # can leave the half: a non-finite LU lets them
             raise SingularSolve(f"resolvent solve failed at z = {z}")
-        rhs = E if half < 0 else E[:, ::-1]   # E_k0, or J E_k0 for the reversed plus half
         X = _solve(lu[:, e - K:e], p, rhs, z)[K - 2 * m:]
-        # (W E_k0)* on sites k0 - 1, k0 (minus) or k0, k0 + 1 (plus, solved in reverse)
-        c0, X = (i - m, X) if half < 0 else (i, X[::-1])
-        np.matmul(_adjoint_rows(W_star, i, c0, 2 * m, k, j + lo, block), X, out=G[h])
+        np.matmul(rows, X if half < 0 else X[::-1], out=G[h])
     return G
 
 

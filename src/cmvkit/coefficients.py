@@ -14,9 +14,10 @@ of LAPACK zgees, via _lapack), and two-sided unitary gauge transforms of
 whole sequences. Each sequence factors its interior algebra once
 (SequenceArrays, one batched pass over the stack) for transfers and
 assembly, keeps its V and W* in band storage once (bands) for the
-resolvent blocks behind the m-functions and the Green oracle, and its
+resolvent blocks behind the m-functions and the Green oracle, its
 z-free transfer matrices once per direction (transfer_band,
-transfer_inverse_band) for propagation.
+transfer_inverse_band) for propagation, and the z-free cut bands of its
+last few cuts (cut_bands) for the m-functions.
 """
 
 from __future__ import annotations
@@ -43,6 +44,7 @@ from .errors import (
 
 CONTRACTION_TOL = 1e-8
 UNITARY_TOL = 1e-10
+CUT_BANDS_KEPT = 4     # VerblunskySequence.cut_bands entries kept per sequence
 
 
 class CoefficientKind(Enum):
@@ -236,6 +238,23 @@ class VerblunskySequence:
         """The same for their explicit inverses, for propagation toward k_min."""
         from .laurent import _transfer_band
         return _transfer_band(self, inverse=True)
+
+    @cached_property
+    def _cut_store(self) -> dict:
+        return {}
+
+    def cut_bands(self, k0: int, gamma: "BoundaryUnitary"):
+        """The read-only z-free bands of the half windows cut at k0 with gamma, a
+        BoundaryUnitary (assembly.cut_band_storage), built once per (k0, gamma's bytes).
+        The last CUT_BANDS_KEPT are kept, the oldest dropped first; a failed build is not."""
+        from .assembly import cut_band_storage
+        store, key = self._cut_store, (k0, gamma.gamma.tobytes())
+        found = store.get(key)
+        if found is None:
+            found = store[key] = cut_band_storage(self, k0, gamma)
+            if len(store) > CUT_BANDS_KEPT:
+                del store[next(iter(store))]
+        return found
 
 
 def sequence_from_values(values: dict, m: int | None = None) -> VerblunskySequence:

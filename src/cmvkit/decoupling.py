@@ -21,7 +21,7 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .assembly import PencilLU, SplitSpec, band_block, operator_difference_block
+from .assembly import PencilLU, SplitSpec, _cut_bands, band_block, operator_difference_block
 from .coefficients import (
     VerblunskySequence,
     _as_square,
@@ -78,9 +78,13 @@ def numerical_rank(M: np.ndarray, rtol: float = RANK_RTOL) -> int:
     Returns:
         The numerical rank; zero for the zero matrix.
     """
+    return _rank(np.linalg.svd(np.asarray(M, dtype=complex), compute_uv=False), rtol)
+
+
+def _rank(s: np.ndarray, rtol: float) -> int:
+    """numerical_rank from the singular values s, largest first."""
     if not 0 < rtol < 1:
         raise OutOfRange(f"rtol must lie in (0, 1), got {rtol}")
-    s = np.linalg.svd(np.asarray(M, dtype=complex), compute_uv=False)
     if s.size == 0 or s[0] == 0:
         return 0
     return int(np.count_nonzero(s > rtol * s[0]))
@@ -140,6 +144,7 @@ def _resolvent_factors(seq: VerblunskySequence, spec: SplitSpec, z_samples):
     V, W_star = seq.bands
     m, j = seq.m, (spec.k0 - 1 - seq.k_min) * seq.m       # j: column of site k0 - 1
     block = spec.block_in(seq)
+    split = _cut_bands(V, W_star, spec.k0, j, block)
     E = np.eye(V.shape[1], 2 * m, -j, dtype=complex)
     if spec.k0 % 2 == 0:                      # the cut block lives in V
         L, R = E, E
@@ -149,7 +154,7 @@ def _resolvent_factors(seq: VerblunskySequence, spec: SplitSpec, z_samples):
     for z in z_samples:
         z = require_off_circle(z)
         X = PencilLU(V, W_star, z).solve(L)
-        yield z, X, PencilLU(V, W_star, z, spec.k0, j, block).solve(R, trans=2)
+        yield z, X, PencilLU(*split, z).solve(R, trans=2)
 
 
 def decoupling_report(seq: VerblunskySequence, k0: int,
@@ -174,7 +179,7 @@ def decoupling_report(seq: VerblunskySequence, k0: int,
     spec = SplitSpec(k0=k0, gamma_left=gamma1, gamma_right=gamma2)
     block = operator_difference_block(seq, spec)
     singular_values = np.linalg.svd(block, compute_uv=False)
-    op_rank = numerical_rank(block, rtol)
+    op_rank = _rank(singular_values, rtol)    # U - U_split has B's singular values
     if z_samples is None:
         z_samples = default_z_samples()
     resolvent_ranks = {}

@@ -37,6 +37,7 @@ from .coefficients import (
     as_boundary,
 )
 from .errors import (
+    NotFinite,
     SingularSolutionValue,
     SiteOutOfWindow,
     require_finite,
@@ -113,6 +114,9 @@ def m_from_edge_condition(seq: VerblunskySequence, k0: int, gamma, z, sign) -> n
     zungqr): Miller's backward recursion (Gautschi, SIAM Review 9, 1967), no resolvent in it.
     At k0 it is X_seed (c_top; c_bottom), X_seed the seed of this sign, and m = c_top
     c_bottom^{-1}; with the plus seed, the minus route would return M_minus instead.
+    NotFinite when a step overflows: the odd sites' steps hold z and 1/z, so the route's
+    z-range ends where |z| or 1/|z| times the transfer entries passes the float maximum
+    (between |z| = 1e307 and 1e308 on a typical window), short of m_function's.
     """
     m, sign, z = seq.m, _norm_sign(sign), require_off_circle(z)
     if sign == PLUS:
@@ -123,11 +127,16 @@ def m_from_edge_condition(seq: VerblunskySequence, k0: int, gamma, z, sign) -> n
         C, path = (z * g if k_edge % 2 == 1 else g.conj().T), (k_edge + 1, k0)
     X_seed = seed_family(as_boundary(gamma, m), z, k0, sign).X[0]
     Y = np.vstack((C, np.eye(m)))
-    # the steps -T toward k0; the band's last row is its zero closing row
-    steps = [] if k0 == k_edge else _as_steps(_path_band(seq, z, *path, inverse=sign == PLUS))[:-1]
-    for step in steps:
-        Y, tau, _, _ = _geqrf(step @ Y, overwrite_a=True)
-        Y, _, _ = _ungqr(Y, tau, overwrite_a=True)
+    with np.errstate(over="ignore", invalid="ignore"):     # an overflow is reported below
+        # the steps -T toward k0; the band's last row is its zero closing row
+        steps = [] if k0 == k_edge else _as_steps(
+            _path_band(seq, z, *path, inverse=sign == PLUS))[:-1]
+        for step in steps:
+            Y, tau, _, _ = _geqrf(step @ Y, overwrite_a=True)
+            Y, _, _ = _ungqr(Y, tau, overwrite_a=True)
+    if not np.isfinite(Y).all():              # a step (z o1, o2 / z) or step @ Y overflowed
+        raise NotFinite(f"edge route: a transfer step overflows at z = {z}; the route holds "
+                        "while |z| and 1/|z| times the transfer entries stay below 1.8e308")
     c = solve(X_seed, Y)
     return solve(c[:m], c[m:], right=True)
 

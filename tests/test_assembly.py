@@ -1,9 +1,13 @@
 """Operator assembly: factorization, band structure, splits."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
+from cmvkit import assembly
 from cmvkit.assembly import (
+    RHS_BYTES,
     CmvOperatorSet,
     SplitSpec,
     SplitOutOfWindow,
@@ -11,6 +15,7 @@ from cmvkit.assembly import (
     assemble_split,
     band_block,
     operator_difference_block,
+    resolvent_blocks,
 )
 from cmvkit.coefficients import sequence_from_values, theta_block
 from cmvkit.cli.ensembles import EnsembleSpec, generate, random_unitary
@@ -201,3 +206,45 @@ def test_split_outside_window_raises():
     eye = np.eye(1)
     with pytest.raises(SplitOutOfWindow):
         assemble_split(seq, SplitSpec(k0=-3, gamma_left=eye, gamma_right=eye))
+
+
+def test_resolvent_blocks_in_batches_equal_one_pair_calls(monkeypatch, count_calls):
+    """With RHS_BYTES cut to 5 sites' columns, so that the distinct kp take many solves,
+    every block equals its one-pair call bit for bit (gbtrs solves each column by itself):
+    m = 1..3, the window and both half windows, kp repeated and in no order."""
+    z = 0.7 * np.exp(0.9j)
+    for m in (1, 2, 3):
+        seq = generate(EnsembleSpec(m=m, k_min=-3, k_max=40, seed=30 + m))
+        g = random_unitary(np.random.default_rng(31 + m), m)
+        rng, k0 = np.random.default_rng(32 + m), 18
+        for half, (lo, hi) in ((None, (seq.k_min, seq.k_max - 1)), (1, (k0, seq.k_max - 1)),
+                               (-1, (seq.k_min, k0))):
+            kps = rng.permutation(np.arange(lo, hi + 1))
+            pairs = [(int(min(max(kp + rng.integers(-2, 3), lo), hi)), int(kp))
+                     for kp in np.concatenate((kps, kps[:9]))]
+            rows = m * (hi - lo + 1)
+            monkeypatch.setattr(assembly, "RHS_BYTES", 16 * m * rows * 5)
+            solves = count_calls(assembly, "_solve")
+            got = resolvent_blocks(seq, z, pairs, half, k0, g)
+            assert len(solves) == -(-len(kps) // 5)
+            monkeypatch.undo()
+            for pair, block in zip(pairs, got):
+                one, = resolvent_blocks(seq, z, [pair], half, k0, g)
+                assert np.array_equal(block, one), (m, half, pair)
+
+
+def test_resolvent_blocks_memory_stays_bounded():
+    """On 3000 sites with 600 distinct kp the oracle's right-hand sides and solutions come
+    RHS_BYTES at a time: the traced peak stays under 5 RHS_BYTES, where one solve over all
+    kp would hold two 6000 x 1200 complex arrays (115 MB each)."""
+    seq = generate(EnsembleSpec(m=2, k_min=0, k_max=3000, seed=35))
+    seq.bands
+    pairs = [(k, k) for k in range(0, 3000, 5)]
+    tracemalloc.start()
+    try:
+        blocks = resolvent_blocks(seq, 0.5j, pairs)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert len(blocks) == 600 and all(np.isfinite(b).all() for b in blocks)
+    assert peak < 5 * RHS_BYTES, peak

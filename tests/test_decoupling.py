@@ -16,6 +16,7 @@ from cmvkit.decoupling import (
     _resolvent_factors,
 )
 from cmvkit.coefficients import contractive, factorize_svd, sequence_from_values
+from cmvkit.errors import OutOfRange
 from cmvkit.cli.ensembles import EnsembleSpec, generate, random_unitary
 from cmvkit.cli.suites import run_suite
 
@@ -228,3 +229,23 @@ def test_minimal_decoupling_with_repeated_singular_values():
         for p, gamma in ((sol.t, sol.gamma1), (sol.s, sol.gamma2)):
             np.testing.assert_allclose(replace(turned, beta=np.exp(1j * p)).reconstruct(),
                                        gamma, rtol=0, atol=1e-15)
+
+
+def test_op_rank_is_counted_from_the_reported_singular_values(count_calls):
+    """op_rank equals numerical_rank of the local block at the report's rtol, counted from
+    the singular values the report already holds (no second SVD); a bad rtol still raises."""
+    svds = count_calls(np.linalg, "svd")
+    for seed, m in ((1, 1), (2, 2), (3, 3)):
+        seq = generate(EnsembleSpec(m=m, k_min=0, k_max=20, seed=seed))
+        rng = np.random.default_rng(seed)
+        for k0 in (9, 10):
+            sol = minimal_phases(seq.alpha(k0), rng.uniform(0, 2 * np.pi, m))
+            for g1, rtol in ((sol.gamma1, 1e-8), (random_unitary(rng, m), 1e-8),
+                             (random_unitary(rng, m), 0.5)):
+                del svds[:]
+                rep = decoupling_report(seq, k0, g1, sol.gamma2, z_samples=(), rtol=rtol)
+                assert len(svds) == 1
+                assert rep.op_rank == numerical_rank(rep.local_block, rtol)
+    for rtol in (0.0, 1.0, -1e-8):
+        with pytest.raises(OutOfRange):
+            decoupling_report(seq, 9, sol.gamma1, sol.gamma2, z_samples=(), rtol=rtol)

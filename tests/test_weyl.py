@@ -14,6 +14,7 @@ from cmvkit.greens import (
     dense_resolvent_entries,
     dense_resolvent_entry,
     full_green_entries,
+    half_green_entries,
     half_lattice_green,
 )
 from cmvkit.weyl import (
@@ -614,7 +615,7 @@ def _own_lus(seq, k0, g, z):
     b, block, lus = 2 * seq.m - 1, assembly._cut_block(g, seq.m), []
     for half in (PLUS, MINUS):
         lo, hi, k, j = assembly._half_window(seq, k0, half)
-        P = assembly._pencil(V[:, lo:hi], W_star[:, lo:hi], z, None, k, j, block)
+        P = assembly._pencil(*assembly._cut_bands(V[:, lo:hi], W_star[:, lo:hi], k, j, block), z)
         if half == PLUS:
             P[b:], P[:b] = P[b:][::-1, ::-1].copy(), 0.0
         lus.append(assembly._factor(P, z))
@@ -843,3 +844,118 @@ def test_M_minus_at_zero_factors_nothing(count_calls):
             assert not factored
             assert np.array_equal(got, spectral_sample(seq, k0, g, 0).M_minus)
             factored.clear()
+
+
+def test_edge_route_reports_its_z_range_limit():
+    """Past the edge route's z-range (a step z o1 or o2 / z, or its product with the carried
+    basis, leaving the float range) it raises NotFinite naming that limit, not a singular
+    factor; at 1e300 and 1e-300 it still agrees with m_function to 1e-15 relative."""
+    for seed in (1, 2, 3):
+        seq = generate(EnsembleSpec(m=2, k_min=0, k_max=40, seed=seed))
+        g = random_unitary(np.random.default_rng(seed + 1), 2)
+        for sign in (PLUS, MINUS):
+            for z in (1e308j, -1e308j):
+                with pytest.raises(NotFinite, match="edge route.*1.8e308"):
+                    m_from_edge_condition(seq, 20, g, z, sign)
+            for z in (1e300, 1e-300):
+                want = m_function(seq, 20, g, z, sign)
+                got = m_from_edge_condition(seq, 20, g, z, sign)
+                assert np.linalg.norm(got - want) <= 1e-15 * np.linalg.norm(want), (seed, sign, z)
+
+
+def _cut_case(k_max=24, seed=170):
+    seq = generate(EnsembleSpec(m=2, k_min=0, k_max=k_max, seed=seed, radius_max=0.9))
+    return seq, random_unitary(np.random.default_rng(seed + 1), 2)
+
+
+def test_cut_bands_are_built_once_per_sequence_cut_and_gamma(count_calls):
+    """A grid of z at one cut builds the z-free cut bands once, whichever form gamma comes in
+    (an array, an equal copy, a BoundaryUnitary of it); a new gamma or k0 builds again, and
+    the cached call gives the first call's values bit for bit."""
+    builds = count_calls(assembly, "cut_band_storage", lambda seq, k0, gamma: k0)
+    seq, g = _cut_case()
+    zs = [r * np.exp(1j * t) for r in (0.5, 0.99, 1.01, 2.0) for t in (0.3, 2.9)] + [0.0]
+    first = [spectral_sample(seq, 12, g, z) for z in zs]
+    for z in zs:
+        for gamma in (g.copy(), BoundaryUnitary(g)):
+            m_function(seq, 12, gamma, z, PLUS)
+            M_function(seq, 12, gamma, z, MINUS)
+    half_green_entries(seq, 12, g, zs[0], [(13, 15)], PLUS)
+    full_green_entries(seq, 12, g, zs[0], [(9, 15)])
+    assert builds == [12]
+    again = [spectral_sample(seq, 12, g, z) for z in zs]
+    for a, b in zip(first, again):
+        assert all(np.array_equal(getattr(a, f), getattr(b, f)) for f in a.__dataclass_fields__)
+    fresh = VerblunskySequence(seq.k_min, seq.values)
+    for z, s in zip(zs, first):
+        assert np.array_equal(weyl._m_functions(fresh, 12, g, z), np.stack((s.m_plus, s.m_minus)))
+    assert builds == [12, 12]
+    m_function(seq, 12, g @ g, zs[0], PLUS)
+    m_function(seq, 13, g, zs[0], MINUS)
+    assert builds == [12, 12, 12, 13]
+
+
+def test_cut_bands_are_read_only_and_bounded():
+    """Every cached array is read-only, and sweeping every cut keeps at most CUT_BANDS_KEPT
+    entries on the sequence, the latest ones; a failed build is not kept."""
+    seq, g = _cut_case()
+    b = BoundaryUnitary(g)
+    cut = seq.cut_bands(12, b)
+    arrays = [cut.V, cut.W_star] + [a for h in cut.halves.values() for a in h[2:]]
+    for a in arrays:
+        assert not a.flags.writeable
+        with pytest.raises(ValueError, match="read-only"):
+            a[(0,) * a.ndim] = 1.0
+    assert sorted(cut.halves) == [MINUS, PLUS]
+    for k0 in range(seq.k_min, seq.k_max):
+        m_function(seq, k0, b, 0.5j, PLUS if k0 <= seq.k_max - 4 else MINUS)
+        assert len(seq._cut_store) <= coefficients.CUT_BANDS_KEPT
+    kept = [k0 for k0, _ in seq._cut_store]
+    assert kept == list(range(seq.k_max - coefficients.CUT_BANDS_KEPT, seq.k_max))
+    for k0, gamma, err in ((-5, b, SiteOutOfWindow), (40, b, SiteOutOfWindow),
+                           (12, BoundaryUnitary(np.eye(3)), DimensionMismatch)):
+        with pytest.raises(err):
+            seq.cut_bands(k0, gamma)
+        assert [k for k, _ in seq._cut_store] == kept
+
+
+def test_cut_bands_serve_the_long_half_of_an_edge_cut(count_calls):
+    """At a cut where one half holds fewer than 4 sites, the entry serves the other half
+    (matching the oracle solve) and asking for the short one raises SiteOutOfWindow; a
+    one-sign call factors its own half's columns only."""
+    widths = count_calls(assembly, "_gbtrf", lambda ab, *args, **kwargs: ab.shape[1])
+    seq, g = _cut_case()
+    m, z = seq.m, 0.6 * np.exp(0.4j)
+    b = BoundaryUnitary(g)
+    for k0, served, short in ((1, PLUS, MINUS), (seq.k_max - 2, MINUS, PLUS)):
+        got = m_function(seq, k0, b, z, served)
+        assert list(seq.cut_bands(k0, b).halves) == [served]
+        G, = resolvent_blocks(seq, z, [(k0, k0)], served, k0, g)
+        raw = served * (np.eye(m) + 2.0 * z * G)
+        want = b.root @ raw @ b.root.conj().T if k0 % 2 == 0 else b.root.conj().T @ raw @ b.root
+        assert np.linalg.norm(got - want) <= 1e-13 * np.linalg.norm(want)
+        for call in (lambda: m_function(seq, k0, b, z, short),
+                     lambda: spectral_sample(seq, k0, b, z)):
+            with pytest.raises(SiteOutOfWindow):
+                call()
+    del widths[:]
+    i = 12 * m
+    for signs in ((PLUS,), (MINUS,), (PLUS, MINUS)):
+        weyl._m_functions(seq, 12, b, z, signs)
+    assert widths == [m * seq.n_sites - i, i + m, m * seq.n_sites + m]
+
+
+def test_oracle_and_decoupling_read_no_cut_bands(count_calls):
+    """The Green oracle and the decoupling solves build their pencils per call and never
+    read a cut_bands entry, so they stay independent checks of the m-function route."""
+    reads = count_calls(VerblunskySequence, "cut_bands")
+    seq, g = _cut_case(k_max=30)
+    z = 0.5 * np.exp(0.8j)
+    dense_resolvent_entries(seq, z, [(12, 15), (15, 12)])
+    dense_resolvent_entry(seq, z, 13, 15, half=PLUS, k0=12, gamma=g)
+    dense_resolvent_entry(seq, z, 9, 11, half=MINUS, k0=12, gamma=g)
+    sol = minimal_phases(seq.alpha(13), [0.3, 1.1])
+    decoupling_report(seq, 13, sol.gamma1, sol.gamma2)
+    assert reads == [] and not seq.__dict__.get("_cut_store")
+    m_function(seq, 12, g, z, PLUS)
+    assert len(reads) == 1
