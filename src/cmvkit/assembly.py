@@ -6,27 +6,28 @@ ones, each block occupying sites (j-1, j). At the two window edges the
 unitary endpoint coefficients leave only their diagonal corners inside the
 matrix, which keeps the finite V and W exactly unitary.
 
-One placement of the blocks (_placed_blocks, one stacked theta_block) feeds
-two scatters: dense V, W and U, the small-window reference the tests compare
-against, and the V and W* of the window in LAPACK band storage, which serve
-the solves and which band_block reads back. The split variant replaces one
-block by diag(-gamma_left, gamma_right*), severing the window in two halves;
-operator_difference_block is the 2m x 2m block by which U and the split
-differ; block_diag forms direct sums. _cut_bands writes a cut or split block
-into copies of V and W*, the z-free bands of a half window or a split, and is
-the one place such a block enters a band; _pencil forms every pencil V - z W*
-from bands as one subtraction. PencilLU is one banded LU (LAPACK zgbtrf and
-zgbtrs, from _lapack) of the pencil of the window, a half window or a split,
-whose solve serves any set of right-hand sides. From one PencilLU,
-resolvent_blocks reads any m x m blocks of the resolvent (U_s - z)^{-1} of the
-window or of a half window cut at k0, never forming U_s: the Green oracle and
-the half-window oracle, which build their bands per call. cut_resolvent_blocks
-is the m-functions' own route to G(k0, k0) of the half windows: k0 eliminated
-last in each, both halves in one banded LU, and a solve over each half's
-trailing block only. Its z-free parts, both halves' cut bands side by side
-(the plus half reversed), the (W E_k0)* rows and the right-hand sides
-(CutBands, cut_band_storage), are built once per (k0, gamma) and kept on the
-sequence (VerblunskySequence.cut_bands), so a call at one more z costs one
+One placement of the blocks (_placed_blocks: one stacked theta_block of the
+coefficients and seq.defects) feeds two scatters: dense V, W and U, the
+small-window reference the tests compare against, and the V and W* of the
+window in LAPACK band storage (seq.bands), which band_block reads back. The
+split replaces one block by diag(-gamma_left, gamma_right*), severing the
+window in two; operator_difference_block is the 2m x 2m block by which U and
+the split differ; block_diag forms direct sums.
+
+_cut_bands, the one writer of a cut or split block, returns copies of
+seq.bands, in window coordinates, with one coefficient's block replaced: a
+cut block diag(-gamma, gamma*) severs the window into the two half windows.
+_pencil forms every pencil V - z W* as one subtraction, and _factor and
+_solve (LAPACK zgbtrf and zgbtrs, from _lapack) are the one banded LU helper.
+resolvent_blocks reads m x m blocks of the resolvent (U_s - z)^{-1} of the
+window or a half window, never forming U_s: the Green and half-window
+oracles, which build their bands per call. cut_resolvent_blocks is the
+m-functions' own route to G(k0, k0) of the half windows: k0 eliminated last
+in each, both halves in one banded LU, and a solve over each half's trailing
+block only. Its z-free parts (CutBands, cut_band_storage: both halves' cut
+bands side by side, the plus half reversed, the (W E_k0)* rows and the
+right-hand sides) are kept on the sequence per (k0, gamma)
+(VerblunskySequence.cut_bands), so a call at one more z costs one
 subtraction, one zgbtrf and a short zgbtrs and product per half.
 """
 
@@ -140,8 +141,8 @@ def _placed_blocks(seq: VerblunskySequence, spec: SplitSpec | None = None):
     entries inside the window that belong to V and to W.
     """
     n, m = seq.n_sites, seq.m
-    A, zero = seq.arrays, np.zeros((1, m, m))                   # unitary ends: no defects
-    rho, rho_tilde = (np.concatenate((zero, d, zero)) for d in (A.rho, A.rho_tilde))
+    zero, d = np.zeros((1, m, m)), seq.defects                  # unitary ends: no defects
+    rho, rho_tilde = (np.concatenate((zero, a, zero)) for a in (d.rho, d.rho_tilde))
     blocks = theta_block(seq.values, DefectPair(rho, rho_tilde))
     if spec is not None:
         blocks[spec.k0 - seq.k_min] = spec.block_in(seq)
@@ -217,8 +218,8 @@ def band_block(band: np.ndarray, rows, cols) -> np.ndarray:
     """The entries (r, c), r in rows and c in cols, of the matrix that band holds in
     band_storage's layout: exact zeros off the band."""
     b = (band.shape[0] - 1) // 3
-    r, c = np.ix_(rows, cols)
-    return np.where(abs(r - c) <= b, band[np.clip(2 * b + r - c, 0, 3 * b), c], 0)
+    r, c = np.ix_(rows, cols)       # [2b + r - c, c] is item 2b + r + 3b c of the column-major band
+    return np.where(abs(r - c) <= b, band.T.reshape(-1)[2 * b + r + 3 * b * c], 0)
 
 
 def half_sites(seq: VerblunskySequence, k0, half: int) -> tuple:
@@ -229,15 +230,15 @@ def half_sites(seq: VerblunskySequence, k0, half: int) -> tuple:
 
 
 def _half_window(seq: VerblunskySequence, k0, half: int) -> tuple:
-    """(lo, hi, k, j) of the half window of sign half cut at k0 (half_sites), 4 sites or
-    more (else SiteOutOfWindow): its columns lo .. hi in seq, and the cut coefficient k (k0
-    for plus, k0 + 1 for minus), whose block _cut_block gives, at the half's columns j .."""
+    """(lo, hi, k) of the half window of sign half cut at k0 (half_sites), 4 sites or more
+    (else SiteOutOfWindow): its columns lo .. hi in seq, and the cut coefficient k (k0 for
+    plus, k0 + 1 for minus) whose block _cut_block gives."""
     first, last = half_sites(seq, k0, half)
     if not seq.k_min <= first < last - 2 <= seq.k_max - 3:
         raise SiteOutOfWindow(f"half window [{first}, {last + 1}] of [{seq.k_min}, "
                               f"{seq.k_max}] must hold 4 sites or more")
     m, i = seq.m, (k0 - seq.k_min) * seq.m    # i: first column of site k0 in seq
-    return (i, m * seq.n_sites, k0, -m) if half > 0 else (0, i + m, k0 + 1, i)
+    return (i, m * seq.n_sites, k0) if half > 0 else (0, i + m, k0 + 1)
 
 
 def _cut_block(gamma, m: int) -> np.ndarray:
@@ -250,17 +251,14 @@ def _cut_block(gamma, m: int) -> np.ndarray:
     return block_diag(-gamma, gamma.conj().T)
 
 
-def _cut_bands(V, W_star, k: int = 0, j: int = 0, block=None) -> tuple:
-    """V and W* in band_storage's layout with coefficient k's block at columns j .. j +
-    len(block) holding block instead: in V for even k, else in W, whose adjoint W* holds
-    block*. Each of its columns inside the bands is written whole, so a half window's cut
-    block puts exact zeros on the rows across the cut; its columns outside are not written.
-    New arrays, or V and W* themselves without a block. The one place a cut or split block
-    enters a band, and through _pencil a pencil."""
-    if block is None:
-        return V, W_star
-    V, W_star = V.copy(order="F"), W_star.copy(order="F")
-    b, n = (len(V) - 1) // 3, len(block)
+def _cut_bands(seq: VerblunskySequence, k: int, block: np.ndarray) -> tuple:
+    """Copies of seq.bands, V and W*, with coefficient k's block (sites k - 1, k) replaced by
+    block: in V for even k, else in W, whose adjoint W* holds block*. Each of its columns
+    inside the window is written whole, its columns outside not at all, so a cut block
+    diag(-gamma, gamma*) puts exact zeros across the cut: its two parts are the half windows
+    cut at k. The one place a cut or split block enters a band, and so a pencil."""
+    V, W_star = (band.copy(order="F") for band in seq.bands)
+    b, n, j = 2 * seq.m - 1, len(block), (k - 1 - seq.k_min) * seq.m     # j: site k - 1
     for l in range(max(-j, 0), min(n, V.shape[1] - j)):     # column j + l of the block
         at = (slice(2 * b - l, 2 * b - l + n), j + l)
         if k % 2 == 0:
@@ -271,25 +269,15 @@ def _cut_bands(V, W_star, k: int = 0, j: int = 0, block=None) -> tuple:
 
 
 def _pencil(V, W_star, z) -> np.ndarray:
-    """V - z W*, a new array, from V and W* in band_storage's layout (_cut_bands' for a cut
-    or split window)."""
+    """V - z W*, a new array, from V and W* in band_storage's layout (seq.bands, or
+    _cut_bands' for a cut or split window)."""
     out = z * W_star
     return np.subtract(V, out, out=out)
 
 
-def _adjoint_rows(W_star, i: int, c0: int, width: int) -> np.ndarray:
-    """(W E)* at the columns c0 .. c0 + width, each within one site of E's, from W* in
-    band_storage's layout, E the injection of the site whose first column is i."""
-    b = (len(W_star) - 1) // 3
-    m = (b + 1) // 2
-    rows = np.empty((m, width), dtype=complex)
-    for t, c in enumerate(range(c0, c0 + width)):     # W*(r, c) sits at [2b + r - c, c]
-        rows[:, t] = W_star[2 * b + i - c:2 * b + i - c + m, c]
-    return rows
-
-
 def _factor(pencil: np.ndarray, z) -> tuple:
-    """The banded LU (lu, piv) of a formed pencil, kl = ku = b (LAPACK gbtrf, in place)."""
+    """The banded LU (lu, piv) of a formed pencil (_pencil), kl = ku = b (LAPACK gbtrf, in
+    place); SingularSolve if the pencil is singular. With _solve the one banded LU helper."""
     b = (len(pencil) - 1) // 3
     lu, piv, info = _gbtrf(pencil, b, b, overwrite_ab=True)
     if info != 0:
@@ -307,20 +295,6 @@ def _solve(lu: np.ndarray, piv: np.ndarray, rhs: np.ndarray, z, trans: int = 0) 
     return X
 
 
-class PencilLU:
-    """One banded LU of V - z W* (_pencil), V and W* in band_storage's layout (_cut_bands' for
-    a cut or split window). Its solve serves any right-hand sides. SingularSolve if the pencil
-    is singular or a solve overflows."""
-
-    def __init__(self, V: np.ndarray, W_star: np.ndarray, z: complex):
-        self.z = z
-        self.lu, self.piv = _factor(_pencil(V, W_star, z), z)
-
-    def solve(self, rhs: np.ndarray, trans: int = 0) -> np.ndarray:
-        """(V - z W*)^{-1} rhs, or (V - z W*)^{-*} rhs for trans=2: one gbtrs."""
-        return _solve(self.lu, self.piv, rhs, self.z, trans)
-
-
 def resolvent_blocks(seq: VerblunskySequence, z: complex, pairs,
                      half: int | None = None, k0: int | None = None, gamma=None) -> list:
     """The m x m blocks E_k* (U_s - z)^{-1} E_kp for (k, kp) in pairs, never forming U_s.
@@ -332,39 +306,39 @@ def resolvent_blocks(seq: VerblunskySequence, z: complex, pairs,
     finite and that every site is a site of U_s.
     W is unitary, so (U_s - z)^{-1} = W* (V - z W*)^{-1}.
 
-    A half window's V and W* are a column slice of seq.bands in which only the cut
-    block diag(-gamma, gamma*) differs (_half_window, _cut_block, _cut_bands), built per
-    call: this route reads no cut_bands entry, so it checks the m-functions' route. One
-    PencilLU solves X = (V - z W*)^{-1} E_kp for the distinct kp, as many at a time as fit
-    in RHS_BYTES (one site at least), so E and X stay small on any window; gbtrs solves
-    each column by itself, so the batching changes no value. Each block is (W E_k)* X,
-    read over the at most 3m columns (sites k - 1 .. k + 1) where (W E_k)* is nonzero, as
+    A half window is solved within the whole window cut at its cut coefficient
+    (_half_window, _cut_block, _cut_bands), built per call: the cut block severs the
+    window, so the blocks on the half's sites are the half's own, and this route reads no
+    cut_bands entry, so it checks the m-functions' route. One banded LU (_factor, _solve)
+    solves X = (V - z W*)^{-1} E_kp for the distinct kp, as many at a time as fit in
+    RHS_BYTES (one site at least), so E and X stay small on any window; gbtrs solves each
+    column by itself, so the batching changes no value. Each block is (W E_k)* X, read over
+    the at most 3m columns (sites k - 1 .. k + 1, within U_s) where (W E_k)* is nonzero, as
     in cut_resolvent_blocks. This is the general solve behind the Green oracle and the
     half-window oracle; cut_resolvent_blocks, a route of its own, serves the m-functions.
     Raises SingularSolve when the solve fails or overflows.
     """
-    m = seq.m
-    V, W_star = seq.bands
-    lo, hi = 0, m * seq.n_sites               # the columns of U_s in seq
+    m, size = seq.m, seq.m * seq.n_sites
+    lo, hi, V, W_star = 0, size, *seq.bands   # the columns of U_s, and its bands
     if half is not None:
-        lo, hi, k, j = _half_window(seq, k0, half)
-        V, W_star = _cut_bands(V[:, lo:hi], W_star[:, lo:hi], k, j, _cut_block(gamma, m))
-    lu = PencilLU(V, W_star, z)
+        lo, hi, k = _half_window(seq, k0, half)
+        V, W_star = _cut_bands(seq, k, _cut_block(gamma, m))
+    lu, piv = _factor(_pencil(V, W_star, z), z)
     at_kp, rows = {}, {}                      # each distinct kp: its pairs' indices
     for n, (k, kp) in enumerate(pairs):
         at_kp.setdefault(kp, []).append(n)
         if k not in rows:                     # (W E_k)* = W*(k, c), nonzero within one site of k
-            r = (k - seq.k_min) * m - lo
-            c0, c1 = max(r - m, 0), min(r + 2 * m, hi - lo)
-            rows[k] = slice(c0, c1), _adjoint_rows(W_star, r, c0, c1 - c0)
-    kps, per, X_at = list(at_kp), max(RHS_BYTES // (16 * m * (hi - lo)), 1), [None] * len(pairs)
+            r = (k - seq.k_min) * m
+            c0, c1 = max(r - m, lo), min(r + 2 * m, hi)
+            rows[k] = slice(c0, c1), band_block(W_star, range(r, r + m), range(c0, c1))
+    kps, per, X_at = list(at_kp), max(RHS_BYTES // (16 * m * size), 1), [None] * len(pairs)
     for s in range(0, len(kps), per):
         batch = kps[s:s + per]
-        E = np.zeros((hi - lo, m * len(batch)), dtype=complex)
+        E = np.zeros((size, m * len(batch)), dtype=complex)
         for i, kp in zip(range(0, E.shape[1], m), batch):
-            j = (kp - seq.k_min) * m - lo
+            j = (kp - seq.k_min) * m
             E[j:j + m, i:i + m].flat[::m + 1] = 1.0       # the identity at site kp
-        X = lu.solve(E)
+        X = _solve(lu, piv, E, z)
         for i, kp in zip(range(0, E.shape[1], m), batch):
             for n in at_kp[kp]:               # X's rows that (W E_k)* reads, kept column-major
                 X_at[n] = X[rows[pairs[n][0]][0], i:i + m].copy(order="F")
@@ -401,21 +375,21 @@ def cut_band_storage(seq: VerblunskySequence, k0: int, gamma) -> CutBands:
             windows[half] = _half_window(seq, k0, half)
     if not windows:
         _half_window(seq, k0, 1)              # SiteOutOfWindow, as for the plus half alone
-    block, (V, W_star) = _cut_block(gamma, m), seq.bands
-    ends = np.cumsum([0] + [hi - lo for lo, hi, _, _ in windows.values()]).tolist()
+    block = _cut_block(gamma, m)
+    ends = np.cumsum([0] + [hi - lo for lo, hi, _ in windows.values()]).tolist()
     V_ab, W_ab = (np.zeros((3 * b + 1, ends[-1]), dtype=complex, order="F") for _ in range(2))
     E = np.zeros((K, m), dtype=complex, order="F")         # E_k0 on the last K rows
     E.flat[(K - m) * m::m + 1] = 1.0
     i, halves = (k0 - seq.k_min) * m, {}      # i: first column of site k0 in seq
-    for (half, (lo, hi, k, j)), a, e in zip(windows.items(), ends, ends[1:]):
-        cut = _cut_bands(V[:, lo:hi], W_star[:, lo:hi], k, j, block)
-        for out, band in zip((V_ab[:, a:e], W_ab[:, a:e]), cut):
+    for (half, (lo, hi, k)), a, e in zip(windows.items(), ends, ends[1:]):
+        V, W_star = _cut_bands(seq, k, block)
+        for out, band in zip((V_ab[:, a:e], W_ab[:, a:e]), (V[:, lo:hi], W_star[:, lo:hi])):
             if half < 0:
                 out[:] = band
             else:       # column-major, J P J's band is P's read backwards from entry b on
                 out.T.reshape(-1)[b:] = band.T.reshape(-1)[:b - 1:-1]
-        # (W E_k0)* on sites k0 - 1, k0 (minus) or k0, k0 + 1 (plus)
-        rows = _adjoint_rows(cut[1], i - lo, i - lo - m if half < 0 else 0, 2 * m)
+        c0 = i - m if half < 0 else i         # (W E_k0)* on sites k0 - 1, k0 or k0, k0 + 1
+        rows = band_block(W_star, range(i, i + m), range(c0, c0 + 2 * m))
         halves[half] = (a, e, rows, E if half < 0 else np.asfortranarray(E[:, ::-1]))
     for x in (V_ab, W_ab, *(x for h in halves.values() for x in h[2:])):
         x.setflags(write=False)
@@ -482,6 +456,6 @@ def operator_difference_block(seq: VerblunskySequence, spec: SplitSpec) -> np.nd
     """
     if not (seq.k_min < spec.k0 < seq.k_max):
         raise SplitOutOfWindow(f"site {spec.k0} is not interior to the window")
-    A, i = seq.arrays, spec.k0 - seq.k_min - 1
-    theta = theta_block(A.alpha[i], DefectPair(rho=A.rho[i], rho_tilde=A.rho_tilde[i]))
+    d, i = seq.defects, spec.k0 - seq.k_min - 1
+    theta = theta_block(seq.values[i + 1], DefectPair(rho=d.rho[i], rho_tilde=d.rho_tilde[i]))
     return theta - spec.block_in(seq)

@@ -162,8 +162,9 @@ def cmd_laurent(args) -> int:
     gamma = as_boundary(_load_gamma(args.gamma, seq.m), seq.m)
     z = _parse_complex(args.z)
     fam = window_family(seq, gamma, z, args.k0, args.sign)
-    lo, hi = _parse_window(args.range) if args.range \
-        else (fam.k_lo, fam.k_hi)
+    lo, hi = _parse_window(args.range) if args.range else (fam.k_lo, fam.k_hi)
+    if lo > hi:
+        raise OutOfRange(f"--range {lo},{hi} is reversed; expected A <= B")
     sites = [{"k": k, **{name: _matrix_to_json(v) for name, v in fam.at(k)._asdict().items()}}
              for k in range(lo, hi + 1)]
     payload = {

@@ -32,7 +32,14 @@ from ..decoupling import (
     det_criterion,
     minimal_phases,
 )
-from ..errors import OutOfRange, SingularWronskian, UnknownSuite, require_tolerance, solve
+from ..errors import (
+    MalformedInput,
+    OutOfRange,
+    SingularWronskian,
+    UnknownSuite,
+    require_tolerance,
+    solve,
+)
 from ..greens import (
     dense_resolvent_entries,
     full_green_entries,
@@ -502,13 +509,16 @@ def run_suite(names, spec: EnsembleSpec,
               tolerances: Tolerances | None = None) -> VerificationReport:
     """Run the named suites and collect a report.
 
-    Every name and the window are checked first (UnknownSuite, OutOfRange).
+    Every name and the window are checked first (UnknownSuite, OutOfRange); names must be
+    one or more, each once (MalformedInput).
     Each suite returns (check, residuals, default tolerance) triples; a check's
     residual is _worst(residuals) and its tolerance tolerances.pick(default).
     Results are sorted by (suite, check) so the output does not depend
     on the order of names; timing, total and per suite, goes into meta only.
     """
     tolerances = tolerances or Tolerances()
+    if not names or len(set(names)) < len(names):
+        raise MalformedInput(f"name one or more suites, each once; got {list(names)}")
     for name in names:
         if name not in SUITES:
             raise UnknownSuite(

@@ -11,20 +11,20 @@ rho = (I - alpha* alpha)^(1/2) and rho~ = (I - alpha alpha*)^(1/2),
 the 2m x 2m orthogonal building block built from a single coefficient,
 singular value factorizations, unitary square roots (from the Schur form
 of LAPACK zgees, via _lapack), and two-sided unitary gauge transforms of
-whole sequences. Each sequence factors its interior algebra once
-(SequenceArrays, one batched pass over the stack) for transfers and
-assembly, keeps its V and W* in band storage once (bands) for the
-resolvent blocks behind the m-functions and the Green oracle, its
-z-free transfer matrices once per direction (transfer_band,
-transfer_inverse_band) for propagation, and the z-free cut bands of its
-last few cuts (cut_bands) for the m-functions.
+whole sequences. Each sequence computes the defects of its interior once
+(defects, one batched pass over the stack) for assembly and transfers,
+keeps its V and W* in band storage once (bands) for the resolvent blocks
+behind the m-functions and the Green oracle, its z-free transfer matrices
+once per direction (transfer_band, transfer_inverse_band) for
+propagation, and the z-free cut bands of its last few cuts (cut_bands)
+for the m-functions.
 """
 
 from __future__ import annotations
 
 import json
 import operator
-from dataclasses import dataclass, fields
+from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property, lru_cache
 
@@ -212,13 +212,13 @@ class VerblunskySequence:
         return VerblunskySequence(k_lo, values)
 
     @cached_property
-    def arrays(self) -> "SequenceArrays":
-        """Interior algebra stacked by site, factored in one batched pass."""
-        alpha = self.values[1:-1]
-        d = _defects_raw(alpha)
-        rho_inv, rho_tilde_inv = np.linalg.inv(d.rho), np.linalg.inv(d.rho_tilde)
-        return SequenceArrays(alpha, d.rho, d.rho_tilde, rho_inv, rho_tilde_inv,
-                              rho_inv @ alpha.conj().transpose(0, 2, 1), rho_tilde_inv @ alpha)
+    def defects(self) -> "DefectPair":
+        """Read-only rho and rho~ of the interior coefficients, stacked (n - 1, m, m), interior
+        site k in row k - k_min - 1: one batched pass."""
+        d = _defects_raw(self.values[1:-1])
+        for a in (d.rho, d.rho_tilde):
+            a.setflags(write=False)
+        return d
 
     @cached_property
     def bands(self) -> tuple:
@@ -306,28 +306,6 @@ class DefectPair:
 
     rho: np.ndarray
     rho_tilde: np.ndarray
-
-
-@dataclass(frozen=True)
-class SequenceArrays:
-    """Read-only algebra of a window's interior sites, stacked by site.
-
-    Each field has shape (n - 1, m, m), interior site k in row
-    k - k_min - 1: alpha, rho, rho_tilde, their inverses and the two
-    products rho^-1 alpha* and rho~^-1 alpha of the transfer matrices.
-    """
-
-    alpha: np.ndarray
-    rho: np.ndarray
-    rho_tilde: np.ndarray
-    rho_inv: np.ndarray
-    rho_tilde_inv: np.ndarray
-    rho_inv_alpha_star: np.ndarray
-    rho_tilde_inv_alpha: np.ndarray
-
-    def __post_init__(self):
-        for f in fields(self):
-            getattr(self, f.name).setflags(write=False)
 
 
 @dataclass(frozen=True)

@@ -21,7 +21,15 @@ from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .assembly import PencilLU, SplitSpec, _cut_bands, band_block, operator_difference_block
+from .assembly import (
+    SplitSpec,
+    _cut_bands,
+    _factor,
+    _pencil,
+    _solve,
+    band_block,
+    operator_difference_block,
+)
 from .coefficients import (
     VerblunskySequence,
     _as_square,
@@ -141,10 +149,9 @@ def default_z_samples() -> tuple:
 def _resolvent_factors(seq: VerblunskySequence, spec: SplitSpec, z_samples):
     """Yield (z, X, Y) with (U - z)^{-1} - (U_split - z)^{-1} = -W* X B Y*, X and Y as in the
     module docstring; the caller checks spec with B = operator_difference_block(seq, spec)."""
-    V, W_star = seq.bands
     m, j = seq.m, (spec.k0 - 1 - seq.k_min) * seq.m       # j: column of site k0 - 1
     block = spec.block_in(seq)
-    split = _cut_bands(V, W_star, spec.k0, j, block)
+    (V, W_star), split = seq.bands, _cut_bands(seq, spec.k0, block)
     E = np.eye(V.shape[1], 2 * m, -j, dtype=complex)
     if spec.k0 % 2 == 0:                      # the cut block lives in V
         L, R = E, E
@@ -153,8 +160,8 @@ def _resolvent_factors(seq: VerblunskySequence, spec: SplitSpec, z_samples):
         R = E @ block
     for z in z_samples:
         z = require_off_circle(z)
-        X = PencilLU(V, W_star, z).solve(L)
-        yield z, X, PencilLU(*split, z).solve(R, trans=2)
+        X = _solve(*_factor(_pencil(V, W_star, z), z), L, z)
+        yield z, X, _solve(*_factor(_pencil(*split, z), z), R, z, trans=2)
 
 
 def decoupling_report(seq: VerblunskySequence, k0: int,

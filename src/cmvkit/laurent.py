@@ -17,11 +17,12 @@ coefficients relating families with different gamma or different sign, and
 residual checks for the quadratic and conjugation identities.
 
 The z-free part of every transfer matrix, and of every inverse, is built
-once per sequence and direction from the sequence's arrays, already in the
-solve's band layout (seq.transfer_band, seq.transfer_inverse_band). A path
-is a slice of those rows, reversed for a backward path, whose odd sites'
-off-diagonal blocks take z and 1/z; transfer and transfer_inverse read a
-one-site path.
+once per sequence and direction from its coefficients and defects
+(seq.defects), already in the solve's band layout (seq.transfer_band,
+seq.transfer_inverse_band); rho^-1, rho~^-1 and their products with alpha
+are formed there only. A path is a slice of those rows, reversed for a
+backward path, whose odd sites' off-diagonal blocks take z and 1/z;
+transfer and transfer_inverse read a one-site path.
 """
 
 from __future__ import annotations
@@ -77,12 +78,11 @@ def _transfer_band(seq: VerblunskySequence, inverse: bool = False) -> np.ndarray
     """-T(z, k) (-T(z, k)^-1 if inverse) for every interior site k, row k - k_min - 1, in
     _chain's band layout, read-only; the odd sites' off-diagonal blocks are stored without
     their z and 1/z. seq.transfer_band and seq.transfer_inverse_band keep it, built once."""
-    A, m, n = seq.arrays, seq.m, seq.n_sites - 1
+    alpha, m, n = seq.values[1:-1], seq.m, seq.n_sites - 1
+    r, rt = (np.linalg.inv(d) for d in (seq.defects.rho, seq.defects.rho_tilde))
+    ra, rta = r @ alpha.conj().transpose(0, 2, 1), rt @ alpha     # rho^-1 alpha*, rho~^-1 alpha
     # blocks (d1, o1, o2, d2): odd k is [[d1, z o1], [o2 / z, d2]], even k [[d2, o2], [o1, d1]]
-    if inverse:
-        T = np.stack((-A.rho_inv_alpha_star, A.rho_inv, A.rho_tilde_inv, -A.rho_tilde_inv_alpha))
-    else:
-        T = np.stack((A.rho_tilde_inv_alpha, A.rho_tilde_inv, A.rho_inv, A.rho_inv_alpha_star))
+    T = np.stack((-ra, r, rt, -rta) if inverse else (rta, rt, r, ra))
     even = slice((seq.k_min + 1) % 2, None, 2)
     T[:, even] = T[::-1, even]
     T = T.reshape(2, 2, n, m, m).transpose(2, 0, 3, 1, 4).reshape(n, 2 * m, 2 * m)

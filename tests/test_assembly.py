@@ -18,6 +18,7 @@ from cmvkit.assembly import (
     resolvent_blocks,
 )
 from cmvkit.coefficients import sequence_from_values, theta_block
+from scipy.linalg.lapack import zgbtrf, zgbtrs
 from cmvkit.cli.ensembles import EnsembleSpec, generate, random_unitary
 
 
@@ -209,9 +210,10 @@ def test_split_outside_window_raises():
 
 
 def test_resolvent_blocks_in_batches_equal_one_pair_calls(monkeypatch, count_calls):
-    """With RHS_BYTES cut to 5 sites' columns, so that the distinct kp take many solves,
-    every block equals its one-pair call bit for bit (gbtrs solves each column by itself):
-    m = 1..3, the window and both half windows, kp repeated and in no order."""
+    """With RHS_BYTES cut to 5 sites' columns of the window (a half window is solved within
+    the whole cut window), so that the distinct kp take many solves, every block equals its
+    one-pair call bit for bit (gbtrs solves each column by itself): m = 1..3, the window and
+    both half windows, kp repeated and in no order."""
     z = 0.7 * np.exp(0.9j)
     for m in (1, 2, 3):
         seq = generate(EnsembleSpec(m=m, k_min=-3, k_max=40, seed=30 + m))
@@ -222,8 +224,7 @@ def test_resolvent_blocks_in_batches_equal_one_pair_calls(monkeypatch, count_cal
             kps = rng.permutation(np.arange(lo, hi + 1))
             pairs = [(int(min(max(kp + rng.integers(-2, 3), lo), hi)), int(kp))
                      for kp in np.concatenate((kps, kps[:9]))]
-            rows = m * (hi - lo + 1)
-            monkeypatch.setattr(assembly, "RHS_BYTES", 16 * m * rows * 5)
+            monkeypatch.setattr(assembly, "RHS_BYTES", 16 * m * m * seq.n_sites * 5)
             solves = count_calls(assembly, "_solve")
             got = resolvent_blocks(seq, z, pairs, half, k0, g)
             assert len(solves) == -(-len(kps) // 5)
@@ -231,6 +232,38 @@ def test_resolvent_blocks_in_batches_equal_one_pair_calls(monkeypatch, count_cal
             for pair, block in zip(pairs, got):
                 one, = resolvent_blocks(seq, z, [pair], half, k0, g)
                 assert np.array_equal(block, one), (m, half, pair)
+
+
+def test_half_window_blocks_equal_the_half_windows_own_solve():
+    """resolvent_blocks on a half window solves the whole window severed by the cut block
+    (_cut_bands). Every block on the half's sites equals, bit for bit, the block read from
+    a banded LU of the half window's own pencil: the bands of the sub-window with gamma at
+    its cut end, factored and solved here by LAPACK directly. m = 1..3, k_min in {0, 1, -3},
+    cuts at both edges of the window and leaving a 4-site half at either edge."""
+    for m in (1, 2, 3):
+        b = 2 * m - 1
+        for k_min in (0, 1, -3):
+            seq = generate(EnsembleSpec(m=m, k_min=k_min, k_max=k_min + 14, seed=40 + m))
+            g = random_unitary(np.random.default_rng(41 + m - k_min), m)
+            k_max = seq.k_max
+            for k0, half in ((k_min, 1), (k_min + 3, 1), (k_min + 3, -1), (k_max - 4, 1),
+                             (k_max - 4, -1), (k_max - 1, -1)):
+                own = (seq.restrict(k0, k_max, left=g) if half > 0
+                       else seq.restrict(k_min, k0 + 1, right=g))
+                V, W_star = own.bands
+                size, sites = m * own.n_sites, list(own.sites)
+                pairs = [(k, kp) for k in sites for kp in sites]
+                for z in (0.0, 0.5j, 0.99 * np.exp(2j), 1.7 * np.exp(-0.4j)):
+                    lu, piv, info = zgbtrf(V - z * W_star, b, b)
+                    X, info_s = zgbtrs(lu, b, b, np.eye(size, dtype=complex), piv)
+                    assert info == info_s == 0
+                    got = resolvent_blocks(seq, z, pairs, half, k0, g)
+                    for (k, kp), block in zip(pairs, got):
+                        r, j = (k - own.k_min) * m, (kp - own.k_min) * m
+                        c = slice(max(r - m, 0), min(r + 2 * m, size))
+                        rows = band_block(W_star, range(r, r + m), range(size)[c])
+                        want = rows @ X[c, j:j + m].copy(order="F")
+                        assert np.array_equal(block, want), (m, k_min, k0, half, z, k, kp)
 
 
 def test_resolvent_blocks_memory_stays_bounded():

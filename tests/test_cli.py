@@ -543,6 +543,7 @@ _Z = ("--k0", "6", "--z", "0.4,0.2")
 BAD_INPUTS = {
     "decouple-k0-outside": ("decouple", *_SEQ, "--k0", "99"),
     "laurent-range-outside": ("laurent", *_SEQ, *_Z, "--range", "0,99"),
+    "laurent-range-reversed": ("laurent", *_SEQ, *_Z, "--range", "9,3"),
     "green-full-pair-outside": ("green", *_SEQ, *_Z, "--pairs", "{out_pairs}"),
     "green-half-pair-outside": ("green", *_SEQ, *_Z, "--pairs", "{out_pairs}", "--half", "+"),
     "analytic-sample-without-F": ("analytic", "--check", "schur", "--in", "{no_f}"),
@@ -574,6 +575,8 @@ BAD_INPUTS = {
     "assemble-dense-row-cap": ("assemble", "--in", "{big}"),
     "verify-radius-too-large": ("verify", "--radius", "2"),
     "verify-window-too-short-for-a-suite": ("verify", "--window", "0,5"),
+    "verify-suite-list-empty": ("verify", "--suite", ","),
+    "verify-suite-repeated": ("verify", "--suite", "analytic,analytic"),
     "verify-tol-identity-nan": ("verify", "--tol-identity", "nan"),
     "verify-tol-identity-inf": ("verify", "--tol-identity", "inf"),
     "verify-tol-identity-negative": ("verify", "--tol-identity=-1"),

@@ -188,7 +188,7 @@ def test_coefficient_value_is_a_frozen_copy():
 
 
 def test_sequences_hold_one_read_only_stack(monkeypatch):
-    """No sequence path builds a coefficient object; arrays view the stored stack."""
+    """No sequence path builds a coefficient object; its defects are read-only stacks."""
     built = []
     real = VerblunskyCoefficient.__post_init__
 
@@ -207,7 +207,8 @@ def test_sequences_hold_one_read_only_stack(monkeypatch):
         assert view.values.shape == (view.n_sites + 1, view.m, view.m)
         with pytest.raises(ValueError, match="read-only"):
             view.values[1, 0, 0] = 0.0
-        assert np.shares_memory(view.arrays.alpha, view.values)
+        for a in (view.defects.rho, view.defects.rho_tilde):
+            assert a.shape == (view.n_sites - 1, view.m, view.m) and not a.flags.writeable
 
 
 def test_sub_windows_share_coefficient_objects():
@@ -304,21 +305,23 @@ def test_sequence_validation_errors_are_pinned(call, error, where):
     assert where in str(info.value)
 
 
-FIELDS = ("alpha", "rho", "rho_tilde", "rho_inv", "rho_tilde_inv",
-          "rho_inv_alpha_star", "rho_tilde_inv_alpha")
-
-
 def test_restricted_arrays_equal_a_fresh_stack():
-    """Sub-window arrays equal a fresh stack of their coefficients."""
+    """A sub-window's defect pair and both transfer bands equal those of a fresh sequence
+    of its coefficients."""
     seq = generate(EnsembleSpec(m=2, k_min=-1, k_max=15, seed=23))
     g = random_unitary(np.random.default_rng(24), 2)
     views = (seq.restrict(2, 9, left=g, right=g), seq.restrict(0, 15, left=g),
              seq.restrict(7, 15, left=g), seq.restrict(-1, 8, right=g))
     for view in views:
         fresh = VerblunskySequence(view.k_min, view.values)
-        for name in FIELDS:
-            got, want = getattr(view.arrays, name), getattr(fresh.arrays, name)
+        for name in ("rho", "rho_tilde"):
+            got, want = getattr(view.defects, name), getattr(fresh.defects, name)
             assert got.shape == (view.n_sites - 1, 2, 2)
+            assert np.array_equal(got, want)
+            assert not got.flags.writeable
+        for name in ("transfer_band", "transfer_inverse_band"):
+            got, want = getattr(view, name), getattr(fresh, name)
+            assert got.shape == (view.n_sites - 1, 4, 8)
             assert np.array_equal(got, want)
             assert not got.flags.writeable
 
@@ -406,20 +409,20 @@ def test_stacked_theta_block_equals_one_block_at_a_time():
     defects; defects of another shape than the stack raise DimensionMismatch."""
     for m in (1, 2, 3):
         seq = generate(EnsembleSpec(m=m, k_min=0, k_max=9, seed=60 + m))
-        A = seq.arrays
-        stacked = theta_block(A.alpha)
-        given = theta_block(A.alpha, DefectPair(rho=A.rho, rho_tilde=A.rho_tilde))
-        assert stacked.shape == given.shape == (len(A.alpha), 2 * m, 2 * m)
-        for i, a in enumerate(A.alpha):
+        alpha, d = seq.values[1:-1], seq.defects
+        stacked = theta_block(alpha)
+        given = theta_block(alpha, d)
+        assert stacked.shape == given.shape == (len(alpha), 2 * m, 2 * m)
+        for i, a in enumerate(alpha):
             assert np.array_equal(stacked[i], theta_block(a))
-            assert np.array_equal(given[i], theta_block(a, DefectPair(A.rho[i], A.rho_tilde[i])))
-        for defects in (DefectPair(A.rho[0], A.rho_tilde[0]),
-                        DefectPair(A.rho[1:], A.rho_tilde[1:]),
-                        DefectPair(A.rho, A.rho_tilde[0])):
+            assert np.array_equal(given[i], theta_block(a, DefectPair(d.rho[i], d.rho_tilde[i])))
+        for defects in (DefectPair(d.rho[0], d.rho_tilde[0]),
+                        DefectPair(d.rho[1:], d.rho_tilde[1:]),
+                        DefectPair(d.rho, d.rho_tilde[0])):
             with pytest.raises(DimensionMismatch):
-                theta_block(A.alpha, defects)
+                theta_block(alpha, defects)
         with pytest.raises(DimensionMismatch):
-            theta_block(A.alpha[0], DefectPair(A.rho[:1], A.rho_tilde[:1]))
+            theta_block(alpha[0], DefectPair(d.rho[:1], d.rho_tilde[:1]))
 
 
 def test_the_contraction_bound_is_inclusive():

@@ -87,8 +87,8 @@ def test_cached_defects_match_fresh_recompute(m):
         want_T, want_Ti = _fresh_transfer_pair(seq.alpha(k), z, k)
         assert np.array_equal(transfer(seq, z, k), want_T)
         assert np.array_equal(transfer_inverse(seq, z, k), want_Ti)
-        A, i = seq.arrays, k - seq.k_min - 1
-        assert np.array_equal(theta_block(A.alpha[i], DefectPair(A.rho[i], A.rho_tilde[i])),
+        d, i = seq.defects, k - seq.k_min - 1
+        assert np.array_equal(theta_block(seq.values[i + 1], DefectPair(d.rho[i], d.rho_tilde[i])),
                               theta_block(seq.alpha(k).copy()))
 
 

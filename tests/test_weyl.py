@@ -611,11 +611,10 @@ def _in_matrix(lu):
 def _own_lus(seq, k0, g, z):
     """The banded LU of each half window's pencil alone, plus half reversed (J P J: its band
     rows b .. 3b and its columns flipped), in the order PLUS, MINUS."""
-    V, W_star = seq.bands
     b, block, lus = 2 * seq.m - 1, assembly._cut_block(g, seq.m), []
     for half in (PLUS, MINUS):
-        lo, hi, k, j = assembly._half_window(seq, k0, half)
-        P = assembly._pencil(*assembly._cut_bands(V[:, lo:hi], W_star[:, lo:hi], k, j, block), z)
+        lo, hi, k = assembly._half_window(seq, k0, half)
+        P = assembly._pencil(*assembly._cut_bands(seq, k, block), z)[:, lo:hi]
         if half == PLUS:
             P[b:], P[:b] = P[b:][::-1, ::-1].copy(), 0.0
         lus.append(assembly._factor(P, z))
