@@ -14,9 +14,9 @@ split replaces one block by diag(-gamma_left, gamma_right*), severing the
 window in two; operator_difference_block is the 2m x 2m block by which U and
 the split differ; block_diag forms direct sums.
 
-_cut_bands, the one writer of a cut or split block, returns copies of
-seq.bands, in window coordinates, with one coefficient's block replaced: a
-cut block diag(-gamma, gamma*) severs the window into the two half windows.
+_cut_bands, the one writer of a cut or split block, copies seq.bands (or a
+column range of them) with one coefficient's block replaced: a cut block
+diag(-gamma, gamma*) severs the window into its two half windows.
 _pencil forms every pencil V - z W* as one subtraction, and _factor and
 _solve (LAPACK zgbtrf and zgbtrs, from _lapack) are the one banded LU helper.
 resolvent_blocks reads m x m blocks of the resolvent (U_s - z)^{-1} of the
@@ -218,7 +218,7 @@ def band_block(band: np.ndarray, rows, cols) -> np.ndarray:
     """The entries (r, c), r in rows and c in cols, of the matrix that band holds in
     band_storage's layout: exact zeros off the band."""
     b = (band.shape[0] - 1) // 3
-    r, c = np.ix_(rows, cols)       # [2b + r - c, c] is item 2b + r + 3b c of the column-major band
+    r, c = np.asarray(rows)[:, None], np.asarray(cols)  # [2b + r - c, c]: item 2b + r + 3b c
     return np.where(abs(r - c) <= b, band.T.reshape(-1)[2 * b + r + 3 * b * c], 0)
 
 
@@ -251,14 +251,15 @@ def _cut_block(gamma, m: int) -> np.ndarray:
     return block_diag(-gamma, gamma.conj().T)
 
 
-def _cut_bands(seq: VerblunskySequence, k: int, block: np.ndarray) -> tuple:
-    """Copies of seq.bands, V and W*, with coefficient k's block (sites k - 1, k) replaced by
-    block: in V for even k, else in W, whose adjoint W* holds block*. Each of its columns
-    inside the window is written whole, its columns outside not at all, so a cut block
-    diag(-gamma, gamma*) puts exact zeros across the cut: its two parts are the half windows
-    cut at k. The one place a cut or split block enters a band, and so a pencil."""
-    V, W_star = (band.copy(order="F") for band in seq.bands)
-    b, n, j = 2 * seq.m - 1, len(block), (k - 1 - seq.k_min) * seq.m     # j: site k - 1
+def _cut_bands(seq: VerblunskySequence, k: int, block: np.ndarray, lo: int = 0,
+               hi: int | None = None) -> tuple:
+    """Copies of seq.bands' columns lo .. hi (all by default), V and W*, with coefficient k's
+    block (sites k - 1, k) replaced: in V for even k, else in W, whose adjoint W* holds
+    block*. Each block column inside the copy is written whole, so a cut block diag(-gamma,
+    gamma*) puts exact zeros across the cut: the half windows cut at k are its two parts. The
+    one place a cut or split block enters a band, and so a pencil."""
+    V, W_star = (band[:, lo:hi].copy(order="F") for band in seq.bands)
+    b, n, j = 2 * seq.m - 1, len(block), (k - 1 - seq.k_min) * seq.m - lo   # j: site k - 1
     for l in range(max(-j, 0), min(n, V.shape[1] - j)):     # column j + l of the block
         at = (slice(2 * b - l, 2 * b - l + n), j + l)
         if k % 2 == 0:
@@ -306,10 +307,10 @@ def resolvent_blocks(seq: VerblunskySequence, z: complex, pairs,
     finite and that every site is a site of U_s.
     W is unitary, so (U_s - z)^{-1} = W* (V - z W*)^{-1}.
 
-    A half window is solved within the whole window cut at its cut coefficient
-    (_half_window, _cut_block, _cut_bands), built per call: the cut block severs the
-    window, so the blocks on the half's sites are the half's own, and this route reads no
-    cut_bands entry, so it checks the m-functions' route. One banded LU (_factor, _solve)
+    A half window's V and W* are its columns of the window cut at its cut coefficient
+    (_half_window, _cut_block, _cut_bands), built per call, so the solve costs what the
+    half's size does; this route reads no cut_bands entry, so it checks the m-functions'
+    route. One banded LU (_factor, _solve)
     solves X = (V - z W*)^{-1} E_kp for the distinct kp, as many at a time as fit in
     RHS_BYTES (one site at least), so E and X stay small on any window; gbtrs solves each
     column by itself, so the batching changes no value. Each block is (W E_k)* X, read over
@@ -318,25 +319,24 @@ def resolvent_blocks(seq: VerblunskySequence, z: complex, pairs,
     half-window oracle; cut_resolvent_blocks, a route of its own, serves the m-functions.
     Raises SingularSolve when the solve fails or overflows.
     """
-    m, size = seq.m, seq.m * seq.n_sites
-    lo, hi, V, W_star = 0, size, *seq.bands   # the columns of U_s, and its bands
+    m, lo, hi, V, W_star = seq.m, 0, seq.m * seq.n_sites, *seq.bands   # U_s's columns, bands
     if half is not None:
         lo, hi, k = _half_window(seq, k0, half)
-        V, W_star = _cut_bands(seq, k, _cut_block(gamma, m))
+        V, W_star = _cut_bands(seq, k, _cut_block(gamma, m), lo, hi)
     lu, piv = _factor(_pencil(V, W_star, z), z)
     at_kp, rows = {}, {}                      # each distinct kp: its pairs' indices
     for n, (k, kp) in enumerate(pairs):
         at_kp.setdefault(kp, []).append(n)
         if k not in rows:                     # (W E_k)* = W*(k, c), nonzero within one site of k
-            r = (k - seq.k_min) * m
-            c0, c1 = max(r - m, lo), min(r + 2 * m, hi)
+            r = (k - seq.k_min) * m - lo
+            c0, c1 = max(r - m, 0), min(r + 2 * m, hi - lo)
             rows[k] = slice(c0, c1), band_block(W_star, range(r, r + m), range(c0, c1))
-    kps, per, X_at = list(at_kp), max(RHS_BYTES // (16 * m * size), 1), [None] * len(pairs)
+    kps, per, X_at = list(at_kp), max(RHS_BYTES // (16 * m * (hi - lo)), 1), [None] * len(pairs)
     for s in range(0, len(kps), per):
         batch = kps[s:s + per]
-        E = np.zeros((size, m * len(batch)), dtype=complex)
+        E = np.zeros((hi - lo, m * len(batch)), dtype=complex)
         for i, kp in zip(range(0, E.shape[1], m), batch):
-            j = (kp - seq.k_min) * m
+            j = (kp - seq.k_min) * m - lo
             E[j:j + m, i:i + m].flat[::m + 1] = 1.0       # the identity at site kp
         X = _solve(lu, piv, E, z)
         for i, kp in zip(range(0, E.shape[1], m), batch):
@@ -375,19 +375,19 @@ def cut_band_storage(seq: VerblunskySequence, k0: int, gamma) -> CutBands:
             windows[half] = _half_window(seq, k0, half)
     if not windows:
         _half_window(seq, k0, 1)              # SiteOutOfWindow, as for the plus half alone
-    block = _cut_block(gamma, m)
+    block, halves = _cut_block(gamma, m), {}
     ends = np.cumsum([0] + [hi - lo for lo, hi, _ in windows.values()]).tolist()
     V_ab, W_ab = (np.zeros((3 * b + 1, ends[-1]), dtype=complex, order="F") for _ in range(2))
     E = np.zeros((K, m), dtype=complex, order="F")         # E_k0 on the last K rows
     E.flat[(K - m) * m::m + 1] = 1.0
-    i, halves = (k0 - seq.k_min) * m, {}      # i: first column of site k0 in seq
     for (half, (lo, hi, k)), a, e in zip(windows.items(), ends, ends[1:]):
-        V, W_star = _cut_bands(seq, k, block)
-        for out, band in zip((V_ab[:, a:e], W_ab[:, a:e]), (V[:, lo:hi], W_star[:, lo:hi])):
+        V, W_star = _cut_bands(seq, k, block, lo, hi)
+        for out, band in zip((V_ab[:, a:e], W_ab[:, a:e]), (V, W_star)):
             if half < 0:
                 out[:] = band
             else:       # column-major, J P J's band is P's read backwards from entry b on
                 out.T.reshape(-1)[b:] = band.T.reshape(-1)[:b - 1:-1]
+        i = (k0 - seq.k_min) * m - lo         # i: first column of site k0 in the half
         c0 = i - m if half < 0 else i         # (W E_k0)* on sites k0 - 1, k0 or k0, k0 + 1
         rows = band_block(W_star, range(i, i + m), range(c0, c0 + 2 * m))
         halves[half] = (a, e, rows, E if half < 0 else np.asfortranarray(E[:, ::-1]))

@@ -4,6 +4,7 @@ import tracemalloc
 
 import numpy as np
 import pytest
+from scipy.linalg.lapack import zgbtrf, zgbtrs
 
 from cmvkit import assembly
 from cmvkit.assembly import (
@@ -18,7 +19,6 @@ from cmvkit.assembly import (
     resolvent_blocks,
 )
 from cmvkit.coefficients import sequence_from_values, theta_block
-from scipy.linalg.lapack import zgbtrf, zgbtrs
 from cmvkit.cli.ensembles import EnsembleSpec, generate, random_unitary
 
 
@@ -210,10 +210,9 @@ def test_split_outside_window_raises():
 
 
 def test_resolvent_blocks_in_batches_equal_one_pair_calls(monkeypatch, count_calls):
-    """With RHS_BYTES cut to 5 sites' columns of the window (a half window is solved within
-    the whole cut window), so that the distinct kp take many solves, every block equals its
-    one-pair call bit for bit (gbtrs solves each column by itself): m = 1..3, the window and
-    both half windows, kp repeated and in no order."""
+    """With RHS_BYTES cut to 5 sites' columns, so that the distinct kp take many solves,
+    every block equals its one-pair call bit for bit (gbtrs solves each column by itself):
+    m = 1..3, the window and both half windows, kp repeated and in no order."""
     z = 0.7 * np.exp(0.9j)
     for m in (1, 2, 3):
         seq = generate(EnsembleSpec(m=m, k_min=-3, k_max=40, seed=30 + m))
@@ -224,7 +223,8 @@ def test_resolvent_blocks_in_batches_equal_one_pair_calls(monkeypatch, count_cal
             kps = rng.permutation(np.arange(lo, hi + 1))
             pairs = [(int(min(max(kp + rng.integers(-2, 3), lo), hi)), int(kp))
                      for kp in np.concatenate((kps, kps[:9]))]
-            monkeypatch.setattr(assembly, "RHS_BYTES", 16 * m * m * seq.n_sites * 5)
+            rows = m * (hi - lo + 1)
+            monkeypatch.setattr(assembly, "RHS_BYTES", 16 * m * rows * 5)
             solves = count_calls(assembly, "_solve")
             got = resolvent_blocks(seq, z, pairs, half, k0, g)
             assert len(solves) == -(-len(kps) // 5)
@@ -235,9 +235,9 @@ def test_resolvent_blocks_in_batches_equal_one_pair_calls(monkeypatch, count_cal
 
 
 def test_half_window_blocks_equal_the_half_windows_own_solve():
-    """resolvent_blocks on a half window solves the whole window severed by the cut block
-    (_cut_bands). Every block on the half's sites equals, bit for bit, the block read from
-    a banded LU of the half window's own pencil: the bands of the sub-window with gamma at
+    """resolvent_blocks on a half window solves the half's columns of the window severed by
+    the cut block (_cut_bands). Every block equals, bit for bit, the block read from a
+    banded LU of the half window's own pencil: the bands of the sub-window with gamma at
     its cut end, factored and solved here by LAPACK directly. m = 1..3, k_min in {0, 1, -3},
     cuts at both edges of the window and leaving a 4-site half at either edge."""
     for m in (1, 2, 3):

@@ -614,7 +614,7 @@ def _own_lus(seq, k0, g, z):
     b, block, lus = 2 * seq.m - 1, assembly._cut_block(g, seq.m), []
     for half in (PLUS, MINUS):
         lo, hi, k = assembly._half_window(seq, k0, half)
-        P = assembly._pencil(*assembly._cut_bands(seq, k, block), z)[:, lo:hi]
+        P = assembly._pencil(*assembly._cut_bands(seq, k, block, lo, hi), z)
         if half == PLUS:
             P[b:], P[:b] = P[b:][::-1, ::-1].copy(), 0.0
         lus.append(assembly._factor(P, z))
