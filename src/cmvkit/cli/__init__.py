@@ -37,7 +37,7 @@ from ..coefficients import (
 from ..decoupling import decoupling_report, det_criterion, minimal_phases
 from ..errors import CmvError, DimensionMismatch, MalformedInput, OutOfRange, require_tolerance
 from ..greens import dense_resolvent_entries, full_green_entries, half_green_entries
-from ..laurent import window_family
+from ..laurent import propagate, seed_family
 from ..weyl import spectral_sample
 from .ensembles import Distribution, EnsembleSpec, generate
 from .suites import SUITES, Tolerances, run_suite
@@ -161,10 +161,10 @@ def cmd_laurent(args) -> int:
     seq = load_sequence(args.infile)
     gamma = as_boundary(_load_gamma(args.gamma, seq.m), seq.m)
     z = _parse_complex(args.z)
-    fam = window_family(seq, gamma, z, args.k0, args.sign)
-    lo, hi = _parse_window(args.range) if args.range else (fam.k_lo, fam.k_hi)
+    lo, hi = _parse_window(args.range) if args.range else (seq.k_min, seq.k_max - 1)
     if lo > hi:
         raise OutOfRange(f"--range {lo},{hi} is reversed; expected A <= B")
+    fam = propagate(seq, seed_family(gamma, z, args.k0, args.sign), lo, hi)
     sites = [{"k": k, **{name: _matrix_to_json(v) for name, v in fam.at(k)._asdict().items()}}
              for k in range(lo, hi + 1)]
     payload = {

@@ -362,16 +362,16 @@ def suite_wronskian(spec: EnsembleSpec, tol: Tolerances):
     seq, k0, rng, g = _suite_data(spec, 8)
     z = 0.5 * np.exp(1.7j)
     zc = 1.0 / np.conj(z)
-    sol_p, sol_m = weyl_solutions(seq, k0, g, z)
-    sol_pc, sol_mc = weyl_solutions(seq, k0, g, zc)
-    W = sol_p.M - sol_m.M
-
-    fam, fam_c = sol_p.family, sol_pc.family
-    eye = np.eye(spec.m)
     # Site-independent in exact arithmetic; sampled near k0 because the
     # paired solutions grow geometrically away from the reference site
     # and the pairing is a near-cancelling difference there.
     sites = list(range(max(seq.k_min, k0 - 4), min(seq.k_max, k0 + 5)))
+    sol_p, sol_m = weyl_solutions(seq, k0, g, z, sites=sites)
+    sol_pc, sol_mc = weyl_solutions(seq, k0, g, zc, sites=sites)
+    W = sol_p.M - sol_m.M
+
+    fam, fam_c = sol_p.family, sol_pc.family
+    eye = np.eye(spec.m)
     pairing = [_rel(wronskian((fam_c.at(k).P, fam_c.at(k).R),
                               (fam.at(k).Q, fam.at(k).S), k) - eye, eye)
                for k in sites]
@@ -436,10 +436,11 @@ def suite_gauge(spec: EnsembleSpec, tol: Tolerances):
 
     seq1 = generate(replace(spec, m=1, seed=_sub_seed(spec, 10, 1)))
     t = float(rng.uniform(0, 2 * np.pi))
+    U1 = assemble(seq1).U      # before its gauge matrix, so the row cap raises first
     A = np.diag([np.exp(-1j * t / 2) if k % 2 == 1 else np.exp(1j * t / 2)
                  for k in seq1.sites]).astype(complex)
     beta = gauge_transform(seq1, np.array([[np.exp(-1j * t)]]), np.eye(1))
-    lhs = A @ assemble(seq1).U @ A.conj().T
+    lhs = A @ U1 @ A.conj().T
     rhs = assemble(beta).U
     twist = _rel(lhs - rhs, rhs)
 
@@ -447,8 +448,9 @@ def suite_gauge(spec: EnsembleSpec, tol: Tolerances):
     sigma = random_unitary(rng, spec.m)
     tau = random_unitary(rng, spec.m)
     gauged = gauge_transform(seq, sigma, tau)
+    U = assemble(seq).U
     Am = block_diag(*(sigma if k % 2 == 1 else tau for k in seq.sites))
-    lhs = Am @ assemble(seq).U @ Am.conj().T
+    lhs = Am @ U @ Am.conj().T
     rhs = assemble(gauged).U
     conjugation = _rel(lhs - rhs, rhs)
 

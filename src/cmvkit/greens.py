@@ -47,7 +47,7 @@ from .laurent import (
     propagate,
     seed_family,
 )
-from .weyl import _M_functions, _combination, _weyl_solutions, m_function
+from .weyl import _M_functions, _combination, m_function, weyl_solutions
 
 
 class GreensBranch(Enum):
@@ -252,7 +252,7 @@ def full_green_scalar_prefactor(seq: VerblunskySequence, k0: int, gamma, z,
         raise MatrixCaseUnsupported("prefactor kernels are scalar-only")
     z = require_off_circle(z)
     _check_pairs(seq, k0, None, [(k, kp)])
-    sol_p, sol_m = _weyl_solutions(seq, k0, gamma, z, (k, kp))
+    sol_p, sol_m = weyl_solutions(seq, k0, gamma, z, sites=(k, kp))
     Wv = (sol_p.M - sol_m.M)[0, 0]
     if abs(Wv) < 1e-14:
         raise SingularWronskian(f"M_plus - M_minus vanished at z = {z}")

@@ -38,6 +38,7 @@ from .coefficients import (
 )
 from .errors import (
     NotFinite,
+    OutOfRange,
     SingularSolutionValue,
     SiteOutOfWindow,
     require_finite,
@@ -265,8 +266,8 @@ def M_gamma_transform(M1: np.ndarray, g1_sqrt: np.ndarray,
 
 @dataclass(frozen=True)
 class WeylSolution:
-    """Per-site values of one Weyl solution over sites k_lo .. k_hi (the window
-    for weyl_solution and weyl_solutions).
+    """Per-site values of one Weyl solution over sites k_lo .. k_hi: the window for
+    weyl_solution, and for weyl_solutions the span from k0 to its farthest sites.
 
     UV holds (U(k); V(k)) = X(k) [M; I] at index k - k_lo, shape (n_sites, 2m, m),
     with U = Q_plus + P_plus M and V = S_plus + R_plus M as views of its blocks,
@@ -305,22 +306,18 @@ def weyl_solution(seq: VerblunskySequence, k0: int, gamma, z, sign) -> WeylSolut
 
 
 def weyl_solutions(seq: VerblunskySequence, k0: int, gamma, z,
-                   signs=(PLUS, MINUS)) -> tuple:
-    """Weyl solutions of the given signs at z, sharing one propagated family
-    and one square root of gamma."""
-    return _weyl_solutions(seq, k0, gamma, z, (seq.k_min, seq.k_max - 1), signs)
-
-
-def _weyl_solutions(seq: VerblunskySequence, k0: int, gamma, z, sites,
-                    signs=(PLUS, MINUS)) -> tuple:
-    """weyl_solutions over the sites from k0 to the farthest of sites on each
-    side only: the family is propagated no farther than the sites read, and
-    every M is solved at z."""
+                   signs=(PLUS, MINUS), sites=None) -> tuple:
+    """Weyl solutions of the given signs (OutOfRange if none) at z, sharing one family,
+    one root of gamma and one banded LU for their M. The family runs from k0 to the
+    farthest of sites on each side, or over the whole window when sites is None."""
     signs = [_norm_sign(sign) for sign in signs]
+    if not signs:
+        raise OutOfRange("weyl_solutions needs one or more signs")
     z = require_off_circle(z)
     gamma = as_boundary(gamma, seq.m)
     Ms = _M_functions(seq, k0, gamma, z, signs)
-    fam = propagate(seq, seed_family(gamma, z, k0, PLUS), *sites)
+    fam = propagate(seq, seed_family(gamma, z, k0, PLUS),
+                    *((seq.k_min, seq.k_max - 1) if sites is None else sites))
     return tuple(WeylSolution(sign=sign, z=z, k0=k0, M=M, k_lo=fam.k_lo,
                               UV=_combination(fam.X, M), family=fam)
                  for sign, M in zip(signs, Ms))
@@ -345,7 +342,7 @@ def schur_parity_formula(seq: VerblunskySequence, k0: int, gamma, z, k: int,
 
     At k = k0 this reproduces the Cayley transform of M.
     """
-    sol, = _weyl_solutions(seq, k0, gamma, z, (k,), (sign,))
+    sol, = weyl_solutions(seq, k0, gamma, z, (sign,), sites=(k,))
     Uk, Vk = sol.at(k)
     gh = sol.family.boundary.root
     if k % 2 == 1:

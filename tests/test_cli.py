@@ -8,6 +8,7 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -196,6 +197,20 @@ def test_laurent_minus_sign_writes_the_minus_family(tmp_path, capsys):
         for name in "PRQS":
             assert np.array_equal(from_json(site[name]), getattr(minus, name))
         assert not np.array_equal(from_json(site["P"]), plus.P)
+
+
+def test_laurent_range_propagates_only_to_the_range(tmp_path, capsys):
+    """On 3000 sites (m = 2, seed 7) the whole-window family overflows; --range seeds at
+    k0 and propagates to the range's ends only, so its values are finite."""
+    seq_file = str(tmp_path / "seq.json")
+    run(capsys, "gen", "--seed", "7", "--m", "2", "--window", "0,3000", "--out", seq_file)
+    code, out, err = run(capsys, "laurent", "--in", seq_file, "--k0", "1500",
+                         "--z", "0.4,0.3", "--range", "1495,1505")
+    assert code == 0, err
+    sites = json.loads(out)["sites"]
+    assert [site["k"] for site in sites] == list(range(1495, 1506))
+    assert all(np.isfinite(from_json(site[name])).all() for site in sites for name in "PRQS")
+
 
 def test_mfun_single_sample_and_sign_filter(tmp_path, capsys):
     seq_file = str(tmp_path / "seq.json")
@@ -440,6 +455,28 @@ def test_long_window_residuals_are_finite():
     assert len(report.results) == 6
     assert all(np.isfinite(r.residual) and r.passed for r in report.results)
     assert report.passed
+
+
+def test_wronskian_suite_reaches_a_verdict_on_a_long_window():
+    """The wronskian suite forms its solutions on the sites it reads, k0 - 4 .. k0 + 4, so
+    at 3000 sites (m = 2, seed 7), where whole-window families overflow, it passes."""
+    report = run_suite(["wronskian"], EnsembleSpec(m=2, k_min=0, k_max=3000, seed=7))
+    assert len(report.results) == 6 and report.passed
+    assert all(np.isfinite(r.residual) for r in report.results)
+
+
+def test_gauge_suite_raises_at_the_row_cap_before_building_its_gauge_matrices():
+    """Past the dense row cap (m = 2, 3000 sites) the gauge suite raises from assemble
+    before it builds an n x n gauge matrix: its traced peak stays below 16 MB."""
+    spec = EnsembleSpec(m=2, k_min=0, k_max=3000, seed=7)
+    tracemalloc.start()
+    try:
+        with pytest.raises(CmvError, match="dense storage limited"):
+            run_suite(["gauge"], spec)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 16 * 2 ** 20, peak
 
 
 def test_tol_identity_replaces_nonzero_defaults_and_exact_checks_stay_exact(capsys):

@@ -15,6 +15,7 @@ from cmvkit.errors import (
     CmvError,
     MissingCut,
     NotFinite,
+    OutOfRange,
     SingularFactor,
     SingularWronskian,
     SiteOutOfWindow,
@@ -25,6 +26,7 @@ from cmvkit.errors import (
 )
 from cmvkit.cli.ensembles import EnsembleSpec, generate
 from cmvkit.greens import dense_resolvent_entries
+from cmvkit.weyl import weyl_solutions
 
 SRC = Path(cmvkit.__file__).parent
 
@@ -101,3 +103,10 @@ def test_half_window_without_its_cut_is_typed(half):
         with pytest.raises(MissingCut, match="gamma"):
             read(seq, 0.5, [(6, 6)], half, k0=6)
         assert read(seq, 0.5, [(6, 6)], half, k0=6, gamma=g)[0].shape == (2, 2)
+
+
+def test_weyl_solutions_without_signs_is_typed():
+    """An empty signs is OutOfRange at the builder's entry, not a bare error from its solve."""
+    seq = generate(EnsembleSpec(m=2, k_min=0, k_max=12, seed=1))
+    with pytest.raises(OutOfRange, match="one or more signs"):
+        weyl_solutions(seq, 6, np.eye(2), 0.5, signs=())

@@ -225,6 +225,28 @@ def test_weyl_solution_satisfies_far_edge():
     np.testing.assert_allclose(U0, want0, atol=1e-8)
 
 
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("k_min", [0, 1, -3])
+def test_weyl_solutions_on_sites_equal_the_whole_window_ones(m, k_min):
+    """With sites, the family runs from k0 to the farthest site on each side and no
+    farther, and the values there are the whole-window solutions' bit for bit: both
+    signs, z inside and outside the disk, spans around k0, on one side of it, and k0."""
+    seq = generate(EnsembleSpec(m=m, k_min=k_min, k_max=k_min + 30, seed=40 + m,
+                                radius_max=0.9))
+    g = random_unitary(np.random.default_rng(41 + m), m)
+    k0 = k_min + 15
+    for z in (0.45 * np.exp(0.7j), 1.6 * np.exp(-2.2j)):
+        whole = weyl.weyl_solutions(seq, k0, g, z)
+        for a, b in ((k0 - 4, k0 + 6), (k0 + 2, k0 + 9), (k_min, k0 - 3), (k0, k0)):
+            part = weyl.weyl_solutions(seq, k0, g, z, sites=(a, b))
+            assert [sol.sign for sol in part] == [PLUS, MINUS]
+            for sol, ref in zip(part, whole):
+                assert (sol.k_lo, sol.k_hi) == (min(a, k0), max(b, k0))
+                assert np.array_equal(sol.M, ref.M)
+                assert np.array_equal(sol.UV[a - sol.k_lo:b - sol.k_lo + 1],
+                                      ref.UV[a - k_min:b - k_min + 1]), (z, a, b, sol.sign)
+
+
 def test_schur_parity_formula_at_reference():
     spec = EnsembleSpec(m=2, k_min=0, k_max=20, seed=15, radius_max=0.85)
     seq = generate(spec)
