@@ -1,7 +1,8 @@
-"""zgbtrf, zgbtrs, ztbtrs, zgees, zgeqrf, zungqr from SciPy's compiled scipy/linalg/_flapack,
-loaded from its file so that scipy/linalg/__init__.py (SciPy's array-API layer, numpy.f2py,
-numpy.testing, numpy.ma) never runs. They are the objects scipy.linalg.get_lapack_funcs(...,
-dtype=complex) returns, whichever of the two is imported first."""
+"""zgbtrf, zgbtrs, ztbtrs, zgees, zgeqrf, zungqr, zgesv, zheevd, zgesdd from SciPy's compiled
+scipy/linalg/_flapack, loaded from its file so that scipy/linalg/__init__.py (SciPy's array-API
+layer, numpy.f2py, numpy.testing, numpy.ma) never runs. They are the objects
+scipy.linalg.get_lapack_funcs(..., dtype=complex) returns, whichever of the two is imported
+first."""
 
 import os
 import sys
@@ -21,3 +22,4 @@ if not _loaded:     # creating the module registers it; leave that entry to scip
     del sys.modules[_NAME]
 zgbtrf, zgbtrs, ztbtrs, zgees = _flapack.zgbtrf, _flapack.zgbtrs, _flapack.ztbtrs, _flapack.zgees
 zgeqrf, zungqr = _flapack.zgeqrf, _flapack.zungqr
+zgesv, zheevd, zgesdd = _flapack.zgesv, _flapack.zheevd, _flapack.zgesdd

@@ -35,7 +35,7 @@ from __future__ import annotations
 
 import contextlib
 import functools
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
@@ -103,28 +103,31 @@ def block_diag(*blocks: np.ndarray) -> np.ndarray:
 class SplitSpec:
     """Where to cut the window and which unitaries to install.
 
-    The block of coefficient k0 is replaced by diag(-gamma_left,
-    gamma_right*), so everything strictly below site k0 decouples from
-    everything at and above it.
+    The block of coefficient k0 is replaced by block = diag(-gamma_left, gamma_right*)
+    (_cut_block, which checks both), so everything strictly below site k0 decouples from
+    everything at and above it. The unitaries are kept as the complex arrays block holds.
     """
 
     k0: int
     gamma_left: np.ndarray
     gamma_right: np.ndarray
+    block: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
-        gl = _unitary_block(self.gamma_left, "split unitary gamma_left")
-        gr = _unitary_block(self.gamma_right, "split unitary gamma_right", m=gl.shape[0])
-        object.__setattr__(self, "gamma_left", gl)
-        object.__setattr__(self, "gamma_right", gr)
+        block = _cut_block(self.gamma_left, None, self.gamma_right)
+        m = len(block) // 2
+        block.setflags(write=False)
+        object.__setattr__(self, "gamma_left", -block[:m, :m])
+        object.__setattr__(self, "gamma_right", block[m:, m:].conj().T)
+        object.__setattr__(self, "block", block)
 
     def block_in(self, seq: VerblunskySequence) -> np.ndarray:
-        """diag(-gamma_left, gamma_right*), the block installed at k0 of seq."""
+        """block, checked to fit seq, to be installed at k0."""
         if not seq.k_min < self.k0 <= seq.k_max:
             raise SplitOutOfWindow(f"split site {self.k0} outside ({seq.k_min}, {seq.k_max}]")
-        if self.gamma_left.shape != (seq.m, seq.m):
+        if len(self.block) != 2 * seq.m:
             raise DimensionMismatch("split unitaries must match the sequence block size")
-        return block_diag(-self.gamma_left, self.gamma_right.conj().T)
+        return self.block
 
 
 def _placed_blocks(seq: VerblunskySequence, spec: SplitSpec | None = None):
@@ -241,14 +244,17 @@ def _half_window(seq: VerblunskySequence, k0, half: int) -> tuple:
     return (i, m * seq.n_sites, k0) if half > 0 else (0, i + m, k0 + 1)
 
 
-def _cut_block(gamma, m: int) -> np.ndarray:
-    """diag(-gamma, gamma*), the cut block of either half window, gamma an m x m unitary or
-    BoundaryUnitary; MissingCut if gamma is None."""
+def _cut_block(gamma, m: int | None, gamma_right=None) -> np.ndarray:
+    """diag(-gamma, gamma_right*), the one formula for the block a split installs, or a cut
+    (gamma_right None: gamma on both sides, as either half window has it). gamma is an
+    m x m unitary (any size if m is None; gamma_right of its size) or a BoundaryUnitary,
+    checked when built; MissingCut if gamma is None. The solve needs no root."""
     if gamma is None:
         raise MissingCut("a half window needs its boundary unitary gamma")
-    gamma = (as_boundary(gamma, m).gamma if isinstance(gamma, BoundaryUnitary)
-             else _unitary_block(gamma, "gamma", m))     # the solve needs no root
-    return block_diag(-gamma, gamma.conj().T)
+    left = (as_boundary(gamma, m).gamma if isinstance(gamma, BoundaryUnitary)
+            else _unitary_block(gamma, "gamma" if gamma_right is None else "gamma_left", m))
+    right = left if gamma_right is None else _unitary_block(gamma_right, "gamma_right", len(left))
+    return block_diag(-left, right.conj().T)
 
 
 def _cut_bands(seq: VerblunskySequence, k: int, block: np.ndarray, lo: int = 0,
@@ -290,8 +296,8 @@ def _solve(lu: np.ndarray, piv: np.ndarray, rhs: np.ndarray, z, trans: int = 0) 
     """lu^{-1} rhs (lu^{-*} rhs for trans=2): one gbtrs, each column solved by itself.
     SingularSolve if it fails or overflows."""
     b = (len(lu) - 1) // 3
-    X, info = _gbtrs(lu, b, b, rhs, piv, trans=trans)
-    if info != 0 or not np.isfinite(X).all():
+    X, info = _gbtrs(lu, b, b, rhs, piv, trans)
+    if info != 0 or np.count_nonzero(np.isfinite(X)) < X.size:
         raise SingularSolve(f"resolvent solve failed or overflowed at z = {z}")
     return X
 
@@ -425,16 +431,18 @@ def cut_resolvent_blocks(seq: VerblunskySequence, z: complex, k0: int, gamma,
         if half not in cut.halves:            # it holds under 4 sites: SiteOutOfWindow
             _half_window(seq, k0, half)
     spans = [cut.halves[half] for half in halves]
-    a0, e0 = min(s[0] for s in spans), max(s[1] for s in spans)
+    a0, e0 = min([s[0] for s in spans]), max([s[1] for s in spans])
     lu, piv = _factor(_pencil(cut.V[:, a0:e0], cut.W_star[:, a0:e0], z), z)
-    G = np.empty((len(spans), m, m), dtype=complex)
-    for h, (half, (_, e, rows, rhs)) in enumerate(zip(halves, spans)):
+    G, X = np.empty((len(spans), m, m), dtype=complex), []
+    for half, (_, e, _, rhs) in zip(halves, spans):
         e -= a0
         p = piv[e - K:e] - (e - K)            # a pivot reaches kl < K rows down, so only these
         if max(p.tolist()) > K:               # can leave the half: a non-finite LU lets them
             raise SingularSolve(f"resolvent solve failed at z = {z}")
-        X = _solve(lu[:, e - K:e], p, rhs, z)[K - 2 * m:]
-        np.matmul(rows, X if half < 0 else X[::-1], out=G[h])
+        x = _solve(lu[:, e - K:e], p, rhs, z)[K - 2 * m:]
+        X.append(x if half < 0 else x[::-1])
+    for h, (span, x) in enumerate(zip(spans, X)):     # the products after every solve, as in
+        np.matmul(span[2], x, out=G[h])                # resolvent_blocks
     return G
 
 

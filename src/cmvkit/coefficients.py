@@ -247,10 +247,10 @@ class VerblunskySequence:
         """The read-only z-free bands of the half windows cut at k0 with gamma, a
         BoundaryUnitary (assembly.cut_band_storage), built once per (k0, gamma's bytes).
         The last CUT_BANDS_KEPT are kept, the oldest dropped first; a failed build is not."""
-        from .assembly import cut_band_storage
         store, key = self._cut_store, (k0, gamma.gamma.tobytes())
         found = store.get(key)
         if found is None:
+            from .assembly import cut_band_storage
             found = store[key] = cut_band_storage(self, k0, gamma)
             if len(store) > CUT_BANDS_KEPT:
                 del store[next(iter(store))]

@@ -1,4 +1,4 @@
-"""The error family of cmvkit, the guards on z and tolerances, and the one typed dense solve.
+"""The error family of cmvkit, the guards on z, tolerances and sites, and the one dense solve.
 
 Every failure the library reports is a CmvError (a ValueError) of one of
 the classes below: a broken domain condition (contractive interior,
@@ -10,8 +10,11 @@ with code 2 on exactly these and OSError; anything else is a bug.
 from __future__ import annotations
 
 import cmath
+import operator
 
 import numpy as np
+
+from ._lapack import zgesv as _zgesv
 
 
 class CmvError(ValueError):
@@ -100,22 +103,54 @@ class SingularWronskian(CmvError):
     """M_plus - M_minus is numerically singular at this z."""
 
 
+class NotConverged(CmvError):
+    """A LAPACK eigenvalue or singular value iteration did not converge."""
+
+
 UNIT_CIRCLE_TOL = 1e-6
 
 
 def solve(A: np.ndarray, B: np.ndarray, err: type = SingularFactor,
           right: bool = False) -> np.ndarray:
-    """A^{-1} B, or A B^{-1} when right, raising err when the solve fails or overflows.
-    A and B may be stacks (..., m, m), solved matrix by matrix."""
+    """A^{-1} B, or A B^{-1} when right, by LAPACK zgesv (_lapack) on copies, in complex128;
+    err when a factor is singular or the result is not finite. A B^{-1} is zgesv(B^T, A^T)^T,
+    on transposed views. A stack (..., m, m) of B against one A is one zgesv over its matrices
+    side by side; other stacks are solved matrix by matrix. gesv solves each column by
+    itself, so each value is the one-matrix call's, and numpy.linalg.solve's."""
+    A, B = np.asarray(A), np.asarray(B)
     if right:
-        return solve(B.swapaxes(-1, -2), A.swapaxes(-1, -2), err).swapaxes(-1, -2)
-    try:
-        out = np.linalg.solve(A, B)
-    except np.linalg.LinAlgError as exc:
-        raise err("matrix factor is singular") from exc
-    if not np.all(np.isfinite(out)):
+        A, B = B.swapaxes(-1, -2), A.swapaxes(-1, -2)
+    if A.ndim == 2 and B.ndim == 2:
+        out = _gesv(A, B, err)
+    elif A.ndim == 2:         # the stack's matrices side by side: columns of one F-order rhs
+        n, k = B.shape[-2:]
+        x = _gesv(A, np.ascontiguousarray(B.swapaxes(-1, -2)).reshape(-1, n).T, err)
+        out = x.T.reshape(*B.shape[:-2], k, n).swapaxes(-1, -2)
+    else:
+        stack = np.broadcast_shapes(A.shape[:-2], B.shape[:-2])
+        A, B = (np.broadcast_to(a, stack + a.shape[-2:]) for a in (A, B))
+        out = np.array([_gesv(A[i], B[i], err) for i in np.ndindex(stack)], complex)
+        out = out.reshape(B.shape)
+    out = np.ascontiguousarray(out)           # numpy.linalg.solve's layout: later reductions
+    return out.swapaxes(-1, -2) if right else out     # (a norm's ravel('K')) follow it
+
+
+def _gesv(A: np.ndarray, B: np.ndarray, err: type) -> np.ndarray:
+    """A^{-1} B for one matrix A and a 2-D B: one zgesv, with solve's checks."""
+    _, _, x, info = _zgesv(A, B)
+    if info != 0:
+        raise err("matrix factor is singular")
+    if np.count_nonzero(np.isfinite(x)) < x.size:     # isfinite().all() at half the cost
         raise err("matrix factor is numerically singular")
-    return out
+    return x
+
+
+def require_sites(sites, what: str) -> list:
+    """The iterable sites as ints (operator.index); MalformedInput, led by what, if one fails."""
+    try:
+        return list(map(operator.index, sites))
+    except (TypeError, ValueError) as exc:
+        raise MalformedInput(f"{what}: {exc}") from exc
 
 
 def require_tolerance(tol, what: str = "tolerance") -> float:

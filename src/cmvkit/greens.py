@@ -23,7 +23,6 @@ at entry and hands it to every family and m-function it builds.
 
 from __future__ import annotations
 
-import operator
 from dataclasses import dataclass
 from enum import Enum
 
@@ -31,22 +30,9 @@ import numpy as np
 
 from .assembly import half_sites, resolvent_blocks
 from .coefficients import VerblunskySequence, as_boundary
-from .errors import (
-    MalformedInput,
-    MatrixCaseUnsupported,
-    SingularWronskian,
-    SiteOutOfWindow,
-    require_off_circle,
-    solve,
-)
-from .laurent import (
-    MINUS,
-    PLUS,
-    _norm_sign,
-    _rel,
-    propagate,
-    seed_family,
-)
+from .errors import (MatrixCaseUnsupported, SingularWronskian, SiteOutOfWindow, require_off_circle,
+                     require_sites, solve)
+from .laurent import MINUS, PLUS, _norm_sign, _rel, propagate, seed_family
 from .weyl import _M_functions, _combination, m_function, weyl_solutions
 
 
@@ -99,11 +85,9 @@ def wronskian_symmetry_check(M_plus: np.ndarray, M_minus: np.ndarray) -> float:
 def _check_pairs(seq: VerblunskySequence, k0: int, sign: int | None, pairs):
     """pairs as a list of (k, kp) int tuples, and their sites, after checking that each is two
     integer sites lying in the half window of sign at k0, or in the window when sign is None."""
-    try:
-        pairs = [(operator.index(k), operator.index(kp)) for k, kp in pairs]
-    except (TypeError, ValueError) as exc:
-        raise MalformedInput(f"each pair must be two integer sites (k, kp): {exc}") from exc
-    sites = [site for pair in pairs for site in pair]
+    sites = require_sites((site for k, kp in pairs for site in (k, kp)),
+                          "each pair must be two integer sites (k, kp)")
+    pairs = list(zip(sites[::2], sites[1::2]))
     lo, hi = (seq.k_min, seq.k_max - 1) if sign is None else half_sites(seq, k0, sign)
     where = "window" if sign is None else "half-window"
     for site in sites:

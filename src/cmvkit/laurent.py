@@ -49,6 +49,7 @@ from .errors import (
     PathLeavesWindow,
     SiteOutOfWindow,
     require_nonzero,
+    require_sites,
 )
 
 PLUS = 1
@@ -247,8 +248,10 @@ def propagate(seq: VerblunskySequence, family: SolutionFamily, *targets: int) ->
     last with the transfer matrices, each direction one banded triangular
     solve over the path's band, sliced from the sequence's z-free cache
     (_path_band). Already-covered sites are kept as stored, family.X copied
-    once. Raises NotFinite when a propagated value overflows.
+    once. MalformedInput for a target that is not an integer; NotFinite when a propagated
+    value overflows.
     """
+    targets = require_sites(targets, "each target must be an integer site")
     for k in targets:
         if not seq.k_min <= k <= seq.k_max - 1:
             raise PathLeavesWindow(f"target site {k} outside [{seq.k_min}, {seq.k_max - 1}]")

@@ -25,38 +25,18 @@ of one coefficients.BoundaryUnitary, shared with the families.
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 
 import numpy as np
 
-from ._lapack import zgeqrf as _geqrf, zungqr as _ungqr
+from ._lapack import zgeqrf as _geqrf, zgesdd as _gesdd, zheevd as _heevd, zungqr as _ungqr
 from .assembly import cut_resolvent_blocks
-from .coefficients import (
-    VerblunskySequence,
-    _as_square,
-    as_boundary,
-)
-from .errors import (
-    NotFinite,
-    OutOfRange,
-    SingularSolutionValue,
-    SiteOutOfWindow,
-    require_finite,
-    require_off_circle,
-    require_tolerance,
-    solve,
-)
-from .laurent import (
-    MINUS,
-    PLUS,
-    SolutionFamily,
-    _as_steps,
-    _norm_sign,
-    _path_band,
-    connection,
-    propagate,
-    seed_family,
-)
+from .coefficients import VerblunskySequence, _as_square, as_boundary
+from .errors import (NotConverged, NotFinite, OutOfRange, SingularSolutionValue, SiteOutOfWindow,
+                     require_finite, require_off_circle, require_tolerance, solve)
+from .laurent import (MINUS, PLUS, SolutionFamily, _as_steps, _norm_sign, _path_band, connection,
+                      propagate, seed_family)
 
 
 def m_function(seq: VerblunskySequence, k0: int, gamma, z, sign) -> np.ndarray:
@@ -87,14 +67,14 @@ def m_function(seq: VerblunskySequence, k0: int, gamma, z, sign) -> np.ndarray:
     -------
     The m x m matrix-valued m-function in the family frame.
     """
-    return _m_functions(seq, k0, gamma, z, (_norm_sign(sign),))[0]
+    sign = _norm_sign(sign)
+    return _m_functions(seq, k0, gamma, require_off_circle(z, allow_zero=True), (sign,))[0]
 
 
 def _m_functions(seq: VerblunskySequence, k0: int, gamma, z, signs=(PLUS, MINUS)) -> np.ndarray:
-    """The stack of m_function for each of signs at one z, from one banded LU of their half
-    windows; the frame and the sums act on the whole stack."""
-    z = require_off_circle(z, allow_zero=True)
-    boundary = as_boundary(gamma, seq.m)
+    """The stack of m_function for each of signs at a z the caller has checked, from one
+    banded LU of their half windows; the frame and the sums act on the whole stack."""
+    boundary = as_boundary(gamma, seq.m)      # a BoundaryUnitary passes as it is
     gh = boundary.root
     ghi = gh.conj().T
     left, right = (gh, ghi) if k0 % 2 == 0 else (ghi, gh)
@@ -151,21 +131,21 @@ def M_minus_from_m_minus(m_minus: np.ndarray, z) -> np.ndarray:
     return _M_from_m(_as_square(m_minus), require_finite(z))
 
 
+_eye = functools.cache(lambda m: np.broadcast_to(np.eye(m), (m, m)))     # read-only, one per m
+
+
 def _M_from_m(m: np.ndarray, z: complex) -> np.ndarray:
     """M_minus_from_m_minus for an m the caller has produced finite and square itself."""
-    eye = np.eye(m.shape[0])
+    eye = _eye(m.shape[0])
     plus, minus = m + eye, z * (m - eye)
     return solve(plus - minus, plus + minus, right=True)
 
 
 def m_minus_from_M_minus(M_minus: np.ndarray, z) -> np.ndarray:
     """Inverse transform: m = [z(M + I) - (M - I)] [z(M + I) + (M - I)]^{-1}."""
-    z = require_finite(z)
-    M = _as_square(M_minus)
-    eye = np.eye(M.shape[0])
-    num = z * (M + eye) - (M - eye)
-    den = z * (M + eye) + (M - eye)
-    return solve(num, den, right=True)
+    z, M = require_finite(z), _as_square(M_minus)
+    plus, minus = z * (M + _eye(len(M))), M - _eye(len(M))
+    return solve(plus - minus, plus + minus, right=True)
 
 
 def M_minus_via_connection(seq: VerblunskySequence, k0: int, gamma, z) -> np.ndarray:
@@ -220,7 +200,7 @@ def schur_from_M(M: np.ndarray) -> np.ndarray:
 
 def _schur(M: np.ndarray) -> np.ndarray:
     """schur_from_M for an M, or stack, the caller has produced finite and square itself."""
-    eye = np.eye(M.shape[-1])
+    eye = _eye(M.shape[-1])
     return solve(M - eye, M + eye, right=True)
 
 
@@ -375,8 +355,23 @@ class SpectralSample:
 
 
 def _herm_eigs(F: np.ndarray) -> np.ndarray:
-    """Eigenvalues of the Hermitian part of one matrix or of each in a stack (..., m, m)."""
-    return np.linalg.eigvalsh((F + F.conj().swapaxes(-1, -2)) / 2.0)
+    """Ascending eigenvalues of the Hermitian part of one matrix or of each in a stack: zheevd
+    on the lower triangle, as numpy.linalg.eigvalsh (UPLO='L'). NotConverged if it fails."""
+    H = (F + F.conj().swapaxes(-1, -2)) / 2.0
+    out = np.empty(H.shape[:-1])
+    for h, w in zip(H.reshape(-1, *H.shape[-2:]), out.reshape(-1, H.shape[-1])):
+        w[:], _, info = _heevd(h, 0, 1)      # compute_v=0, lower=1
+        if info != 0:
+            raise NotConverged(f"zheevd failed to converge (info = {info})")
+    return out
+
+
+def _svals(a: np.ndarray) -> list:
+    """Descending singular values of a matrix as floats: zgesdd, as numpy.linalg.svd."""
+    _, s, _, info = _gesdd(a, 0)             # compute_uv=0
+    if info != 0:
+        raise NotConverged(f"zgesdd failed to converge (info = {info})")
+    return s.tolist()
 
 
 def spectral_sample(seq: VerblunskySequence, k0: int, gamma, z,
@@ -384,33 +379,21 @@ def spectral_sample(seq: VerblunskySequence, k0: int, gamma, z,
     """Evaluate m, M, and Phi for both signs at one point, from one root of gamma
     and one banded LU of both half windows (_m_functions).
 
-    gamma is rooted once per distinct value (coefficients.as_boundary). The
-    two Cayley transforms, the two Hermitian parts' eigenvalues and the two
-    Phi's singular values are each one stacked call; numpy solves such a
-    stack matrix by matrix, so each value equals its one-matrix call. The
-    transforms take the m-functions, which the solve has checked finite,
-    without checking them again. OutOfRange unless tol is finite and >= 0.
+    z, tol and gamma are checked once; gamma is rooted once per distinct value
+    (coefficients.as_boundary). The transforms take the m-functions, which the solve has
+    checked finite, as they are. The flags read one end of the sorted LAPACK eigenvalues
+    and singular values; every value equals numpy.linalg's bit for bit, and no numpy.linalg
+    call is made at z != 0. OutOfRange unless tol is finite and >= 0.
     """
     z, tol = require_off_circle(z, allow_zero=True), require_tolerance(tol)
     gamma = as_boundary(gamma, seq.m)
     ms = _m_functions(seq, k0, gamma, z)
     mp, mm = ms
-    Ms = _M_functions(seq, k0, gamma, z, ms=ms)      # M_plus = m_plus
-    phi = _schur(np.array(Ms))
-    eig_p, eig_m = _herm_eigs(ms)
-    sv_p, sv_m = np.linalg.svd(phi, compute_uv=False)
-    norm_p, smin_m = sv_p[0], sv_m[-1]
+    Mm, = _M_functions(seq, k0, gamma, z, (MINUS,), ms=(mm,))      # M_plus = m_plus
+    phi_p, phi_m = _schur(mp), _schur(Mm)
+    (eig_p, eig_m), sv_p, sv_m = _herm_eigs(ms).tolist(), _svals(phi_p), _svals(phi_m)
     if abs(z) < 1.0:
-        flags = (eig_p.min() >= -tol, eig_m.max() <= tol,
-                 norm_p <= 1.0 + tol, smin_m >= 1.0 - tol)
+        flags = (eig_p[0] >= -tol, eig_m[-1] <= tol, sv_p[0] <= 1.0 + tol, sv_m[-1] >= 1.0 - tol)
     else:
-        flags = (eig_p.max() <= tol, eig_m.min() >= -tol,
-                 norm_p >= 1.0 - tol, smin_m <= 1.0 + tol)
-    return SpectralSample(
-        z=z, m_plus=mp, m_minus=mm, M_plus=mp, M_minus=Ms[1],
-        Phi_plus=phi[0], Phi_minus=phi[1],
-        caratheodory_plus=bool(flags[0]),
-        anti_caratheodory_minus=bool(flags[1]),
-        schur_plus=bool(flags[2]),
-        anti_schur_minus=bool(flags[3]),
-    )
+        flags = (eig_p[-1] <= tol, eig_m[0] >= -tol, sv_p[0] >= 1.0 - tol, sv_m[-1] <= 1.0 + tol)
+    return SpectralSample(z, mp, mm, mp, Mm, phi_p, phi_m, *flags)     # the fields in order

@@ -209,6 +209,33 @@ def test_split_outside_window_raises():
         assemble_split(seq, SplitSpec(k0=-3, gamma_left=eye, gamma_right=eye))
 
 
+def test_split_and_cut_blocks_share_one_formula():
+    """SplitSpec keeps _cut_block's diag(-gamma_left, gamma_right*), read-only, with its
+    unitaries as complex arrays; a cut is the split with gamma on both sides. Each bad
+    unitary is named, and a block of the wrong size for the sequence is refused."""
+    from cmvkit.coefficients import as_boundary
+    from cmvkit.errors import DimensionMismatch, MissingCut, NotUnitary
+    rng = np.random.default_rng(12)
+    seq = generate(EnsembleSpec(m=2, k_min=0, k_max=12, seed=13))
+    g1, g2 = random_unitary(rng, 2), random_unitary(rng, 2)
+    spec = SplitSpec(k0=6, gamma_left=g1.tolist(), gamma_right=g2)
+    want = np.block([[-g1, np.zeros((2, 2))], [np.zeros((2, 2)), g2.conj().T]])
+    assert np.array_equal(spec.block_in(seq), want) and not spec.block.flags.writeable
+    assert np.array_equal(spec.gamma_left, g1) and spec.gamma_left.dtype == complex
+    assert np.array_equal(spec.gamma_right, g2)
+    cut = SplitSpec(k0=6, gamma_left=g1, gamma_right=g1).block
+    assert np.array_equal(assembly._cut_block(g1, 2), cut)
+    assert np.array_equal(assembly._cut_block(as_boundary(g1, 2), 2), cut)
+    with pytest.raises(NotUnitary, match="gamma_right"):
+        SplitSpec(k0=6, gamma_left=g1, gamma_right=2 * g2)
+    with pytest.raises(DimensionMismatch, match="gamma_right"):
+        SplitSpec(k0=6, gamma_left=g1, gamma_right=np.eye(3))
+    with pytest.raises(DimensionMismatch, match="block size"):
+        SplitSpec(k0=6, gamma_left=np.eye(3), gamma_right=np.eye(3)).block_in(seq)
+    with pytest.raises(MissingCut):
+        assembly._cut_block(None, 2)
+
+
 def test_resolvent_blocks_in_batches_equal_one_pair_calls(monkeypatch, count_calls):
     """With RHS_BYTES cut to 5 sites' columns, so that the distinct kp take many solves,
     every block equals its one-pair call bit for bit (gbtrs solves each column by itself):

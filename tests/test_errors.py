@@ -11,8 +11,10 @@ import pytest
 
 import cmvkit
 from cmvkit.assembly import resolvent_blocks
+from cmvkit.coefficients import as_boundary
 from cmvkit.errors import (
     CmvError,
+    MalformedInput,
     MissingCut,
     NotFinite,
     OutOfRange,
@@ -26,7 +28,8 @@ from cmvkit.errors import (
 )
 from cmvkit.cli.ensembles import EnsembleSpec, generate
 from cmvkit.greens import dense_resolvent_entries
-from cmvkit.weyl import weyl_solutions
+from cmvkit.laurent import propagate, seed_family
+from cmvkit.weyl import schur_parity_formula, weyl_solutions
 
 SRC = Path(cmvkit.__file__).parent
 
@@ -110,3 +113,17 @@ def test_weyl_solutions_without_signs_is_typed():
     seq = generate(EnsembleSpec(m=2, k_min=0, k_max=12, seed=1))
     with pytest.raises(OutOfRange, match="one or more signs"):
         weyl_solutions(seq, 6, np.eye(2), 0.5, signs=())
+
+
+def test_non_integer_sites_are_malformed_input():
+    """A float site is MalformedInput, not a bare TypeError, wherever a family is propagated
+    to it: one site check (errors.require_sites) serves these and the Green kernels' pairs."""
+    seq = generate(EnsembleSpec(m=2, k_min=0, k_max=20, seed=1))
+    g = np.eye(2)
+    fam = seed_family(as_boundary(g, 2), 0.5, 10, 1)
+    for call in (lambda: propagate(seq, fam, 12.5),
+                 lambda: weyl_solutions(seq, 10, g, 0.5, sites=(12.5,)),
+                 lambda: schur_parity_formula(seq, 10, g, 0.5, 12.0, 1)):
+        with pytest.raises(MalformedInput, match="integer site"):
+            call()
+    assert propagate(seq, fam, np.int64(12)).k_hi == 12      # a numpy integer is a site
