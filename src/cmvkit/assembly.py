@@ -55,6 +55,7 @@ from .errors import (
     SingularSolve,
     SiteOutOfWindow,
     SplitOutOfWindow,
+    require_cut,
 )
 
 MAX_DENSE_ROWS = 512
@@ -114,6 +115,7 @@ class SplitSpec:
     block: np.ndarray = field(init=False, repr=False, compare=False)
 
     def __post_init__(self):
+        object.__setattr__(self, "k0", require_cut(self.k0))
         block = _cut_block(self.gamma_left, None, self.gamma_right)
         m = len(block) // 2
         block.setflags(write=False)
@@ -226,9 +228,9 @@ def band_block(band: np.ndarray, rows, cols) -> np.ndarray:
 
 
 def half_sites(seq: VerblunskySequence, k0, half: int) -> tuple:
-    """First and last site of the half window cut at k0 (MissingCut if k0 is None)."""
-    if k0 is None:
-        raise MissingCut("a half window needs its cut site k0")
+    """First and last site of the half window cut at k0 (errors.require_cut: MissingCut if k0
+    is None, MalformedInput if it is not an integer)."""
+    k0 = require_cut(k0)
     return (k0, seq.k_max - 1) if half > 0 else (seq.k_min, k0)
 
 
@@ -240,6 +242,7 @@ def _half_window(seq: VerblunskySequence, k0, half: int) -> tuple:
     if not seq.k_min <= first < last - 2 <= seq.k_max - 3:
         raise SiteOutOfWindow(f"half window [{first}, {last + 1}] of [{seq.k_min}, "
                               f"{seq.k_max}] must hold 4 sites or more")
+    k0 = first if half > 0 else last
     m, i = seq.m, (k0 - seq.k_min) * seq.m    # i: first column of site k0 in seq
     return (i, m * seq.n_sites, k0) if half > 0 else (0, i + m, k0 + 1)
 

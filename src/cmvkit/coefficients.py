@@ -12,7 +12,8 @@ the 2m x 2m orthogonal building block built from a single coefficient,
 singular value factorizations, unitary square roots (from the Schur form
 of LAPACK zgees, via _lapack), and two-sided unitary gauge transforms of
 whole sequences. Each sequence computes the defects of its interior once
-(defects, one batched pass over the stack) for assembly and transfers,
+(defects, one batched pass over the stack) for assembly and transfers, and
+their inverses once (defect_inverses) for transfers and connections; it
 keeps its V and W* in band storage once (bands) for the resolvent blocks
 behind the m-functions and the Green oracle, its z-free transfer matrices
 once per direction (transfer_band, transfer_inverse_band) for
@@ -219,6 +220,16 @@ class VerblunskySequence:
         for a in (d.rho, d.rho_tilde):
             a.setflags(write=False)
         return d
+
+    @cached_property
+    def defect_inverses(self) -> np.ndarray:
+        """Read-only rho^-1 and rho~^-1 of the interior coefficients, stacked (2, n - 1, m, m),
+        interior site k in column k - k_min - 1: one batched inverse of defects, read by both
+        transfer bands and by the connection coefficients at a cut (laurent)."""
+        d = self.defects
+        inverses = np.linalg.inv(np.stack((d.rho, d.rho_tilde)))
+        inverses.setflags(write=False)
+        return inverses
 
     @cached_property
     def bands(self) -> tuple:

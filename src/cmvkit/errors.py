@@ -153,6 +153,17 @@ def require_sites(sites, what: str) -> list:
         raise MalformedInput(f"{what}: {exc}") from exc
 
 
+def require_cut(k0) -> int:
+    """The reference site k0 as an int (operator.index, as require_sites); MissingCut if it
+    is None, else MalformedInput if it is not an integer."""
+    if k0 is None:
+        raise MissingCut("a half window needs its cut site k0")
+    try:
+        return operator.index(k0)
+    except TypeError as exc:
+        raise MalformedInput(f"the cut site k0 must be an integer: {exc}") from exc
+
+
 def require_tolerance(tol, what: str = "tolerance") -> float:
     """tol as a float; OutOfRange unless it is finite and >= 0 (a NaN fails both)."""
     if not 0.0 <= tol < cmath.inf:
@@ -171,8 +182,12 @@ def require_nonzero(z) -> complex:
 
 
 def require_off_circle(z, allow_zero: bool = False, tol: float = UNIT_CIRCLE_TOL) -> complex:
-    """Coerce z to complex; reject a non-finite value, the unit circle and (optionally) zero."""
-    z = complex(z)
+    """Coerce z to complex (MalformedInput if it is not a number); reject a non-finite value,
+    the unit circle and (optionally) zero."""
+    try:
+        z = complex(z)
+    except (TypeError, ValueError) as exc:
+        raise MalformedInput(f"z must be a complex number: {exc}") from exc
     if not cmath.isfinite(z):
         raise NotFinite(f"z = {z} is not finite")
     if z == 0 and not allow_zero:

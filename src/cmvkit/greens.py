@@ -2,12 +2,13 @@
 
 Half- and full-window resolvents share one body, _kernel: (2z)^{-1}
 left(k) W^{-1} right(kp)* stacked over a batch of (k, kp) pairs at one z,
-each pair two integer sites (else MalformedInput). It propagates one family
-at z and one at 1/conj(z), each one propagate call over the span of the
-pairs' sites, and forms each pair's factors from their (P, Q) rows at k and
-kp only: P, or X [c; I] = Q + P c for one m x m coefficient c (m, M_+/-, or
-their values at 1/conj(z)); the full kernel adds W = M_+ - M_-. A half-window
-operator U_h is exactly unitary, so m(1/conj(z)) = -m(z)*: the kernels read
+each pair two integer sites (else MalformedInput). It checks z, k0, the pairs
+and gamma once, propagates one family at z and one at 1/conj(z) over the span
+of k0 and the pairs' sites, both families and both directions in one banded
+solve (laurent._chain), and forms each pair's factors from their (P, Q) rows
+at k and kp only, on its branch: P, or X [c; I] = Q + P c for one m x m
+coefficient c (m, M_+/-, or their values at 1/conj(z)); the full kernel adds
+W = M_+ - M_-. A half-window operator U_h is exactly unitary, so m(1/conj(z)) = -m(z)*: the kernels read
 each m or M at 1/conj(z) from the solve at z. Each kernel is an independent
 formula meant to be compared against the oracle dense_resolvent_entries, one
 banded LU per z of the same finite operator (assembly.resolvent_blocks)
@@ -30,10 +31,10 @@ import numpy as np
 
 from .assembly import half_sites, resolvent_blocks
 from .coefficients import VerblunskySequence, as_boundary
-from .errors import (MatrixCaseUnsupported, SingularWronskian, SiteOutOfWindow, require_off_circle,
-                     require_sites, solve)
-from .laurent import MINUS, PLUS, _norm_sign, _rel, propagate, seed_family
-from .weyl import _M_functions, _combination, m_function, weyl_solutions
+from .errors import (MalformedInput, MatrixCaseUnsupported, SingularWronskian, SiteOutOfWindow,
+                     require_cut, require_off_circle, require_sites, solve)
+from .laurent import MINUS, PLUS, _chain, _norm_sign, _rel, _seeds, propagate, seed_family
+from .weyl import _M_functions, _combination, _m_functions, m_function, weyl_solutions
 
 
 class GreensBranch(Enum):
@@ -83,8 +84,13 @@ def wronskian_symmetry_check(M_plus: np.ndarray, M_minus: np.ndarray) -> float:
 
 
 def _check_pairs(seq: VerblunskySequence, k0: int, sign: int | None, pairs):
-    """pairs as a list of (k, kp) int tuples, and their sites, after checking that each is two
-    integer sites lying in the half window of sign at k0, or in the window when sign is None."""
+    """pairs as a list of (k, kp) int tuples, and their sites, after checking that pairs is an
+    iterable of two integer sites each (else MalformedInput) lying in the half window of sign
+    at k0, or in the window when sign is None."""
+    try:
+        pairs = iter(pairs)
+    except TypeError as exc:
+        raise MalformedInput(f"pairs must be an iterable of (k, kp): {exc}") from exc
     sites = require_sites((site for k, kp in pairs for site in (k, kp)),
                           "each pair must be two integer sites (k, kp)")
     pairs = list(zip(sites[::2], sites[1::2]))
@@ -96,19 +102,15 @@ def _check_pairs(seq: VerblunskySequence, k0: int, sign: int | None, pairs):
     return pairs, sites
 
 
-def _side(top: np.ndarray, coefficients, up: list) -> np.ndarray:
-    """One side's factor per pair from its (P, Q) rows top, with coefficients[0] on the rows
-    up marks UPPER_ODD and coefficients[1] on the others: None reads P, c reads X [c; I].
-    A one-branch batch takes one slice or one product over the whole stack."""
+def _side(top: np.ndarray, coefficients, n_up: int) -> np.ndarray:
+    """One side's factor per pair from its (P, Q) rows top, the n_up UPPER_ODD pairs first:
+    coefficients[0] on their rows and coefficients[1] on the others; None reads P, c reads
+    X [c; I]. A batch on one branch takes one slice or one product over the whole stack."""
     def read(part, c):
         return part[..., :part.shape[1]] if c is None else _combination(part, c)
-    if all(up) or not any(up):
-        return read(top, coefficients[0 if all(up) else 1])
-    mask = np.array(up)
-    out = np.empty_like(top[..., :top.shape[1]])
-    for rows, c in zip((mask, ~mask), coefficients):
-        out[rows] = read(top[rows], c)
-    return out
+    if n_up in (0, len(top)):
+        return read(top, coefficients[0 if n_up else 1])
+    return np.concatenate((read(top[:n_up], coefficients[0]), read(top[n_up:], coefficients[1])))
 
 
 def _kernel(seq: VerblunskySequence, k0: int, gamma, z, pairs, sign) -> list:
@@ -116,43 +118,55 @@ def _kernel(seq: VerblunskySequence, k0: int, gamma, z, pairs, sign) -> list:
     of sign, or the full kernel when sign is None.
 
     One family seeded at k0 (with sign; PLUS for the full kernel) is propagated at z and
-    one at 1/conj(z), each to the farthest site any pair reads, and their (P, Q) rows are
-    sliced at the pairs' k and kp. Each pair's left and right factor is formed once, on its
-    branch: P, or hat(c) = X [c; I] = Q + P c for one m x m coefficient c. A subscript c
+    one at 1/conj(z), each from k0 to both ends of the span of k0 and the pairs' sites: a
+    path per end other than k0 (one empty path when there is none), all in one banded solve
+    (laurent._chain). Their (P, Q) rows are read at the pairs' k and kp, the UPPER_ODD pairs
+    first. Each pair's left and right factor is formed once, on its branch: P, or
+    hat(c) = X [c; I] = Q + P c for one m x m coefficient c. A subscript c
     reads -c* (m_c = -m*, M_+c = -M_+*), since m(1/conj(z)) = -m(z)* and likewise M_+/-:
 
         half +:  upper -(P, hat(m_c)),   lower (hat(m), P)
         half -:  upper -(hat(m), P),     lower (P, hat(m_c))
         full:    upper (hat(M_-), hat(M_+c)),  lower (hat(M_+), hat(M_-c)),  W = M_+ - M_-
 
-    The half kernels have no W; an upper half entry is negated after the division.
+    The half kernels have no W; an upper half entry is negated after the division. z, k0,
+    the pairs and gamma are checked here once; m or M is read by its one-sign route.
     """
-    z = require_off_circle(z)
-    zc = 1.0 / np.conj(z)
+    z, k0 = require_off_circle(z), require_cut(k0)
     pairs, sites = _check_pairs(seq, k0, sign, pairs)
-    gamma = as_boundary(gamma, seq.m)
-    seed = PLUS if sign is None else sign
-    fam_z, fam_c = (propagate(seq, seed_family(gamma, w, k0, seed), *sites) for w in (z, zc))
+    gamma, zs = as_boundary(gamma, seq.m), (z, 1.0 / np.conj(z))
+    lo, hi = min((k0, *sites)), max((k0, *sites))
+    ends = [end for end in (lo, hi) if end != k0] or [k0]     # a path per end away from k0
+    X0 = _seeds(gamma, zs, k0, PLUS if sign is None else sign)
+    X, starts = _chain(seq, [(w, x0, k0, end) for w, x0 in zip(zs, X0) for end in ends])
     if sign is None:        # coefficients (upper, lower) of the left and of the right factor
         Mp, Mm = _M_functions(seq, k0, gamma, z)
         lefts, rights, W = (Mm, Mp), (-Mp.conj().T, -Mm.conj().T), Mp - Mm
     else:
-        m_z = m_function(seq, k0, gamma, z, sign)
+        m_z = _m_functions(seq, k0, gamma, z, (sign,))[0]
         lefts, rights, W = (None, m_z), (-m_z.conj().T, None), None
         if sign == MINUS:
             lefts, rights = lefts[::-1], rights[::-1]
-    ik, ikp = np.array(pairs, dtype=int).reshape(-1, 2).T - fam_z.k_lo   # fam_c's span is fam_z's
-    up = [_branch(k, kp) is GreensBranch.UPPER_ODD for k, kp in pairs]
-    left = _side(fam_z.X[ik, :seq.m], lefts, up)
-    right = _side(fam_c.X[ikp, :seq.m], rights, up).conj().transpose(0, 2, 1)
+
+    branches = [_branch(k, kp) for k, kp in pairs]      # the UPPER_ODD pairs are read first
+    order = sorted(range(len(pairs)), key=lambda i: branches[i] is GreensBranch.LOWER_EVEN)
+    n_up, per = branches.count(GreensBranch.UPPER_ODD), len(ends)
+
+    def row(f, k):      # the row of site k in the paths of family f (0: at z, 1: at 1/conj(z))
+        return starts[f * per + per - 1] + k - k0 if k > k0 else starts[f * per] + k0 - k
+
+    left = _side(X[[row(0, pairs[i][0]) for i in order], :seq.m], lefts, n_up)
+    right = _side(X[[row(1, pairs[i][1]) for i in order], :seq.m], rights, n_up)
+    right = right.conj().transpose(0, 2, 1)
     if W is not None:
         right = solve(W, right, SingularWronskian)
     values = left @ right / (2.0 * z)
-    if sign is not None and any(up):
-        np.negative(values, out=values, where=np.array(up)[:, None, None])
-    return [GreensEntry(k=k, kp=kp, value=value,
-                        branch=GreensBranch.UPPER_ODD if u else GreensBranch.LOWER_EVEN)
-            for (k, kp), value, u in zip(pairs, values, up)]
+    if sign is not None and n_up:
+        np.negative(values[:n_up], out=values[:n_up])
+    entries = [None] * len(pairs)
+    for i, value in zip(order, values):
+        entries[i] = GreensEntry(k=pairs[i][0], kp=pairs[i][1], value=value, branch=branches[i])
+    return entries
 
 
 def half_green_entries(seq: VerblunskySequence, k0: int, gamma, z, pairs, sign) -> list:

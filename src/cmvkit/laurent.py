@@ -12,16 +12,19 @@ coefficients.BoundaryUnitary, kept as the family's boundary.
 A family is one (n_sites, 2m, 2m) state X = [[P, Q], [R, S]], its letters
 views of X. This module provides the transfer matrices and their explicit
 inverses, seed construction, propagation of X by one banded triangular
-solve (LAPACK ztbtrs, from _lapack) per direction, the connection
+solve (LAPACK ztbtrs, from _lapack) for every path of a call, the connection
 coefficients relating families with different gamma or different sign, and
 residual checks for the quadratic and conjugation identities.
 
 The z-free part of every transfer matrix, and of every inverse, is built
-once per sequence and direction from its coefficients and defects
-(seq.defects), already in the solve's band layout (seq.transfer_band,
-seq.transfer_inverse_band); rho^-1, rho~^-1 and their products with alpha
-are formed there only. A path is a slice of those rows, reversed for a
-backward path, whose odd sites' off-diagonal blocks take z and 1/z;
+once per sequence and direction from its coefficients and the inverses of
+its defects (seq.defect_inverses), already in the solve's band layout
+(seq.transfer_band, seq.transfer_inverse_band); the products of rho^-1 and
+rho~^-1 with alpha are formed there only. A path runs from one site to
+another at one z: a slice of those rows, reversed for a backward path, whose
+odd sites' off-diagonal blocks take z and 1/z. _chain solves the paths of a
+call, any number and both directions, in one stacked band: propagate's two
+directions, and the Green kernels' paths at z and 1/conj(z).
 transfer and transfer_inverse read a one-site path.
 """
 
@@ -48,6 +51,7 @@ from .errors import (
     OutOfRange,
     PathLeavesWindow,
     SiteOutOfWindow,
+    require_cut,
     require_nonzero,
     require_sites,
 )
@@ -80,7 +84,7 @@ def _transfer_band(seq: VerblunskySequence, inverse: bool = False) -> np.ndarray
     _chain's band layout, read-only; the odd sites' off-diagonal blocks are stored without
     their z and 1/z. seq.transfer_band and seq.transfer_inverse_band keep it, built once."""
     alpha, m, n = seq.values[1:-1], seq.m, seq.n_sites - 1
-    r, rt = (np.linalg.inv(d) for d in (seq.defects.rho, seq.defects.rho_tilde))
+    r, rt = seq.defect_inverses
     ra, rta = r @ alpha.conj().transpose(0, 2, 1), rt @ alpha     # rho^-1 alpha*, rho~^-1 alpha
     # blocks (d1, o1, o2, d2): odd k is [[d1, z o1], [o2 / z, d2]], even k [[d2, o2], [o1, d1]]
     T = np.stack((-ra, r, rt, -rta) if inverse else (rta, rt, r, ra))
@@ -93,19 +97,20 @@ def _transfer_band(seq: VerblunskySequence, inverse: bool = False) -> np.ndarray
     return band
 
 
-def _path_band(seq: VerblunskySequence, z, k_lo: int, k_hi: int,
-               inverse: bool = False) -> np.ndarray:
+def _path_band(seq: VerblunskySequence, z: complex, k_lo: int, k_hi: int,
+               inverse: bool = False, out: np.ndarray | None = None) -> np.ndarray:
     """_chain's band over the path's steps: T(z, k) for k = k_lo .. k_hi, or with inverse
-    T(z, k)^-1 for k = k_hi .. k_lo. The rows are sliced from the sequence's cache and only
-    the odd sites' off-diagonal blocks take z, as z o1 and o2 / z."""
-    z = require_nonzero(z)
+    T(z, k)^-1 for k = k_hi .. k_lo, then the all-zero closing row; written into out, a
+    C-contiguous (n + 1, 2m, 4m) array, when given. The rows are sliced from the sequence's
+    cache and only the odd sites' off-diagonal blocks take z (checked by the caller), as
+    z o1 and o2 / z."""
     if not seq.k_min < k_lo <= k_hi < seq.k_max:
         raise PathLeavesWindow(f"transfer at sites {k_lo}..{k_hi} needs contractive "
                                f"coefficients, window is [{seq.k_min}, {seq.k_max}]")
     cache = seq.transfer_inverse_band if inverse else seq.transfer_band
     rows = cache[k_lo - seq.k_min - 1:k_hi - seq.k_min]
     n, m = len(rows), seq.m
-    band = np.empty((n + 1, 2 * m, 4 * m), dtype=complex)
+    band = np.empty((n + 1, 2 * m, 4 * m), dtype=complex) if out is None else out
     band[:n], band[n] = (rows[::-1] if inverse else rows), 0.0
     first = k_hi if inverse else k_lo     # the path's first site
     flat, (upper, lower) = band.reshape(-1), _odd_blocks(n, m, (first + 1) % 2)
@@ -136,7 +141,7 @@ def transfer(seq: VerblunskySequence, z, k: int) -> np.ndarray:
 
     with a = alpha_k, r = rho_k, rt = rho_tilde_k.
     """
-    return -_as_steps(_path_band(seq, z, k, k))[0]
+    return -_as_steps(_path_band(seq, require_nonzero(z), k, k))[0]
 
 
 def transfer_inverse(seq: VerblunskySequence, z, k: int) -> np.ndarray:
@@ -145,7 +150,7 @@ def transfer_inverse(seq: VerblunskySequence, z, k: int) -> np.ndarray:
     Odd k:  [[-r^-1 a*, z r^-1], [z^-1 rt^-1, -rt^-1 a]]
     Even k: [[-rt^-1 a, rt^-1], [r^-1, -r^-1 a*]]
     """
-    return -_as_steps(_path_band(seq, z, k, k, inverse=True))[0]
+    return -_as_steps(_path_band(seq, require_nonzero(z), k, k, inverse=True))[0]
 
 
 class FamilySite(NamedTuple):
@@ -201,42 +206,85 @@ def seed_family(gamma, z, k0: int, sign) -> SolutionFamily:
 
     where g is the root of gamma (an array or a BoundaryUnitary; the
     principal root for an array) and g* doubles as gamma^{-1/2}.
+    MalformedInput for a k0 that is not an integer (errors.require_cut).
     """
-    z = require_nonzero(z)
-    sign = _norm_sign(sign)
+    z, k0, sign = require_nonzero(z), require_cut(k0), _norm_sign(sign)
     boundary = as_boundary(gamma)
-    gh, ghi = boundary.root, boundary.root.conj().T
+    return SolutionFamily(sign, z, boundary, k0, k0, _seeds(boundary, (z,), k0, sign))
+
+
+def _seeds(boundary: BoundaryUnitary, zs, k0: int, sign: int) -> np.ndarray:
+    """seed_family's state at k0 for each of zs (checked by the caller), stacked
+    (len(zs), 2m, 2m); each z-dependent block is the one-z product (a product over a stack
+    of z may round otherwise), the others are written once for all."""
+    gh = boundary.root
+    ghi, m = gh.conj().T, gh.shape[0]
+    X = np.empty((len(zs), 2 * m, 2 * m), dtype=complex)
+    P, R, Q, S = X[:, :m, :m], X[:, m:, :m], X[:, :m, m:], X[:, m:, m:]
     if sign == PLUS and k0 % 2 == 1:
-        vals = (z * gh, ghi, z * gh, -ghi)
+        R[:], S[:] = ghi, -ghi
+        for p, q, z in zip(P, Q, zs):
+            p[:] = q[:] = z * gh
     elif sign == PLUS:
-        vals = (ghi, gh, -ghi, gh)
+        P[:], R[:], Q[:], S[:] = ghi, gh, -ghi, gh
     elif k0 % 2 == 1:
-        vals = (gh, -ghi, gh, ghi)
+        P[:], R[:], Q[:], S[:] = gh, -ghi, gh, ghi
     else:
-        vals = (-z * ghi, gh, z * ghi, gh)
-    m = gh.shape[0]
-    X = np.empty((1, 2 * m, 2 * m), dtype=complex)
-    X[0, :m, :m], X[0, m:, :m], X[0, :m, m:], X[0, m:, m:] = vals
-    return SolutionFamily(sign=sign, z=z, boundary=boundary, k0=k0, k_lo=k0, X=X)
+        R[:] = S[:] = gh
+        for p, q, z in zip(P, Q, zs):
+            p[:], q[:] = -z * ghi, z * ghi
+    return X
 
 
-def _chain(band: np.ndarray, X0: np.ndarray) -> np.ndarray:
-    """X_i = T_i X_{i - 1} for i = 1 .. n, stacked, from one banded solve over band
-    (n + 1, w, 2w), built by _path_band.
+def _chain(seq: VerblunskySequence, paths) -> tuple:
+    """The states along several paths from one banded solve.
 
-    The recursion is the unit block-lower-bidiagonal system X_0 = X0,
-    X_i - T_i X_{i-1} = 0, of band width 4m - 1 with 2m right-hand sides;
-    band[j, b, d] holds its entry A[(j*w + b) + d, j*w + b], which is
-    -T_{j+1}[b + d - w, b] for d >= w - b and 0 for 0 < d < w - b (band[n]
-    is all 0). LAPACK's tbtrs solves it by substitution without pivoting, so
-    each X_i is T_i X_{i-1} summed in another order.
+    Each path (z, X0, k_from, k_to) starts from the state X_0 = X0 at site k_from and moves
+    one site toward k_to per step, |k_to - k_from| steps: X_i = T(z, k_from + i) X_{i-1}
+    forward, X_i = T(z, k_from - i + 1)^-1 X_{i-1} backward. z is checked by the caller.
+    Returns (X, starts): X stacks each path's X_0 .. X_n in turn, shape (rows, 2m, 2m), and
+    path p's X_0 is X[starts[p]].
+
+    The recursion is the unit block-lower-bidiagonal system X_0 = X0, X_i - T_i X_{i-1} = 0,
+    of band width 4m - 1 with 2m right-hand sides; band[j, b, d] holds its entry
+    A[(j*w + b) + d, j*w + b], which is -T_{j+1}[b + d - w, b] for d >= w - b and 0 for
+    0 < d < w - b (_path_band). Each path's band ends in an all-zero row, so the paths
+    stacked in one band stay decoupled: LAPACK's tbtrs solves them all by substitution
+    without pivoting, and each X_i is T_i X_{i-1} summed in another order, bit for bit the
+    value of a solve of its path alone. The zero terms may flip a signed zero of an X_0,
+    so each X0 is written back. A value that overflows makes every later state of its path
+    non-finite (each T is invertible), and through the zero row every later path: so the
+    first path whose last state is not finite is the one that overflowed, and NotFinite
+    names the sites and z of its family (the paths at its z).
     """
-    n, w = band.shape[0] - 1, band.shape[1]
-    rhs = np.zeros(((n + 1) * w, w), dtype=complex, order="F")
-    rhs[:w] = X0
+    w, starts, rows = 2 * seq.m, [], 0
+    for _, _, k_from, k_to in paths:
+        starts.append(rows)
+        rows += abs(k_to - k_from) + 1
+    band = np.empty((rows, w, 2 * w), dtype=complex)
+    rhs = np.zeros((rows * w, w), dtype=complex, order="F")
+    with np.errstate(over="ignore", invalid="ignore"):     # reported below as NotFinite
+        for (z, X0, k_from, k_to), s in zip(paths, starts):
+            rhs[s * w:(s + 1) * w] = X0
+            n = abs(k_to - k_from)
+            if n:
+                _path_band(seq, z, min(k_from, k_to) + 1, max(k_from, k_to),
+                           inverse=k_to < k_from, out=band[s:s + n + 1])
+            else:
+                band[s] = 0.0
     # info is nonzero only for malformed arguments: a unit diagonal is never singular
     x, _ = _tbtrs(band.reshape(-1, 2 * w).T, rhs, uplo="L", diag="U", overwrite_b=1)
-    return x[w:].reshape(n, w, w)
+    X = x.reshape(rows, w, w)
+    last = starts[1:] + [rows]          # after each path's last state
+    if not np.isfinite(X[[e - 1 for e in last]]).all():
+        bad = next(p for p, e in enumerate(last) if not np.isfinite(X[e - 1]).all())
+        z = paths[bad][0]
+        ends = [k for path in paths if path[0] == z for k in path[2:]]
+        raise NotFinite(f"solution family overflows on sites {min(ends)}..{max(ends)} "
+                        f"at z = {z}")
+    for (_, X0, _, _), s in zip(paths, starts):
+        X[s] = X0
+    return X, starts
 
 
 def propagate(seq: VerblunskySequence, family: SolutionFamily, *targets: int) -> SolutionFamily:
@@ -245,11 +293,11 @@ def propagate(seq: VerblunskySequence, family: SolutionFamily, *targets: int) ->
     The family's state X = [[P, Q], [R, S]] has columns (P; R) and (Q; S)
     that obey the same recursion. It moves backward from its first site
     with the transfer matrices' explicit inverses and forward from its
-    last with the transfer matrices, each direction one banded triangular
-    solve over the path's band, sliced from the sequence's z-free cache
-    (_path_band). Already-covered sites are kept as stored, family.X copied
-    once. MalformedInput for a target that is not an integer; NotFinite when a propagated
-    value overflows.
+    last with the transfer matrices: two paths of one banded triangular
+    solve (_chain) over bands sliced from the sequence's z-free cache.
+    Already-covered sites are kept as stored, family.X copied once.
+    MalformedInput for a target that is not an integer; ZeroZ for a family at
+    z = 0; NotFinite when a propagated value overflows.
     """
     targets = require_sites(targets, "each target must be an integer site")
     for k in targets:
@@ -258,19 +306,12 @@ def propagate(seq: VerblunskySequence, family: SolutionFamily, *targets: int) ->
     new_lo, new_hi = min((family.k_lo, *targets)), max((family.k_hi, *targets))
     if (new_lo, new_hi) == (family.k_lo, family.k_hi):
         return family
-    X = np.empty((new_hi - new_lo + 1, *family.X.shape[1:]), dtype=complex)
-    lo, hi = family.k_lo - new_lo, family.k_hi - new_lo    # kept sites' indices
-    X[lo:hi + 1] = family.X
-    with np.errstate(over="ignore", invalid="ignore"):    # reported below as NotFinite
-        if new_lo < family.k_lo:
-            band = _path_band(seq, family.z, new_lo + 1, family.k_lo, inverse=True)
-            X[:lo] = _chain(band, X[lo])[::-1]
-        if new_hi > family.k_hi:
-            X[hi + 1:] = _chain(_path_band(seq, family.z, family.k_hi + 1, new_hi), X[hi])
-    if not np.isfinite(X).all():
-        raise NotFinite(f"solution family overflows on sites {new_lo}..{new_hi} "
-                        f"at z = {family.z}")
-    return SolutionFamily(family.sign, family.z, family.boundary, family.k0, new_lo, X)
+    z = require_nonzero(family.z)
+    X, (back, fwd) = _chain(seq, ((z, family.X[0], family.k_lo, new_lo),
+                                  (z, family.X[-1], family.k_hi, new_hi)))
+    X = np.concatenate((X[back + family.k_lo - new_lo:back:-1], family.X,
+                        X[fwd + 1:fwd + 1 + new_hi - family.k_hi]))
+    return SolutionFamily(family.sign, z, family.boundary, family.k0, new_lo, X)
 
 
 def window_family(seq: VerblunskySequence, gamma, z, k0: int, sign) -> SolutionFamily:
@@ -325,12 +366,27 @@ def connection(gamma1, gamma2, alpha_k0, k0: int) -> ConnectionCoefficients:
         as methods, and C1 = d2(1), D1 = c2(1).
     """
     alpha = _as_square(alpha_k0)
+    d = defect_matrices(alpha)
+    return _connection(gamma1, gamma2, alpha, np.linalg.inv(d.rho), np.linalg.inv(d.rho_tilde),
+                       require_cut(k0))
+
+
+def _cut_connection(seq: VerblunskySequence, gamma, k0: int) -> ConnectionCoefficients:
+    """connection(gamma, gamma, seq.alpha(k0), k0) for a checked k0, from the sequence's
+    defect inverses (seq.defect_inverses) where k0 is interior, the same values; elsewhere
+    connection's own route and its error."""
+    i = k0 - seq.k_min - 1
+    if not 0 <= i < seq.n_sites - 1:
+        return connection(gamma, gamma, seq.alpha(k0), k0)
+    ri, rti = seq.defect_inverses[:, i]
+    return _connection(gamma, gamma, seq.alpha(k0), ri, rti, k0)
+
+
+def _connection(gamma1, gamma2, alpha: np.ndarray, ri: np.ndarray, rti: np.ndarray,
+                k0: int) -> ConnectionCoefficients:
+    """connection from alpha_k0 and its inverse defects ri = rho^-1, rti = rho~^-1."""
     g1h, g2h = (as_boundary(g, alpha.shape[0]).root for g in (gamma1, gamma2))
     g1i, g2i = g1h.conj().T, g2h.conj().T
-    d = defect_matrices(alpha)
-    ri = np.linalg.inv(d.rho)
-    rti = np.linalg.inv(d.rho_tilde)
-
     X1 = g1i @ rti @ alpha @ g2i
     X2 = g1h @ ri @ alpha.conj().T @ g2h
     X3 = g1i @ rti @ g2h

@@ -34,9 +34,9 @@ from ._lapack import zgeqrf as _geqrf, zgesdd as _gesdd, zheevd as _heevd, zungq
 from .assembly import cut_resolvent_blocks
 from .coefficients import VerblunskySequence, _as_square, as_boundary
 from .errors import (NotConverged, NotFinite, OutOfRange, SingularSolutionValue, SiteOutOfWindow,
-                     require_finite, require_off_circle, require_tolerance, solve)
-from .laurent import (MINUS, PLUS, SolutionFamily, _as_steps, _norm_sign, _path_band, connection,
-                      propagate, seed_family)
+                     require_cut, require_finite, require_off_circle, require_tolerance, solve)
+from .laurent import (MINUS, PLUS, SolutionFamily, _as_steps, _cut_connection, _norm_sign,
+                      _path_band, connection, propagate, seed_family)
 
 
 def m_function(seq: VerblunskySequence, k0: int, gamma, z, sign) -> np.ndarray:
@@ -67,13 +67,13 @@ def m_function(seq: VerblunskySequence, k0: int, gamma, z, sign) -> np.ndarray:
     -------
     The m x m matrix-valued m-function in the family frame.
     """
-    sign = _norm_sign(sign)
+    sign, k0 = _norm_sign(sign), require_cut(k0)
     return _m_functions(seq, k0, gamma, require_off_circle(z, allow_zero=True), (sign,))[0]
 
 
 def _m_functions(seq: VerblunskySequence, k0: int, gamma, z, signs=(PLUS, MINUS)) -> np.ndarray:
-    """The stack of m_function for each of signs at a z the caller has checked, from one
-    banded LU of their half windows; the frame and the sums act on the whole stack."""
+    """The stack of m_function for each of signs at a z and k0 the caller has checked, from
+    one banded LU of their half windows; the frame and the sums act on the whole stack."""
     boundary = as_boundary(gamma, seq.m)      # a BoundaryUnitary passes as it is
     gh = boundary.root
     ghi = gh.conj().T
@@ -99,7 +99,7 @@ def m_from_edge_condition(seq: VerblunskySequence, k0: int, gamma, z, sign) -> n
     z-range ends where |z| or 1/|z| times the transfer entries passes the float maximum
     (between |z| = 1e307 and 1e308 on a typical window), short of m_function's.
     """
-    m, sign, z = seq.m, _norm_sign(sign), require_off_circle(z)
+    m, sign, z, k0 = seq.m, _norm_sign(sign), require_off_circle(z), require_cut(k0)
     if sign == PLUS:
         k_edge, g = seq.k_max - 1, seq.alpha(seq.k_max)
         C, path = (-g if k_edge % 2 == 1 else -z * g.conj().T), (k0 + 1, k_edge)
@@ -155,10 +155,10 @@ def M_minus_via_connection(seq: VerblunskySequence, k0: int, gamma, z) -> np.nda
     the m-function of the summand left of the cut at k0. Independent of
     the Cayley-type route, so the two can be compared.
     """
-    z = require_off_circle(z, allow_zero=True)
+    z, k0 = require_off_circle(z, allow_zero=True), require_cut(k0)
     gamma = as_boundary(gamma, seq.m)
     mm = m_function(seq, k0 - 1, gamma, z, MINUS)
-    cc = connection(gamma, gamma, seq.alpha(k0), k0)
+    cc = _cut_connection(seq, gamma, k0)
     return solve(cc.D3 + cc.D4 @ mm, cc.C3 + cc.C4 @ mm, right=True)
 
 
@@ -169,7 +169,11 @@ def M_minus_at_zero(alpha_k0, gamma) -> np.ndarray:
     once m_minus(0) = -I is inserted; no window data is needed.
     """
     gamma = as_boundary(gamma)
-    cc = connection(gamma, gamma, alpha_k0, 0)
+    return _at_zero(connection(gamma, gamma, alpha_k0, 0))
+
+
+def _at_zero(cc) -> np.ndarray:
+    """M_minus(0) = (D3 - D4)(C3 - C4)^{-1} from connection coefficients at the cut."""
     return solve(cc.D3 - cc.D4, cc.C3 - cc.C4, right=True)
 
 
@@ -177,18 +181,19 @@ def M_function(seq: VerblunskySequence, k0: int, gamma, z, sign) -> np.ndarray:
     """M_plus or M_minus at the reference site: m_plus, or the Cayley-type transform of
     m_minus, except at z = 0 where the transform degenerates and the closed form takes over.
     The one-sign form of _M_functions, as m_function is of _m_functions."""
-    z = require_off_circle(z, allow_zero=True)
+    z, k0 = require_off_circle(z, allow_zero=True), require_cut(k0)
     return _M_functions(seq, k0, gamma, z, (_norm_sign(sign),))[0]
 
 
 def _M_functions(seq: VerblunskySequence, k0: int, gamma, z, signs=(PLUS, MINUS),
                  ms=None) -> list:
-    """M_function for each of signs at one z, from ms, their m-functions (solved if None and
-    needed: M_minus(0) is the closed form, so M_minus alone at z = 0 factors nothing)."""
+    """M_function for each of signs at one z and k0 the caller has checked, from ms, their
+    m-functions (solved if None and needed: M_minus(0) is the closed form M_minus_at_zero,
+    read from the sequence's defect inverses, so M_minus alone at z = 0 factors nothing)."""
     if ms is None and (z != 0 or PLUS in signs):
         ms = _m_functions(seq, k0, gamma, z, signs)
     return [ms[h] if sign == PLUS else
-            M_minus_at_zero(seq.alpha(k0), gamma) if z == 0 else _M_from_m(ms[h], z)
+            _at_zero(_cut_connection(seq, gamma, k0)) if z == 0 else _M_from_m(ms[h], z)
             for h, sign in enumerate(signs)]
 
 
@@ -293,7 +298,7 @@ def weyl_solutions(seq: VerblunskySequence, k0: int, gamma, z,
     signs = [_norm_sign(sign) for sign in signs]
     if not signs:
         raise OutOfRange("weyl_solutions needs one or more signs")
-    z = require_off_circle(z)
+    z, k0 = require_off_circle(z), require_cut(k0)
     gamma = as_boundary(gamma, seq.m)
     Ms = _M_functions(seq, k0, gamma, z, signs)
     fam = propagate(seq, seed_family(gamma, z, k0, PLUS),
@@ -379,14 +384,15 @@ def spectral_sample(seq: VerblunskySequence, k0: int, gamma, z,
     """Evaluate m, M, and Phi for both signs at one point, from one root of gamma
     and one banded LU of both half windows (_m_functions).
 
-    z, tol and gamma are checked once; gamma is rooted once per distinct value
+    z, k0, tol and gamma are checked once; gamma is rooted once per distinct value
     (coefficients.as_boundary). The transforms take the m-functions, which the solve has
     checked finite, as they are. The flags read one end of the sorted LAPACK eigenvalues
     and singular values; every value equals numpy.linalg's bit for bit, and no numpy.linalg
-    call is made at z != 0. OutOfRange unless tol is finite and >= 0.
+    call is made once the sequence's defect inverses are kept (M_minus(0) reads them).
+    OutOfRange unless tol is finite and >= 0.
     """
     z, tol = require_off_circle(z, allow_zero=True), require_tolerance(tol)
-    gamma = as_boundary(gamma, seq.m)
+    k0, gamma = require_cut(k0), as_boundary(gamma, seq.m)
     ms = _m_functions(seq, k0, gamma, z)
     mp, mm = ms
     Mm, = _M_functions(seq, k0, gamma, z, (MINUS,), ms=(mm,))      # M_plus = m_plus

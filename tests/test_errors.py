@@ -1,6 +1,7 @@
 """One error family: every failure cmvkit reports is a CmvError defined in errors.py."""
 
 import ast
+import dataclasses
 import importlib
 import inspect
 import pkgutil
@@ -10,6 +11,7 @@ import numpy as np
 import pytest
 
 import cmvkit
+from cmvkit import greens, laurent, weyl
 from cmvkit.assembly import resolvent_blocks
 from cmvkit.coefficients import as_boundary
 from cmvkit.errors import (
@@ -26,7 +28,8 @@ from cmvkit.errors import (
     require_off_circle,
     solve,
 )
-from cmvkit.cli.ensembles import EnsembleSpec, generate
+from cmvkit.cli.ensembles import EnsembleSpec, generate, random_unitary
+from cmvkit.decoupling import decoupling_report
 from cmvkit.greens import dense_resolvent_entries
 from cmvkit.laurent import propagate, seed_family
 from cmvkit.weyl import schur_parity_formula, weyl_solutions
@@ -127,3 +130,69 @@ def test_non_integer_sites_are_malformed_input():
         with pytest.raises(MalformedInput, match="integer site"):
             call()
     assert propagate(seq, fam, np.int64(12)).k_hi == 12      # a numpy integer is a site
+
+
+def _arrays(x) -> list:
+    """Every array (and number) inside a result: dataclass fields, sequences and dicts."""
+    if isinstance(x, np.ndarray):
+        return [x]
+    if dataclasses.is_dataclass(x):
+        return [a for f in dataclasses.fields(x) for a in _arrays(getattr(x, f.name))]
+    if isinstance(x, (list, tuple)):
+        return [a for v in x for a in _arrays(v)]
+    if isinstance(x, dict):
+        return [a for k, v in x.items() for a in _arrays((k, v))]
+    return [np.asarray(x)] if isinstance(x, (int, float, complex)) else []
+
+
+def _cut_entries():
+    """(name, call of k0) for each public entry that reads a cut or reference site k0."""
+    seq = generate(EnsembleSpec(m=2, k_min=0, k_max=20, seed=1))
+    g = random_unitary(np.random.default_rng(2), 2)
+    return {
+        "half_lattice_green": lambda k0: greens.half_lattice_green(seq, k0, g, 0.5, 12, 13, 1),
+        "full_green_entries": lambda k0: greens.full_green_entries(seq, k0, g, 0.5, [(9, 12)]),
+        "dense_resolvent_entry": lambda k0: greens.dense_resolvent_entry(
+            seq, 0.5, 12, 13, half=1, k0=k0, gamma=g),
+        "spectral_sample": lambda k0: weyl.spectral_sample(seq, k0, g, 0.5),
+        "weyl_solutions": lambda k0: weyl_solutions(seq, k0, g, 0.5),
+        "m_from_edge_condition": lambda k0: weyl.m_from_edge_condition(seq, k0, g, 0.5, 1),
+        "schur_parity_formula": lambda k0: schur_parity_formula(seq, k0, g, 0.5, 11, 1),
+        "M_minus_via_connection": lambda k0: weyl.M_minus_via_connection(seq, k0, g, 0.5),
+        "m_function": lambda k0: weyl.m_function(seq, k0, g, 0.5, 1),
+        "M_function": lambda k0: weyl.M_function(seq, k0, g, 0.0, -1),
+        "decoupling_report": lambda k0: decoupling_report(seq, k0, g, g.conj().T),
+        "seed_family": lambda k0: seed_family(g, 0.5, k0, 1),
+        "connection": lambda k0: laurent.connection(g, g, seq.alpha(10), k0),
+    }
+
+
+@pytest.mark.parametrize("name", sorted(_cut_entries()))
+def test_non_integer_cut_site_is_malformed_input(name):
+    """k0 = 10.5 is MalformedInput at every entry that reads k0 (errors.require_cut, the
+    operator.index check of errors.require_sites), not a bare TypeError or IndexError, or a
+    value on a wrong branch; a numpy integer is the same site as the int."""
+    call = _cut_entries()[name]
+    with pytest.raises(MalformedInput, match="k0 must be an integer"):
+        call(10.5)
+    want, got = _arrays(call(10)), _arrays(call(np.int64(10)))
+    assert len(want) == len(got) and all(np.array_equal(a, b) for a, b in zip(want, got))
+
+
+def test_missing_cut_site_is_missing_cut():
+    seq = generate(EnsembleSpec(m=2, k_min=0, k_max=20, seed=1))
+    for sign in (1, -1):
+        with pytest.raises(MissingCut, match="k0"):
+            weyl.m_function(seq, None, np.eye(2), 0.5, sign)
+
+
+@pytest.mark.parametrize("z", ["a", None, [0.5], object()])
+def test_z_that_is_not_a_number_is_malformed_input(z):
+    """require_off_circle, and through it every entry taking z, rejects a value that is not
+    a number as MalformedInput, not a bare ValueError or TypeError."""
+    for check in (require_off_circle, require_finite, require_nonzero):
+        with pytest.raises(MalformedInput, match="z must be a complex number"):
+            check(z)
+    seq = generate(EnsembleSpec(m=2, k_min=0, k_max=20, seed=1))
+    with pytest.raises(MalformedInput):
+        greens.full_green_entries(seq, 10, np.eye(2), z, [(9, 12)])

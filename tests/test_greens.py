@@ -70,23 +70,20 @@ def test_same_sign_pairings_vanish():
                                    0, atol=1e-10)
 
 
-def test_full_kernel_propagates_one_family_per_z(monkeypatch):
-    """Both Weyl signs share the plus family: one propagation at z, one at 1/conj(z)."""
+def test_full_kernel_propagates_one_family_per_z(count_calls):
+    """Both Weyl signs share the plus family: one family at z and one at 1/conj(z), each
+    seeded at k0 and run both ways, all four paths in one banded solve."""
     seq, g, k0 = make_case(2, 35)
     z = 0.5 * np.exp(0.9j)
     zc = 1.0 / np.conj(z)
     pairs = [(k0 - 3, k0 + 2), (k0 + 4, k0 - 1), (k0, k0), (k0 + 1, k0 + 1)]
-    real = greens.seed_family
-    seen = []
-
-    def counting(gamma, z, *args, **kwargs):
-        seen.append(z)
-        return real(gamma, z, *args, **kwargs)
-
-    monkeypatch.setattr(greens, "seed_family", counting)
+    chains = count_calls(greens, "_chain")
     got = full_green_entries(seq, k0, g, z, pairs)
-    assert seen == [z, zc]
-    monkeypatch.undo()
+    (_, paths), = chains
+    assert [(w, k_from, k_to) for w, _, k_from, k_to in paths] == [
+        (z, k0, k0 - 3), (z, k0, k0 + 4), (zc, k0, k0 - 3), (zc, k0, k0 + 4)]
+    for w, X0, _, _ in paths:
+        assert np.array_equal(X0, laurent.seed_family(g, w, k0, PLUS).X[0])
     sol = {s: weyl_solution(seq, k0, g, z, s) for s in (PLUS, MINUS)}
     X_c = window_family(seq, g, zc, k0, PLUS).X
     U_c = {s: weyl._combination(X_c, -sol[s].M.conj().T)[:, :2] for s in (PLUS, MINUS)}
@@ -124,7 +121,7 @@ def test_full_kernel_forms_solution_values_only_at_the_pairs_sites(monkeypatch):
 def test_batched_entries_factor_once_per_cut_and_z(count_calls):
     """The oracle makes one banded LU per (cut, z) for any number of pairs; the
     half kernel one for its m-function at z, which gives m at 1/conj(z) too, the
-    full kernel one for both half windows, and both one propagation per z."""
+    full kernel one for both half windows, and both one family per z, in one solve."""
     seq, g, k0 = make_case(2, 36)
     z = 0.5 * np.exp(0.7j)
     near = [(k, kp) for k in range(k0 - 4, k0 + 5) for kp in range(k0 - 4, k0 + 5, 2)]
@@ -135,14 +132,32 @@ def test_batched_entries_factor_once_per_cut_and_z(count_calls):
         del lu[:]
         dense_resolvent_entries(seq, z, pairs, half=half, k0=k0, gamma=g)
         assert len(lu) == 1, half
-    moves = count_calls(greens, "propagate")
-    for sign, pairs in halves.items():
-        del lu[:], moves[:]
+    chains = count_calls(greens, "_chain")
+    for sign, pairs in halves.items():      # one path per z, away from k0 into the half
+        del lu[:], chains[:]
         half_green_entries(seq, k0, g, z, pairs, sign)
-        assert len(lu) == 1 and [args[1].z for args in moves] == [z, 1.0 / np.conj(z)]
-    del lu[:], moves[:]
+        assert len(lu) == 1 and [[p[0] for p in paths] for _, paths in chains] == [
+            [z, 1.0 / np.conj(z)]]
+    del lu[:], chains[:]
     full_green_entries(seq, k0, g, z, near)
-    assert len(lu) == 1 and [args[1].z for args in moves] == [z, 1.0 / np.conj(z)]
+    assert len(lu) == 1 and [[p[0] for p in paths] for _, paths in chains] == [
+        [z, z, 1.0 / np.conj(z), 1.0 / np.conj(z)]]
+
+
+def test_each_kernel_call_is_one_triangular_solve(count_calls):
+    """Every kernel call, half or full, one pair or many, near k0 or across the window, makes
+    exactly one banded triangular solve (ztbtrs) for all it propagates."""
+    seq, g, k0 = make_case(2, 37, n=40)
+    solves = count_calls(laurent, "_tbtrs")
+    for z in (0.5 * np.exp(0.7j), 1.8 * np.exp(-1.2j)):
+        for call in (lambda: half_lattice_green(seq, k0, g, z, k0 + 2, k0 + 15, PLUS),
+                     lambda: half_lattice_green(seq, k0, g, z, k0, k0, MINUS),
+                     lambda: half_green_entries(seq, k0, g, z, [(1, k0), (k0, 3)], MINUS),
+                     lambda: full_green_entries(seq, k0, g, z, [(k0, k0)]),
+                     lambda: full_green_entries(seq, k0, g, z, [(0, 39), (39, 0), (5, 7)])):
+            del solves[:]
+            call()
+            assert len(solves) == 1
 
 
 def test_single_pair_forms_equal_the_batched_forms():
@@ -231,8 +246,9 @@ def test_batched_forms_reject_any_pair_outside_their_window():
 
 
 def test_malformed_pairs_raise_malformed_input_in_kernels_and_oracle():
-    """A non-integral site, or an entry that is not two sites, is MalformedInput in both
-    kernels and the oracle alike; numpy integer sites are accepted, and tagged as ints."""
+    """A non-integral site, an entry that is not two sites, or pairs that are no iterable at
+    all is MalformedInput in both kernels and the oracle alike; numpy integer sites are
+    accepted, and tagged as ints."""
     seq, g, k0 = make_case(2, 38)
     calls = {
         PLUS: lambda pairs: half_green_entries(seq, k0, g, 0.5, pairs, PLUS),
@@ -245,6 +261,10 @@ def test_malformed_pairs_raise_malformed_input_in_kernels_and_oracle():
         for form, call in calls.items():
             with pytest.raises(MalformedInput, match="each pair must be two integer sites"):
                 call([(k0, k0 + 1), bad])
+    for bad in (None, k0):
+        for form, call in calls.items():
+            with pytest.raises(MalformedInput, match="pairs must be an iterable"):
+                call(bad)
     for form, call in calls.items():
         want = call([(k0, k0 + 1), (k0 + 2, k0 + 1)])
         got = call([(np.int64(k0), np.int32(k0 + 1)), np.array([k0 + 2, k0 + 1])])
@@ -329,28 +349,33 @@ def test_half_kernel_matches_dense():
 
 
 def test_half_kernel_short_propagation_is_exact(monkeypatch):
-    """Far from k0, propagating to the needed sites only changes no bit."""
+    """Far from k0, propagating to the needed sites only changes no bit: each family (the
+    paths at one z) spans exactly k0 and the pair's sites, and running every path to its
+    half window's end instead gives the same entry."""
     seq, g, k0 = make_case(2, 44, n=40)
     z = 0.6 * np.exp(0.7j)
-    limited = greens.propagate
+    limited = greens._chain
     spans = []
 
-    def recording(seq, fam, *sites):
-        fam = limited(seq, fam, *sites)
-        spans.append((fam.k_lo, fam.k_hi))
-        return fam
+    def recording(seq, paths):
+        for w in dict.fromkeys(p[0] for p in paths):
+            ends = [k for p in paths if p[0] == w for k in p[2:]]
+            spans.append((min(ends), max(ends)))
+        return limited(seq, paths)
 
-    def whole(seq, fam, *sites):
-        return limited(seq, fam, *assembly.half_sites(seq, fam.k0, fam.sign))
+    def whole(seq, paths):      # each path on to the end of the half window on its side
+        lo, hi = assembly.half_sites(seq, k0, sign)
+        return limited(seq, [(w, X0, k_from, k_to if k_to == k_from else
+                              lo if k_to < k_from else hi) for w, X0, k_from, k_to in paths])
 
     branches = set()
     for sign, k, kp in ((PLUS, k0 + 9, k0 + 11), (PLUS, k0 + 11, k0 + 9),
                         (MINUS, k0 - 11, k0 - 9), (MINUS, k0 - 9, k0 - 11)):
         spans.clear()
-        monkeypatch.setattr(greens, "propagate", recording)
+        monkeypatch.setattr(greens, "_chain", recording)
         short = half_lattice_green(seq, k0, g, z, k, kp, sign)
-        assert spans and all(s == (min(k, kp, k0), max(k, kp, k0)) for s in spans)
-        monkeypatch.setattr(greens, "propagate", whole)
+        assert spans == [(min(k, kp, k0), max(k, kp, k0))] * 2
+        monkeypatch.setattr(greens, "_chain", whole)
         full = half_lattice_green(seq, k0, g, z, k, kp, sign)
         assert short.branch is full.branch
         assert np.array_equal(short.value, full.value)

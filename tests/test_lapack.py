@@ -117,12 +117,11 @@ def test_failed_eigenvalue_or_singular_value_iteration_is_typed(monkeypatch):
     assert issubclass(NotConverged, errors.CmvError)
 
 
-@pytest.mark.parametrize("z", [0.5 * np.exp(0.3j), 0.99j, 1.01 * np.exp(2j), 2 - 1j])
+@pytest.mark.parametrize("z", [0.5 * np.exp(0.3j), 0.99j, 1.01 * np.exp(2j), 2 - 1j, 0.0])
 def test_spectral_sample_calls_no_numpy_linalg(count_calls, z):
-    """Once gamma is rooted and the cut's bands are kept, a sample at z != 0 makes no
-    numpy.linalg call: its solves, eigenvalues and singular values are LAPACK's own. (At
-    z = 0, M_minus is the closed form M_minus_at_zero, whose connection step inverts the
-    defect matrices with numpy.)"""
+    """Once gamma is rooted and the cut's bands and the defect inverses are kept, a sample
+    makes no numpy.linalg call: its solves, eigenvalues and singular values are LAPACK's own,
+    and at z = 0 the closed form of M_minus reads the sequence's defect inverses."""
     seq = generate(EnsembleSpec(m=2, k_min=0, k_max=40, seed=33))
     g = as_boundary(random_unitary(np.random.default_rng(34), 2), 2)
     before = weyl.spectral_sample(seq, 20, g, z)

@@ -236,9 +236,10 @@ def test_family_letters_are_views_of_one_state():
             assert np.array_equal(getattr(site, letter), getattr(fam, letter)[-1])
 
 
-def test_each_direction_is_one_banded_solve(monkeypatch):
-    """A family extended both ways from its seed takes exactly two banded
-    solves, one per direction, whatever the number of sites."""
+def test_both_directions_are_one_banded_solve(monkeypatch):
+    """A family extended both ways from its seed takes exactly one banded solve for both
+    directions, whatever the number of sites; a direction it does not extend is a
+    one-row path."""
     seq = generate(EnsembleSpec(m=2, k_min=0, k_max=60, seed=187))
     g = random_unitary(np.random.default_rng(188), 2)
     calls = []
@@ -250,10 +251,81 @@ def test_each_direction_is_one_banded_solve(monkeypatch):
 
     monkeypatch.setattr(laurent, "_tbtrs", counting)
     window_family(seq, g, 0.6 + 0.2j, 25, PLUS)
-    assert calls == [(8, 4 * 26), (8, 4 * 35)]     # band 4m x 2m(n + 1) per direction
+    assert calls == [(8, 4 * (26 + 35))]     # band 4m x 2m(n + 1), the directions stacked
     calls.clear()
     propagate(seq, seed_family(g, 1.5j, 25, MINUS), 59)
-    assert len(calls) == 1
+    assert calls == [(8, 4 * (1 + 35))]
+
+
+def _paths(seq, rng, zs):
+    """Paths over the window for each z: forward and backward, one-step and zero-step ones,
+    and ones that touch either end of the interior."""
+    lo, hi = seq.k_min, seq.k_max - 1
+    mid = (lo + hi) // 2
+    out = []
+    for z in zs:
+        for k_from, k_to in ((mid, lo), (mid, hi), (lo, hi), (hi, lo), (mid, mid + 1),
+                             (mid + 1, mid), (mid, mid), (lo + 3, lo + 3)):
+            X0 = rng.standard_normal((2 * seq.m, 2 * seq.m, 2)) @ [1, 1j]
+            X0[0, -1] = -0.0      # a signed zero in the seed survives the stacked solve
+            out.append((z, X0, k_from, k_to))
+    return out
+
+
+def test_stacked_paths_equal_one_solve_per_path():
+    """laurent._chain over many paths equals one _chain call per path bit for bit (m = 1..3,
+    both k_min parities, z inside and outside the disk), each path starts from its X0 as
+    given, and each step is the transfer matrix (or its inverse) of its site."""
+    for m in (1, 2, 3):
+        for k_min in (0, 1):
+            seq = generate(EnsembleSpec(m=m, k_min=k_min, k_max=k_min + 30, seed=40 + m))
+            rng = np.random.default_rng(m + 10 * k_min)
+            paths = _paths(seq, rng, (0.6 * np.exp(0.5j), 1.7 * np.exp(-2.2j)))
+            X, starts = laurent._chain(seq, paths)
+            assert starts[0] == 0 and len(X) == sum(abs(p[3] - p[2]) + 1 for p in paths)
+            for (z, X0, k_from, k_to), s in zip(paths, starts):
+                (alone, _), n = laurent._chain(seq, [(z, X0, k_from, k_to)]), abs(k_to - k_from)
+                assert X[s:s + n + 1].tobytes() == alone.tobytes()
+                assert X[s].tobytes() == X0.tobytes()
+                step = 1 if k_to > k_from else -1
+                for i, k in enumerate(range(k_from + step, k_to + step, step), 1):
+                    T = transfer(seq, z, k) if step > 0 else transfer_inverse(seq, z, k + 1)
+                    np.testing.assert_allclose(X[s + i], T @ X[s + i - 1], rtol=1e-12,
+                                               atol=1e-12 * np.abs(X[s + i]).max())
+
+
+def test_overflowing_path_names_its_family():
+    """A path that overflows raises NotFinite naming its family's z and sites (the span of
+    the paths at its z), not a later family its overflow reaches through the stacked solve."""
+    seq = free_sequence(40)
+    X0 = seed_family(np.eye(1), 0.5, 20, PLUS).X[0]
+    big = complex(1e200)
+    paths = [(0.5, X0, 20, 25), (big, X0, 20, 3), (big, X0, 20, 30), (0.5, X0, 20, 39)]
+    with pytest.raises(NotFinite, match=r"sites 3\.\.30 at z = \(1e\+200"):
+        laurent._chain(seq, paths)
+    with pytest.raises(NotFinite, match=r"sites 3\.\.30 at z = \(1e\+200"):
+        laurent._chain(seq, paths[1:] + paths[:1])
+    laurent._chain(seq, [paths[0], paths[3]])
+
+
+def test_defect_inverses_are_kept_once_and_equal_the_per_site_inverses():
+    """seq.defect_inverses is one read-only stack, built once and read by both transfer bands
+    and by the connection coefficients at a cut: the inverse of each site's own defects, and
+    the same coefficients as connection with the coefficient given as an array."""
+    seq = generate(EnsembleSpec(m=3, k_min=-1, k_max=20, seed=91))
+    g = random_unitary(np.random.default_rng(92), 3)
+    inverses = seq.defect_inverses
+    assert not inverses.flags.writeable and inverses.shape == (2, seq.n_sites - 1, 3, 3)
+    for band in (seq.transfer_band, seq.transfer_inverse_band):
+        assert not band.flags.writeable
+    assert seq.defect_inverses is inverses
+    for k in range(seq.k_min + 1, seq.k_max):
+        d = defect_matrices(seq.alpha(k))
+        assert np.array_equal(inverses[0, k - seq.k_min - 1], np.linalg.inv(d.rho))
+        assert np.array_equal(inverses[1, k - seq.k_min - 1], np.linalg.inv(d.rho_tilde))
+        want, got = connection(g, g, seq.alpha(k), k), laurent._cut_connection(seq, g, k)
+        for name in ("C3", "D3", "C4", "D4"):
+            assert np.array_equal(getattr(got, name), getattr(want, name))
 
 
 def test_propagation_makes_no_transfer_calls(monkeypatch):
@@ -279,7 +351,7 @@ def test_propagation_makes_no_transfer_calls(monkeypatch):
 def test_transfer_cache_is_built_once_per_direction(count_calls):
     """Many propagate, transfer and transfer_inverse calls on one sequence build the z-free
     band at most once per direction, lazily, and each propagate call makes one banded solve
-    per direction it extends; the cache is read-only and no call writes to it."""
+    for both directions; the cache is read-only and no call writes to it."""
     seq = generate(EnsembleSpec(m=2, k_min=-3, k_max=57, seed=189))
     g = random_unitary(np.random.default_rng(190), 2)
     builds = count_calls(laurent, "_transfer_band", lambda seq, inverse=False: inverse)
@@ -292,7 +364,7 @@ def test_transfer_cache_is_built_once_per_direction(count_calls):
         propagate(seq, fam, 41)
         assert len(solves) == 1
         propagate(seq, fam, 5, 50)
-        assert len(solves) == 3
+        assert len(solves) == 2
     cache = {name: getattr(seq, name).copy() for name in ("transfer_band", "transfer_inverse_band")}
     assert builds == [False, True]
     for k in range(seq.k_min + 1, seq.k_max):
