@@ -2,13 +2,14 @@
 
 from __future__ import annotations
 
+import operator
 from dataclasses import dataclass
 from enum import Enum
 
 import numpy as np
 
 from ..coefficients import CONTRACTION_TOL, VerblunskySequence
-from ..errors import OutOfRange
+from ..errors import MalformedInput, OutOfRange
 
 # One CONTRACTION_TOL inside the sequences' contraction bound 1 - CONTRACTION_TOL: a
 # draw scaled to norm radius_max lands within a few ulps of it, so it always passes.
@@ -37,6 +38,14 @@ class EnsembleSpec:
     distribution: Distribution = Distribution.UNIFORM_DISK
 
     def __post_init__(self):
+        for name in ("m", "k_min", "k_max", "seed"):
+            value = getattr(self, name)
+            try:
+                operator.index(value)
+            except TypeError as exc:
+                raise MalformedInput(f"{name} must be an integer, got {value!r}") from exc
+        if self.seed < 0:
+            raise OutOfRange(f"seed must be at least 0, got {self.seed}")
         if self.m < 1:
             raise OutOfRange("block size m must be at least 1")
         if self.k_max - self.k_min < 4:
@@ -53,13 +62,16 @@ def generate(spec: EnsembleSpec) -> VerblunskySequence:
     values = np.empty((spec.k_max - spec.k_min + 1, m, m), dtype=complex)
     values[0] = values[-1] = np.eye(m)
     n = len(values) - 2
-    normals, targets = np.empty((n, 2, m, m)), np.full(n, spec.radius_max)
-    for i in range(n):     # per site: its radius, then its Gaussian draw
-        if spec.distribution is Distribution.UNIFORM_DISK:
-            targets[i] = spec.radius_max * np.sqrt(rng.uniform())
-        rng.standard_normal(out=normals[i])
+    normals, u = np.empty((n, 2, m, m)), np.ones(n)
+    if spec.distribution is Distribution.UNIFORM_DISK:
+        for i, row in enumerate(normals):     # per site: its radius, then its Gaussian draw
+            u[i] = rng.random()
+            rng.standard_normal(out=row)
+    else:
+        rng.standard_normal(out=normals)
+    targets = spec.radius_max * np.sqrt(u)
     draws = normals[:, 0] + 1j * normals[:, 1]
-    norms = np.linalg.norm(draws, 2, axis=(1, 2))
+    norms = np.linalg.svd(draws, compute_uv=False)[:, 0]
     values[1:-1] = draws * (targets / norms)[:, None, None]
     values[1:-1][norms < 1e-12] = 0.0
     return VerblunskySequence(spec.k_min, values)

@@ -54,10 +54,10 @@ class CoefficientKind(Enum):
 
 
 def _complex_array(value) -> np.ndarray:
-    """value as a complex array; ragged nesting raises DimensionMismatch, not numpy's ValueError."""
+    """value as a complex array; ragged nesting or a non-number raises DimensionMismatch."""
     try:
         return np.asarray(value, dtype=complex)
-    except ValueError as exc:
+    except (TypeError, ValueError) as exc:
         raise DimensionMismatch(f"expected a regular array of blocks: {exc}") from exc
 
 
@@ -66,35 +66,49 @@ def _as_square(value, stack: bool = False) -> np.ndarray:
     a = _complex_array(value)
     if not (a.ndim == 2 or stack and a.ndim > 2) or a.shape[-1] != a.shape[-2]:
         raise DimensionMismatch(f"expected a square matrix, got shape {a.shape}")
-    if not np.all(np.isfinite(a)):
+    if not np.isfinite(a).all():
         raise NotFinite("matrix entries must be finite")
     return a
 
 
 def operator_norm(a) -> float:
-    """Largest singular value of a matrix."""
-    return float(np.linalg.norm(np.asarray(a, dtype=complex), 2))
+    """Largest singular value of a finite square matrix."""
+    return float(np.linalg.norm(_as_square(a), 2))
 
 
 def is_contraction(alpha) -> bool:
-    """True when the operator norm stays at or below 1 - CONTRACTION_TOL."""
-    return _require_contraction(alpha, raises=False)
+    """True when the operator norm of a finite square matrix is at most 1 - CONTRACTION_TOL."""
+    return _require_contraction(_as_square(alpha), raises=False)
+
+
+# ||a||_2^4 <= ||a* a||_F^2 clears a block whose computed bound is at most this: the
+# factor 1 - 1e-12 is far above the rounding of the bound and of the SVD.
+_CLEARED = (1.0 - CONTRACTION_TOL) ** 4 * (1.0 - 1e-12)
 
 
 def _require_contraction(alpha, k_first=None, raises: bool = True) -> bool:
-    """Whether the operator norm of alpha, or of each matrix of a stack (n, m, m) of sites
-    k_first.., stays at or below 1 - CONTRACTION_TOL; if not and raises, NotContractive."""
-    norms = np.linalg.norm(np.asarray(alpha, dtype=complex), 2, axis=(-2, -1)).reshape(-1)
+    """Whether the operator norm of a finite alpha, or of each matrix of a stack (n, m, m) of
+    sites k_first.., stays at or below 1 - CONTRACTION_TOL; if not and raises, NotContractive.
+    One batched SVD decides the blocks the bound _CLEARED leaves open."""
+    a = np.asarray(alpha, dtype=complex)
+    a = a.reshape(-1, *a.shape[-2:])
+    gram = np.einsum("kji,kjl->kil", a.conj(), a).reshape(len(a), -1).view(float)
+    unclear = np.flatnonzero(~(np.einsum("ij,ij->i", gram, gram) <= _CLEARED))
+    if not unclear.size:
+        return True
+    norms = np.linalg.svd(a[unclear], compute_uv=False)[:, 0]
     bad = ~(norms <= 1.0 - CONTRACTION_TOL)
     if raises and bad.any():
-        where = "" if k_first is None else f"site {k_first + np.argmax(bad)}: "
-        raise NotContractive(f"{where}coefficient norm {norms[bad][0]:.3e} exceeds "
+        i = np.argmax(bad)
+        where = "" if k_first is None else f"site {k_first + unclear[i]}: "
+        raise NotContractive(f"{where}coefficient norm {norms[i]:.3e} exceeds "
                              f"{1.0 - CONTRACTION_TOL}")
     return not bad.any()
 
 
 def is_unitary(g) -> bool:
-    g = np.asarray(g, dtype=complex)
+    """True when g*g is the identity within UNITARY_TOL (Frobenius) for a finite square g."""
+    g = _as_square(g)
     return bool(np.linalg.norm(g.conj().T @ g - np.eye(g.shape[0])) <= UNITARY_TOL)
 
 

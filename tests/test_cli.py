@@ -99,6 +99,38 @@ def test_generate_output_bytes_are_pinned():
         "422b3ed4f09049383e868dccef699f57e5c2fccd81c5dc20e3eddf1bd570fa22"
 
 
+def _generate_site_by_site(spec):
+    """The values generate drew with one Python step per site: rng.uniform() for the
+    radius, then a Gaussian fill of that site's draw; scaled by numpy.linalg.norm's 2-norm."""
+    rng = np.random.default_rng(spec.seed)
+    m = spec.m
+    values = np.empty((spec.k_max - spec.k_min + 1, m, m), dtype=complex)
+    values[0] = values[-1] = np.eye(m)
+    n = len(values) - 2
+    normals, targets = np.empty((n, 2, m, m)), np.full(n, spec.radius_max)
+    for i in range(n):
+        if spec.distribution is Distribution.UNIFORM_DISK:
+            targets[i] = spec.radius_max * np.sqrt(rng.uniform())
+        rng.standard_normal(out=normals[i])
+    draws = normals[:, 0] + 1j * normals[:, 1]
+    norms = np.linalg.norm(draws, 2, axis=(1, 2))
+    values[1:-1] = draws * (targets / norms)[:, None, None]
+    values[1:-1][norms < 1e-12] = 0.0
+    return values
+
+
+def test_generate_keeps_the_site_by_site_draw_stream():
+    """generate's draws equal, bit for bit, the site-by-site loop above: one uniform and
+    then 2 m^2 Gaussians per site, for m = 1..3, both radius laws, three radii, two
+    window starts and 20 seeds. Both sides run on the same numpy, so this holds on any
+    build."""
+    grid = itertools.product((1, 2, 3), Distribution, (0.5, 0.9, MAX_RADIUS), (0, -7), range(20))
+    for m, law, radius, k_min, seed in grid:
+        spec = EnsembleSpec(m=m, k_min=k_min, k_max=k_min + 40, seed=seed,
+                            radius_max=radius, distribution=law)
+        assert np.array_equal(generate(spec).values, _generate_site_by_site(spec))
+
+
 def test_fixed_radius_draws_build_at_every_accepted_radius(capsys):
     """A fixed-radius draw at the largest accepted radius builds on every seed, at
     m = 1..3; the sequences' own contraction bound is rejected as a radius, naming
@@ -544,6 +576,16 @@ def test_seed_env_fallback(tmp_path, capsys, monkeypatch):
         np.testing.assert_allclose(sa.alpha(k), sb.alpha(k), atol=0)
 
 
+def test_negative_seed_is_one_error_line(capsys, monkeypatch):
+    """A seed below 0, from --seed or CMV_SEED, exits 2 with one line naming it, before
+    numpy's generator sees it."""
+    monkeypatch.delenv("CMV_SEED", raising=False)
+    for argv, seed in ((("gen", "--seed", "-1"), -1), (("verify", "--seed", "-3"), -3)):
+        assert run(capsys, *argv) == (2, "", f"error: seed must be at least 0, got {seed}\n")
+    monkeypatch.setenv("CMV_SEED", "-5")
+    assert run(capsys, "gen") == (2, "", "error: seed must be at least 0, got -5\n")
+
+
 def test_missing_input_file_is_error(capsys):
     code, _, err = run(capsys, "mfun", "--in", "/nonexistent.json",
                        "--k0", "3", "--z", "0.1,0.1")
@@ -588,6 +630,9 @@ BAD_INPUTS = {
     "gen-m-zero": ("gen", "--m", "0"),
     "gen-window-too-short": ("gen", "--window", "0,3"),
     "seed-env-not-integer": ("gen",),
+    "seed-env-negative": ("gen",),
+    "gen-seed-negative": ("gen", "--seed", "-1"),
+    "verify-seed-negative": ("verify", "--seed", "-3"),
     "mfun-grid-count-not-integer": ("mfun", *_SEQ, "--k0", "6", "--grid", "0.5,2,x"),
     "mfun-grid-count-zero": ("mfun", *_SEQ, "--k0", "6", "--grid", "0.5,2,0"),
     "mfun-grid-count-negative": ("mfun", *_SEQ, "--k0", "6", "--grid", "0.5,2,-3"),
@@ -640,8 +685,9 @@ BAD_INPUTS = {
 def test_bad_input_exits_2(case, bad_input_files, capsys, monkeypatch):
     """Every malformed input is reported in one 'error:' line with exit code 2."""
     monkeypatch.delenv("CMV_SEED", raising=False)
-    if case == "seed-env-not-integer":
-        monkeypatch.setenv("CMV_SEED", "abc")
+    env = {"seed-env-not-integer": "abc", "seed-env-negative": "-5"}.get(case)
+    if env is not None:
+        monkeypatch.setenv("CMV_SEED", env)
     argv = (arg.format(**bad_input_files) for arg in BAD_INPUTS[case])
     code, _, err = run(capsys, *argv)
     assert code == 2

@@ -444,6 +444,95 @@ def test_the_contraction_bound_is_inclusive():
                 defect_matrices(a)
 
 
+def _svd_verdict(a, k_first=None):
+    """The contraction check by one batched SVD of every block: (verdict, NotContractive's
+    message or None), as _require_contraction gave it before its SVD-free bound."""
+    a = np.asarray(a, dtype=complex)
+    norms = np.linalg.svd(a.reshape(-1, *a.shape[-2:]), compute_uv=False)[:, 0]
+    bad = ~(norms <= 1.0 - coefficients.CONTRACTION_TOL)
+    if not bad.any():
+        return True, None
+    where = "" if k_first is None else f"site {k_first + np.argmax(bad)}: "
+    return False, (f"{where}coefficient norm {norms[bad][0]:.3e} exceeds "
+                   f"{1.0 - coefficients.CONTRACTION_TOL}")
+
+
+def _bound_verdict(a, k_first=None):
+    try:
+        return coefficients._require_contraction(a, k_first), None
+    except NotContractive as exc:
+        assert not coefficients._require_contraction(a, k_first, raises=False)
+        return False, str(exc)
+
+
+def _float_neighbours(x, steps=3):
+    """x and its `steps` nearest floats on either side."""
+    out = [x]
+    for direction in (0.0, 2.0):
+        y = x
+        for _ in range(steps):
+            y = np.nextafter(y, direction)
+            out.append(y)
+    return out
+
+
+def test_the_contraction_bound_gives_the_svd_verdicts():
+    """_require_contraction clears blocks by ||a||^4 <= ||a* a||_F^2 and decides the rest
+    by SVD: on rank-one blocks (where the bound is tight), scaled unitaries and scalars at
+    the edge 1 - CONTRACTION_TOL, at the bound's own threshold and at their float
+    neighbours, it gives the verdict and the message of an SVD of every block."""
+    edge = 1.0 - coefficients.CONTRACTION_TOL
+    radii = _float_neighbours(edge) + _float_neighbours(coefficients._CLEARED ** 0.25)
+    rng = np.random.default_rng(90)
+    blocks = []
+    for m in (1, 2, 3):
+        for _ in range(4):
+            u = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+            v = rng.standard_normal(m) + 1j * rng.standard_normal(m)
+            rank_one = np.outer(u, v.conj()) / (np.linalg.norm(u) * np.linalg.norm(v))
+            w = random_unitary(rng, m)
+            blocks += [r * b for r in radii for b in (rank_one, w)]
+        blocks += [random_contraction(rng, m, float(rng.uniform(0.0, 0.95))) for _ in range(20)]
+    verdicts = set()
+    for a in blocks:
+        want = _svd_verdict(a)
+        assert _bound_verdict(a) == want
+        assert _bound_verdict(a[None], 5) == _svd_verdict(a[None], 5)
+        assert is_contraction(a) is want[0]
+        verdicts.add(want[0])
+    assert verdicts == {True, False}
+
+
+def test_a_bad_block_amid_open_blocks_is_named_by_its_site():
+    """Blocks the bound leaves open but the SVD accepts (unitaries scaled just inside the
+    edge) sit before and after the one bad block: the error names the bad block's site
+    and its SVD norm, at m = 1 and m = 2 alike."""
+    edge = 1.0 - coefficients.CONTRACTION_TOL
+    rng = np.random.default_rng(91)
+    for m in (1, 2):
+        stack = np.array([random_contraction(rng, m, 0.5) for _ in range(39)])
+        for i in (3, 10, 30):
+            stack[i] = edge * (1.0 - 1e-14) * random_unitary(rng, m)
+            assert np.linalg.norm(stack[i].conj().T @ stack[i]) ** 2 > coefficients._CLEARED
+        stack[17] = edge * (1.0 + 1e-14) * random_unitary(rng, m)
+        want = _svd_verdict(stack, -4)
+        assert want[0] is False and want[1].startswith("site 13: ")
+        assert _bound_verdict(stack, -4) == want
+        assert _bound_verdict(np.delete(stack, 17, axis=0), -4) == (True, None)
+
+
+def test_validating_a_generated_window_makes_at_most_one_svd(count_calls):
+    """A 40-site, radius-0.9, uniform-disk window is validated with no SVD at m = 1 and at
+    most one batched SVD at m = 2 and 3: the bound clears almost every block."""
+    calls = count_calls(np.linalg, "svd")
+    for m, most in ((1, 0), (2, 1), (3, 1)):
+        for seed in range(20):
+            values = generate(EnsembleSpec(m=m, k_min=0, k_max=40, seed=seed)).values
+            calls.clear()
+            VerblunskySequence(0, values)
+            assert len(calls) <= most
+
+
 def test_each_new_root_makes_one_zgees_call_without_a_workspace_query(count_calls):
     """principal_unitary_sqrt and as_boundary on an unseen value each run zgees once,
     with the wrapper's default workspace; a value seen before runs it no more."""

@@ -13,9 +13,10 @@ import pytest
 import cmvkit
 from cmvkit import greens, laurent, weyl
 from cmvkit.assembly import resolvent_blocks
-from cmvkit.coefficients import as_boundary
+from cmvkit.coefficients import as_boundary, is_contraction, is_unitary, operator_norm
 from cmvkit.errors import (
     CmvError,
+    DimensionMismatch,
     MalformedInput,
     MissingCut,
     NotFinite,
@@ -196,3 +197,32 @@ def test_z_that_is_not_a_number_is_malformed_input(z):
     seq = generate(EnsembleSpec(m=2, k_min=0, k_max=20, seed=1))
     with pytest.raises(MalformedInput):
         greens.full_green_entries(seq, 10, np.eye(2), z, [(9, 12)])
+
+
+def test_ensemble_spec_integers_are_typed():
+    """m, the window ends and the seed of an EnsembleSpec are checked with operator.index
+    (MalformedInput) and the seed must be at least 0 (OutOfRange), before any draw; a
+    numpy integer is the same spec as the int."""
+    base = {"m": 2, "k_min": 0, "k_max": 20, "seed": 1}
+    for name, value in (("m", 2.5), ("seed", 1.5), ("seed", "7"), ("k_min", 0.0),
+                        ("k_max", 20.0)):
+        with pytest.raises(MalformedInput, match=f"{name} must be an integer"):
+            EnsembleSpec(**{**base, name: value})
+    for seed in (-1, np.int64(-3)):
+        with pytest.raises(OutOfRange, match="seed must be at least 0"):
+            EnsembleSpec(**{**base, "seed": seed})
+    want = generate(EnsembleSpec(**base)).values
+    got = generate(EnsembleSpec(**{**base, "m": np.int64(2), "seed": np.int64(1)})).values
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("helper", [is_contraction, is_unitary, operator_norm])
+def test_contraction_and_norm_helpers_are_typed(helper):
+    """The public matrix predicates take a finite square matrix: a NaN entry is NotFinite,
+    a non-square shape or text is DimensionMismatch, not numpy's LinAlgError or
+    ValueError, nor a verdict."""
+    with pytest.raises(NotFinite):
+        helper(np.array([[0.5, np.nan], [0.0, 0.1]]))
+    for bad in (np.zeros((2, 3)), np.zeros(2), "abc", object()):
+        with pytest.raises(DimensionMismatch):
+            helper(bad)
