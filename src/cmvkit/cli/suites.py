@@ -26,7 +26,8 @@ from ..analytic import (
     AtomicMeasure,
 )
 from ..assembly import SplitSpec, assemble, assemble_split, band_block, block_diag
-from ..coefficients import BoundaryUnitary, factorize_svd, gauge_transform, principal_unitary_sqrt
+from ..coefficients import (BoundaryUnitary, _frobenius, factorize_svd, gauge_transform,
+                            principal_unitary_sqrt)
 from ..decoupling import (
     decoupling_report,
     det_criterion,
@@ -115,8 +116,7 @@ def _worst(residuals) -> float:
 
 
 def _rel(diff: np.ndarray, reference: np.ndarray) -> float:
-    scale = max(float(np.linalg.norm(reference)), 1e-30)
-    return float(np.linalg.norm(diff) / scale)
+    return _frobenius(diff) / max(_frobenius(reference), 1e-30)
 
 
 def _mid_site(spec: EnsembleSpec) -> int:
@@ -217,9 +217,8 @@ def suite_connection(spec: EnsembleSpec, tol: Tolerances):
     seq, k0, rng, g1 = _suite_data(spec, 3)
     g2 = BoundaryUnitary(random_unitary(rng, spec.m))
     cc = connection(g1, g2, seq.alpha(k0), k0)
-    sites = [seq.k_min + 1, k0 - 1, k0, k0 + 2, seq.k_max - 2]
-    res = {key: [] for key in ("same-sign-Q", "same-sign-P",
-                               "cross-sign-QP", "cross-site-QP")}
+    sites, m = np.array([seq.k_min + 1, k0 - 1, k0, k0 + 2, seq.k_max - 2]), spec.m
+    res = {}
     for z in (0.45 * np.exp(0.7j), 1.9 * np.exp(2.1j)):
         p1 = window_family(seq, g1, z, k0, PLUS)
         p2 = window_family(seq, g2, z, k0, PLUS)
@@ -227,19 +226,20 @@ def suite_connection(spec: EnsembleSpec, tol: Tolerances):
         m2_down = window_family(seq, g2, z, k0 - 1, MINUS)
         # one power of two per site for all four families keeps the products and norms
         # below finite on long windows, and leaves every ratio as it is unscaled
-        s = _unit_scale(p1.X, axis=(1, 2))[:, None, None]
-        p1, p2, m2, m2_down = (replace(f, X=f.X * s) for f in (p1, p2, m2, m2_down))
-        C2, D2 = cc.c2(z), cc.d2(z)
-        for k in sites:
-            a1, a2, b2, b2d = p1.at(k), p2.at(k), m2.at(k), m2_down.at(k)
-            res["same-sign-Q"] += [_rel(a2.Q - (a1.Q @ cc.C1 + a1.P @ cc.D1), a2.Q),
-                                   _rel(a2.S - (a1.S @ cc.C1 + a1.R @ cc.D1), a2.S)]
-            res["same-sign-P"] += [_rel(a2.P - (a1.Q @ cc.D1 + a1.P @ cc.C1), a2.P),
-                                   _rel(a2.R - (a1.S @ cc.D1 + a1.R @ cc.C1), a2.R)]
-            res["cross-sign-QP"] += [_rel(b2.Q - (a1.Q @ C2 + a1.P @ D2), b2.Q),
-                                     _rel(b2.P - (a1.Q @ D2 + a1.P @ C2), b2.P)]
-            res["cross-site-QP"] += [_rel(b2d.Q - (a1.Q @ cc.C3 + a1.P @ cc.D3), b2d.Q),
-                                     _rel(b2d.P - (a1.Q @ cc.C4 + a1.P @ cc.D4), b2d.P)]
+        s = _unit_scale(p1.X[sites - p1.k_lo], axis=(1, 2))[:, None, None]
+        # each state's blocks [site, row, column], P (0, 0), Q (0, 1), R (1, 0), S (1, 1)
+        a1, a2, b2, b2d = ((f.X[sites - f.k_lo] * s).reshape(-1, 2, m, 2, m).swapaxes(2, 3)
+                           for f in (p1, p2, m2, m2_down))
+        # p1's Q, S (q) and P, R (p) times each coefficient: [site, row, coefficient]
+        coeffs = np.stack((cc.C1, cc.D1, cc.c2(z), cc.d2(z), cc.C3, cc.D3, cc.C4, cc.D4))
+        q, p = (a1[:, :, column, None] @ coeffs for column in (1, 0))
+        # each check's blocks against their predictions Q C + P D, two per site in order
+        for key, want, got in (("same-sign-Q", a2[:, :, 1], q[:, :, 0] + p[:, :, 1]),
+                               ("same-sign-P", a2[:, :, 0], q[:, :, 1] + p[:, :, 0]),
+                               ("cross-sign-QP", b2[:, 0, ::-1], q[:, 0, 2:4] + p[:, 0, 3:1:-1]),
+                               ("cross-site-QP", b2d[:, 0, ::-1], q[:, 0, 4::2] + p[:, 0, 5::2])):
+            res.setdefault(key, []).extend(
+                _rel(w - g, w) for w, g in zip(want.reshape(-1, m, m), got.reshape(-1, m, m)))
     return [(key, val, 1e-9) for key, val in res.items()]
 
 

@@ -24,6 +24,7 @@ for the m-functions.
 from __future__ import annotations
 
 import json
+import math
 import operator
 from dataclasses import dataclass
 from enum import Enum
@@ -106,10 +107,26 @@ def _require_contraction(alpha, k_first=None, raises: bool = True) -> bool:
     return not bad.any()
 
 
+def _frobenius(x) -> float:
+    """np.linalg.norm(x) of a float or complex array by its own arithmetic (ravel 'K', the
+    real and imaginary dot products, sqrt), bit for bit, without its dispatch."""
+    x = np.asarray(x).ravel(order="K")
+    if x.dtype.kind != "c":
+        return math.sqrt(x.dot(x))
+    re, im = x.real, x.imag
+    return math.sqrt(re.dot(re) + im.dot(im))
+
+
+@lru_cache(maxsize=16)
+def _identity(m: int) -> np.ndarray:
+    """The m x m float identity, built once per m, as a read-only view."""
+    return np.broadcast_to(np.eye(m), (m, m))
+
+
 def is_unitary(g) -> bool:
     """True when g*g is the identity within UNITARY_TOL (Frobenius) for a finite square g."""
     g = _as_square(g)
-    return bool(np.linalg.norm(g.conj().T @ g - np.eye(g.shape[0])) <= UNITARY_TOL)
+    return _frobenius(g.conj().T @ g - _identity(g.shape[0])) <= UNITARY_TOL
 
 
 @dataclass(frozen=True)
@@ -171,7 +188,8 @@ class VerblunskySequence:
             raise NotFinite(f"site {self.k_min + np.argmax(bad)}: matrix entries must be finite")
         _require_contraction(a[1:-1], self.k_min + 1)
         for k, end in ((self.k_min, a[0]), (k_max, a[-1])):
-            _unitary_block(end, f"site {k}: window endpoint")
+            if not is_unitary(end):
+                raise NotUnitary(f"site {k}: window endpoint must be unitary")
         a.setflags(write=False)
         object.__setattr__(self, "values", a)
 
@@ -353,11 +371,10 @@ def _positive_root(h: np.ndarray) -> np.ndarray:
 
 
 def _defects_raw(alpha: np.ndarray) -> DefectPair:
-    """rho and rho_tilde of one coefficient (m, m) or of a stack (..., m, m)."""
-    eye = np.eye(alpha.shape[-1])
+    """rho and rho_tilde of one coefficient (m, m) or of a stack (..., m, m), one eigh."""
     alpha_star = alpha.conj().swapaxes(-1, -2)
-    rho = _positive_root(eye - alpha_star @ alpha)
-    rho_tilde = _positive_root(eye - alpha @ alpha_star)
+    grams = np.stack((alpha_star @ alpha, alpha @ alpha_star))
+    rho, rho_tilde = _positive_root(_identity(alpha.shape[-1]) - grams)
     return DefectPair(rho=rho, rho_tilde=rho_tilde)
 
 
@@ -455,7 +472,7 @@ class BoundaryUnitary:
         else:
             gamma = _unitary_block(self.gamma, "gamma")
             root = _unitary_block(self.root, "the square root of gamma", m=gamma.shape[0])
-            if not np.allclose(root @ root, gamma, atol=1e-10):
+            if not np.allclose(root @ root, gamma, rtol=0.0, atol=1e-10):
                 raise NotUnitary("root must square to gamma")
         for name, a in (("gamma", gamma), ("root", root)):
             a = a.copy()

@@ -41,6 +41,7 @@ from .coefficients import (
     BoundaryUnitary,
     VerblunskySequence,
     _as_square,
+    _frobenius,
     as_boundary,
     defect_matrices,
 )
@@ -188,12 +189,16 @@ class SolutionFamily:
     def covers(self, k: int) -> bool:
         return self.k_lo <= k <= self.k_hi
 
-    def at(self, k: int) -> FamilySite:
+    def state(self, k: int) -> np.ndarray:
+        """The state [[P, Q], [R, S]] at site k, (2m, 2m)."""
         if not self.covers(k):
             raise SiteOutOfWindow(f"site {k} not covered, family spans "
                                   f"[{self.k_lo}, {self.k_hi}]")
-        i = k - self.k_lo
-        return FamilySite(P=self.P[i], R=self.R[i], Q=self.Q[i], S=self.S[i])
+        return self.X[k - self.k_lo]
+
+    def at(self, k: int) -> FamilySite:
+        x, m = self.state(k), self.m
+        return FamilySite(P=x[:m, :m], R=x[m:, :m], Q=x[:m, m:], S=x[m:, m:])
 
 
 def seed_family(gamma, z, k0: int, sign) -> SolutionFamily:
@@ -408,7 +413,8 @@ def _check_pair(fam: SolutionFamily, fam_conj: SolutionFamily):
         )
     if fam.sign != fam_conj.sign or fam.k0 != fam_conj.k0:
         raise CmvError("paired families must share sign and reference site")
-    if not np.allclose(fam.boundary.root, fam_conj.boundary.root, atol=1e-12):
+    root, root_conj = fam.boundary.root, fam_conj.boundary.root
+    if root is not root_conj and not np.allclose(root, root_conj, rtol=0.0, atol=1e-12):
         raise CmvError("paired families must use the same gamma square root")
 
 
@@ -435,25 +441,22 @@ def quadratic_identities(pair_plus, pair_minus, k: int) -> dict:
         R A(Q)* + S A(P)* = 0
 
     Returns a dict of relative residuals keyed like "PQ+", "RS-", each the unscaled one:
-    each family's values at k are scaled by its _unit_scale, c and the floor 1 by both.
+    each family's state at k is scaled by its _unit_scale, c and the floor 1 by both.
     """
     out = {}
+    # X A(Y)* by key, then X' A(Y')*, of blocks P (0, 0), Q (0, 1), R (1, 0), S (1, 1)
+    left, right = ([0, 1, 0, 1] * 2, [0] * 4 + [1] * 4), ([0, 1, 1, 0] * 2, [1] * 4 + [0] * 4)
     for label, (fam, fam_conj) in (("+", pair_plus), ("-", pair_minus)):
         _check_pair(fam, fam_conj)
-        a, b = fam.at(k), fam_conj.at(k)
-        sa, sb = (_unit_scale(f.X[k - f.k_lo]) for f in (fam, fam_conj))
-        a, b = FamilySite._make(v * sa for v in a), FamilySite._make(v * sb for v in b)
-        eye = np.eye(fam.m)
-        sgn = -1.0 if k % 2 == 0 else 1.0
-        # key: (X, Y, X', Y', c) for X A(Y)* + X' A(Y')* = c I
-        identities = {"PQ": (a.P, b.Q, a.Q, b.P, 2.0 * sgn),
-                      "RS": (a.R, b.S, a.S, b.R, -2.0 * sgn),
-                      "PS": (a.P, b.S, a.Q, b.R, 0.0),
-                      "RQ": (a.R, b.Q, a.S, b.P, 0.0)}
-        for key, (x1, y1, x2, y2, c) in identities.items():
-            t1, t2 = x1 @ y1.conj().T, x2 @ y2.conj().T
-            out[key + label] = _rel(np.linalg.norm(t1 + t2 - c * sa * sb * eye),
-                                    np.linalg.norm(t1), np.linalg.norm(t2), unit=sa * sb)
+        a, b, m = fam.state(k), fam_conj.state(k), fam.m
+        sa, sb = _unit_scale(a), _unit_scale(b)
+        a, b = ((x * s).reshape(2, m, 2, m).swapaxes(1, 2) for x, s in ((a, sa), (b, sb)))
+        t = a[left] @ b[right].conj().swapaxes(-1, -2)
+        eye, sgn = np.eye(m), -1.0 if k % 2 == 0 else 1.0
+        for key, t1, t2, c in zip(("PQ", "RS", "PS", "RQ"), t[:4], t[4:],
+                                  (2.0 * sgn, -2.0 * sgn, 0.0, 0.0)):
+            out[key + label] = _rel(_frobenius(t1 + t2 - c * sa * sb * eye),
+                                    _frobenius(t1), _frobenius(t2), unit=sa * sb)
     return out
 
 

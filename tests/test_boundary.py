@@ -106,6 +106,7 @@ def test_every_gamma_entry_takes_the_boundary_value(name):
     (np.eye(2), np.ones(2), DimensionMismatch),
     (np.eye(2), [[1.0, 0.0], [0.0, np.inf]], NotFinite),
     (np.eye(2), np.diag([1.0, 1j]), NotUnitary),                 # unitary, squares to diag(1, -1)
+    (np.eye(2), np.diag([1.0, np.exp(1e-6j)]), NotUnitary),      # its square 2e-6 from gamma
 ])
 def test_boundary_value_errors_are_pinned(gamma, root, err):
     with pytest.raises(err) as info:

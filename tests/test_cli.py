@@ -9,6 +9,7 @@ import os
 import subprocess
 import sys
 import tracemalloc
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -16,11 +17,17 @@ import pytest
 
 from cmvkit import assembly, cli
 from cmvkit.cli import main
-from cmvkit.cli.ensembles import MAX_RADIUS, Distribution, EnsembleSpec, generate
-from cmvkit.cli.suites import MIN_SPAN, SUITES, _worst, run_suite
-from cmvkit.coefficients import CONTRACTION_TOL, load_sequence, sequence_document
+from cmvkit.cli.ensembles import MAX_RADIUS, Distribution, EnsembleSpec, generate, random_unitary
+from cmvkit.cli import suites
+from cmvkit.cli.suites import MIN_SPAN, SUITES, Tolerances, _worst, run_suite
+from cmvkit.coefficients import (
+    CONTRACTION_TOL,
+    BoundaryUnitary,
+    load_sequence,
+    sequence_document,
+)
 from cmvkit.errors import CmvError, OutOfRange
-from cmvkit.laurent import MINUS, PLUS, seed_family, window_family
+from cmvkit.laurent import MINUS, PLUS, _unit_scale, connection, seed_family, window_family
 
 
 def run(capsys, *argv):
@@ -714,3 +721,48 @@ def test_main_catches_exactly_the_error_family_and_os_errors(exc, capsys, monkey
     else:
         with pytest.raises(type(exc)):
             main(["gen"])
+
+
+def _reference_suite_connection(spec):
+    """suite_connection as one product per site, letter and coefficient and one
+    np.linalg.norm per matrix: the reference its stacked products must equal bit for bit."""
+    def rel(diff, reference):
+        return float(np.linalg.norm(diff) / max(float(np.linalg.norm(reference)), 1e-30))
+
+    seq, k0, rng, g1 = suites._suite_data(spec, 3)
+    g2 = BoundaryUnitary(random_unitary(rng, spec.m))
+    cc = connection(g1, g2, seq.alpha(k0), k0)
+    sites = [seq.k_min + 1, k0 - 1, k0, k0 + 2, seq.k_max - 2]
+    res = {key: [] for key in ("same-sign-Q", "same-sign-P", "cross-sign-QP", "cross-site-QP")}
+    for z in (0.45 * np.exp(0.7j), 1.9 * np.exp(2.1j)):
+        fams = [window_family(seq, g, z, k, sign)
+                for g, k, sign in ((g1, k0, PLUS), (g2, k0, PLUS), (g2, k0, MINUS),
+                                   (g2, k0 - 1, MINUS))]
+        s = _unit_scale(fams[0].X, axis=(1, 2))[:, None, None]
+        p1, p2, m2, m2_down = (replace(f, X=f.X * s) for f in fams)
+        C2, D2 = cc.c2(z), cc.d2(z)
+        for k in sites:
+            a1, a2, b2, b2d = p1.at(k), p2.at(k), m2.at(k), m2_down.at(k)
+            res["same-sign-Q"] += [rel(a2.Q - (a1.Q @ cc.C1 + a1.P @ cc.D1), a2.Q),
+                                   rel(a2.S - (a1.S @ cc.C1 + a1.R @ cc.D1), a2.S)]
+            res["same-sign-P"] += [rel(a2.P - (a1.Q @ cc.D1 + a1.P @ cc.C1), a2.P),
+                                   rel(a2.R - (a1.S @ cc.D1 + a1.R @ cc.C1), a2.R)]
+            res["cross-sign-QP"] += [rel(b2.Q - (a1.Q @ C2 + a1.P @ D2), b2.Q),
+                                     rel(b2.P - (a1.Q @ D2 + a1.P @ C2), b2.P)]
+            res["cross-site-QP"] += [rel(b2d.Q - (a1.Q @ cc.C3 + a1.P @ cc.D3), b2d.Q),
+                                     rel(b2d.P - (a1.Q @ cc.C4 + a1.P @ cc.D4), b2d.P)]
+    return [(key, val, 1e-9) for key, val in res.items()]
+
+
+@pytest.mark.parametrize("m", (1, 2, 3))
+@pytest.mark.parametrize("k_min, k_max, distribution", (
+    (0, 40, Distribution.UNIFORM_DISK),         # k0 = 20
+    (1, 42, Distribution.FIXED_RADIUS),         # k0 = 21
+    (3, 8, Distribution.UNIFORM_DISK),          # the shortest window: k0 - 1 = k_min + 1
+    (0, 1500, Distribution.UNIFORM_DISK),       # values far from 1 at both ends
+))
+def test_connection_suite_equals_the_per_site_formula(m, k_min, k_max, distribution):
+    """suite_connection's stacked predictions give the per-site formula's residuals bit for
+    bit, in the same order, at m = 1..3, both parities of k0 and sites at both window ends."""
+    spec = EnsembleSpec(m=m, k_min=k_min, k_max=k_max, seed=7, distribution=distribution)
+    assert suites.suite_connection(spec, Tolerances()) == _reference_suite_connection(spec)

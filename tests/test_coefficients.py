@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from hypothesis.extra import numpy as hnp
 
 from cmvkit import coefficients
 from cmvkit.coefficients import (
@@ -34,7 +35,7 @@ from cmvkit.coefficients import (
     theta_block,
     unitary,
 )
-from cmvkit.cli.ensembles import EnsembleSpec, generate, random_unitary
+from cmvkit.cli.ensembles import Distribution, EnsembleSpec, generate, random_unitary
 from cmvkit.laurent import MINUS, PLUS
 from cmvkit.weyl import m_function
 
@@ -547,3 +548,43 @@ def test_each_new_root_makes_one_zgees_call_without_a_workspace_query(count_call
         coefficients.as_boundary(g.copy())
         assert len(calls) == before + 2
     assert calls and all(call.get("lwork") != -1 for call in calls)
+
+
+@settings(max_examples=300, deadline=None)
+@given(x=hnp.arrays(st.sampled_from((np.float64, np.complex128)),
+                    hnp.array_shapes(min_dims=0, max_dims=3, max_side=6),
+                    elements={"allow_nan": False, "allow_infinity": False}),
+       scale=st.sampled_from((1.0, 2.0 ** -600, 3.0e-160, 7.0e150)),
+       layout=st.sampled_from(("C", "transposed", "strided")))
+def test_frobenius_helper_equals_numpy_norm(x, scale, layout):
+    """The helper behind is_unitary, quadratic_identities and the suites' _rel gives
+    np.linalg.norm's value bit for bit, for any layout, over- and underflow included."""
+    with np.errstate(over="ignore"):
+        x = x * scale
+        if layout == "transposed":
+            x = x.T
+        elif layout == "strided" and x.ndim:
+            x = x[..., ::2]
+        got, want = coefficients._frobenius(x), np.linalg.norm(x)
+    assert np.array_equal(got, want)
+
+
+@pytest.mark.parametrize("m", (1, 2, 3))
+@pytest.mark.parametrize("distribution, radius", ((Distribution.UNIFORM_DISK, 0.9),
+                                                  (Distribution.FIXED_RADIUS, 0.999)))
+def test_defects_equal_the_two_call_formula(m, distribution, radius):
+    """Both defects from one batched eigh equal one eigh per Gram stack bit for bit, for a
+    stack and for one coefficient."""
+    seq = generate(EnsembleSpec(m=m, k_min=0, k_max=40, seed=70 + m, radius_max=radius,
+                                distribution=distribution))
+    alpha = seq.values[1:-1]
+    eye, alpha_star = np.eye(m), alpha.conj().swapaxes(-1, -2)
+    rho = coefficients._positive_root(eye - alpha_star @ alpha)
+    rho_tilde = coefficients._positive_root(eye - alpha @ alpha_star)
+    for got in (seq.defects, coefficients._defects_raw(alpha)):
+        assert np.array_equal(got.rho, rho) and np.array_equal(got.rho_tilde, rho_tilde)
+    for i in (0, len(alpha) // 2, len(alpha) - 1):
+        one = defect_matrices(alpha[i])
+        a, a_star = alpha[i], alpha[i].conj().T
+        assert np.array_equal(one.rho, coefficients._positive_root(eye - a_star @ a))
+        assert np.array_equal(one.rho_tilde, coefficients._positive_root(eye - a @ a_star))

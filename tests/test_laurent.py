@@ -557,10 +557,68 @@ def test_paired_families_are_checked_one_mismatch_at_a_time():
     share = "must share sign and reference site"
     wrong = [(r"must be evaluated at 1/conj\(z\)", seed_family(g, z, 5, PLUS)),
              (share, seed_family(g, w, 5, MINUS)), (share, seed_family(g, w, 7, PLUS)),
-             ("same gamma square root", seed_family(random_unitary(rng, 2), w, 5, PLUS))]
+             ("same gamma square root", seed_family(random_unitary(rng, 2), w, 5, PLUS)),
+             # roots 1e-7 apart: within numpy's default rtol of allclose, not within 1e-12
+             ("same gamma square root", seed_family(g * np.exp(2e-7j), w, 5, PLUS))]
     for match, other in wrong:
         with pytest.raises(CmvError, match=match) as info:
             laurent._check_pair(fam, other)
         assert type(info.value) is CmvError
     with pytest.raises(MatrixCaseUnsupported):
         conjugation_symmetry(pair, 5)
+
+
+def _reference_quadratic_identities(pair_plus, pair_minus, k):
+    """quadratic_identities as one product and one np.linalg.norm per term: the reference
+    its stacked products and its Frobenius helper must equal bit for bit."""
+    out = {}
+    for label, (fam, fam_conj) in (("+", pair_plus), ("-", pair_minus)):
+        a, b = fam.at(k), fam_conj.at(k)
+        sa, sb = (laurent._unit_scale(f.X[k - f.k_lo]) for f in (fam, fam_conj))
+        a = laurent.FamilySite._make(v * sa for v in a)
+        b = laurent.FamilySite._make(v * sb for v in b)
+        eye = np.eye(fam.m)
+        sgn = -1.0 if k % 2 == 0 else 1.0
+        identities = {"PQ": (a.P, b.Q, a.Q, b.P, 2.0 * sgn),
+                      "RS": (a.R, b.S, a.S, b.R, -2.0 * sgn),
+                      "PS": (a.P, b.S, a.Q, b.R, 0.0),
+                      "RQ": (a.R, b.Q, a.S, b.P, 0.0)}
+        for key, (x1, y1, x2, y2, c) in identities.items():
+            t1, t2 = x1 @ y1.conj().T, x2 @ y2.conj().T
+            out[key + label] = laurent._rel(np.linalg.norm(t1 + t2 - c * sa * sb * eye),
+                                            np.linalg.norm(t1), np.linalg.norm(t2),
+                                            unit=sa * sb)
+    return out
+
+
+def _reference_conjugation_symmetry(pair, k):
+    fam, fam_conj = pair
+    a, b = fam.at(k), fam_conj.at(k)
+    w = fam.sign * fam.z ** ((fam.k0 + (fam.sign == MINUS)) % 2)
+    pred_r, pred_s = w * np.conj(b.P[0, 0]), -w * np.conj(b.Q[0, 0])
+    return {"R": laurent._rel(abs(a.R[0, 0] - pred_r), abs(a.R[0, 0]), abs(pred_r)),
+            "S": laurent._rel(abs(a.S[0, 0] - pred_s), abs(a.S[0, 0]), abs(pred_s))}
+
+
+@pytest.mark.parametrize("m", (1, 2, 3))
+@pytest.mark.parametrize("k0", (20, 21))
+def test_bilinear_and_conjugation_residuals_equal_the_per_product_formula(m, k0):
+    """quadratic_identities and conjugation_symmetry give the reference formula's residuals
+    bit for bit, at both signs, both parities of k0 and k, and both window ends; the 600
+    window's ends carry values far from 1, which the per-family scale must handle."""
+    for seed, k_max in ((90 + m, 40), (95 + m, 600)):
+        seq = generate(EnsembleSpec(m=m, k_min=0, k_max=k_max, seed=seed))
+        g = BoundaryUnitary(random_unitary(np.random.default_rng(seed), m))
+        z = 0.4 - 0.3j
+        pairs = {sign: (window_family(seq, g, z, k0, sign),
+                        window_family(seq, g, 1 / np.conj(z), k0, sign))
+                 for sign in (PLUS, MINUS)}
+        for k in (0, 1, k0 - 1, k0, k0 + 1, k_max - 2, k_max - 1):
+            got = quadratic_identities(pairs[PLUS], pairs[MINUS], k)
+            want = _reference_quadratic_identities(pairs[PLUS], pairs[MINUS], k)
+            assert list(got) == list(want)
+            assert [float(v) for v in got.values()] == [float(v) for v in want.values()]
+            if m == 1:
+                for sign in (PLUS, MINUS):
+                    assert (conjugation_symmetry(pairs[sign], k)
+                            == _reference_conjugation_symmetry(pairs[sign], k))
