@@ -14,9 +14,11 @@ split replaces one block by diag(-gamma_left, gamma_right*), severing the
 window in two; operator_difference_block is the 2m x 2m block by which U and
 the split differ; block_diag forms direct sums.
 
-_cut_bands, the one writer of a cut or split block, copies seq.bands (or a
-column range of them) with one coefficient's block replaced: a cut block
-diag(-gamma, gamma*) severs the window into its two half windows.
+_cut_bands copies seq.bands (or a column range of them) with one coefficient's
+block replaced: a cut block diag(-gamma, gamma*) severs the window into its two
+half windows. _placed_blocks(seq, spec) also writes the split block, into
+assemble_split's dense U: the independent reference that
+test_vectorized_placement_equals_blockwise and U-equals-VW check the bands against.
 _pencil forms every pencil V - z W* as one subtraction, and _factor and
 _solve (LAPACK zgbtrf and zgbtrs, from _lapack) are the one banded LU helper.
 resolvent_blocks reads m x m blocks of the resolvent (U_s - z)^{-1} of the

@@ -18,7 +18,6 @@ import csv
 import json
 import os
 import sys
-from dataclasses import replace
 
 import numpy as np
 
@@ -34,7 +33,7 @@ from ..coefficients import (
     load_sequence,
     sequence_document,
 )
-from ..decoupling import decoupling_report, det_criterion, minimal_phases
+from ..decoupling import decoupling_report, det_criterion, minimal_phases, phase_unitaries
 from ..errors import CmvError, DimensionMismatch, MalformedInput, OutOfRange, require_tolerance
 from ..greens import dense_resolvent_entries, full_green_entries, half_green_entries
 from ..laurent import propagate, seed_family
@@ -130,8 +129,7 @@ def cmd_decouple(args) -> int:
         t = np.asarray(_parse(args.t, "phases in --t"), dtype=float)
         if t.size != m:
             raise DimensionMismatch(f"need {m} phases in --t, got {t.size}")
-        fac = factorize_svd(alpha)
-        gamma1, gamma2 = (replace(fac, beta=np.exp(1j * p)).reconstruct() for p in (t, s))
+        gamma1, gamma2 = phase_unitaries(factorize_svd(alpha), t, s)
     else:
         sol = minimal_phases(alpha, s)
         t, gamma1, gamma2 = sol.t, sol.gamma1, sol.gamma2

@@ -105,6 +105,11 @@ def _wrap_two_pi(t: np.ndarray) -> np.ndarray:
     return out
 
 
+def phase_unitaries(fac, *phases) -> list:
+    """sigma diag(e^{i p}) tau* for each p of phases: fac's reconstruct with p as beta."""
+    return [replace(fac, beta=np.exp(1j * p)).reconstruct() for p in phases]
+
+
 def minimal_phases(alpha_k0: np.ndarray, s) -> PhaseSolution:
     """Phases making the decoupling perturbation have rank exactly m.
 
@@ -113,9 +118,8 @@ def minimal_phases(alpha_k0: np.ndarray, s) -> PhaseSolution:
 
         t_j = 2 arg[i (beta_j e^{-i s_j / 2} - e^{i s_j / 2})]
 
-    normalized to [0, 2 pi). The returned unitaries are
-    gamma1 = sigma diag(e^{i t_j}) tau* and gamma2 = sigma diag(e^{i s_j}) tau*,
-    each the factorization's reconstruct with those phases as beta.
+    normalized to [0, 2 pi). The returned unitaries are gamma1 = sigma diag(e^{i t_j}) tau*
+    and gamma2 = sigma diag(e^{i s_j}) tau* (phase_unitaries).
     """
     alpha = _as_square(alpha_k0)
     _require_contraction(alpha)
@@ -125,7 +129,7 @@ def minimal_phases(alpha_k0: np.ndarray, s) -> PhaseSolution:
         raise DimensionMismatch(f"need {m} phases s, got shape {s.shape}")
     fac, half = factorize_svd(alpha), s / 2.0
     t = _wrap_two_pi(2.0 * np.angle(1j * (fac.beta * np.exp(-1j * half) - np.exp(1j * half))))
-    gamma1, gamma2 = (replace(fac, beta=np.exp(1j * p)).reconstruct() for p in (t, s))
+    gamma1, gamma2 = phase_unitaries(fac, t, s)
     return PhaseSolution(s=s, t=t, gamma1=gamma1, gamma2=gamma2)
 
 

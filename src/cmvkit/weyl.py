@@ -15,24 +15,24 @@ Green oracle's assembly.resolvent_blocks, a separate solve, and m_from_edge_cond
 which carries the subspace the far edge relation defines back to k0 site by site,
 orthonormalized after each step.
 
-Each quantity at the cut has one route: _m_functions for m, _M_functions for M
-(M_plus = m_plus; M_minus the Cayley-type transform of m_minus, or its closed form at
-z = 0). Both directions of that transform, the Schur-function maps, and the parity
-formula expressing the Schur function through Weyl solution values are provided as
-code paths of their own, so that they check one another. The frame is set by the root
-of one coefficients.BoundaryUnitary, shared with the families.
+Each quantity at the cut has one route: _m_functions for m, _M_functions for M, M_plus =
+m_plus and M_minus = -(I - (1 - z)G)(I + (1 + z)G)^{-1} at every z, 0 included, from the
+minus G(k0, k0) in the family frame: the Cayley-type transform of m_minus = -(I + 2zG), its
+2z cancelled, so no digit is lost as z -> 0. That transform both ways, the closed form
+M_minus(0), the connection route, the Schur-function maps and the parity formula through
+Weyl solution values are code paths of their own, so that they check one another. The
+frame is set by the root of one coefficients.BoundaryUnitary, shared with the families.
 """
 
 from __future__ import annotations
 
-import functools
 from dataclasses import dataclass
 
 import numpy as np
 
 from ._lapack import zgeqrf as _geqrf, zgesdd as _gesdd, zheevd as _heevd, zungqr as _ungqr
 from .assembly import cut_resolvent_blocks
-from .coefficients import VerblunskySequence, _as_square, as_boundary
+from .coefficients import VerblunskySequence, _as_square, _identity, as_boundary
 from .errors import (NotConverged, NotFinite, OutOfRange, SingularSolutionValue, SiteOutOfWindow,
                      require_cut, require_finite, require_off_circle, require_tolerance, solve)
 from .laurent import (MINUS, PLUS, SolutionFamily, _as_steps, _cut_connection, _norm_sign,
@@ -72,18 +72,24 @@ def m_function(seq: VerblunskySequence, k0: int, gamma, z, sign) -> np.ndarray:
 
 
 def _m_functions(seq: VerblunskySequence, k0: int, gamma, z, signs=(PLUS, MINUS)) -> np.ndarray:
-    """The stack of m_function for each of signs at a z and k0 the caller has checked, from
-    one banded LU of their half windows; the frame and the sums act on the whole stack."""
+    """The stack of m_function for each of signs at a z and k0 the caller has checked."""
+    return _m_and_G(seq, k0, gamma, z, signs)[0]
+
+
+def _m_and_G(seq: VerblunskySequence, k0: int, gamma, z, signs) -> tuple:
+    """The stack of m_function for each of signs at a z and k0 the caller has checked, from one
+    banded LU of their half windows (m framed after I + 2z G is summed, over the whole stack),
+    and a reader of G_h(k0, k0) in the same frame, h an index into signs."""
     boundary = as_boundary(gamma, seq.m)      # a BoundaryUnitary passes as it is
-    gh = boundary.root
-    ghi = gh.conj().T
+    gh, ghi = boundary.root, boundary.root.conj().T
     left, right = (gh, ghi) if k0 % 2 == 0 else (ghi, gh)
-    raw = 2.0 * (z * cut_resolvent_blocks(seq, z, k0, boundary, signs))    # no 2z to overflow
+    G = cut_resolvent_blocks(seq, z, k0, boundary, signs)
+    raw = 2.0 * (z * G)                       # no 2z to overflow
     raw.reshape(len(signs), -1)[:, ::seq.m + 1] += 1.0     # I + 2z G
     for h, sign in enumerate(signs):
         if sign == MINUS:
             np.negative(raw[h], out=raw[h])
-    return left @ raw @ right
+    return left @ raw @ right, lambda h: left @ G[h] @ right
 
 
 def m_from_edge_condition(seq: VerblunskySequence, k0: int, gamma, z, sign) -> np.ndarray:
@@ -128,15 +134,8 @@ def M_minus_from_m_minus(m_minus: np.ndarray, z) -> np.ndarray:
     M = [(m + I) - z(m - I)] [(m + I) + z(m - I)]^{-1}; the two factors
     commute, so the quotient may be taken on either side.
     """
-    return _M_from_m(_as_square(m_minus), require_finite(z))
-
-
-_eye = functools.cache(lambda m: np.broadcast_to(np.eye(m), (m, m)))     # read-only, one per m
-
-
-def _M_from_m(m: np.ndarray, z: complex) -> np.ndarray:
-    """M_minus_from_m_minus for an m the caller has produced finite and square itself."""
-    eye = _eye(m.shape[0])
+    z, m = require_finite(z), _as_square(m_minus)
+    eye = _identity(m.shape[0])
     plus, minus = m + eye, z * (m - eye)
     return solve(plus - minus, plus + minus, right=True)
 
@@ -144,7 +143,7 @@ def _M_from_m(m: np.ndarray, z: complex) -> np.ndarray:
 def m_minus_from_M_minus(M_minus: np.ndarray, z) -> np.ndarray:
     """Inverse transform: m = [z(M + I) - (M - I)] [z(M + I) + (M - I)]^{-1}."""
     z, M = require_finite(z), _as_square(M_minus)
-    plus, minus = z * (M + _eye(len(M))), M - _eye(len(M))
+    plus, minus = z * (M + _identity(len(M))), M - _identity(len(M))
     return solve(plus - minus, plus + minus, right=True)
 
 
@@ -169,32 +168,28 @@ def M_minus_at_zero(alpha_k0, gamma) -> np.ndarray:
     once m_minus(0) = -I is inserted; no window data is needed.
     """
     gamma = as_boundary(gamma)
-    return _at_zero(connection(gamma, gamma, alpha_k0, 0))
-
-
-def _at_zero(cc) -> np.ndarray:
-    """M_minus(0) = (D3 - D4)(C3 - C4)^{-1} from connection coefficients at the cut."""
+    cc = connection(gamma, gamma, alpha_k0, 0)
     return solve(cc.D3 - cc.D4, cc.C3 - cc.C4, right=True)
 
 
 def M_function(seq: VerblunskySequence, k0: int, gamma, z, sign) -> np.ndarray:
-    """M_plus or M_minus at the reference site: m_plus, or the Cayley-type transform of
-    m_minus, except at z = 0 where the transform degenerates and the closed form takes over.
-    The one-sign form of _M_functions, as m_function is of _m_functions."""
+    """M_plus or M_minus at the reference site, z = 0 included: m_plus, or M_minus by the one
+    formula of the module docstring. The one-sign form of _M_functions, as m_function is of
+    _m_functions."""
     z, k0 = require_off_circle(z, allow_zero=True), require_cut(k0)
     return _M_functions(seq, k0, gamma, z, (_norm_sign(sign),))[0]
 
 
-def _M_functions(seq: VerblunskySequence, k0: int, gamma, z, signs=(PLUS, MINUS),
-                 ms=None) -> list:
-    """M_function for each of signs at one z and k0 the caller has checked, from ms, their
-    m-functions (solved if None and needed: M_minus(0) is the closed form M_minus_at_zero,
-    read from the sequence's defect inverses, so M_minus alone at z = 0 factors nothing)."""
-    if ms is None and (z != 0 or PLUS in signs):
-        ms = _m_functions(seq, k0, gamma, z, signs)
-    return [ms[h] if sign == PLUS else
-            _at_zero(_cut_connection(seq, gamma, k0)) if z == 0 else _M_from_m(ms[h], z)
-            for h, sign in enumerate(signs)]
+def _M_functions(seq: VerblunskySequence, k0: int, gamma, z, signs=(PLUS, MINUS)) -> list:
+    """M_function for each of signs at one z and k0 the caller has checked, from one LU."""
+    ms, G = _m_and_G(seq, k0, gamma, z, signs)
+    return [ms[h] if sign == PLUS else _M_minus(G(h), z) for h, sign in enumerate(signs)]
+
+
+def _M_minus(G: np.ndarray, z: complex) -> np.ndarray:
+    """M_minus = -(I - (1 - z)G)(I + (1 + z)G)^{-1} from the minus G(k0, k0), family frame."""
+    eye = _identity(G.shape[0])
+    return solve((1.0 - z) * G - eye, eye + (1.0 + z) * G, right=True)
 
 
 def schur_from_M(M: np.ndarray) -> np.ndarray:
@@ -205,7 +200,7 @@ def schur_from_M(M: np.ndarray) -> np.ndarray:
 
 def _schur(M: np.ndarray) -> np.ndarray:
     """schur_from_M for an M, or stack, the caller has produced finite and square itself."""
-    eye = _eye(M.shape[-1])
+    eye = _identity(M.shape[-1])
     return solve(M - eye, M + eye, right=True)
 
 
@@ -381,21 +376,20 @@ def _svals(a: np.ndarray) -> list:
 
 def spectral_sample(seq: VerblunskySequence, k0: int, gamma, z,
                     tol: float = 1e-10) -> SpectralSample:
-    """Evaluate m, M, and Phi for both signs at one point, from one root of gamma
-    and one banded LU of both half windows (_m_functions).
+    """Evaluate m, M, and Phi for both signs at one point, z = 0 included, from one root of
+    gamma and one banded LU of both half windows: m and M_minus as _M_functions reads them.
 
     z, k0, tol and gamma are checked once; gamma is rooted once per distinct value
-    (coefficients.as_boundary). The transforms take the m-functions, which the solve has
+    (coefficients.as_boundary). The transforms take the values, which the solves have
     checked finite, as they are. The flags read one end of the sorted LAPACK eigenvalues
     and singular values; every value equals numpy.linalg's bit for bit, and no numpy.linalg
-    call is made once the sequence's defect inverses are kept (M_minus(0) reads them).
-    OutOfRange unless tol is finite and >= 0.
+    call is made. OutOfRange unless tol is finite and >= 0.
     """
     z, tol = require_off_circle(z, allow_zero=True), require_tolerance(tol)
     k0, gamma = require_cut(k0), as_boundary(gamma, seq.m)
-    ms = _m_functions(seq, k0, gamma, z)
+    ms, G = _m_and_G(seq, k0, gamma, z, (PLUS, MINUS))
     mp, mm = ms
-    Mm, = _M_functions(seq, k0, gamma, z, (MINUS,), ms=(mm,))      # M_plus = m_plus
+    Mm = _M_minus(G(1), z)                    # M_plus = m_plus
     phi_p, phi_m = _schur(mp), _schur(Mm)
     (eig_p, eig_m), sv_p, sv_m = _herm_eigs(ms).tolist(), _svals(phi_p), _svals(phi_m)
     if abs(z) < 1.0:

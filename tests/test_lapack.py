@@ -121,7 +121,7 @@ def test_failed_eigenvalue_or_singular_value_iteration_is_typed(monkeypatch):
 def test_spectral_sample_calls_no_numpy_linalg(count_calls, z):
     """Once gamma is rooted and the cut's bands and the defect inverses are kept, a sample
     makes no numpy.linalg call: its solves, eigenvalues and singular values are LAPACK's own,
-    and at z = 0 the closed form of M_minus reads the sequence's defect inverses."""
+    at z = 0 as at any other z."""
     seq = generate(EnsembleSpec(m=2, k_min=0, k_max=40, seed=33))
     g = as_boundary(random_unitary(np.random.default_rng(34), 2), 2)
     before = weyl.spectral_sample(seq, 20, g, z)

@@ -182,7 +182,7 @@ def test_minus_at_zero_frozen_value():
     seq = scalar_sequence(0.4)
     got = M_minus_at_zero(seq.alpha(6), np.eye(1))
     np.testing.assert_allclose(got, [[-7.0 / 3.0]], atol=1e-14)
-    # dispatching through M_function at z = 0 takes the closed form
+    # M_function at z = 0 agrees with the closed form
     np.testing.assert_allclose(M_function(seq, 6, np.eye(1), 0.0, MINUS),
                                got, atol=0)
 
@@ -194,6 +194,60 @@ def test_minus_at_zero_matches_limit():
     closed = M_minus_at_zero(seq.alpha(10), g)
     lim = M_function(seq, 10, g, 1e-7 + 0j, MINUS)
     np.testing.assert_allclose(closed, lim, atol=1e-5)
+
+
+def test_minus_near_zero_keeps_its_digits():
+    """M_minus at |z| <= 1e-6 lies within 10|z| (relative) of M_minus_at_zero, the distance
+    the true value keeps (1.33|z| measured): G enters M_minus with no 2z to cancel. The
+    Cayley-type transform of m_minus lost log10(1/|z|) digits, 5.8e8|z| at 1e-12i."""
+    for m, k0 in itertools.product((1, 2, 3), (19, 20, 21)):
+        seq = generate(EnsembleSpec(m=m, k_min=0, k_max=40, seed=5))
+        g = random_unitary(np.random.default_rng(m + 30), m)
+        closed = M_minus_at_zero(seq.alpha(k0), g)
+        for z in (1e-12j, 1e-9j, 1e-6j, 1e-12, -1e-9):
+            got = M_function(seq, k0, g, z, MINUS)
+            assert np.linalg.norm(got - closed) <= 10 * abs(z) * np.linalg.norm(closed), \
+                (m, k0, z)
+
+
+def test_M_minus_is_accurate_against_a_40_digit_solve():
+    """Against a 40-digit solve of the same float64 minus half window (G = E* W* (V -
+    z W*)^{-1} E, framed, then -(I - (1 - z)G)(I + (1 + z)G)^{-1}), M_minus is off by 5e-15
+    relative at most (8.7e-16 measured): m = 1, 2, 40 sites, both k0 parities, at 1e-12i
+    and inside, near and outside the circle. The transform of m_minus was off by 2.4e-3
+    at 1e-12i."""
+    mp = pytest.importorskip("mpmath")
+    worst = 0.0
+    with mp.workdps(40):
+        for m, k0 in itertools.product((1, 2), (19, 20)):
+            seq = generate(EnsembleSpec(m=m, k_min=0, k_max=40, seed=5))
+            g = BoundaryUnitary(random_unitary(np.random.default_rng(m + 10), m))
+            gh, eye = mp.matrix(g.root.tolist()), mp.eye(m)
+            ops = assemble(half_window(seq, k0, g.gamma, MINUS))
+            n = ops.U.shape[0]
+            V, W_star = mp.matrix(ops.V.tolist()), mp.matrix(ops.W.conj().T.tolist())
+            at = ops.site_slice(k0)
+            for z in (1e-12j, 0.5 * np.exp(0.7j), 0.99 * np.exp(-2.5j), 1.9 * np.exp(1.3j)):
+                zm = mp.mpc(z.real, z.imag)
+                (LU, piv), X = mp.mp.LU_decomp(V - zm * W_star), mp.zeros(n, m)
+                for i in range(m):                # one LU, a solve per column
+                    e = mp.zeros(n, 1)
+                    e[at.start + i] = 1
+                    X[:, i] = mp.mp.U_solve(LU, mp.mp.L_solve(LU, e, piv))
+                G = (W_star * X)[at.start:at.stop, 0:m]
+                G = gh * G * gh.H if k0 % 2 == 0 else gh.H * G * gh
+                ref = -(eye - (1 - zm) * G) * mp.inverse(eye + (1 + zm) * G)
+                got = mp.matrix(M_function(seq, k0, g, z, MINUS).tolist())
+                worst = max(worst, float(mp.mnorm(got - ref, 'F') / mp.mnorm(ref, 'F')))
+    assert worst <= 5e-15, worst
+
+
+def test_M_minus_at_zero_checks_the_half_window():
+    """At z = 0 as at any z, a minus half of fewer than 4 sites is SiteOutOfWindow."""
+    seq = generate(EnsembleSpec(m=2, k_min=0, k_max=20, seed=5))
+    for z in (0.0, 0.5):
+        with pytest.raises(SiteOutOfWindow, match="4 sites"):
+            M_function(seq, seq.k_min + 1, np.eye(2), z, MINUS)
 
 
 def test_plus_equals_plain_m():
@@ -562,7 +616,7 @@ def test_spectral_sample_equals_its_one_matrix_helpers(z, k0):
     g = random_unitary(np.random.default_rng(69), 2)
     s = spectral_sample(seq, k0, g, z)
     mp, mm = (m_function(seq, k0, g, z, sign) for sign in (PLUS, MINUS))
-    Mm = M_minus_at_zero(seq.alpha(k0), g) if z == 0 else M_minus_from_m_minus(mm, z)
+    Mm = M_function(seq, k0, g, z, MINUS)
     phip, phim = schur_from_M(mp), schur_from_M(Mm)
     got = (s.m_plus, s.m_minus, s.M_plus, s.M_minus, s.Phi_plus, s.Phi_minus)
     assert all(np.array_equal(a, b) for a, b in zip(got, (mp, mm, mp, Mm, phip, phim)))
@@ -853,18 +907,17 @@ def test_weyl_suite_passes_on_long_windows():
         assert run_suite(["weyl"], EnsembleSpec(m=2, k_min=0, k_max=k_max, seed=7)).passed
 
 
-def test_M_minus_at_zero_factors_nothing(count_calls):
-    """M_function(..., 0, MINUS) is the closed form alone, no banded LU, and equals
-    spectral_sample's M_minus at 0 bit for bit."""
-    factored = count_calls(assembly, "_factor")
+def test_M_minus_at_zero_is_the_one_formula():
+    """M_function(..., 0, MINUS) equals spectral_sample's M_minus at 0 bit for bit, and lies
+    within 1e-14 (relative; 1.8e-15 measured) of the closed form M_minus_at_zero."""
     for m in (1, 2, 3):
         seq = generate(EnsembleSpec(m=m, k_min=0, k_max=30, seed=160 + m))
         g = random_unitary(np.random.default_rng(161 + m), m)
         for k0 in (14, 15):
             got = M_function(seq, k0, g, 0, MINUS)
-            assert not factored
             assert np.array_equal(got, spectral_sample(seq, k0, g, 0).M_minus)
-            factored.clear()
+            closed = M_minus_at_zero(seq.alpha(k0), g)
+            assert np.linalg.norm(got - closed) <= 1e-14 * np.linalg.norm(closed), (m, k0)
 
 
 def test_edge_route_reports_its_z_range_limit():
